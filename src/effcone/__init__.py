@@ -36,7 +36,15 @@ from .lattice import (
     point,
     triangle,
 )
-from .numerics import Rational, as_rational, egcd, frac, mod_inverse, triangular
+from .numerics import (
+    Rational,
+    as_rational,
+    egcd,
+    floor_sum_linear,
+    frac,
+    mod_inverse,
+    triangular,
+)
 from .surface import (
     FAMILY_AZ,
     FAMILY_B,
@@ -77,7 +85,8 @@ from .verify import (
 __all__ = [
     "__version__",
     # numerics
-    "Rational", "as_rational", "frac", "egcd", "mod_inverse", "triangular",
+    "Rational", "as_rational", "frac", "egcd", "floor_sum_linear", "mod_inverse",
+    "triangular",
     # lattice
     "RationalPoint", "RationalTriangle", "point", "triangle",
     "count_points_rowscan", "count_points_pick", "contains_point",

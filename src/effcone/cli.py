@@ -101,7 +101,10 @@ def _emit_csv(rows: list[dict], fieldnames: list[str], output: str | None) -> No
 def _default_jobs() -> int:
     env = os.environ.get("EFFCONE_JOBS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"EFFCONE_JOBS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -187,6 +190,8 @@ def _cmd_gamma(args) -> tuple[dict | list, int]:
 
 def _cmd_classify(args) -> tuple[dict, int]:
     found = classify(args.b, args.p)
+    # Rejects pairs whose weights are invalid, e.g. b = 10, p = -3 (c = 18).
+    make_surface(4, args.b, 3 * args.b + 4 * args.p)
     return {
         "b": args.b,
         "p": args.p,

@@ -49,7 +49,11 @@ def _require_hypotheses(surface: WeightedSurface) -> None:
             f"Ehrhart closed forms require a = 4 and p < 0, got {surface} with p = {surface.p}"
         )
     # p < 0 forces q = 3 for valid weights; polytope shapes rely on it.
-    assert surface.q == 3, f"unreachable: p < 0 with q = {surface.q}"
+    if surface.q != 3:
+        raise ValueError(
+            f"Ehrhart closed forms require q = 3, got {surface} with p = {surface.p}, "
+            f"q = {surface.q}"
+        )
 
 
 def coefficients(surface: WeightedSurface, family: str, n: int) -> EhrhartCoeffs:

@@ -64,7 +64,10 @@ def solve_family(req: FamilyRequest) -> list[WeightedSurface]:
     the convergent tail, or for counts beyond the filtered range).
     """
     g, s, _ = egcd(req.alpha, req.beta)
-    assert g == 1  # guaranteed by FamilyRequest validation
+    if g != 1:  # FamilyRequest validation rules this out for built requests
+        raise ValueError(
+            f"require gcd(alpha, beta) = 1, got gcd({req.alpha}, {req.beta}) = {g}"
+        )
     # Particular solution of alpha*b - beta*m = tau; shift to the smallest
     # progression index with b > 4 and walk upward (b increases with t).
     b0 = s * req.tau

@@ -1,25 +1,28 @@
 """Exact lattice-point counting for triangles with rational vertices.
 
-Two independent counters are provided on purpose:
+Two counters are provided:
 
-* :func:`count_points_rowscan` sweeps integer rows and clips each row
-  against the edges with exact integer arithmetic.  It works for any
-  rational triangle, including degenerate ones (segments, points).
+* :func:`count_points_rowscan` counts the integer points of any rational
+  triangle, including degenerate ones (segments, points), row by row in
+  closed form: the rows of each half of the triangle sum to two Euclid-like
+  :func:`~effcone.numerics.floor_sum_linear` calls, so it takes O(log) steps
+  in the size of the vertices, however many rows the triangle spans.  It is
+  the counter behind every section count.
 * :func:`count_points_pick` applies Pick's theorem and therefore only
   accepts non-degenerate triangles with integral vertices.
 
-Keeping both around lets the test-suite cross-validate them on the large
-family of integral triangles where they must agree.
+The test suite checks the first against the second on integral triangles,
+and against two oracles that share no code with it: the literal row-by-row
+loop (``rowscan_loop`` in ``tests/conftest.py``) and a bounding-box count.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .numerics import as_rational
+from .numerics import as_rational, floor_sum_linear
 
 __all__ = [
     "RationalPoint",
@@ -29,12 +32,7 @@ __all__ = [
     "count_points_rowscan",
     "count_points_pick",
     "contains_point",
-    "ROWSCAN_WARN_ROWS",
 ]
-
-#: Row count above which :func:`count_points_rowscan` emits a warning before
-#: proceeding; a scan this tall is almost certainly a mis-scaled polytope.
-ROWSCAN_WARN_ROWS = 10**8
 
 
 @dataclass(frozen=True)
@@ -73,84 +71,78 @@ def triangle(p0, p1, p2) -> RationalTriangle:
     return RationalTriangle((pts[0], pts[1], pts[2]))
 
 
-def _edge_record(p: RationalPoint, q: RationalPoint):
-    """Precompute one edge in pure-integer form.
+def _edge_line(p: RationalPoint, q: RationalPoint) -> tuple[int, int, int]:
+    """The edge from ``p`` up to a strictly higher ``q`` as integers
+    ``(A, B, D)``, ``D > 0``, with abscissa ``x(y) = (A + B*y) / D`` along it.
 
-    Returns ``(ymin_n, ymin_d, ymax_n, ymax_d, horizontal, data)`` where for a
-    non-horizontal edge ``data = (A, B, D)`` encodes the intersection abscissa
-    ``x(y) = (A + B*y) / D`` with ``D > 0``, and for a horizontal edge
-    ``data = ((xn0, xd0), (xn1, xd1))`` holds both endpoint abscissas.
+    From ``x(y) = (x_p*y_q - x_q*y_p + (x_q - x_p)*y) / (y_q - y_p)``, every
+    term scaled by the product of the four denominators.
     """
-    if p.y <= q.y:
-        lo, hi = p.y, q.y
-    else:
-        lo, hi = q.y, p.y
-    if p.y == q.y:
-        data = ((p.x.numerator, p.x.denominator), (q.x.numerator, q.x.denominator))
-        return (lo.numerator, lo.denominator, hi.numerator, hi.denominator, True, data)
-    # x(y) = p.x + (q.x - p.x) * (y - p.y) / (q.y - p.y); clear denominators so
-    # the row loop never touches Fraction objects.
-    du = q.y - p.y
-    dv = q.x - p.x
-    c = p.x * du - dv * p.y
-    scale = lcm(c.denominator, dv.denominator, du.denominator)
-    a = c.numerator * (scale // c.denominator)
-    b = dv.numerator * (scale // dv.denominator)
-    d = du.numerator * (scale // du.denominator)
-    if d < 0:
-        a, b, d = -a, -b, -d
-    return (lo.numerator, lo.denominator, hi.numerator, hi.denominator, False, (a, b, d))
+    xpn, xpd, ypn, ypd = p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
+    xqn, xqd, yqn, yqd = q.x.numerator, q.x.denominator, q.y.numerator, q.y.denominator
+    a = xpn * yqn * xqd * ypd - xqn * ypn * xpd * yqd
+    b = (xqn * xpd - xpn * xqd) * ypd * yqd
+    d = (yqn * ypd - ypn * yqd) * xpd * xqd
+    g = gcd(a, b, d)
+    return a // g, b // g, d // g
+
+
+def _floor_over_rows(line: tuple[int, int, int], y0: int, rows: int) -> int:
+    """``sum_{y=y0}^{y0+rows-1} floor(x(y))`` along an edge line."""
+    a, b, d = line
+    return floor_sum_linear(rows, d, b, a + b * y0)
 
 
 def count_points_rowscan(tri: RationalTriangle) -> int:
-    """Count integer points in the closed convex hull of ``tri`` by scanning
-    integer rows and clipping each row against the edges.
+    """Count integer points in the closed convex hull of ``tri``, row by row
+    in closed form.
 
-    Exact for arbitrary rational vertices; degenerate triangles (collinear
-    vertices, repeated vertices, single points) are handled uniformly.
+    The vertices are sorted by height and the triangle is split at the
+    middle one.  On each piece the row counts ``floor(R(y)) - ceil(L(y)) + 1``
+    between its left and right edge sum to two :func:`floor_sum_linear`
+    calls, so the cost grows with the bit length of the vertices, not with
+    the number of rows.  Exact for arbitrary rational vertices; collinear
+    and repeated vertices need no special case, since a piece between
+    coinciding edges counts the lattice points on their segment.
     """
-    v0, v1, v2 = tri.vertices
-    ymin = min(v0.y, v1.y, v2.y)
-    ymax = max(v0.y, v1.y, v2.y)
-    y_start = -((-ymin.numerator) // ymin.denominator)  # ceil(ymin)
-    y_end = ymax.numerator // ymax.denominator  # floor(ymax)
-    if y_end < y_start:
-        return 0
-    n_rows = y_end - y_start + 1
-    if n_rows > ROWSCAN_WARN_ROWS:
-        warnings.warn(
-            f"rowscan over {n_rows} rows (threshold {ROWSCAN_WARN_ROWS}); "
-            "this will be slow",
-            stacklevel=2,
+    v0, v1, v2 = sorted(tri.vertices, key=lambda v: v.y)
+    y_lo = -((-v0.y.numerator) // v0.y.denominator)  # ceil of the lowest height
+    y_hi = v2.y.numerator // v2.y.denominator  # floor of the highest
+    if v0.y == v2.y:
+        if y_lo != y_hi:
+            return 0
+        # One row: floor(max x) - ceil(min x) + 1, with -ceil(t) = floor(-t).
+        xs = [v.x for v in tri.vertices]
+        return (
+            max(x.numerator // x.denominator for x in xs)
+            + max((-x.numerator) // x.denominator for x in xs)
+            + 1
         )
-
-    edges = [_edge_record(v0, v1), _edge_record(v1, v2), _edge_record(v2, v0)]
+    # Rows below the middle vertex lie between the long edge v0v2 and v0v1,
+    # the rest between v0v2 and v1v2.  When v1v2 is horizontal the lower
+    # piece takes every row instead, so no piece has a horizontal edge.
+    y_mid = y_hi + 1 if v1.y == v2.y else -((-v1.y.numerator) // v1.y.denominator)
+    long_edge = a, b, d = _edge_line(v0, v2)
+    # Both short edges are right of the long one iff v1 is:
+    # x1 > (A + B*y1)/D, cross-multiplied by the positive denominators.
+    x1, y1 = v1.x, v1.y
+    short_right = (
+        x1.numerator * y1.denominator * d
+        > (a * y1.denominator + b * y1.numerator) * x1.denominator
+    )
     total = 0
-    for y in range(y_start, y_end + 1):
-        lo_n = lo_d = hi_n = hi_d = None
-        for ymin_n, ymin_d, ymax_n, ymax_d, horizontal, data in edges:
-            # Edge active at this row iff ymin <= y <= ymax (cross-multiplied).
-            if ymin_n > y * ymin_d or y * ymax_d > ymax_n:
-                continue
-            if horizontal:
-                cands = data
-            else:
-                a, b, d = data
-                cands = ((a + b * y, d),)
-            for xn, xd in cands:
-                if lo_n is None:
-                    lo_n, lo_d, hi_n, hi_d = xn, xd, xn, xd
-                    continue
-                if xn * lo_d < lo_n * xd:
-                    lo_n, lo_d = xn, xd
-                if xn * hi_d > hi_n * xd:
-                    hi_n, hi_d = xn, xd
-        if lo_n is None:
+    for (p, q), first, last in (((v0, v1), y_lo, y_mid - 1), ((v1, v2), y_mid, y_hi)):
+        rows = last - first + 1
+        if rows <= 0:
             continue
-        # floor(hi) - ceil(lo) + 1 integer abscissas in [lo, hi].
-        row = hi_n // hi_d + ((-lo_n) // lo_d) + 1
-        if row > 0:
-            total += row
+        short = _edge_line(p, q)
+        left, right = (long_edge, short) if short_right else (short, long_edge)
+        # -ceil(x) = floor(-x): the left edge is summed on its negated line.
+        total += (
+            _floor_over_rows(right, first, rows)
+            + _floor_over_rows((-left[0], -left[1], left[2]), first, rows)
+            + rows
+        )
     return total
 
 

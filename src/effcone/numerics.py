@@ -1,9 +1,11 @@
 """Exact-arithmetic helpers shared by the rest of the package.
 
-Everything here is thin glue over :mod:`fractions` and :mod:`math`: the
-point is to centralize the few conventions the package relies on (rationals
-are always :class:`fractions.Fraction`, extended gcds are normalized to a
-positive gcd, fractional parts live in ``[0, 1)``).
+Most of this is thin glue over :mod:`fractions` and :mod:`math`: the point
+is to centralize the few conventions the package relies on (rationals are
+always :class:`fractions.Fraction`, extended gcds are normalized to a
+positive gcd, fractional parts live in ``[0, 1)``).  The one algorithm is
+:func:`floor_sum_linear`, the Euclid-like floor-sum kernel behind both the
+lattice-point counter and the fractional-part sums.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ __all__ = [
     "as_rational",
     "frac",
     "egcd",
+    "floor_sum_linear",
     "mod_inverse",
     "triangular",
 ]
@@ -66,6 +69,40 @@ def egcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
+
+
+def floor_sum_linear(n: int, m: int, a: int, b: int) -> int:
+    """``sum_{i=0}^{n-1} floor((a*i + b) / m)``, exactly, in O(log m) steps.
+
+    ``n >= 0`` and ``m >= 1``; ``a`` and ``b`` are arbitrary integers.  The
+    quotients ``a // m`` and ``b // m`` are peeled off in closed form, and the
+    remaining sum with ``0 <= a, b < m`` is traded for one with the roles of
+    ``a`` and ``m`` swapped: counting the lattice points under the line
+    ``y = (a*x + b)/m`` by columns equals counting them by rows.  Each round
+    is one Euclid step on ``(m, a)`` (the AtCoder Library reduction).
+
+    >>> floor_sum_linear(4, 3, 2, 1)  # floor(1/3) + floor(3/3) + floor(5/3) + floor(7/3)
+    4
+    """
+    if n < 0:
+        raise ValueError(f"require n >= 0, got {n}")
+    if m < 1:
+        raise ValueError(f"require m >= 1, got {m}")
+    total = 0
+    while True:
+        if not 0 <= a < m:
+            q, a = divmod(a, m)
+            total += q * (n * (n - 1) // 2)
+        if not 0 <= b < m:
+            q, b = divmod(b, m)
+            total += q * n
+        top = a * n + b
+        if top < m:
+            return total
+        # Rows 1..floor(top/m) of the line, counted as columns of the
+        # transposed line y = (m*x + top mod m) / a.
+        n, b = divmod(top, m)
+        m, a = a, m
 
 
 def mod_inverse(a: int, m: int) -> int:

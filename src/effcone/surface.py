@@ -12,7 +12,10 @@ negative).  Three one-parameter divisor families drive everything downstream:
 
 where D_x and D_z are the coordinate divisors of weights a and c.  Each
 divisor's global sections biject with lattice points of an explicit rational
-triangle; :func:`h0` counts them with the exact rowscan counter.
+triangle; :func:`h0` counts them exactly with
+:func:`~effcone.lattice.count_points_rowscan`, whose floor-sum kernel takes
+O(log) steps however large the dilation n.  The tests check these counts
+against the monomial count of the graded ring and the row-by-row loop.
 """
 
 from __future__ import annotations
@@ -58,6 +61,13 @@ class WeightedSurface:
     q: int
 
     def __post_init__(self) -> None:
+        # Checked first, so that its own message names the fault: with q = 1
+        # a negative p makes c = p*a + b < b, so no valid weights have it.
+        if self.p < 0 and self.q == 1:
+            raise ValueError(
+                f"p = {self.p} < 0 with q = 1 gives c = p*a + b < b, "
+                f"got ({self.a}, {self.b}, {self.c})"
+            )
         if not (0 < self.a < self.b < self.c):
             raise ValueError(f"require 0 < a < b < c, got ({self.a}, {self.b}, {self.c})")
         if (
@@ -72,9 +82,6 @@ class WeightedSurface:
             raise ValueError(
                 f"inconsistent decomposition: {self.p}*{self.a} + {self.q}*{self.b} != {self.c}"
             )
-        # For valid weights a negative p forces q != 1 (else c = a*p + b < b).
-        if self.p < 0 and self.q == 1:
-            raise AssertionError("p < 0 with q = 1 cannot occur for valid weights")
 
     @property
     def s(self) -> Fraction:

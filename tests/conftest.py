@@ -6,9 +6,16 @@ first members with b <= 400 that land strictly inside the branch.  The
 monomial counter is the independent section-count oracle: h^0 of a degree-d
 divisor on P(a,b,c) is the number of monomials x^i y^j z^l of weighted
 degree d, which never touches the polytope machinery under test.
+
+The library counts lattice points and sums fractional parts with the
+floor-sum kernel; :func:`rowscan_loop` and :func:`frac_sum_direct` are the
+literal loops it replaced, kept here as oracles with their own arithmetic.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -30,6 +37,76 @@ def monomial_count(a: int, b: int, c: int, degree: int) -> int:
         for j in range(rem_l // b + 1):
             if (rem_l - b * j) % a == 0:
                 total += 1
+    return total
+
+
+def frac_sum_direct(alpha: int, beta: int, u: int) -> Fraction:
+    """sum_{j=0}^{u} {alpha*j/beta}, term by term."""
+    return Fraction(sum((alpha * j) % beta for j in range(u + 1)), beta)
+
+
+def _edge_record(p, q):
+    """One edge in pure-integer form for :func:`rowscan_loop`.
+
+    Returns ``(ymin_n, ymin_d, ymax_n, ymax_d, horizontal, data)`` where for a
+    non-horizontal edge ``data = (A, B, D)`` encodes the intersection abscissa
+    ``x(y) = (A + B*y) / D`` with ``D > 0``, and for a horizontal edge
+    ``data = ((xn0, xd0), (xn1, xd1))`` holds both endpoint abscissas.
+    """
+    if p.y <= q.y:
+        lo, hi = p.y, q.y
+    else:
+        lo, hi = q.y, p.y
+    if p.y == q.y:
+        data = ((p.x.numerator, p.x.denominator), (q.x.numerator, q.x.denominator))
+        return (lo.numerator, lo.denominator, hi.numerator, hi.denominator, True, data)
+    du = q.y - p.y
+    dv = q.x - p.x
+    c = p.x * du - dv * p.y
+    scale = lcm(c.denominator, dv.denominator, du.denominator)
+    a = c.numerator * (scale // c.denominator)
+    b = dv.numerator * (scale // dv.denominator)
+    d = du.numerator * (scale // du.denominator)
+    if d < 0:
+        a, b, d = -a, -b, -d
+    return (lo.numerator, lo.denominator, hi.numerator, hi.denominator, False, (a, b, d))
+
+
+def rowscan_loop(tri) -> int:
+    """Lattice points of a rational triangle, one integer row at a time:
+    each row is clipped against the edges that span it (linear in the rows)."""
+    v0, v1, v2 = tri.vertices
+    ymin = min(v0.y, v1.y, v2.y)
+    ymax = max(v0.y, v1.y, v2.y)
+    y_start = -((-ymin.numerator) // ymin.denominator)  # ceil(ymin)
+    y_end = ymax.numerator // ymax.denominator  # floor(ymax)
+    edges = [_edge_record(v0, v1), _edge_record(v1, v2), _edge_record(v2, v0)]
+    total = 0
+    for y in range(y_start, y_end + 1):
+        lo_n = lo_d = hi_n = hi_d = None
+        for ymin_n, ymin_d, ymax_n, ymax_d, horizontal, data in edges:
+            # Edge active at this row iff ymin <= y <= ymax (cross-multiplied).
+            if ymin_n > y * ymin_d or y * ymax_d > ymax_n:
+                continue
+            if horizontal:
+                cands = data
+            else:
+                a, b, d = data
+                cands = ((a + b * y, d),)
+            for xn, xd in cands:
+                if lo_n is None:
+                    lo_n, lo_d, hi_n, hi_d = xn, xd, xn, xd
+                    continue
+                if xn * lo_d < lo_n * xd:
+                    lo_n, lo_d = xn, xd
+                if xn * hi_d > hi_n * xd:
+                    hi_n, hi_d = xn, xd
+        if lo_n is None:
+            continue
+        # floor(hi) - ceil(lo) + 1 integer abscissas in [lo, hi].
+        row = hi_n // hi_d + ((-lo_n) // lo_d) + 1
+        if row > 0:
+            total += row
     return total
 
 
@@ -133,7 +210,6 @@ def monotone_triples():
 def build_small_a_pool(per_a: int = 10):
     """Valid lower-bound surfaces with a in {1, 2, 3}: p >= 0, or
     q = a - 1 with (-p)a/b <= 1."""
-    from fractions import Fraction
     from math import gcd
 
     surfaces = []

@@ -132,6 +132,11 @@ class TestClassify:
     def test_out_of_range(self, capsys):
         assert main(["classify", "--b", "7", "--p", "-4"]) == 2
 
+    def test_invalid_surface(self, capsys):
+        # b/(-p) = 10/3 is in range, but c = 3b + 4p = 18 shares 2 with b.
+        assert main(["classify", "--b", "10", "--p", "-3"]) == 2
+        assert "(4, 10, 18)" in capsys.readouterr().err
+
 
 class TestLowerBound:
     def test_small_a(self, capsys):
@@ -232,6 +237,12 @@ class TestVerify:
         lines = out.strip().splitlines()
         assert lines[0] == "a,b,c,branch,family,n,h0,rhs,margin"
         assert len(lines) == 1 + 2 * 4  # one classification, two families
+
+    def test_non_integer_jobs_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("EFFCONE_JOBS", "x")
+        assert main(["verify", "--surface", "4,5,7", "--n-max", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "EFFCONE_JOBS" in err and "'x'" in err
 
 
 class TestCalibrate:

@@ -6,6 +6,7 @@ import pytest
 
 from effcone import (
     DivisorSpec,
+    WeightedSurface,
     c0_middle_terms,
     c0_upper_bound,
     coefficients,
@@ -96,6 +97,15 @@ class TestHypothesisGates:
             c0_middle_terms(surface, 1)
         with pytest.raises(ValueError):
             c0_upper_bound(surface, 1)
+
+    def test_requires_q_three(self):
+        # Valid weights with a = 4 and p < 0 force q = 3, so only an instance
+        # built past WeightedSurface's own checks reaches this guard.
+        bad = object.__new__(WeightedSurface)
+        for name, value in dict(a=4, b=5, c=7, p=-2, q=1).items():
+            object.__setattr__(bad, name, value)
+        with pytest.raises(ValueError, match="q = 1"):
+            coefficients(bad, "B", 1)
 
     def test_rejects_z_family_and_bad_n(self, s457):
         with pytest.raises(ValueError):

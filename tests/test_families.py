@@ -52,6 +52,14 @@ class TestRequestValidation:
         with pytest.raises(ValueError):
             FamilyRequest(1, 3, 1, 1, interval=(Fraction(3), Fraction(2)))
 
+    def test_solver_rejects_non_coprime_request(self):
+        # FamilyRequest validation rules this out, so bypass it.
+        req = FamilyRequest(1, 3, 1, 1)
+        object.__setattr__(req, "alpha", 2)
+        object.__setattr__(req, "beta", 4)
+        with pytest.raises(ValueError, match=r"gcd\(2, 4\) = 2"):
+            solve_family(req)
+
 
 class TestSequenceProperties:
     REQUESTS = [

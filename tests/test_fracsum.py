@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from effcone import (
@@ -23,6 +23,8 @@ from effcone import (
     step_error_bounds,
 )
 
+from conftest import frac_sum_direct
+
 coprime_pairs = st.tuples(st.integers(1, 60), st.integers(1, 60)).filter(
     lambda ab: gcd(*ab) == 1
 )
@@ -40,6 +42,23 @@ class TestFracSum:
     def test_direct_definition(self, alpha, beta, u):
         total = sum(Fraction((alpha * j) % beta, beta) for j in range(u + 1))
         assert frac_sum(alpha, beta, u) == total
+
+    @given(
+        st.one_of(st.integers(-10**4, -1), st.integers(-10**15, 10**15)),
+        st.one_of(st.integers(1, 60), st.integers(1, 10**12)),
+        st.integers(0, 600),
+    )
+    @settings(max_examples=200)
+    @example(-7, 5, 12)  # negative alpha, u past several periods
+    @example(10**15 + 1, 10**12, 0)
+    def test_direct_oracle(self, alpha, beta, u):
+        assert frac_sum(alpha, beta, u) == frac_sum_direct(alpha, beta, u)
+
+    def test_rejects_bad_ranges(self):
+        with pytest.raises(ValueError, match="beta >= 1"):
+            frac_sum(1, 0, 3)
+        with pytest.raises(ValueError, match="u >= 0"):
+            frac_sum(1, 3, -1)
 
 
 class TestDeficit:

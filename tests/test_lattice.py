@@ -1,12 +1,12 @@
-"""Lattice-point counting: row scan vs Pick vs brute force, plus geometry."""
+"""Lattice-point counting: the floor-sum counter vs the row loop, Pick and
+brute force, plus geometry."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import effcone.lattice
 from effcone import (
     contains_point,
     count_points_pick,
@@ -15,13 +15,46 @@ from effcone import (
     triangle,
 )
 
-from conftest import brute_count
+from conftest import brute_count, rowscan_loop
 
 coords = st.integers(-50, 50)
 small_coords = st.integers(-12, 12)
 small_rationals = st.builds(
     Fraction, st.integers(-36, 36), st.integers(1, 3)
 )
+
+
+def adversarial_rationals(bound):
+    """Rationals in [-bound, bound] with small or huge (up to 10^12) denominators."""
+    return st.one_of(st.integers(1, 12), st.integers(1, 10**12)).flatmap(
+        lambda den: st.builds(Fraction, st.integers(-bound * den, bound * den), st.just(den))
+    )
+
+
+SHAPES = ("generic", "horizontal", "flat", "collinear", "repeated", "lattice")
+
+
+@st.composite
+def adversarial_triangles(draw, bound):
+    """Rational triangles, forced with equal odds into each degenerate shape:
+    a horizontal edge, all three vertices at one height, collinear vertices,
+    a repeated vertex, or vertices rounded onto lattice points."""
+    coord = adversarial_rationals(bound)
+    (x0, y0), (x1, y1), (x2, y2) = (draw(st.tuples(coord, coord)) for _ in range(3))
+    shape = draw(st.sampled_from(SHAPES))
+    if shape == "horizontal":
+        y1 = y0
+    elif shape == "flat":
+        y1 = y2 = y0
+    elif shape == "collinear":
+        t = draw(st.builds(Fraction, st.integers(-2, 3), st.integers(1, 4)))
+        x2, y2 = x0 + t * (x1 - x0), y0 + t * (y1 - y0)
+    elif shape == "repeated":
+        x2, y2 = x0, y0
+    elif shape == "lattice":
+        x0, y0, x1, y1, x2, y2 = (v.numerator // v.denominator for v in (x0, y0, x1, y1, x2, y2))
+    vertices = [(x0, y0), (x1, y1), (x2, y2)]
+    return triangle(*draw(st.permutations(vertices)))
 
 
 def integral_triangles(coord):
@@ -99,6 +132,39 @@ class TestRowscanAgainstOracles:
         assert count_points_rowscan(tri) == brute_count(tri.vertices)
 
 
+class TestFloorSumCounter:
+    """The floor-sum counter against oracles that share no code with it."""
+
+    @given(adversarial_triangles(40))
+    @settings(max_examples=300)
+    # One row: the count is floor(max x) - ceil(min x) + 1.
+    @example(triangle((Fraction(-7, 2), 2), (Fraction(5, 3), 2), (Fraction(1, 2), 2)))
+    @example(triangle((Fraction(1, 3), 0), (Fraction(2, 3), 0), (Fraction(1, 2), 0)))
+    # A horizontal bottom edge, then a horizontal top edge.
+    @example(triangle((0, 0), (Fraction(7, 2), 0), (Fraction(-3, 10**12), 5)))
+    @example(triangle((0, 5), (Fraction(7, 2), 5), (Fraction(-3, 10**12), 0)))
+    # Collinear through lattice points, and the middle vertex off-lattice.
+    @example(triangle((0, 0), (3, 6), (1, 2)))
+    @example(triangle((0, 0), (3, 6), (Fraction(3, 2), 3)))
+    def test_row_loop_agreement(self, tri):
+        assert count_points_rowscan(tri) == rowscan_loop(tri)
+
+    @given(adversarial_triangles(6))
+    @settings(max_examples=200)
+    @example(triangle((Fraction(1, 10**12), 0), (1, Fraction(-1, 10**12)), (0, 1)))
+    def test_brute_agreement(self, tri):
+        assert count_points_rowscan(tri) == brute_count(tri.vertices)
+
+    @given(integral_triangles(st.integers(-10**9, 10**9)))
+    @settings(max_examples=200)
+    @example(triangle((0, 0), (10**9, 1), (-10**9, 10**9)))
+    def test_pick_agreement_far_beyond_row_scanning(self, tri):
+        v0, v1, v2 = tri.vertices
+        if (v1.x - v0.x) * (v2.y - v0.y) == (v1.y - v0.y) * (v2.x - v0.x):
+            return
+        assert count_points_rowscan(tri) == count_points_pick(tri)
+
+
 class TestInvariance:
     @given(integral_triangles(coords), st.integers(-30, 30), st.integers(-30, 30))
     @settings(max_examples=100)
@@ -142,19 +208,3 @@ class TestContainsPoint:
         assert contains_point(tri, point(Fraction(1, 2), Fraction(1, 2)))
         assert not contains_point(tri, point(5, 5))
         assert not contains_point(tri, point(1, 2))
-
-
-class TestWarningThreshold:
-    def test_row_warning(self, monkeypatch):
-        monkeypatch.setattr(effcone.lattice, "ROWSCAN_WARN_ROWS", 5)
-        tri = triangle((0, 0), (10, 0), (0, 10))
-        with pytest.warns(UserWarning):
-            assert count_points_rowscan(tri) == 66
-
-    def test_no_warning_below(self):
-        import warnings
-
-        tri = triangle((0, 0), (10, 0), (0, 10))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert count_points_rowscan(tri) == 66

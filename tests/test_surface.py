@@ -1,9 +1,10 @@
 """Weighted surfaces, their section polytopes, and h^0 against the monomial oracle."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from effcone import (
@@ -24,6 +25,21 @@ def degree(surface, spec):
     if spec.family == "C":
         return spec.n * surface.a * surface.c
     return spec.n * surface.a * surface.c  # AZ: n*a*D_z has degree n*a*c
+
+
+@st.composite
+def surfaces(draw):
+    """Valid P(a, b, c) with c <= 3b, a <= 4 (families AZ) or, with equal odds,
+    P(4, b, 3b + 4p) with -b/2 < p <= b (families B, C and AZ)."""
+    if draw(st.booleans()):
+        a = draw(st.integers(1, 4))
+        b = draw(st.integers(a + 1, 120))
+        c = draw(st.integers(b + 1, 3 * b))
+    else:
+        a, b = 4, draw(st.integers(2, 150)) * 2 + 1
+        c = 3 * b + 4 * draw(st.integers(-((b - 1) // 2), b))
+    assume(gcd(a, b) == gcd(a, c) == gcd(b, c) == 1)
+    return make_surface(a, b, c)
 
 
 class TestMakeSurface:
@@ -58,6 +74,8 @@ class TestMakeSurface:
             WeightedSurface(a=4, b=5, c=7, p=1, q=3)  # 4 + 15 != 7
         with pytest.raises(ValueError):
             WeightedSurface(a=4, b=5, c=7, p=-2, q=5)  # q out of range
+        with pytest.raises(ValueError, match="p = -2 < 0 with q = 1"):
+            WeightedSurface(a=4, b=5, c=-3, p=-2, q=1)  # c = p*a + b < b
 
     def test_ratio_and_repr(self):
         surface = make_surface(4, 5, 7)
@@ -148,6 +166,15 @@ class TestH0:
                         surface.a, surface.b, surface.c, degree(surface, spec)
                     )
                     assert h0(surface, spec) == expected, (surface, spec)
+
+    @given(surfaces(), st.integers(1, 30))
+    @settings(max_examples=100)
+    def test_monomial_oracle_property(self, surface, n):
+        families = ("B", "C", "AZ") if (surface.a, surface.q) == (4, 3) else ("AZ",)
+        for family in families:
+            spec = DivisorSpec(family, n)
+            expected = monomial_count(surface.a, surface.b, surface.c, degree(surface, spec))
+            assert h0(surface, spec) == expected, (surface, spec)
 
     def test_az_matches_c_when_degrees_agree(self):
         surface = make_surface(4, 13, 23)

@@ -3,7 +3,8 @@
 All payloads are emitted as deterministic JSON (sorted keys, exact rationals
 rendered as "num/den" strings, integers as integers); the tabular commands
 (``gamma``, ``verify``) can emit CSV instead.  Exit codes: 0 success,
-1 a data-level verification failure was found, 2 invalid input.
+1 a data-level verification failure was found, 2 invalid input.  A call
+builds the parser of the subcommand it names, not of all of them.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import os
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .ehrhart import coefficients
@@ -56,23 +59,67 @@ def _parse_surface(token: str) -> WeightedSurface:
     return make_surface(int(parts[0]), int(parts[1]), int(parts[2]))
 
 
-def _parse_interval(token: str) -> tuple[Fraction, Fraction]:
-    return _parse_pair(token)
-
-
 def _fmt_rational(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _jsonable(obj):
-    """Recursively render Fractions as exact strings; leave ints/bools alone."""
+def _json_default(obj) -> str:
     if isinstance(obj, Fraction):
         return _fmt_rational(obj)
-    if isinstance(obj, dict):
-        return {key: _jsonable(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(value) for value in obj]
-    return obj
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+@lru_cache(maxsize=None)
+def _json_encoder(depth: int) -> json.JSONEncoder:
+    """C encoder for a container of scalars whose items sit at ``depth``."""
+    return json.JSONEncoder(
+        sort_keys=True, separators=(",\n" + "  " * depth, ": "), default=_json_default,
+    )
+
+
+# Types the C encoder renders by itself (Fraction through ``_json_default``).
+_SCALARS = frozenset({str, int, bool, type(None), Fraction})
+
+
+def _write_json(obj, depth: int, out: list[str]) -> None:
+    """Append ``obj`` as ``json.dumps(..., indent=2, sort_keys=True)`` renders
+    it, with every ``Fraction`` as its "num/den" string.
+
+    A container of scalars is one C-encoder call; Python recurses only over
+    containers that hold containers, whose dict keys must be str.
+    """
+    if not isinstance(obj, (dict, list, tuple)):
+        out.append(_json_encoder(0).encode(obj))
+        return
+    if not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+        return
+    is_dict = isinstance(obj, dict)
+    inner = "\n" + "  " * (depth + 1)
+    close = "\n" + "  " * depth + ("}" if is_dict else "]")
+    if _SCALARS.issuperset(map(type, obj.values() if is_dict else obj)):
+        text = _json_encoder(depth + 1).encode(obj)
+        out += (text[0], inner, text[1:-1], close)
+        return
+    out.append("{" if is_dict else "[")
+    sep, comma = inner, "," + inner
+    if is_dict:
+        for key, value in sorted(obj.items()):
+            out += (sep, encode_basestring_ascii(key), ": ")
+            _write_json(value, depth + 1, out)
+            sep = comma
+    else:
+        for value in obj:
+            out.append(sep)
+            _write_json(value, depth + 1, out)
+            sep = comma
+    out.append(close)
+
+
+def _render_json(payload) -> str:
+    out: list[str] = []
+    _write_json(payload, 0, out)
+    return "".join(out)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -86,7 +133,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _emit_json(payload, output: str | None) -> None:
-    _emit(json.dumps(_jsonable(payload), indent=2, sort_keys=True), output)
+    _emit(_render_json(payload), output)
 
 
 def _emit_csv(rows: list[dict], fieldnames: list[str], output: str | None) -> None:
@@ -94,7 +141,10 @@ def _emit_csv(rows: list[dict], fieldnames: list[str], output: str | None) -> No
     writer = csv.DictWriter(buffer, fieldnames=fieldnames, lineterminator="\n")
     writer.writeheader()
     for row in rows:
-        writer.writerow({key: _jsonable(value) for key, value in row.items()})
+        writer.writerow({
+            key: _fmt_rational(value) if isinstance(value, Fraction) else value
+            for key, value in row.items()
+        })
     _emit(buffer.getvalue(), output)
 
 
@@ -314,62 +364,51 @@ def _cmd_calibrate(args) -> tuple[dict, int]:
     return report, 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="effcone",
-        description="Exact lattice counts, Ehrhart coefficients, and expected "
-        "effective thresholds for weighted projective planes.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_output(p, formats=("json",)) -> None:
+    p.add_argument("--format", choices=formats, default="json")
+    p.add_argument("--output", help="write the payload to this path instead of stdout")
 
-    def add_output(p, formats=("json",)):
-        p.add_argument("--format", choices=formats, default="json")
-        p.add_argument("--output", help="write the payload to this path instead of stdout")
 
-    p = sub.add_parser("count", help="lattice points of a rational triangle")
+def _add_surface(p) -> None:
+    p.add_argument("--surface", type=_parse_surface, required=True, metavar="A,B,C")
+
+
+def _args_count(p) -> None:
     p.add_argument("--tri", nargs=3, type=_parse_pair, required=True,
                    metavar="X,Y", help="three vertices, rational coordinates")
     p.add_argument("--method", choices=("rowscan", "pick"), default="rowscan")
-    add_output(p)
-    p.set_defaults(func=_cmd_count)
+    _add_output(p)
 
-    for name, func, help_text in (
-        ("h0", _cmd_h0, "section count of a family divisor"),
-        ("nu", _cmd_nu, "nu invariant of a family divisor"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--surface", type=_parse_surface, required=True, metavar="A,B,C")
-        p.add_argument("--family", choices=("B", "C", "AZ"), required=True)
-        p.add_argument("--n", type=int, required=True)
-        add_output(p)
-        p.set_defaults(func=func)
 
-    p = sub.add_parser("ehrhart", help="closed-form Ehrhart coefficients and exactness check")
-    p.add_argument("--surface", type=_parse_surface, required=True, metavar="A,B,C")
-    p.add_argument("--family", choices=("B", "C"), required=True)
+def _args_divisor(p, families=("B", "C", "AZ")) -> None:
+    _add_surface(p)
+    p.add_argument("--family", choices=families, required=True)
     p.add_argument("--n", type=int, required=True)
-    add_output(p)
-    p.set_defaults(func=_cmd_ehrhart)
+    _add_output(p)
 
-    p = sub.add_parser("gamma", help="search the expected-threshold candidates up to n-max")
-    p.add_argument("--surface", type=_parse_surface, required=True, metavar="A,B,C")
+
+def _args_ehrhart(p) -> None:
+    _args_divisor(p, families=("B", "C"))
+
+
+def _args_gamma(p) -> None:
+    _add_surface(p)
     p.add_argument("--n-max", type=int, required=True)
-    add_output(p, formats=("json", "csv"))
-    p.set_defaults(func=_cmd_gamma)
+    _add_output(p, formats=("json", "csv"))
 
-    p = sub.add_parser("classify", help="interval classification of (b, p)")
+
+def _args_classify(p) -> None:
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
-    add_output(p)
-    p.set_defaults(func=_cmd_classify)
+    _add_output(p)
 
-    p = sub.add_parser("lower-bound", help="small-a expected-threshold lower bound")
-    p.add_argument("--surface", type=_parse_surface, required=True, metavar="A,B,C")
-    add_output(p)
-    p.set_defaults(func=_cmd_lower_bound)
 
-    p = sub.add_parser("reduce", help="trace a chain reduction of a deficit sum")
+def _args_lower_bound(p) -> None:
+    _add_surface(p)
+    _add_output(p)
+
+
+def _args_reduce(p) -> None:
     p.add_argument("--entry", type=int, choices=(1, 2, 3, 4),
                    help="standard chain entry (with --k)")
     p.add_argument("--k", type=int, help="standard chain parameter")
@@ -383,43 +422,88 @@ def _build_parser() -> argparse.ArgumentParser:
     head.add_argument("--head", type=_parse_pair, metavar="ALPHA,BETA",
                       help="head pair: prepended, or with no --entry the chain "
                            "(alpha,beta) -> (1,2)")
-    add_output(p)
-    p.set_defaults(func=_cmd_reduce)
+    _add_output(p)
 
-    p = sub.add_parser("family", help="generate surfaces with alpha*b - beta*(-p) = tau")
+
+def _args_family(p) -> None:
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--beta", type=int, required=True)
     p.add_argument("--tau", type=int, choices=(1, -1), required=True)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--interval", type=_parse_interval, metavar="LO,HI",
+    p.add_argument("--interval", type=_parse_pair, metavar="LO,HI",
                    help="keep only abscissas in this closed interval")
-    add_output(p)
-    p.set_defaults(func=_cmd_family)
+    _add_output(p)
 
-    p = sub.add_parser("verify", help="margin sweep over one or more surfaces")
+
+def _args_verify(p) -> None:
     p.add_argument("--surface", type=_parse_surface, action="append", required=True,
                    metavar="A,B,C", help="repeatable")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--jobs", type=int,
                    help="worker processes (default: EFFCONE_JOBS or all cores)")
-    add_output(p, formats=("json", "csv"))
-    p.set_defaults(func=_cmd_verify)
+    _add_output(p, formats=("json", "csv"))
 
-    p = sub.add_parser("calibrate-delta", help="exhaustive step-error jump calibration")
+
+def _args_calibrate(p) -> None:
     p.add_argument("--beta-max", type=int, required=True)
     p.add_argument("--instances", action="store_true",
                    help="include every disagreement instance in the payload")
-    add_output(p)
-    p.set_defaults(func=_cmd_calibrate)
+    _add_output(p)
 
+
+#: Every subcommand, in help order: name -> (help, argument adder, handler).
+_COMMANDS = {
+    "count": ("lattice points of a rational triangle", _args_count, _cmd_count),
+    "h0": ("section count of a family divisor", _args_divisor, _cmd_h0),
+    "nu": ("nu invariant of a family divisor", _args_divisor, _cmd_nu),
+    "ehrhart": ("closed-form Ehrhart coefficients and exactness check",
+                _args_ehrhart, _cmd_ehrhart),
+    "gamma": ("search the expected-threshold candidates up to n-max",
+              _args_gamma, _cmd_gamma),
+    "classify": ("interval classification of (b, p)", _args_classify, _cmd_classify),
+    "lower-bound": ("small-a expected-threshold lower bound",
+                    _args_lower_bound, _cmd_lower_bound),
+    "reduce": ("trace a chain reduction of a deficit sum", _args_reduce, _cmd_reduce),
+    "family": ("generate surfaces with alpha*b - beta*(-p) = tau",
+               _args_family, _cmd_family),
+    "verify": ("margin sweep over one or more surfaces", _args_verify, _cmd_verify),
+    "calibrate-delta": ("exhaustive step-error jump calibration",
+                        _args_calibrate, _cmd_calibrate),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The top-level parser with every subcommand, or with ``command`` alone."""
+    parser = argparse.ArgumentParser(
+        prog="effcone",
+        description="Exact lattice counts, Ehrhart coefficients, and expected "
+        "effective thresholds for weighted projective planes.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
+        if command is None or command == name:
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.set_defaults(func=handler)
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse with only the named subcommand's parser when argv[0] names one.
+
+    Leftover arguments are reported with the top-level usage, which lists
+    every command, so they are parsed again by the full parser, which exits.
+    """
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args, extra = _build_parser(command).parse_known_args(argv)
+    return _build_parser().parse_args(argv) if extra else args
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
-    args = parser.parse_args(_shield_negatives(list(argv)))
+    args = _parse_args(_shield_negatives(list(argv)))
     try:
         payload, code = args.func(args)
     except CalibrationError as exc:

@@ -37,6 +37,9 @@ __all__ = [
     "step_error",
     "step_error_bounds",
     "StepErrorBounds",
+    "paper_delta",
+    "calibrated_delta",
+    "DELTA_POLICIES",
     "ReductionChain",
     "ReductionStep",
     "ReductionTrace",

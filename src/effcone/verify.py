@@ -27,7 +27,6 @@ by the reduction identity (see the fracsum module).
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import partial
@@ -55,19 +54,20 @@ class CalibrationError(Exception):
     is falsified (this is a data-level failure, not an input error)."""
 
 
-def _ratio(cls: Classification, family: str, surface: WeightedSurface) -> Fraction:
-    """Scale factor between the classified family's level and the tested one.
+def _ratio(cls: Classification, family: str, surface: WeightedSurface) -> tuple[int, int]:
+    """Scale factor (numerator, denominator) between the classified family's
+    level and the tested one.
 
     Family B divisors are (n/c)-multiples of the Cartier generator, family C
     divisors (n/b)-multiples; comparing family' against the classified
     family scales the expected multiplicity by c/b, b/c, or 1.
     """
     if family == cls.family:
-        return Fraction(1)
+        return 1, 1
     if cls.family == FAMILY_B and family == FAMILY_C:
-        return Fraction(surface.c, surface.b)
+        return surface.c, surface.b
     if cls.family == FAMILY_C and family == FAMILY_B:
-        return Fraction(surface.b, surface.c)
+        return surface.b, surface.c
     raise ValueError(f"unsupported family pair ({cls.family!r}, {family!r})")
 
 
@@ -108,8 +108,8 @@ def margin_general(
             f"{cls.m0} in family {cls.family!r} (attainment step t = {step}); "
             "use margin_at_multiple"
         )
-    ratio = _ratio(cls, family, surface)
-    level = math.ceil(ratio * cls.nu0 * n / Fraction(cls.m0))
+    num, den = _ratio(cls, family, surface)
+    level = -(-num * cls.nu0 * n // (den * cls.m0))  # ceil(ratio*nu0*n/m0)
     rhs = triangular(level) + 1
     return rhs - h0(surface, DivisorSpec(family, n))
 
@@ -149,11 +149,10 @@ def sweep_one(surface: WeightedSurface, n_max: int) -> dict:
                 step = attainment_step(surface, cls, family, n)
                 if step is not None:
                     margin = margin_at_multiple(surface, cls, step)
-                    rhs = triangular(cls.nu0 * step + 1)
                 else:
                     margin = margin_general(surface, cls, family, n)
-                    ratio = _ratio(cls, family, surface)
-                    rhs = triangular(math.ceil(ratio * cls.nu0 * n / Fraction(cls.m0))) + 1
+                # On the ray, the (family, n) triangle is the attaining
+                # family's at m0*step, so margin + count is the rhs either way.
                 count = h0(surface, DivisorSpec(family, n))
                 rows.append(
                     {
@@ -161,7 +160,7 @@ def sweep_one(surface: WeightedSurface, n_max: int) -> dict:
                         "family": family,
                         "n": n,
                         "h0": count,
-                        "rhs": rhs,
+                        "rhs": margin + count,
                         "margin": margin,
                     }
                 )

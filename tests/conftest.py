@@ -10,6 +10,8 @@ degree d, which never touches the polytope machinery under test.
 The library counts lattice points and sums fractional parts with the
 floor-sum kernel; :func:`rowscan_loop` and :func:`frac_sum_direct` are the
 literal loops it replaced, kept here as oracles with their own arithmetic.
+:func:`jsonable` is the payload copy the CLI's JSON writer replaced: with
+``json.dumps(..., indent=2, sort_keys=True)`` it is the writer's oracle.
 """
 
 from __future__ import annotations
@@ -43,6 +45,17 @@ def monomial_count(a: int, b: int, c: int, degree: int) -> int:
 def frac_sum_direct(alpha: int, beta: int, u: int) -> Fraction:
     """sum_{j=0}^{u} {alpha*j/beta}, term by term."""
     return Fraction(sum((alpha * j) % beta for j in range(u + 1)), beta)
+
+
+def jsonable(obj):
+    """Recursively render Fractions as exact strings; leave ints/bools alone."""
+    if isinstance(obj, Fraction):
+        return str(obj.numerator) if obj.denominator == 1 else f"{obj.numerator}/{obj.denominator}"
+    if isinstance(obj, dict):
+        return {key: jsonable(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(value) for value in obj]
+    return obj
 
 
 def _edge_record(p, q):

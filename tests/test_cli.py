@@ -1,9 +1,18 @@
-"""End-to-end CLI tests: payload shapes, exit codes, determinism."""
+"""End-to-end CLI tests: payload shapes, exit codes, determinism, the JSON
+writer against its oracle, the per-command parser against the full one, and
+golden digests of captured outputs."""
 
+import hashlib
 import json
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import jsonable
+from effcone import cli
 from effcone.cli import main
 
 
@@ -283,3 +292,168 @@ class TestHarness:
             main(["--version"])
         assert excinfo.value.code == 0
         assert capsys.readouterr().out.startswith("effcone ")
+
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-10**80, max_value=10**80),
+    st.integers(min_value=-10**12, max_value=10**12).map(Fraction),
+    st.fractions(max_denominator=10**15),
+    st.text(),
+    st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\U0001f600 '),
+)
+KEYS = st.text(alphabet='ab"\\\n\xe9\u03b2', max_size=4)
+PAYLOADS = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(KEYS, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+def reference_json(payload) -> str:
+    return json.dumps(jsonable(payload), indent=2, sort_keys=True)
+
+
+class TestJsonWriter:
+    @settings(max_examples=400)
+    @given(PAYLOADS)
+    @example({"a": [{"b": ({"c": [{"d": Fraction(-7, 3)}]},)}], "e": {}, "f": []})
+    @example([[[[[1, True, None]]]], [], {}, ((),)])
+    @example({"x": [True, 1, False, 0, -(10**70)], "y": Fraction(5), "z": Fraction(-1, 2)})
+    @example({"q\"\\": "\x00\u00e9\U0001f600", "": {"\u03b2": ["\t"]}})
+    def test_matches_indented_dumps(self, payload):
+        assert cli._render_json(payload) == reference_json(payload)
+
+    @pytest.mark.parametrize("bad", [
+        object(), {1, 2}, 1j, b"bytes", Decimal("1.5"),
+        {"a": [1, {"b": object()}]}, [{"c": {2}}], ({"d": b"x"},),
+    ])
+    def test_unsupported_type_raises(self, bad):
+        with pytest.raises(TypeError):
+            reference_json(bad)
+        with pytest.raises(TypeError):
+            cli._render_json(bad)
+
+
+# argv that argparse rejects or answers (help, version) before any handler runs.
+PARSE_EXITS = [
+    [], ["--help"], ["-h", "verify"], ["--version"], ["bogus"], ["Count"], ["-5"],
+    *([name, "--help"] for name in cli._COMMANDS),
+    ["count", "--tri", "0,0", "1,x", "2,2"],
+    ["h0", "--surface", "4,6,7", "--family", "B", "--n", "1"],
+    ["gamma", "--surface", "4,5,7", "--n-max", "x"],
+    ["classify", "--b", "5", "--p", "-2", "--format", "csv"],
+    ["reduce", "--entry", "5", "--u0", "0"],
+    ["reduce", "--surface", "4,13,23", "--head", "3,5", "--u0", "0"],
+    ["family", "--alpha", "1", "--beta", "3", "--tau", "2", "--count", "1"],
+    ["count"], ["h0", "--surface", "4,5,7", "--n", "1"], ["verify", "--n-max", "2"],
+    ["calibrate-delta"],
+    ["verify", "--surface", "4,5,7", "--n-max", "2", "--jobs", "1", "extra"],
+    ["classify", "--b", "5", "--p", "-2", "x", "-1"],
+    ["h0", "--surface", "4,5,7", "--family", "B", "--n", "7", "--bogus"],
+    ["count", "--version"],
+]
+
+
+def exit_outcome(capsys, call):
+    with pytest.raises(SystemExit) as excinfo:
+        call()
+    captured = capsys.readouterr()
+    return excinfo.value.code, captured.out, captured.err
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", PARSE_EXITS, ids=" ".join)
+    def test_lazy_parser_matches_full(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        lazy = exit_outcome(capsys, lambda: main(argv))
+        full = exit_outcome(
+            capsys, lambda: cli._build_parser().parse_args(cli._shield_negatives(argv))
+        )
+        assert lazy == full
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--tri", "0,0", "-1,0", "-15/7,20/7", "--method", "pick"],
+        ["reduce", "--entry", "4", "--k", "1", "--surface", "4,13,23", "--u0", "5"],
+        ["verify", "--surface", "4,5,7", "--surface", "4,7,13", "--n-m", "3"],
+        ["family", "--alpha", "1", "--beta", "3", "--tau", "-1", "--count", "2",
+         "--interval", "3,36/11"],
+    ], ids=lambda argv: argv[0])
+    def test_lazy_namespace_matches_full(self, argv):
+        argv = cli._shield_negatives(argv)
+        assert cli._parse_args(argv) == cli._build_parser().parse_args(argv)
+
+
+# (argv, exit code, SHA-256 of stdout, the --output file and stderr joined by
+# NUL) captured before the JSON writer and the per-command parser existed.
+GOLDEN = [
+    (["count", "--tri", "0,0", "-1,0", "-15/7,20/7"], 0,
+     "b4b9d6632eaec247ef29f186e3651d413a2ce930b06cc5cf17a18a7fac3cafe0"),
+    (["count", "--tri", "0,0", "-5,0", "-15,20", "--method", "pick"], 0,
+     "5aa1d2fe1e7a2375b7874ec7ebef6204a1c785e0c30cd3db5d46e621ded6d583"),
+    (["count", "--tri", "0,0", "-1,0", "-15/7,20/7", "--method", "pick"], 2,
+     "031d30dcbd8715a6032b95b1a152cce6d68c01761fb1bca0229609a55d3e9d10"),
+    (["h0", "--surface", "4,5,7", "--family", "B", "--n", "7"], 0,
+     "b972bfca1e52ba00c5edc3ff40ab8f00f45e1e5c719e61792fadbbe6c170277b"),
+    (["nu", "--surface", "4,13,23", "--family", "C", "--n", "3"], 0,
+     "b5f6ec4ede682cb17c7ff6c47868571f76778dcaff7cd00d8bb8e9751fb1d22a"),
+    (["ehrhart", "--surface", "4,13,23", "--family", "B", "--n", "1000"], 0,
+     "9831d5ed4c2fd3821a384ecafb4f32a872e9a95d26b810d2f6ce10c25d558b77"),
+    (["gamma", "--surface", "4,5,7", "--n-max", "12"], 0,
+     "7915550a30ff11411d1493d25b668be913bbcc98167ee855cc57cd2bc6927bee"),
+    (["gamma", "--surface", "4,13,23", "--n-max", "9", "--format", "csv"], 0,
+     "4418b541810ef55f861dbf524bc6334ad3e655a7a4c3943ed97e441336e5f4a0"),
+    (["classify", "--b", "13", "--p", "-4"], 0,
+     "b487a091091b3f913fbb8a81532e2d07d5e316406c7d8e05430f70a85f50cc13"),
+    (["classify", "--b", "5", "--p", "-2"], 0,
+     "07dae43e9d5cc689ff099ab324632ce1dbca900b125dcc903e7bf97df39e8c50"),
+    (["classify", "--b", "10", "--p", "-3"], 2,
+     "bfa455e4e9374e1d5ac945ccabf57f1a08796fa5db055ff8f2a7eed802d70f3a"),
+    (["lower-bound", "--surface", "3,5,7"], 0,
+     "97ef9eb2e675efd47a9956cef0f15f5a6575e163a47ab5715d857c7c356cf166"),
+    (["reduce", "--head", "3,5", "--u0", "1"], 0,
+     "de873e548560012ef2b4b734918035d7805da85ede2e620afd56c89035538f5b"),
+    (["reduce", "--head", "3,5", "--u0", "4", "--delta", "paper"], 1,
+     "89a579c1d255420bb91a179c3b4040a89c5b07d24df68c2250a88044756a5e2a"),
+    (["reduce", "--entry", "4", "--k", "1", "--surface", "4,13,23", "--u0", "5"], 0,
+     "2ea55cac032a8704a71060b5cf5aa9ade8e327692f5ad14dbc1b5ca089267acc"),
+    (["family", "--alpha", "1", "--beta", "3", "--tau", "1", "--count", "4"], 0,
+     "62f8115c6f0ba30b7604b8ea43f5996dce1aecdf22224f2d47de45e9cef2f805"),
+    (["family", "--alpha", "1", "--beta", "3", "--tau", "1", "--count", "2",
+      "--interval", "3,36/11"], 0,
+     "7f548939501c3b4ad55e038967a2b4e64599e9e5d3f3979e6b61800411538079"),
+    (["verify", "--surface", "4,5,7", "--surface", "4,13,23", "--n-max", "12",
+      "--jobs", "1"], 0,
+     "5700f3e056c1edd9d5bb61a77d0835c03f4059893d8a7ded407dc01fa7a6d327"),
+    (["verify", "--surface", "4,7,13", "--n-max", "6", "--jobs", "1", "--format", "csv"], 0,
+     "0aae22bb513dab335203e5955e23984050388bad86691210614c0096a98d5175"),
+    (["calibrate-delta", "--beta-max", "8"], 0,
+     "f795bb3732f0adcb0fcafc01acb6fc03f5113a11e4d520235b8f227f71ea8464"),
+    (["calibrate-delta", "--beta-max", "8", "--instances"], 0,
+     "d869f685cce52759c3921967a588bf918776edbc332085e5daadfaa25933bfe3"),
+    (["h0", "--surface", "4,5,7", "--family", "C", "--n", "5", "--output", "OUT"], 0,
+     "efa56e68e60d8b1e0f0d9741b0fc431c6ab0c41985a267e7bb4502a70c4c4bf6"),
+    (["gamma", "--surface", "4,5,7", "--n-max", "5", "--format", "csv",
+      "--output", "OUT"], 0,
+     "667c45a0ba7f32f9a4a7aa427307b92f5d5ece052c2df3f3cc7a60c6fe824a9d"),
+    (["verify", "--surface", "4,7,13", "--n-max", "3", "--jobs", "1", "--output", "OUT"], 0,
+     "e839ea90cac704737b35b0865e35c2520aad3bfb99b074f601febe4774dafc2b"),
+]
+
+
+class TestGolden:
+    @pytest.mark.parametrize("argv, code, digest", GOLDEN,
+                             ids=[" ".join(argv) for argv, _, _ in GOLDEN])
+    def test_output_digest(self, capsys, tmp_path, argv, code, digest):
+        target = tmp_path / "payload"
+        assert main([str(target) if tok == "OUT" else tok for tok in argv]) == code
+        captured = capsys.readouterr()
+        written = target.read_text(encoding="utf-8") if target.exists() else ""
+        blob = "\0".join((captured.out, written, captured.err)).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest

@@ -1,8 +1,11 @@
 """Margins, sweeps, and the exhaustive jump calibration."""
 
+import math
+from fractions import Fraction
+
 import pytest
 
-from effcone import make_surface, classify_surface
+from effcone import DivisorSpec, classify_surface, h0, make_surface, triangular
 from effcone.verify import (
     aggregate_sweep,
     attainment_step,
@@ -139,6 +142,31 @@ class TestSweepOne:
         assert report["min_margin"] >= 1
         assert report["failures"] == []
         assert report["gamma_match"] is True
+
+
+    def test_rhs_matches_closed_forms(self, named_surfaces, pool):
+        # Every row's rhs, recomputed from the classification: C(nu0*t + 2, 2)
+        # on the attainment ray, else C(ceil(nu0*n*delta'/(m0*delta)) + 1, 2) + 1
+        # with delta = b for family B and c for family C.  pool[15] is
+        # P(4, 23, 33), whose off-ray cell (B, 55) has an integral level.
+        surfaces = named_surfaces + [surface for surface, _, _ in pool[::15]]
+        assert (surfaces[5].b, surfaces[5].c) == (23, 33)
+        for surface in surfaces:
+            degree = {"B": surface.b, "C": surface.c}
+            by_branch = {cls.branch: cls for cls in classify_surface(surface)}
+            for row in sweep_one(surface, 60)["rows"]:
+                cls, family, n = by_branch[row["branch"]], row["family"], row["n"]
+                if (n * degree[family]) % (cls.m0 * degree[cls.family]) == 0:
+                    t = n * degree[family] // (cls.m0 * degree[cls.family])
+                    rhs = triangular(cls.nu0 * t + 1)
+                else:
+                    level = math.ceil(Fraction(
+                        cls.nu0 * n * degree[family], cls.m0 * degree[cls.family]
+                    ))
+                    rhs = triangular(level) + 1
+                assert row["rhs"] == rhs, (surface, row)
+                assert row["h0"] == h0(surface, DivisorSpec(family, n))
+                assert row["margin"] == rhs - row["h0"]
 
 
 class TestSweepAggregation:

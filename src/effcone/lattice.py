@@ -6,8 +6,10 @@ Two counters are provided:
   triangle, including degenerate ones (segments, points), row by row in
   closed form: the rows of each half of the triangle sum to two Euclid-like
   :func:`~effcone.numerics.floor_sum_linear` calls, so it takes O(log) steps
-  in the size of the vertices, however many rows the triangle spans.  It is
-  the counter behind every section count.
+  in the size of the vertices, however many rows the triangle spans.  It
+  reads each vertex's numerators and denominators once and works on those
+  integers only, with no ``Fraction`` arithmetic.  It is the counter behind
+  every section count.
 * :func:`count_points_pick` applies Pick's theorem and therefore only
   accepts non-degenerate triangles with integral vertices.
 
@@ -71,15 +73,18 @@ def triangle(p0, p1, p2) -> RationalTriangle:
     return RationalTriangle((pts[0], pts[1], pts[2]))
 
 
-def _edge_line(p: RationalPoint, q: RationalPoint) -> tuple[int, int, int]:
-    """The edge from ``p`` up to a strictly higher ``q`` as integers
-    ``(A, B, D)``, ``D > 0``, with abscissa ``x(y) = (A + B*y) / D`` along it.
+def _edge_line(
+    p: tuple[int, int, int, int], q: tuple[int, int, int, int]
+) -> tuple[int, int, int]:
+    """The edge from ``p`` up to a strictly higher ``q``, each given as the
+    integers ``(x_num, x_den, y_num, y_den)``, as integers ``(A, B, D)``,
+    ``D > 0``, with abscissa ``x(y) = (A + B*y) / D`` along it.
 
     From ``x(y) = (x_p*y_q - x_q*y_p + (x_q - x_p)*y) / (y_q - y_p)``, every
     term scaled by the product of the four denominators.
     """
-    xpn, xpd, ypn, ypd = p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
-    xqn, xqd, yqn, yqd = q.x.numerator, q.x.denominator, q.y.numerator, q.y.denominator
+    xpn, xpd, ypn, ypd = p
+    xqn, xqd, yqn, yqd = q
     a = xpn * yqn * xqd * ypd - xqn * ypn * xpd * yqd
     b = (xqn * xpd - xpn * xqd) * ypd * yqd
     d = (yqn * ypd - ypn * yqd) * xpd * xqd
@@ -97,6 +102,9 @@ def count_points_rowscan(tri: RationalTriangle) -> int:
     """Count integer points in the closed convex hull of ``tri``, row by row
     in closed form.
 
+    Each vertex is read once into the integers ``(x_num, x_den, y_num,
+    y_den)``; everything after that is integer arithmetic, with heights
+    ordered and compared by cross-multiplying by the positive denominators.
     The vertices are sorted by height and the triangle is split at the
     middle one.  On each piece the row counts ``floor(R(y)) - ceil(L(y)) + 1``
     between its left and right edge sum to two :func:`floor_sum_linear`
@@ -105,31 +113,37 @@ def count_points_rowscan(tri: RationalTriangle) -> int:
     and repeated vertices need no special case, since a piece between
     coinciding edges counts the lattice points on their segment.
     """
-    v0, v1, v2 = sorted(tri.vertices, key=lambda v: v.y)
-    y_lo = -((-v0.y.numerator) // v0.y.denominator)  # ceil of the lowest height
-    y_hi = v2.y.numerator // v2.y.denominator  # floor of the highest
-    if v0.y == v2.y:
+    v0, v1, v2 = (
+        (v.x.numerator, v.x.denominator, v.y.numerator, v.y.denominator)
+        for v in tri.vertices
+    )
+    # Sort by height: y_i < y_j iff y_num_i * y_den_j < y_num_j * y_den_i.
+    if v0[2] * v1[3] > v1[2] * v0[3]:
+        v0, v1 = v1, v0
+    if v1[2] * v2[3] > v2[2] * v1[3]:
+        v1, v2 = v2, v1
+        if v0[2] * v1[3] > v1[2] * v0[3]:
+            v0, v1 = v1, v0
+    y_lo = -((-v0[2]) // v0[3])  # ceil of the lowest height
+    y_hi = v2[2] // v2[3]  # floor of the highest
+    if v0[2] * v2[3] == v2[2] * v0[3]:
         if y_lo != y_hi:
             return 0
         # One row: floor(max x) - ceil(min x) + 1, with -ceil(t) = floor(-t).
-        xs = [v.x for v in tri.vertices]
         return (
-            max(x.numerator // x.denominator for x in xs)
-            + max((-x.numerator) // x.denominator for x in xs)
+            max(v0[0] // v0[1], v1[0] // v1[1], v2[0] // v2[1])
+            + max((-v0[0]) // v0[1], (-v1[0]) // v1[1], (-v2[0]) // v2[1])
             + 1
         )
     # Rows below the middle vertex lie between the long edge v0v2 and v0v1,
     # the rest between v0v2 and v1v2.  When v1v2 is horizontal the lower
     # piece takes every row instead, so no piece has a horizontal edge.
-    y_mid = y_hi + 1 if v1.y == v2.y else -((-v1.y.numerator) // v1.y.denominator)
+    x1n, x1d, y1n, y1d = v1
+    y_mid = y_hi + 1 if y1n * v2[3] == v2[2] * y1d else -((-y1n) // y1d)
     long_edge = a, b, d = _edge_line(v0, v2)
     # Both short edges are right of the long one iff v1 is:
     # x1 > (A + B*y1)/D, cross-multiplied by the positive denominators.
-    x1, y1 = v1.x, v1.y
-    short_right = (
-        x1.numerator * y1.denominator * d
-        > (a * y1.denominator + b * y1.numerator) * x1.denominator
-    )
+    short_right = x1n * y1d * d > (a * y1d + b * y1n) * x1d
     total = 0
     for (p, q), first, last in (((v0, v1), y_lo, y_mid - 1), ((v1, v2), y_mid, y_hi)):
         rows = last - first + 1

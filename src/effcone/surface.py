@@ -12,9 +12,12 @@ negative).  Three one-parameter divisor families drive everything downstream:
 
 where D_x and D_z are the coordinate divisors of weights a and c.  Each
 divisor's global sections biject with lattice points of an explicit rational
-triangle; :func:`h0` counts them exactly with
-:func:`~effcone.lattice.count_points_rowscan`, whose floor-sum kernel takes
-O(log) steps however large the dilation n.  The tests check these counts
+triangle.  :func:`polytope` builds each vertex coordinate as one
+``Fraction(num, den)`` of integers computed from (a, b, c, p, q, n), with no
+rational arithmetic, and :func:`h0` counts its points exactly with
+:func:`~effcone.lattice.count_points_rowscan`, which works on the vertices'
+integer numerators and denominators and whose floor-sum kernel takes O(log)
+steps however large the dilation n.  The tests check these counts
 against the monomial count of the graded ring and the row-by-row loop.
 """
 
@@ -25,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .lattice import RationalTriangle, count_points_rowscan, triangle
+from .lattice import RationalPoint, RationalTriangle, count_points_rowscan
 
 __all__ = [
     "FAMILY_B",
@@ -43,6 +46,9 @@ FAMILY_B = "B"
 FAMILY_C = "C"
 FAMILY_AZ = "AZ"
 FAMILIES = (FAMILY_B, FAMILY_C, FAMILY_AZ)
+
+_ZERO = Fraction(0)
+_ORIGIN = RationalPoint(_ZERO, _ZERO)
 
 
 @dataclass(frozen=True)
@@ -140,21 +146,35 @@ def polytope(surface: WeightedSurface, div: DivisorSpec) -> RationalTriangle:
     Families B and C use shapes valid exactly when a = 4 and q = 3 (the
     regime of the interval classification); other inputs raise rather than
     silently producing a wrong triangle.  Family AZ uses a single shape
-    valid for every a.
+    valid for every a.  Each vertex coordinate is one ``Fraction(num, den)``
+    of integers built from (a, b, c, p, q, n), with no rational arithmetic.
     """
     a, b, c, p, q = surface.a, surface.b, surface.c, surface.p, surface.q
     n = div.n
     if div.family == FAMILY_B:
         if a != 4 or q != 3:
             raise ValueError(f"family B polytope requires a = 4 and q = 3, got {surface}")
-        s = surface.s
-        return triangle((0, 0), (-n, 0), (-3 * n * s, 4 * n * s))
+        # (0, 0), (-n, 0), (-3*n*s, 4*n*s) with s = b/c.
+        return RationalTriangle((
+            _ORIGIN,
+            RationalPoint(Fraction(-n), _ZERO),
+            RationalPoint(Fraction(-3 * n * b, c), Fraction(4 * n * b, c)),
+        ))
     if div.family == FAMILY_C:
         if a != 4 or q != 3:
             raise ValueError(f"family C polytope requires a = 4 and q = 3, got {surface}")
-        return triangle((0, 0), (Fraction(-n * c, b), 0), (-3 * n, 4 * n))
+        return RationalTriangle((
+            _ORIGIN,
+            RationalPoint(Fraction(-n * c, b), _ZERO),
+            RationalPoint(Fraction(-3 * n), Fraction(4 * n)),
+        ))
     # Family AZ: valid for all a; vertices (0,0), (q*n, -a*n), (-p*a*n/b, -a*n).
-    return triangle((0, 0), (q * n, -a * n), (Fraction(-p * a * n, b), -a * n))
+    height = Fraction(-a * n)
+    return RationalTriangle((
+        _ORIGIN,
+        RationalPoint(Fraction(q * n), height),
+        RationalPoint(Fraction(-p * a * n, b), height),
+    ))
 
 
 @lru_cache(maxsize=None)

@@ -199,14 +199,24 @@ def sweep(surfaces: list[WeightedSurface], n_max: int, jobs: int | None = None) 
     """Margin reports for each surface, in input order.
 
     ``jobs > 1`` distributes surfaces over worker processes; the output is
-    deterministic either way.
+    deterministic either way.  A ``ValueError`` from one surface (e.g. one
+    outside every classification interval) is raised again with the surface
+    in front of its message.
     """
     if not surfaces:
         return []
     if jobs is not None and jobs > 1 and len(surfaces) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as executor:
-            return list(executor.map(partial(sweep_one, n_max=n_max), surfaces))
-    return [sweep_one(surface, n_max) for surface in surfaces]
+            return list(executor.map(partial(_sweep_named, n_max=n_max), surfaces))
+    return [_sweep_named(surface, n_max) for surface in surfaces]
+
+
+def _sweep_named(surface: WeightedSurface, n_max: int) -> dict:
+    """:func:`sweep_one`, with the surface named in any ``ValueError`` it raises."""
+    try:
+        return sweep_one(surface, n_max)
+    except ValueError as exc:
+        raise ValueError(f"{surface!r}: {exc}") from exc
 
 
 def aggregate_sweep(reports: list[dict]) -> dict:

@@ -10,6 +10,8 @@ degree d, which never touches the polytope machinery under test.
 The library counts lattice points and sums fractional parts with the
 floor-sum kernel; :func:`rowscan_loop` and :func:`frac_sum_direct` are the
 literal loops it replaced, kept here as oracles with their own arithmetic.
+:func:`polytope_fraction` builds the divisor polytopes' vertices with the
+``Fraction`` arithmetic that ``surface.polytope`` replaced by integers.
 :func:`jsonable` is the payload copy the CLI's JSON writer replaced: with
 ``json.dumps(..., indent=2, sort_keys=True)`` it is the writer's oracle.
 """
@@ -45,6 +47,20 @@ def monomial_count(a: int, b: int, c: int, degree: int) -> int:
 def frac_sum_direct(alpha: int, beta: int, u: int) -> Fraction:
     """sum_{j=0}^{u} {alpha*j/beta}, term by term."""
     return Fraction(sum((alpha * j) % beta for j in range(u + 1)), beta)
+
+
+def polytope_fraction(surface, family: str, n: int):
+    """The three vertices ``(x, y)`` of the section polytope of the n-th
+    member of ``family``, by ``Fraction`` arithmetic on s = b/c."""
+    a, b, c, p, q = surface.a, surface.b, surface.c, surface.p, surface.q
+    zero = Fraction(0)
+    if family == "B":
+        s = Fraction(b, c)
+        return [(zero, zero), (Fraction(-n), zero), (-3 * n * s, 4 * n * s)]
+    if family == "C":
+        return [(zero, zero), (-n / Fraction(b, c), zero), (Fraction(-3 * n), Fraction(4 * n))]
+    height = Fraction(-a) * n
+    return [(zero, zero), (Fraction(q) * n, height), (-p * Fraction(a, b) * n, height)]
 
 
 def jsonable(obj):

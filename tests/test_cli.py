@@ -4,8 +4,11 @@ golden digests of captured outputs."""
 
 import hashlib
 import json
+import re
+import shlex
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -247,6 +250,18 @@ class TestVerify:
         assert lines[0] == "a,b,c,branch,family,n,h0,rhs,margin"
         assert len(lines) == 1 + 2 * 4  # one classification, two families
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_error_names_the_failing_surface(self, capsys, jobs):
+        code = main([
+            "verify", "--surface", "4,5,7", "--surface", "4,7,17",
+            "--n-max", "5", "--jobs", jobs,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "effcone: error: P(4,7,17): abscissa b/(-p) = 7 outside the open "
+            "interval (2, 16/3)\n"
+        )
+
     def test_non_integer_jobs_variable(self, capsys, monkeypatch):
         monkeypatch.setenv("EFFCONE_JOBS", "x")
         assert main(["verify", "--surface", "4,5,7", "--n-max", "2"]) == 2
@@ -457,3 +472,57 @@ class TestGolden:
         written = target.read_text(encoding="utf-8") if target.exists() else ""
         blob = "\0".join((captured.out, written, captured.err)).encode()
         assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def readme_examples():
+    """``(argv, head, expected)`` for every ``$ effcone ...`` line of README.md:
+    its arguments, the ``| head -N`` line limit (or None), and the lines
+    printed under it up to the next blank line or code fence."""
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if not line.startswith("$ effcone "):
+            continue
+        command, _, pipe = line[len("$ effcone "):].partition("|")
+        head = None
+        if pipe:
+            match = re.fullmatch(r"\s*head -(\d+)\s*", pipe)
+            assert match, f"unsupported pipe in README example: {line}"
+            head = int(match.group(1))
+        expected = []
+        for out in lines[i + 1:]:
+            if not out or out.startswith("```"):
+                break
+            expected.append(out)
+        examples.append(pytest.param(shlex.split(command), head, expected, id=command.strip()))
+    return examples
+
+
+def matches_with_ellipsis(expected: list[str], actual: list[str]) -> bool:
+    """Whether ``actual`` equals ``expected`` with each ``...`` line standing
+    for zero or more left-out lines."""
+    pattern = "".join(
+        r"(?:[^\n]*\n)*?" if line.strip() == "..." else re.escape(line) + "\n"
+        for line in expected
+    )
+    return re.fullmatch(pattern, "".join(out + "\n" for out in actual)) is not None
+
+
+class TestReadmeExamples:
+    def test_examples_found(self):
+        assert len(readme_examples()) >= 5
+
+    @pytest.mark.parametrize("argv, head, expected", readme_examples())
+    def test_output_lines(self, capsys, argv, head, expected):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        actual = out.splitlines()[:head]
+        assert matches_with_ellipsis(expected, actual), "\n".join(actual)
+
+    def test_ellipsis_matching(self):
+        assert matches_with_ellipsis(["{", "...", "}"], ["{", "}"])
+        assert matches_with_ellipsis(["{", "...", "}"], ["{", "  1,", "  2", "}"])
+        assert matches_with_ellipsis(["a", "...", "c", "..."], ["a", "b", "c", "d"])
+        assert not matches_with_ellipsis(["{", "...", "}"], ["{", "1"])
+        assert not matches_with_ellipsis(["a", "b"], ["a", "b", "c"])
+        assert not matches_with_ellipsis(["a.b"], ["axb"])

@@ -2,12 +2,14 @@
 brute force, plus geometry."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from effcone import (
+    RationalTriangle,
     contains_point,
     count_points_pick,
     count_points_rowscan,
@@ -180,6 +182,20 @@ class TestInvariance:
             assert count_points_rowscan(tri) == count_points_rowscan(
                 triangle(*((v.x, v.y) for v in perm))
             )
+
+    @given(adversarial_triangles(40))
+    @settings(max_examples=200)
+    # Distinct heights: the six orders take the six paths of the height sort.
+    @example(triangle((0, 0), (Fraction(7, 3), Fraction(5, 2)), (-4, Fraction(9, 2))))
+    # The two lowest heights tie, then the two highest (equal as fractions
+    # with different denominators), then all three.
+    @example(triangle((Fraction(1, 2), Fraction(2, 3)), (5, Fraction(4, 6)), (1, 7)))
+    @example(triangle((0, -3), (Fraction(-11, 4), Fraction(10, 4)), (3, Fraction(5, 2))))
+    @example(triangle((Fraction(-5, 2), 1), (Fraction(7, 3), 1), (0, 1)))
+    def test_every_vertex_order_matches_row_loop(self, tri):
+        expected = rowscan_loop(tri)
+        for order in permutations(tri.vertices):
+            assert count_points_rowscan(RationalTriangle(order)) == expected
 
     @given(integral_triangles(coords))
     @settings(max_examples=100)

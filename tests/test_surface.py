@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from effcone import (
@@ -16,7 +16,7 @@ from effcone import (
     polytope,
 )
 
-from conftest import build_pool, monomial_count
+from conftest import build_pool, monomial_count, polytope_fraction
 
 
 def degree(surface, spec):
@@ -101,6 +101,21 @@ class TestPolytopes:
         assert [(v.x, v.y) for v in tri.vertices] == [
             (0, 0), (3, -4), (Fraction(8, 5), -4),
         ]
+
+    @given(surfaces(), st.integers(1, 10**6))
+    @settings(max_examples=300)
+    @example(make_surface(4, 5, 7), 10**6)  # p = -2
+    @example(make_surface(4, 5, 19), 10**6)  # p = 1
+    @example(make_surface(3, 5, 7), 10**6)  # a = 3, p = -1
+    @example(make_surface(2, 3, 7), 999_983)  # a = 2, p = 2
+    @example(make_surface(1, 2, 3), 1)  # a = 1, q = 0
+    def test_integer_vertices_match_fraction_oracle(self, surface, n):
+        families = ("B", "C", "AZ") if (surface.a, surface.q) == (4, 3) else ("AZ",)
+        for family in families:
+            tri = polytope(surface, DivisorSpec(family, n))
+            assert [(v.x, v.y) for v in tri.vertices] == polytope_fraction(surface, family, n)
+            for v in tri.vertices:
+                assert type(v.x) is Fraction and type(v.y) is Fraction
 
     def test_b_and_c_shapes_need_reduced_type(self):
         # On P(4,5,9) the Cartier residue is 1, not 3; the two x-divisor

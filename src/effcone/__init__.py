@@ -37,15 +37,7 @@ from .lattice import (
     point,
     triangle,
 )
-from .numerics import (
-    Rational,
-    as_rational,
-    egcd,
-    floor_sum_linear,
-    frac,
-    mod_inverse,
-    triangular,
-)
+from .numerics import as_rational, floor_sum_linear, frac, triangular
 from .surface import (
     FAMILY_AZ,
     FAMILY_B,
@@ -88,8 +80,7 @@ from .verify import (
 __all__ = [
     "__version__",
     # numerics
-    "Rational", "as_rational", "frac", "egcd", "floor_sum_linear", "mod_inverse",
-    "triangular",
+    "as_rational", "frac", "floor_sum_linear", "triangular",
     # lattice
     "RationalPoint", "RationalTriangle", "point", "triangle",
     "count_points_rowscan", "count_points_pick", "contains_point",

@@ -16,6 +16,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -132,10 +133,6 @@ def _emit(text: str, output: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _emit_json(payload, output: str | None) -> None:
-    _emit(_render_json(payload), output)
-
-
 def _emit_csv(rows: list[dict], fieldnames: list[str], output: str | None) -> None:
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=fieldnames, lineterminator="\n")
@@ -158,13 +155,6 @@ def _default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def _surface_payload(surface: WeightedSurface) -> dict:
-    return {
-        "a": surface.a, "b": surface.b, "c": surface.c,
-        "p": surface.p, "q": surface.q,
-    }
-
-
 def _cmd_count(args) -> tuple[dict, int]:
     tri = triangle(*args.tri)
     counter = count_points_pick if args.method == "pick" else count_points_rowscan
@@ -179,7 +169,7 @@ def _cmd_count(args) -> tuple[dict, int]:
 def _cmd_h0(args) -> tuple[dict, int]:
     count = h0(args.surface, DivisorSpec(args.family, args.n))
     return {
-        "surface": _surface_payload(args.surface),
+        "surface": asdict(args.surface),
         "family": args.family,
         "n": args.n,
         "h0": count,
@@ -187,32 +177,18 @@ def _cmd_h0(args) -> tuple[dict, int]:
 
 
 def _cmd_nu(args) -> tuple[dict, int]:
-    count = h0(args.surface, DivisorSpec(args.family, args.n))
-    return {
-        "surface": _surface_payload(args.surface),
-        "family": args.family,
-        "n": args.n,
-        "h0": count,
-        "nu": nu_from_h0(count),
-    }, 0
+    payload, code = _cmd_h0(args)
+    payload["nu"] = nu_from_h0(payload["h0"])
+    return payload, code
 
 
 def _cmd_ehrhart(args) -> tuple[dict, int]:
     coeffs = coefficients(args.surface, args.family, args.n)
-    count = h0(args.surface, DivisorSpec(args.family, args.n))
+    payload, _ = _cmd_h0(args)
     value = coeffs.value()
-    exact = value == count
-    return {
-        "surface": _surface_payload(args.surface),
-        "family": args.family,
-        "n": args.n,
-        "c2": coeffs.c2,
-        "c1": coeffs.c1,
-        "c0": coeffs.c0,
-        "value": value,
-        "h0": count,
-        "exact_match": exact,
-    }, 0 if exact else 1
+    exact = value == payload["h0"]
+    payload.update(c2=coeffs.c2, c1=coeffs.c1, c0=coeffs.c0, value=value, exact_match=exact)
+    return payload, 0 if exact else 1
 
 
 def _cmd_gamma(args) -> tuple[dict | list, int]:
@@ -225,7 +201,7 @@ def _cmd_gamma(args) -> tuple[dict | list, int]:
     if args.format == "csv":
         return table, code
     payload = {
-        "surface": _surface_payload(args.surface),
+        "surface": asdict(args.surface),
         "n_max": args.n_max,
         "best": result.best,
         "prediction": result.prediction,
@@ -246,19 +222,13 @@ def _cmd_classify(args) -> tuple[dict, int]:
         "b": args.b,
         "p": args.p,
         "x": Fraction(args.b, -args.p),
-        "classifications": [
-            {
-                "k": cls.k, "branch": cls.branch, "m0": cls.m0,
-                "family": cls.family, "nu0": cls.nu0, "gamma_pred": cls.gamma_pred,
-            }
-            for cls in found
-        ],
+        "classifications": [asdict(cls) for cls in found],
     }, 0
 
 
 def _cmd_lower_bound(args) -> tuple[dict, int]:
     return {
-        "surface": _surface_payload(args.surface),
+        "surface": asdict(args.surface),
         "bound": lower_bound_small_a(args.surface),
     }, 0
 
@@ -322,16 +292,10 @@ def _cmd_family(args) -> tuple[dict, int]:
         alpha=args.alpha, beta=args.beta, tau=args.tau,
         count=args.count, interval=args.interval,
     )
-    surfaces = solve_family(request)
     return {
-        "request": {
-            "alpha": args.alpha, "beta": args.beta, "tau": args.tau,
-            "count": args.count,
-            "interval": list(args.interval) if args.interval else None,
-        },
+        "request": asdict(request),
         "surfaces": [
-            dict(_surface_payload(surface), x=surface.bp_ratio)
-            for surface in surfaces
+            dict(asdict(surface), x=surface.bp_ratio) for surface in solve_family(request)
         ],
     }, 0
 
@@ -520,7 +484,7 @@ def main(argv: list[str] | None = None) -> int:
         fieldnames = list(payload[0].keys()) if payload else []
         _emit_csv(payload, fieldnames, args.output)
     else:
-        _emit_json(payload, getattr(args, "output", None))
+        _emit(_render_json(payload), getattr(args, "output", None))
     return code
 
 

@@ -73,9 +73,10 @@ def coefficients(surface: WeightedSurface, family: str, n: int) -> EhrhartCoeffs
     if n < 1:
         raise ValueError(f"require n >= 1, got {n}")
     b, c, p = surface.b, surface.c, surface.p
+    s = Fraction(b, c)
     if family == FAMILY_B:
-        c2 = 2 * surface.s
-        c1 = (1 + surface.s + Fraction(4, c)) / 2
+        c2 = 2 * s
+        c1 = (1 + s + Fraction(4, c)) / 2
         frac_4sn = Fraction((4 * b * n) % c, c)
         frac_sn = Fraction((b * n) % c, c)
         frac_4n_c = Fraction((4 * n) % c, c)
@@ -91,8 +92,8 @@ def coefficients(surface: WeightedSurface, family: str, n: int) -> EhrhartCoeffs
             - frac_sum(-p, b, r)
         )
     elif family == FAMILY_C:
-        c2 = 2 / surface.s
-        c1 = (1 + 1 / surface.s + Fraction(4, b)) / 2
+        c2 = 2 / s
+        c1 = (1 + 1 / s + Fraction(4, b)) / 2
         frac_4n_b = Fraction((4 * n) % b, b)
         c0 = (
             1

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .numerics import egcd
 from .surface import WeightedSurface, make_surface
 
 __all__ = ["FamilyRequest", "solve_family", "SCAN_LIMIT"]
@@ -63,14 +62,14 @@ def solve_family(req: FamilyRequest) -> list[WeightedSurface]:
     progression is infinite, so this only happens for filters that exclude
     the convergent tail, or for counts beyond the filtered range).
     """
-    g, s, _ = egcd(req.alpha, req.beta)
+    g = gcd(req.alpha, req.beta)
     if g != 1:  # FamilyRequest validation rules this out for built requests
         raise ValueError(
             f"require gcd(alpha, beta) = 1, got gcd({req.alpha}, {req.beta}) = {g}"
         )
     # Particular solution of alpha*b - beta*m = tau; shift to the smallest
     # progression index with b > 4 and walk upward (b increases with t).
-    b0 = s * req.tau
+    b0 = pow(req.alpha, -1, req.beta) * req.tau
     m0 = (req.alpha * b0 - req.tau) // req.beta
     t_start = -((b0 - 5) // req.beta)  # smallest t with b0 + beta*t >= 5
     out: list[WeightedSurface] = []

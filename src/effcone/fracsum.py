@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .numerics import floor_sum_linear, mod_inverse
+from .numerics import floor_sum_linear
 
 __all__ = [
     "frac_sum",
@@ -151,12 +151,24 @@ def _canonical_partner(sigma: int, beta0: int, beta1: int) -> tuple[int, int]:
     """The unique alpha0 in [1, beta0) (with partner alpha1) realizing
     alpha1*beta0 - beta1*alpha0 = sigma; bumps representatives when the
     least one gives alpha1 = 0 (only possible for beta1 = 1, sigma = -1)."""
-    alpha0 = (-sigma * mod_inverse(beta1, beta0)) % beta0
+    alpha0 = (-sigma * pow(beta1, -1, beta0)) % beta0
     alpha1 = (sigma + beta1 * alpha0) // beta0
     if alpha1 == 0:
         alpha0 += beta0
         alpha1 += beta1
     return alpha0, alpha1
+
+
+def _check_step(sigma: int, t: int, u: int, beta0: int, beta1: int) -> None:
+    """The range of one reduction step: sigma = +-1, t >= 0, 0 <= u < beta1 < beta0."""
+    if sigma not in (-1, 1):
+        raise ValueError(f"sigma must be +-1, got {sigma}")
+    if not 0 <= u < beta1 < beta0:
+        raise ValueError(
+            f"require 0 <= u < beta1 < beta0, got u = {u}, beta1 = {beta1}, beta0 = {beta0}"
+        )
+    if t < 0:
+        raise ValueError(f"require t >= 0, got {t}")
 
 
 def paper_delta(sigma: int, t: int, u: int, beta0: int, beta1: int) -> int:
@@ -172,8 +184,14 @@ def calibrated_delta(sigma: int, t: int, u: int, beta0: int, beta1: int) -> int:
     + base + Delta with u0 = beta1*t + u, using the canonical coprime
     partner pair (the identity depends on alpha0 only through its residue
     class mod beta0, so the canonical representative is fully general).
-    Asserted to lie in {0, 1}; anything else falsifies the model.
+    Asserted to lie in {0, 1}; anything else falsifies the model.  Takes
+    the inputs of :func:`step_error`, with gcd(beta0, beta1) = 1 (else no
+    partner pair exists).
     """
+    _check_step(sigma, t, u, beta0, beta1)
+    g = gcd(beta0, beta1)
+    if g != 1:
+        raise ValueError(f"require gcd(beta0, beta1) = 1, got gcd({beta0}, {beta1}) = {g}")
     u0 = beta1 * t + u
     if u0 >= beta0:
         raise ValueError(
@@ -207,14 +225,7 @@ def step_error(
     >>> step_error(-1, 0, 1, 5, 2)
     Fraction(1, 5)
     """
-    if sigma not in (-1, 1):
-        raise ValueError(f"sigma must be +-1, got {sigma}")
-    if not 0 <= u < beta1 < beta0:
-        raise ValueError(
-            f"require 0 <= u < beta1 < beta0, got u = {u}, beta1 = {beta1}, beta0 = {beta0}"
-        )
-    if t < 0:
-        raise ValueError(f"require t >= 0, got {t}")
+    _check_step(sigma, t, u, beta0, beta1)
     if delta == "paper":
         jump = paper_delta(sigma, t, u, beta0, beta1)
     elif delta == "calibrated":

@@ -1,27 +1,21 @@
 """Exact-arithmetic helpers shared by the rest of the package.
 
-Most of this is thin glue over :mod:`fractions` and :mod:`math`: the point
-is to centralize the few conventions the package relies on (rationals are
-always :class:`fractions.Fraction`, extended gcds are normalized to a
-positive gcd, fractional parts live in ``[0, 1)``).  The one algorithm is
-:func:`floor_sum_linear`, the Euclid-like floor-sum kernel behind both the
-lattice-point counter and the fractional-part sums.
+Most of this is thin glue over :mod:`fractions`: the point is to centralize
+the few conventions the package relies on (rationals are always
+:class:`fractions.Fraction`, fractional parts live in ``[0, 1)``); gcds and
+modular inverses come from :func:`math.gcd` and ``pow(a, -1, m)``.  The one
+algorithm is :func:`floor_sum_linear`, the Euclid-like floor-sum kernel
+behind both the lattice-point counter and the fractional-part sums.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-
-Rational = Fraction
 
 __all__ = [
-    "Rational",
     "as_rational",
     "frac",
-    "egcd",
     "floor_sum_linear",
-    "mod_inverse",
     "triangular",
 ]
 
@@ -48,27 +42,6 @@ def frac(x) -> Fraction:
     """
     x = as_rational(x)
     return x - (x.numerator // x.denominator)
-
-
-def egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: return ``(g, s, t)`` with ``g = gcd(a, b) > 0`` and
-    ``s*a + t*b == g``.
-
-    Raises :class:`ValueError` for ``a == b == 0`` (no positive gcd exists).
-    """
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def floor_sum_linear(n: int, m: int, a: int, b: int) -> int:
@@ -103,15 +76,6 @@ def floor_sum_linear(n: int, m: int, a: int, b: int) -> int:
         # transposed line y = (m*x + top mod m) / a.
         n, b = divmod(top, m)
         m, a = a, m
-
-
-def mod_inverse(a: int, m: int) -> int:
-    """Inverse of ``a`` modulo ``m`` in ``[0, m)``; requires ``gcd(a, m) == 1``."""
-    if m <= 0:
-        raise ValueError(f"modulus must be positive, got {m}")
-    if gcd(a, m) != 1:
-        raise ValueError(f"{a} is not invertible modulo {m}")
-    return pow(a, -1, m)
 
 
 def triangular(d: int) -> int:

@@ -90,11 +90,6 @@ class WeightedSurface:
             )
 
     @property
-    def s(self) -> Fraction:
-        """The slope parameter b/c in (0, 1)."""
-        return Fraction(self.b, self.c)
-
-    @property
     def bp_ratio(self) -> Fraction:
         """The classification abscissa b/(-p); only defined when p < 0."""
         if self.p >= 0:

@@ -186,35 +186,43 @@ def _search_families(surface: WeightedSurface) -> tuple[tuple[str, int], ...]:
     return ((FAMILY_AZ, surface.b),)
 
 
+def _family_rows(
+    surface: WeightedSurface, family: str, scale: int, n_max: int
+) -> list[tuple[str, int, int, int, Fraction]]:
+    """One family's (family, n, h0, nu, scale*nu/n) rows for n = 1..n_max."""
+    if n_max < 1:
+        raise ValueError(f"require n_max >= 1, got {n_max}")
+    rows = []
+    for n in range(1, n_max + 1):
+        count = h0(surface, DivisorSpec(family, n))
+        d = nu_from_h0(count)
+        rows.append((family, n, count, d, Fraction(scale * d, n)))
+    return rows
+
+
 def gamma_search(surface: WeightedSurface, n_max: int) -> GammaSearchResult:
     """Exact maximum of the candidate threshold values scale*nu/n for n <= n_max.
 
     Family B contributes c*nu(n*b*D_x)/n, family C contributes
     b*nu(n*c*D_x)/n (for a <= 3, AZ contributes b*nu(n*a*D_z)/n).  Returns
     the best value, every attaining (family, n, nu) witness in (family, n)
-    order, the full table, and -- when the surface classifies -- whether
-    the best value matches the predicted threshold.
+    order, the full table, and -- when the surface classifies (a = 4,
+    p < 0 and b/(-p) < 16/3) -- whether the best value matches the
+    predicted threshold.
     """
-    if n_max < 1:
-        raise ValueError(f"require n_max >= 1, got {n_max}")
-    rows = []
-    best: Fraction | None = None
-    for family, scale in _search_families(surface):
-        for n in range(1, n_max + 1):
-            count = h0(surface, DivisorSpec(family, n))
-            d = nu_from_h0(count)
-            value = Fraction(scale * d, n)
-            rows.append((family, n, count, d, value))
-            if best is None or value > best:
-                best = value
+    rows = [
+        row
+        for family, scale in _search_families(surface)
+        for row in _family_rows(surface, family, scale, n_max)
+    ]
+    best = max(row[4] for row in rows)
     witnesses = tuple(
         (family, n, d) for family, n, count, d, value in rows if value == best
     )
     prediction: Fraction | None = None
     matches: bool | None = None
-    if surface.a == 4 and surface.p < 0:
-        classifications = classify_surface(surface)
-        prediction = classifications[0].gamma_pred
+    if surface.a == 4 and surface.p < 0 and surface.bp_ratio < outer_bound(1):
+        prediction = classify_surface(surface)[0].gamma_pred
         matches = best == prediction
     return GammaSearchResult(
         best=best, witnesses=witnesses, table=tuple(rows),
@@ -224,13 +232,10 @@ def gamma_search(surface: WeightedSurface, n_max: int) -> GammaSearchResult:
 
 def family_supremum(surface: WeightedSurface, family: str, n_max: int) -> Fraction:
     """Max over n <= n_max of the candidate values from a single family."""
-    for fam, scale in _search_families(surface):
-        if fam == family:
-            return max(
-                Fraction(scale * nu(surface, DivisorSpec(family, n)), n)
-                for n in range(1, n_max + 1)
-            )
-    raise ValueError(f"family {family!r} not available on {surface}")
+    scales = dict(_search_families(surface))
+    if family not in scales:
+        raise ValueError(f"family {family!r} not available on {surface}")
+    return max(row[4] for row in _family_rows(surface, family, scales[family], n_max))
 
 
 def lower_bound_small_a(surface: WeightedSurface) -> int:

@@ -28,12 +28,13 @@ by the reduction identity (see the fracsum module).
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from fractions import Fraction
 from functools import partial
 from math import gcd
 
 from .fracsum import paper_delta
-from .numerics import mod_inverse, triangular
+from .numerics import triangular
 from .surface import FAMILY_B, FAMILY_C, DivisorSpec, WeightedSurface, h0
 from .threshold import Classification, classify_surface, gamma_search
 
@@ -174,17 +175,8 @@ def sweep_one(surface: WeightedSurface, n_max: int) -> dict:
     ]
     search = gamma_search(surface, n_max)
     return {
-        "surface": {
-            "a": surface.a, "b": surface.b, "c": surface.c,
-            "p": surface.p, "q": surface.q,
-        },
-        "classifications": [
-            {
-                "k": cls.k, "branch": cls.branch, "m0": cls.m0,
-                "family": cls.family, "nu0": cls.nu0, "gamma_pred": cls.gamma_pred,
-            }
-            for cls in classifications
-        ],
+        "surface": asdict(surface),
+        "classifications": [asdict(cls) for cls in classifications],
         "n_max": n_max,
         "rows": rows,
         "min_margin": min(cell_best.values()),
@@ -274,7 +266,7 @@ def calibrate_delta(beta_max: int) -> dict:
             if gcd(alpha0, beta0) != 1:
                 continue
             for sigma in (1, -1):
-                beta1 = (-sigma * mod_inverse(alpha0, beta0)) % beta0
+                beta1 = (-sigma * pow(alpha0, -1, beta0)) % beta0
                 if beta1 == 0:
                     continue  # only possible for beta0 = 1
                 alpha1 = (sigma + beta1 * alpha0) // beta0

@@ -101,6 +101,13 @@ class TestGamma:
         ]
         assert len(payload["table"]) == 24
 
+    def test_unclassified_surface_has_null_prediction(self, capsys):
+        code, payload = run_json(capsys, "gamma", "--surface", "4,7,17", "--n-max", "5")
+        assert code == 0
+        assert payload["prediction"] is None and payload["match"] is None
+        assert payload["best"] == "68/3"
+        assert payload["witnesses"] == [{"family": "B", "n": 3, "nu": 4}]
+
     def test_csv(self, capsys):
         code, out = run(capsys, "gamma", "--surface", "4,5,7", "--n-max", "3",
                         "--format", "csv")

@@ -1,8 +1,11 @@
 """One-parameter surface sequences solving alpha*b - beta*(-p) = tau."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import effcone.families
 from effcone import FamilyRequest, branch_interval, solve_family
@@ -101,6 +104,33 @@ class TestSequenceProperties:
         req = FamilyRequest(3, 8, -1, 3, interval=(lo, hi))
         for surface in solve_family(req):
             assert lo <= surface.bp_ratio <= hi
+
+
+def enumerate_family(req):
+    """First req.count (b, c) solving alpha*b - beta*m = tau, by scanning b."""
+    out = []
+    b = 5
+    while len(out) < req.count:
+        if b % 2 == 1 and (req.alpha * b - req.tau) % req.beta == 0:
+            m = (req.alpha * b - req.tau) // req.beta
+            c = 3 * b - 4 * m
+            if m >= 1 and c > b:
+                out.append((b, c))
+        b += 1
+    return out
+
+
+class TestAgainstEnumeration:
+    @given(
+        st.integers(1, 12), st.integers(1, 60), st.sampled_from((1, -1)),
+        st.integers(1, 5),
+    )
+    @settings(max_examples=150)
+    def test_matches_scan_over_b(self, alpha, beta, tau, count):
+        # beta/alpha > 2 keeps the tail of every progression valid (c > b).
+        assume(gcd(alpha, beta) == 1 and beta > 2 * alpha)
+        req = FamilyRequest(alpha, beta, tau, count)
+        assert bc_pairs(req) == enumerate_family(req)
 
 
 class TestExhaustion:

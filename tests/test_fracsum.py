@@ -1,6 +1,8 @@
 """Fractional-part sums, one-step reduction errors, and reduction chains."""
 
+import re
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -167,6 +169,40 @@ class TestStepError:
             calibrated_delta(-1, 3, 0, 5, 2)  # beta1*t + u = 6 >= beta0
         # The literal condition has no such restriction.
         assert paper_delta(-1, 3, 0, 5, 2) == 1
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((-3, 2, 0, 4, 1), "sigma must be +-1, got -3"),
+            ((0, 0, 0, 5, 2), "sigma must be +-1, got 0"),
+            ((1, -1, 0, 5, 2), "require t >= 0, got -1"),
+            ((1, 0, 0, 2, 3), "got u = 0, beta1 = 3, beta0 = 2"),  # beta1 > beta0
+            ((1, 0, 0, 4, 4), "got u = 0, beta1 = 4, beta0 = 4"),
+            ((1, 0, 2, 5, 2), "got u = 2, beta1 = 2, beta0 = 5"),  # u >= beta1
+            ((1, 0, -1, 5, 2), "got u = -1, beta1 = 2, beta0 = 5"),
+            ((1, 0, 0, 5, 0), "got u = 0, beta1 = 0, beta0 = 5"),
+            ((1, 0, 0, 6, 4), "got gcd(6, 4) = 2"),
+            ((-1, 1, 1, 9, 6), "got gcd(9, 6) = 3"),
+        ],
+    )
+    def test_calibrated_rejects_out_of_range(self, args, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            calibrated_delta(*args)
+
+    def test_calibrated_defined_exactly_on_the_step_range(self):
+        # Every integer input in a box: a value iff the step is in range.
+        for sigma, t, u, beta0, beta1 in product(
+            range(-2, 3), range(-1, 4), range(-1, 6), range(0, 9), range(0, 9)
+        ):
+            valid = (
+                sigma in (-1, 1) and t >= 0 and 0 <= u < beta1 < beta0
+                and gcd(beta0, beta1) == 1 and beta1 * t + u < beta0
+            )
+            if valid:
+                assert calibrated_delta(sigma, t, u, beta0, beta1) in (0, 1)
+            else:
+                with pytest.raises(ValueError):
+                    calibrated_delta(sigma, t, u, beta0, beta1)
 
     def test_calibrated_matches_deficit_difference(self):
         # The jump is exactly what the one-step identity forces, for the

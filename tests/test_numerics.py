@@ -1,5 +1,5 @@
-"""Exact-arithmetic helpers: fractional part, gcd certificates, inverses,
-and the floor-sum kernel."""
+"""Exact-arithmetic helpers: fractional part, rational coercion, triangular
+numbers, and the floor-sum kernel."""
 
 from fractions import Fraction
 from math import gcd
@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 
 from effcone import (
     as_rational,
-    egcd,
     floor_sum,
     floor_sum_linear,
     frac,
-    mod_inverse,
     triangular,
 )
 
@@ -52,41 +50,6 @@ class TestAsRational:
     def test_rejects_float(self):
         with pytest.raises(TypeError):
             as_rational(0.5)
-
-
-class TestEgcd:
-    @pytest.mark.parametrize(
-        "a, b, expected",
-        [(1, 3, (1, 1, 0)), (8, 5, (1, 2, -3)), (4, 6, (2, -1, 1)), (0, 7, (7, 0, 1))],
-    )
-    def test_frozen(self, a, b, expected):
-        assert egcd(a, b) == expected
-
-    @given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
-    def test_certificate(self, a, b):
-        if a == 0 and b == 0:
-            with pytest.raises(ValueError):
-                egcd(a, b)
-            return
-        g, s, t = egcd(a, b)
-        assert g == gcd(a, b) > 0
-        assert a * s + b * t == g
-
-
-class TestModInverse:
-    @pytest.mark.parametrize("a, m, inv", [(3, 4, 3), (13, 4, 1), (7, 10, 3)])
-    def test_frozen(self, a, m, inv):
-        assert mod_inverse(a, m) == inv
-
-    @given(st.integers(-10**6, 10**6), st.integers(2, 10**5))
-    def test_property(self, a, m):
-        if gcd(a, m) != 1:
-            with pytest.raises(ValueError):
-                mod_inverse(a, m)
-            return
-        inv = mod_inverse(a, m)
-        assert 0 <= inv < m
-        assert (a * inv) % m == 1
 
 
 class TestTriangular:

@@ -79,7 +79,6 @@ class TestMakeSurface:
 
     def test_ratio_and_repr(self):
         surface = make_surface(4, 5, 7)
-        assert surface.s == Fraction(5, 7)
         assert surface.bp_ratio == Fraction(5, 2)
         assert repr(surface) == "P(4,5,7)"
         with pytest.raises(ValueError):
@@ -159,6 +158,10 @@ class TestH0:
             (make_surface(4, 5, 7), ("B", "C", "AZ")),
             (make_surface(4, 13, 23), ("B", "C", "AZ")),
             (make_surface(4, 5, 19), ("B", "C", "AZ")),  # p > 0, reduced type 3
+            # b/(-p) >= 16/3: no level classifies, but q = 3 and B, C apply.
+            (make_surface(4, 7, 17), ("B", "C", "AZ")),
+            (make_surface(4, 11, 29), ("B", "C", "AZ")),
+            (make_surface(4, 13, 35), ("B", "C", "AZ")),
             (make_surface(3, 5, 7), ("AZ",)),
             (make_surface(2, 3, 7), ("AZ",)),
             (make_surface(1, 2, 3), ("AZ",)),

@@ -163,6 +163,20 @@ class TestGammaSearch:
         assert result.best == 10
         assert result.prediction is None and result.matches is None
 
+    @pytest.mark.parametrize("weights", [(4, 7, 17), (4, 11, 29), (4, 13, 35)])
+    def test_unclassified_abscissa_has_no_prediction(self, weights):
+        # b/(-p) >= 16/3 lies outside every level: the search runs, and
+        # reports no prediction instead of raising.
+        surface = make_surface(*weights)
+        with pytest.raises(ValueError, match="outside the open interval"):
+            classify_surface(surface)
+        result = gamma_search(surface, 8)
+        assert result.prediction is None and result.matches is None
+        assert [row[:2] for row in result.table] == [
+            (family, n) for family in ("B", "C") for n in range(1, 9)
+        ]
+        assert result.best == max(row[4] for row in result.table)
+
     def test_positive_p_has_no_prediction(self):
         result = gamma_search(make_surface(4, 5, 19), 5)
         assert result.prediction is None and result.matches is None
@@ -181,6 +195,18 @@ class TestGammaSearch:
             family_supremum(surface, "AZ", 10)
         with pytest.raises(ValueError):
             family_supremum(make_surface(3, 5, 7), "B", 10)
+        with pytest.raises(ValueError, match="n_max"):
+            family_supremum(surface, "C", 0)
+
+    def test_family_supremum_is_max_of_search_rows(self, pool):
+        surfaces = [entry[0] for entry in pool[::6]]
+        surfaces += [make_surface(4, 7, 17), make_surface(3, 5, 7)]
+        for surface in surfaces:
+            table = gamma_search(surface, 40).table
+            for family in {row[0] for row in table}:
+                assert family_supremum(surface, family, 40) == max(
+                    value for fam, _, _, _, value in table if fam == family
+                ), (surface, family)
 
 
 class TestLowerBoundSmallA:

@@ -16,7 +16,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -43,7 +42,11 @@ def _shield_negatives(argv: list[str]) -> list[str]:
 
 
 def _parse_rational(token: str) -> Fraction:
-    return Fraction(token.strip())
+    # argparse reports ValueError but not ZeroDivisionError as a usage error.
+    try:
+        return Fraction(token.strip())
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {token.strip()!r}") from None
 
 
 def _parse_pair(token: str) -> tuple[Fraction, Fraction]:
@@ -169,7 +172,7 @@ def _cmd_count(args) -> tuple[dict, int]:
 def _cmd_h0(args) -> tuple[dict, int]:
     count = h0(args.surface, DivisorSpec(args.family, args.n))
     return {
-        "surface": asdict(args.surface),
+        "surface": dict(vars(args.surface)),
         "family": args.family,
         "n": args.n,
         "h0": count,
@@ -201,7 +204,7 @@ def _cmd_gamma(args) -> tuple[dict | list, int]:
     if args.format == "csv":
         return table, code
     payload = {
-        "surface": asdict(args.surface),
+        "surface": dict(vars(args.surface)),
         "n_max": args.n_max,
         "best": result.best,
         "prediction": result.prediction,
@@ -222,13 +225,13 @@ def _cmd_classify(args) -> tuple[dict, int]:
         "b": args.b,
         "p": args.p,
         "x": Fraction(args.b, -args.p),
-        "classifications": [asdict(cls) for cls in found],
+        "classifications": [dict(vars(cls)) for cls in found],
     }, 0
 
 
 def _cmd_lower_bound(args) -> tuple[dict, int]:
     return {
-        "surface": asdict(args.surface),
+        "surface": dict(vars(args.surface)),
         "bound": lower_bound_small_a(args.surface),
     }, 0
 
@@ -293,9 +296,9 @@ def _cmd_family(args) -> tuple[dict, int]:
         count=args.count, interval=args.interval,
     )
     return {
-        "request": asdict(request),
+        "request": dict(vars(request)),
         "surfaces": [
-            dict(asdict(surface), x=surface.bp_ratio) for surface in solve_family(request)
+            dict(vars(surface), x=surface.bp_ratio) for surface in solve_family(request)
         ],
     }, 0
 

@@ -6,7 +6,8 @@ counting inequalities certify the prediction over a finite grid:
 
 * :func:`margin_general` (cells off the attainment ray): the section count
   must stay strictly below the triangular threshold scaled to that cell,
-  i.e. h0 < C(ceil(ratio*nu0*n/m0) + 1, 2) + 1;
+  i.e. h0 < C(ceil(nu0*n*delta'/(m0*delta)) + 1, 2) + 1 with delta = b for
+  family B and c for family C;
 * :func:`margin_at_multiple` (cells on the attainment ray): the count must
   stay strictly below C(nu0*t + 2, 2), so nu there is exactly nu0*t.
 
@@ -18,24 +19,28 @@ meets the threshold with equality; only the attainment-type bound can hold
 there.  For same-family cells the condition reduces to the familiar
 "n is a multiple of m0".
 
-Both checks return margin = rhs - h0; margin >= 1 certifies the strict
-inequality, margin < 1 is a counterexample.  :func:`sweep` runs every cell
-for a list of surfaces and aggregates; :func:`calibrate_delta` exhaustively
-compares the published step-error jump condition against the value forced
-by the reduction identity (see the fracsum module).
+Both checks take the cell's count h0 and return margin = rhs - h0;
+margin >= 1 certifies the strict inequality, margin < 1 is a
+counterexample.  :func:`sweep_one` takes every count from the table of
+:func:`~effcone.threshold.gamma_search`, so each cell is counted once;
+:func:`sweep` runs every cell for a list of surfaces and aggregates;
+:func:`calibrate_delta` exhaustively compares the published step-error jump
+condition against the value forced by the reduction identity (see the
+fracsum module).
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
 from fractions import Fraction
 from functools import partial
 from math import gcd
 
 from .fracsum import paper_delta
 from .numerics import triangular
-from .surface import FAMILY_B, FAMILY_C, DivisorSpec, WeightedSurface, h0
+# h0 is not called here; it stays bound because bench/test_bench.py checks
+# that the tracer rebinds and restores verify.h0.
+from .surface import FAMILY_B, FAMILY_C, WeightedSurface, h0  # noqa: F401
 from .threshold import Classification, classify_surface, gamma_search
 
 __all__ = [
@@ -55,21 +60,15 @@ class CalibrationError(Exception):
     is falsified (this is a data-level failure, not an input error)."""
 
 
-def _ratio(cls: Classification, family: str, surface: WeightedSurface) -> tuple[int, int]:
-    """Scale factor (numerator, denominator) between the classified family's
-    level and the tested one.
-
-    Family B divisors are (n/c)-multiples of the Cartier generator, family C
-    divisors (n/b)-multiples; comparing family' against the classified
-    family scales the expected multiplicity by c/b, b/c, or 1.
-    """
-    if family == cls.family:
-        return 1, 1
-    if cls.family == FAMILY_B and family == FAMILY_C:
-        return surface.c, surface.b
-    if cls.family == FAMILY_C and family == FAMILY_B:
-        return surface.b, surface.c
-    raise ValueError(f"unsupported family pair ({cls.family!r}, {family!r})")
+def _degrees(
+    surface: WeightedSurface, cls: Classification, family: str, n: int
+) -> tuple[int, int]:
+    """Degrees (m0*delta, n*delta') of the attaining divisor and of the
+    (family, n) cell, with delta = b for family B and c for family C."""
+    delta = {FAMILY_B: surface.b, FAMILY_C: surface.c}
+    if family not in delta:
+        raise ValueError(f"margins need family 'B' or 'C', got {family!r}")
+    return cls.m0 * delta[cls.family], n * delta[family]
 
 
 def attainment_step(
@@ -77,24 +76,19 @@ def attainment_step(
 ) -> int | None:
     """Step t if the (family, n) divisor is t times the attaining divisor.
 
-    The attaining divisor has degree m0*delta (delta = b for family B, c for
-    family C); the tested cell has degree n*delta'.  Returns the integer
-    ratio when the degrees divide exactly — the two cells then name the same
-    divisor class — and None when the cell is off the attainment ray.
+    Returns the integer ratio of the degrees n*delta' / (m0*delta) when it
+    is exact -- the two cells then name the same divisor class -- and None
+    when the cell is off the attainment ray.
     """
-    delta0 = surface.b if cls.family == FAMILY_B else surface.c
-    delta1 = surface.b if family == FAMILY_B else surface.c
-    degree0 = cls.m0 * delta0
-    degree1 = n * delta1
-    if degree1 % degree0 == 0:
-        return degree1 // degree0
-    return None
+    base, degree = _degrees(surface, cls, family, n)
+    return degree // base if degree % base == 0 else None
 
 
 def margin_general(
-    surface: WeightedSurface, cls: Classification, family: str, n: int
+    surface: WeightedSurface, cls: Classification, family: str, n: int, count: int
 ) -> int:
-    """rhs - h0 for the strict sub-threshold inequality at one off-ray cell.
+    """rhs - count for the strict sub-threshold inequality at one off-ray
+    cell, where ``count`` is the cell's h0.
 
     Not applicable when the cell's divisor degree n*delta' is a multiple of
     m0*delta (the divisor then sits on the attainment ray and meets the
@@ -102,21 +96,20 @@ def margin_general(
     """
     if n < 1:
         raise ValueError(f"require n >= 1, got {n}")
-    step = attainment_step(surface, cls, family, n)
-    if step is not None:
+    base, degree = _degrees(surface, cls, family, n)
+    if degree % base == 0:
         raise ValueError(
             f"the (family {family!r}, n = {n}) divisor is a multiple of m0 = "
-            f"{cls.m0} in family {cls.family!r} (attainment step t = {step}); "
+            f"{cls.m0} in family {cls.family!r} (attainment step t = {degree // base}); "
             "use margin_at_multiple"
         )
-    num, den = _ratio(cls, family, surface)
-    level = -(-num * cls.nu0 * n // (den * cls.m0))  # ceil(ratio*nu0*n/m0)
-    rhs = triangular(level) + 1
-    return rhs - h0(surface, DivisorSpec(family, n))
+    level = -(-cls.nu0 * degree // base)  # ceil(nu0*n*delta'/(m0*delta))
+    return triangular(level) + 1 - count
 
 
-def margin_at_multiple(surface: WeightedSurface, cls: Classification, t: int) -> int:
-    """rhs - h0 at step t of the attainment ray (divisor degree t*m0*delta).
+def margin_at_multiple(cls: Classification, t: int, count: int) -> int:
+    """rhs - count at step t of the attainment ray (divisor degree
+    t*m0*delta), where ``count`` is that divisor's h0.
 
     rhs = C(nu0*t + 2, 2); margin >= 1 certifies nu there is at most nu0*t,
     so the cell's value never exceeds the predicted threshold (equality is
@@ -127,13 +120,14 @@ def margin_at_multiple(surface: WeightedSurface, cls: Classification, t: int) ->
     """
     if t < 1:
         raise ValueError(f"require t >= 1, got {t}")
-    rhs = triangular(cls.nu0 * t + 1)
-    return rhs - h0(surface, DivisorSpec(cls.family, cls.m0 * t))
+    return triangular(cls.nu0 * t + 1) - count
 
 
 def sweep_one(surface: WeightedSurface, n_max: int) -> dict:
     """Margin report for one surface: every (classification, family, n) cell.
 
+    The cells and their counts are the rows of :func:`gamma_search`'s table
+    (family B, then family C, n = 1..n_max), so each count is computed once.
     Cells whose divisor lies on the attainment ray (degree a multiple of
     m0*delta, in either family) get the attainment-type bound; all others
     get the strict general bound.  A surface sitting on a shared
@@ -142,41 +136,37 @@ def sweep_one(surface: WeightedSurface, n_max: int) -> dict:
     verdict is the classification-independent one.
     """
     classifications = classify_surface(surface)
+    search = gamma_search(surface, n_max)
     rows = []
     cell_best: dict[tuple[str, int], int] = {}
     for cls in classifications:
-        for family in (FAMILY_B, FAMILY_C):
-            for n in range(1, n_max + 1):
-                step = attainment_step(surface, cls, family, n)
-                if step is not None:
-                    margin = margin_at_multiple(surface, cls, step)
-                else:
-                    margin = margin_general(surface, cls, family, n)
-                # On the ray, the (family, n) triangle is the attaining
-                # family's at m0*step, so margin + count is the rhs either way.
-                count = h0(surface, DivisorSpec(family, n))
-                rows.append(
-                    {
-                        "branch": cls.branch,
-                        "family": family,
-                        "n": n,
-                        "h0": count,
-                        "rhs": margin + count,
-                        "margin": margin,
-                    }
-                )
-                key = (family, n)
-                if key not in cell_best or margin > cell_best[key]:
-                    cell_best[key] = margin
+        for family, n, count, _, _ in search.table:
+            step = attainment_step(surface, cls, family, n)
+            if step is not None:
+                margin = margin_at_multiple(cls, step, count)
+            else:
+                margin = margin_general(surface, cls, family, n, count)
+            rows.append(
+                {
+                    "branch": cls.branch,
+                    "family": family,
+                    "n": n,
+                    "h0": count,
+                    "rhs": margin + count,
+                    "margin": margin,
+                }
+            )
+            key = (family, n)
+            if key not in cell_best or margin > cell_best[key]:
+                cell_best[key] = margin
     failures = [
         {"family": family, "n": n, "margin": margin}
         for (family, n), margin in sorted(cell_best.items())
         if margin < 1
     ]
-    search = gamma_search(surface, n_max)
     return {
-        "surface": asdict(surface),
-        "classifications": [asdict(cls) for cls in classifications],
+        "surface": dict(vars(surface)),
+        "classifications": [dict(vars(cls)) for cls in classifications],
         "n_max": n_max,
         "rows": rows,
         "min_margin": min(cell_best.values()),

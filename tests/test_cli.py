@@ -401,6 +401,18 @@ class TestParser:
         assert lazy == full
 
     @pytest.mark.parametrize("argv", [
+        ["count", "--tri", "0,0", "1,0", "0,1/0"],
+        ["reduce", "--entry", "2", "--k", "1", "--u0", "1", "--head", "1/0,3"],
+        ["family", "--alpha", "1", "--beta", "3", "--tau", "1", "--count", "2",
+         "--interval", "1/0,2"],
+    ], ids=lambda argv: argv[0])
+    def test_zero_denominator_is_a_usage_error(self, capsys, argv):
+        code, out, err = exit_outcome(capsys, lambda: main(argv))
+        assert code == 2
+        assert "zero denominator in '1/0'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
         ["count", "--tri", "0,0", "-1,0", "-15/7,20/7", "--method", "pick"],
         ["reduce", "--entry", "4", "--k", "1", "--surface", "4,13,23", "--u0", "5"],
         ["verify", "--surface", "4,5,7", "--surface", "4,7,13", "--n-m", "3"],

@@ -30,38 +30,51 @@ def s41323():
 class TestMargins:
     def test_frozen_general(self, s457, s41323):
         cls_minus, cls_plus = classify_surface(s457)
-        assert margin_general(s457, cls_minus, "B", 1) == 1
-        assert margin_general(s457, cls_minus, "B", 2) == 2
+        assert margin_general(s457, cls_minus, "B", 1, h0(s457, DivisorSpec("B", 1))) == 1
+        assert margin_general(s457, cls_minus, "B", 2, h0(s457, DivisorSpec("B", 2))) == 2
         (cls,) = classify_surface(s41323)
-        assert margin_general(s41323, cls, "C", 1) == 1
+        assert margin_general(s41323, cls, "C", 1, h0(s41323, DivisorSpec("C", 1))) == 1
 
     def test_frozen_at_multiples(self, s457, s41323):
         for cls in classify_surface(s457):
-            assert margin_at_multiple(s457, cls, 1) == 12
+            assert margin_at_multiple(cls, 1, h0(s457, DivisorSpec(cls.family, cls.m0))) == 12
         (cls,) = classify_surface(s41323)
-        assert margin_at_multiple(s41323, cls, 1) == 8
+        assert margin_at_multiple(cls, 1, h0(s41323, DivisorSpec(cls.family, cls.m0))) == 8
         s479 = make_surface(4, 7, 9)
         for cls in classify_surface(s479):
-            assert margin_at_multiple(s479, cls, 1) == 16  # 153 - 137
+            count = h0(s479, DivisorSpec(cls.family, cls.m0))
+            assert margin_at_multiple(cls, 1, count) == 16  # 153 - 137
 
     def test_routing(self, s457):
         cls_minus, _ = classify_surface(s457)  # family B, m0 = 7
         with pytest.raises(ValueError, match="multiple of m0 = 7"):
-            margin_general(s457, cls_minus, "B", 7)
+            margin_general(s457, cls_minus, "B", 7, h0(s457, DivisorSpec("B", 7)))
         with pytest.raises(ValueError, match="multiple of m0 = 7"):
-            margin_general(s457, cls_minus, "B", 14)
+            margin_general(s457, cls_minus, "B", 14, h0(s457, DivisorSpec("B", 14)))
         # (C, 5) names the same divisor as the attaining (B, 7): 5*7 = 7*5.
         with pytest.raises(ValueError, match="attainment step t = 1"):
-            margin_general(s457, cls_minus, "C", 5)
+            margin_general(s457, cls_minus, "C", 5, h0(s457, DivisorSpec("C", 5)))
         with pytest.raises(ValueError, match="attainment step t = 2"):
-            margin_general(s457, cls_minus, "C", 10)
+            margin_general(s457, cls_minus, "C", 10, h0(s457, DivisorSpec("C", 10)))
         # Off-ray cells of the other family stay with margin_general:
         # (C, 7) has degree 7*7 = 49, not a multiple of 7*5 = 35.
-        assert isinstance(margin_general(s457, cls_minus, "C", 7), int)
+        count = h0(s457, DivisorSpec("C", 7))
+        assert isinstance(margin_general(s457, cls_minus, "C", 7, count), int)
         with pytest.raises(ValueError):
-            margin_general(s457, cls_minus, "B", 0)
+            margin_general(s457, cls_minus, "B", 0, 1)
         with pytest.raises(ValueError):
-            margin_at_multiple(s457, cls_minus, 0)
+            margin_at_multiple(cls_minus, 0, 1)
+
+    @pytest.mark.parametrize("family", ["AZ", "X"])
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_non_bc_family_is_rejected(self, s457, family, n):
+        # Read as family C, (AZ, 5) would sit on the I'- ray (5*7 = 7*5)
+        # and (AZ, 7) off it; only B and C cells have a margin.
+        cls_minus, _ = classify_surface(s457)
+        with pytest.raises(ValueError, match=f"got {family!r}"):
+            attainment_step(s457, cls_minus, family, n)
+        with pytest.raises(ValueError, match=f"got {family!r}"):
+            margin_general(s457, cls_minus, family, n, 1)
 
     def test_attainment_step(self, s457, s41323):
         cls_minus, cls_plus = classify_surface(s457)
@@ -126,7 +139,7 @@ class TestSweepOne:
         assert (cls.m0, cls.family, cls.nu0) == (1, "C", 3)
         assert attainment_step(surface, cls, "B", 11) == 5
         with pytest.raises(ValueError, match="attainment step t = 5"):
-            margin_general(surface, cls, "B", 11)
+            margin_general(surface, cls, "B", 11, h0(surface, DivisorSpec("B", 11)))
         report = sweep_one(surface, 22)
         rows = {(r["family"], r["n"]): r for r in report["rows"]}
         assert rows[("B", 11)] == {
@@ -167,6 +180,35 @@ class TestSweepOne:
                 assert row["rhs"] == rhs, (surface, row)
                 assert row["h0"] == h0(surface, DivisorSpec(family, n))
                 assert row["margin"] == rhs - row["h0"]
+
+
+    @pytest.mark.parametrize("b, c", [(13, 23), (5, 7)], ids=["P(4,13,23)", "P(4,5,7)"])
+    def test_each_cell_counted_once(self, b, c):
+        # The counts come from the gamma search's table: one h0 call per
+        # (family, n), however many classifications the surface has.
+        surface = make_surface(4, b, c)
+        h0.cache_clear()
+        sweep_one(surface, 30)
+        info = h0.cache_info()
+        assert (info.hits, info.misses) == (0, 60)
+
+    def test_cross_family_ray_cells_count_the_attaining_divisor(self, pool, named_surfaces):
+        # A cell of the other family on the attainment ray reads its count at
+        # (family, n), which names the attaining divisor at m0*t: same count,
+        # also where m0*t lies beyond the sweep's n_max = 200.
+        cells = beyond = 0
+        for surface in named_surfaces + [surface for surface, _, _ in pool]:
+            for cls in classify_surface(surface):
+                other = "C" if cls.family == "B" else "B"
+                for n in range(1, 201):
+                    t = attainment_step(surface, cls, other, n)
+                    if t is None:
+                        continue
+                    cells += 1
+                    beyond += cls.m0 * t > 200
+                    attaining = h0(surface, DivisorSpec(cls.family, cls.m0 * t))
+                    assert h0(surface, DivisorSpec(other, n)) == attaining, (surface, cls, n)
+        assert (cells, beyond) == (234, 48)  # the pool alone: (100, 23)
 
 
 class TestSweepAggregation:

@@ -134,10 +134,12 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+        sys.stdout.flush()
 
 
-def _emit_csv(rows: list[dict], fieldnames: list[str], output: str | None) -> None:
+def _render_csv(rows: list[dict]) -> str:
     buffer = io.StringIO()
+    fieldnames = list(rows[0].keys()) if rows else []
     writer = csv.DictWriter(buffer, fieldnames=fieldnames, lineterminator="\n")
     writer.writeheader()
     for row in rows:
@@ -145,17 +147,23 @@ def _emit_csv(rows: list[dict], fieldnames: list[str], output: str | None) -> No
             key: _fmt_rational(value) if isinstance(value, Fraction) else value
             for key, value in row.items()
         })
-    _emit(buffer.getvalue(), output)
+    return buffer.getvalue()
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("EFFCONE_JOBS")
-    if env:
+def _jobs(flag: int | None) -> int:
+    """Worker processes: ``--jobs``, else EFFCONE_JOBS, else every core."""
+    name, jobs = "--jobs", flag
+    if flag is None:
+        name, env = "EFFCONE_JOBS", os.environ.get("EFFCONE_JOBS")
+        if not env:
+            return os.cpu_count() or 1
         try:
-            return max(1, int(env))
+            jobs = int(env)
         except ValueError:
             raise ValueError(f"EFFCONE_JOBS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    if jobs < 1:
+        raise ValueError(f"{name} must be at least 1, got {jobs}")
+    return jobs
 
 
 def _cmd_count(args) -> tuple[dict, int]:
@@ -304,8 +312,7 @@ def _cmd_family(args) -> tuple[dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict | list, int]:
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
-    reports = sweep(args.surface, args.n_max, jobs=jobs)
+    reports = sweep(args.surface, args.n_max, jobs=_jobs(args.jobs))
     aggregate = aggregate_sweep(reports)
     ok = (
         aggregate["surfaces"] == 0
@@ -484,10 +491,22 @@ def main(argv: list[str] | None = None) -> int:
             print("effcone: error: CSV output is not available for this payload",
                   file=sys.stderr)
             return 2
-        fieldnames = list(payload[0].keys()) if payload else []
-        _emit_csv(payload, fieldnames, args.output)
+        text = _render_csv(payload)
     else:
-        _emit(_render_json(payload), getattr(args, "output", None))
+        text = _render_json(payload)
+    output = getattr(args, "output", None)
+    try:
+        _emit(text, output)
+    except OSError as exc:
+        if output:
+            print(f"effcone: error: cannot write --output: {exc}", file=sys.stderr)
+            return 2
+        if not isinstance(exc, BrokenPipeError):
+            raise
+        # The reader closed stdout (`| head`): send the final flush to /dev/null.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -78,18 +78,11 @@ def coefficients(surface: WeightedSurface, family: str, n: int) -> EhrhartCoeffs
         c2 = 2 * s
         c1 = (1 + s + Fraction(4, c)) / 2
         frac_4sn = Fraction((4 * b * n) % c, c)
-        frac_sn = Fraction((b * n) % c, c)
-        frac_4n_c = Fraction((4 * n) % c, c)
-        floor_4sn = (4 * b * n) // c
-        ell = floor_4sn % 4
-        r = floor_4sn % b
         c0 = (
             1
             - Fraction(c, 8 * b) * (frac_4sn * frac_4sn - frac_4sn)
-            - Fraction(5, 2) * frac_sn
-            + frac_sum(3, 4, ell)
-            + Fraction(b - 1, 2) * frac_4n_c
-            - frac_sum(-p, b, r)
+            + c0_middle_terms(surface, n)
+            + _c0_tail(surface, n)
         )
     elif family == FAMILY_C:
         c2 = 2 / s
@@ -122,6 +115,14 @@ def c0_middle_terms(surface: WeightedSurface, n: int) -> Fraction:
     return -Fraction(5, 2) * frac_sn + frac_sum(3, 4, ell)
 
 
+def _c0_tail(surface: WeightedSurface, n: int) -> Fraction:
+    """((b-1)/2){4n/c} - sum_{j=0}^{r} {-pj/b}, r = floor(4sn) mod b: the
+    last two terms of the family-B c0."""
+    b, c, p = surface.b, surface.c, surface.p
+    r = ((4 * b * n) // c) % b
+    return Fraction((b - 1) * ((4 * n) % c), 2 * c) - frac_sum(-p, b, r)
+
+
 def c0_upper_bound(surface: WeightedSurface, n: int) -> Fraction:
     """An upper bound for the family-B c0 at level n.
 
@@ -131,11 +132,8 @@ def c0_upper_bound(surface: WeightedSurface, n: int) -> Fraction:
     _require_hypotheses(surface)
     if n < 1:
         raise ValueError(f"require n >= 1, got {n}")
-    b, c, p = surface.b, surface.c, surface.p
-    frac_sn = Fraction((b * n) % c, c)
-    frac_4n_c = Fraction((4 * n) % c, c)
-    r = ((4 * b * n) // c) % b
-    tail = Fraction(b - 1, 2) * frac_4n_c - frac_sum(-p, b, r)
-    if frac_sn >= Fraction(1, 2) + Fraction(c, 80 * b):
+    b, c = surface.b, surface.c
+    tail = _c0_tail(surface, n)
+    if Fraction((b * n) % c, c) >= Fraction(1, 2) + Fraction(c, 80 * b):
         return 1 + tail
     return Fraction(9, 8) + Fraction(c, 32 * b) + tail

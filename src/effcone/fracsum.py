@@ -11,13 +11,32 @@ with alpha1*beta0 - beta1*alpha0 = sigma = +-1 at the cost of an explicit
 rational correction (:func:`step_error`); chaining steps down to (1, 2)
 evaluates the deficit in closed form (:func:`reduce_chain`).
 
-The step-error formula carries an integer jump term Delta.  Two policies are
-implemented (see :func:`step_error`): ``"paper"`` uses the literal published
-condition, ``"calibrated"`` solves for the value that makes the one-step
-reduction identity exact and asserts it lies in {0, 1}.  Exhaustive
-calibration (see the verify module) shows the two disagree on a documented
-set of sigma = -1 configurations; downstream chain reductions default to the
-calibrated policy so that totals always equal the directly-summed deficit.
+The step error carries an integer jump Delta.  ``"paper"`` takes it from the
+published condition; ``"calibrated"`` takes the value that makes the step
+identity exact, which is always 0:
+
+Theorem.  If alpha1*beta0 - beta1*alpha0 = sigma = +-1 with 1 <= beta1 <
+beta0 and u0 = beta1*t + u < beta0 with 0 <= u < beta1, then
+deficit(beta0, u0, alpha0) = deficit(beta1, u, alpha1) + E, where E is the
+Delta-free step error.
+
+Proof (the Euclid step of Dedekind-sum reciprocity).  For j = beta1*t' + u'
+<= u0 with 0 <= u' < beta1, alpha0*j/beta0 = alpha1*t' + alpha1*u'/beta1 -
+sigma*e with e = j/(beta0*beta1) in [0, 1/beta1).  As gcd(alpha1, beta1) = 1,
+{alpha1*u'/beta1} lies in [1/beta1, 1 - 1/beta1] unless u' = 0, so the shift
+by -sigma*e leaves [0, 1) only when u' = 0, t' >= 1 and sigma = 1:
+{alpha0*j/beta0} = {alpha1*u'/beta1} - sigma*e + [sigma = 1, u' = 0, t' >= 1].
+Summed over j <= u0: the t full blocks give t(beta1-1)/2, the last block the
+sum S1 of {alpha1*u'/beta1} over u' <= u, the e terms
+-sigma*u0(u0+1)/(2*beta0*beta1), and the bracket t*[sigma = 1].  S1 is the
+sum inside deficit(beta1, u, alpha1), so it cancels, and 2*beta0*beta1 times
+the deficit difference is (u+1)(sigma*u + beta0 - beta1) + t*beta1*(sigma*
+beta1*t + sigma*(2u+1) - beta1 + beta0 - 2*beta0*[sigma = 1]).  As beta0 -
+2*beta0*[sigma = 1] = -sigma*beta0, that is 2*beta0*beta1*E.  (For beta1 = 1
+every u' is 0.)
+
+The verify module's exhaustive calibration checks this independently and
+finds the published jump wrong on a documented set of sigma = -1 steps.
 """
 
 from __future__ import annotations
@@ -147,18 +166,6 @@ def _step_error_base(sigma: int, t: int, u: int, beta0: int, beta1: int) -> Frac
     return first + second
 
 
-def _canonical_partner(sigma: int, beta0: int, beta1: int) -> tuple[int, int]:
-    """The unique alpha0 in [1, beta0) (with partner alpha1) realizing
-    alpha1*beta0 - beta1*alpha0 = sigma; bumps representatives when the
-    least one gives alpha1 = 0 (only possible for beta1 = 1, sigma = -1)."""
-    alpha0 = (-sigma * pow(beta1, -1, beta0)) % beta0
-    alpha1 = (sigma + beta1 * alpha0) // beta0
-    if alpha1 == 0:
-        alpha0 += beta0
-        alpha1 += beta1
-    return alpha0, alpha1
-
-
 def _check_step(sigma: int, t: int, u: int, beta0: int, beta1: int) -> None:
     """The range of one reduction step: sigma = +-1, t >= 0, 0 <= u < beta1 < beta0."""
     if sigma not in (-1, 1):
@@ -178,16 +185,10 @@ def paper_delta(sigma: int, t: int, u: int, beta0: int, beta1: int) -> int:
 
 
 def calibrated_delta(sigma: int, t: int, u: int, beta0: int, beta1: int) -> int:
-    """The jump that makes the one-step reduction identity exact.
-
-    Solved from deficit(beta0, u0, alpha0) = deficit(beta1, u, alpha1)
-    + base + Delta with u0 = beta1*t + u, using the canonical coprime
-    partner pair (the identity depends on alpha0 only through its residue
-    class mod beta0, so the canonical representative is fully general).
-    Asserted to lie in {0, 1}; anything else falsifies the model.  Takes
-    the inputs of :func:`step_error`, with gcd(beta0, beta1) = 1 (else no
-    partner pair exists).
-    """
+    """The jump that makes the one-step reduction identity exact: 0 by the
+    module's theorem, for every partner pair.  Takes the inputs of
+    :func:`step_error`; raises ``ValueError`` unless gcd(beta0, beta1) = 1
+    (a partner pair exists) and beta1*t + u < beta0 (u0 is in range)."""
     _check_step(sigma, t, u, beta0, beta1)
     g = gcd(beta0, beta1)
     if g != 1:
@@ -197,15 +198,7 @@ def calibrated_delta(sigma: int, t: int, u: int, beta0: int, beta1: int) -> int:
         raise ValueError(
             f"calibrated jump needs beta1*t + u < beta0, got {u0} >= {beta0}"
         )
-    alpha0, alpha1 = _canonical_partner(sigma, beta0, beta1)
-    base = _step_error_base(sigma, t, u, beta0, beta1)
-    delta = deficit(beta0, u0, alpha0) - deficit(beta1, u, alpha1) - base
-    if delta.denominator != 1 or delta.numerator not in (0, 1):
-        raise ValueError(
-            f"calibrated jump {delta} outside {{0, 1}} at "
-            f"(sigma={sigma}, t={t}, u={u}, beta0={beta0}, beta1={beta1})"
-        )
-    return delta.numerator
+    return 0
 
 
 def step_error(
@@ -218,7 +211,8 @@ def step_error(
         + sigma*t*(beta1*(t - sigma) + 2u + 1 - beta0)/(2*beta0)
         + Delta
     for sigma = +-1 and 0 <= u < beta1 < beta0, with Delta chosen by
-    ``delta`` ("paper" or "calibrated"; see the module docstring).
+    ``delta``: the published condition (``"paper"``) or, after the range
+    check of :func:`calibrated_delta`, 0 (``"calibrated"``).
 
     >>> step_error(1, 0, 1, 5, 2)
     Fraction(2, 5)
@@ -366,10 +360,10 @@ class ReductionTrace:
 def reduce_chain(chain: ReductionChain, u0: int, delta: str = "calibrated") -> ReductionTrace:
     """Run the chain: deficit(beta_0, u0, alpha_0) = terminal + sum of step errors.
 
-    Under the calibrated policy the identity is exact by construction of
-    each step's jump; under the paper policy the total can drift from the
-    true deficit by the documented jump disagreements.  When the chain ends
-    at (1, 2) the terminal deficit is 1/4 (if u_N = 0) or 0 (if u_N = 1).
+    Under the calibrated policy the identity is exact (every jump is 0, by
+    the module's theorem); under the paper policy the total can drift from
+    the true deficit by the documented jump disagreements.  When the chain
+    ends at (1, 2) the terminal deficit is 1/4 (if u_N = 0) or 0 (if u_N = 1).
     """
     a0, b0 = chain.pairs[0]
     if not 0 <= u0 < b0:

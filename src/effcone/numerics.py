@@ -2,7 +2,7 @@
 
 Most of this is thin glue over :mod:`fractions`: the point is to centralize
 the few conventions the package relies on (rationals are always
-:class:`fractions.Fraction`, fractional parts live in ``[0, 1)``); gcds and
+:class:`fractions.Fraction`, never floats); gcds and
 modular inverses come from :func:`math.gcd` and ``pow(a, -1, m)``.  The one
 algorithm is :func:`floor_sum_linear`, the Euclid-like floor-sum kernel
 behind both the lattice-point counter and the fractional-part sums.
@@ -14,7 +14,6 @@ from fractions import Fraction
 
 __all__ = [
     "as_rational",
-    "frac",
     "floor_sum_linear",
     "triangular",
 ]
@@ -30,18 +29,6 @@ def as_rational(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("refusing to convert float to exact rational; pass a Fraction or string")
     return Fraction(value)
-
-
-def frac(x) -> Fraction:
-    """Fractional part ``{x} = x - floor(x)``, always in ``[0, 1)``.
-
-    >>> frac(Fraction(20, 7))
-    Fraction(6, 7)
-    >>> frac(Fraction(-3, 4))
-    Fraction(1, 4)
-    """
-    x = as_rational(x)
-    return x - (x.numerator // x.denominator)
 
 
 def floor_sum_linear(n: int, m: int, a: int, b: int) -> int:

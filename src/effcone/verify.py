@@ -56,8 +56,8 @@ __all__ = [
 
 
 class CalibrationError(Exception):
-    """The forced step-error jump fell outside {0, 1}: the calibrated model
-    is falsified (this is a data-level failure, not an input error)."""
+    """:func:`calibrate_delta` found a forced jump outside {0, 1}, which the
+    fracsum theorem (the jump is 0) rules out: a data failure, not an input error."""
 
 
 def _degrees(
@@ -180,15 +180,15 @@ def sweep_one(surface: WeightedSurface, n_max: int) -> dict:
 def sweep(surfaces: list[WeightedSurface], n_max: int, jobs: int | None = None) -> list[dict]:
     """Margin reports for each surface, in input order.
 
-    ``jobs > 1`` distributes surfaces over worker processes; the output is
-    deterministic either way.  A ``ValueError`` from one surface (e.g. one
-    outside every classification interval) is raised again with the surface
-    in front of its message.
+    ``jobs > 1`` spreads the surfaces over min(jobs, len(surfaces)) worker
+    processes; the output is deterministic either way.  A ``ValueError``
+    from one surface (e.g. one outside every classification interval) is
+    raised again with the surface in front of its message.
     """
     if not surfaces:
         return []
     if jobs is not None and jobs > 1 and len(surfaces) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as executor:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(surfaces))) as executor:
             return list(executor.map(partial(_sweep_named, n_max=n_max), surfaces))
     return [_sweep_named(surface, n_max) for surface in surfaces]
 

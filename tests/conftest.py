@@ -14,6 +14,8 @@ literal loops it replaced, kept here as oracles with their own arithmetic.
 ``Fraction`` arithmetic that ``surface.polytope`` replaced by integers.
 :func:`jsonable` is the payload copy the CLI's JSON writer replaced: with
 ``json.dumps(..., indent=2, sort_keys=True)`` it is the writer's oracle.
+:func:`forced_jump` is the deficit subtraction ``fracsum.calibrated_delta``
+made before the jump was proved to be 0; it is that proof's oracle.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from effcone import (
     FamilyRequest,
     branch_interval,
     classify_surface,
+    deficit,
     make_surface,
     solve_family,
 )
@@ -47,6 +50,35 @@ def monomial_count(a: int, b: int, c: int, degree: int) -> int:
 def frac_sum_direct(alpha: int, beta: int, u: int) -> Fraction:
     """sum_{j=0}^{u} {alpha*j/beta}, term by term."""
     return Fraction(sum((alpha * j) % beta for j in range(u + 1)), beta)
+
+
+def canonical_partner(sigma: int, beta0: int, beta1: int) -> tuple[int, int]:
+    """The unique alpha0 in [1, beta0) (with partner alpha1) realizing
+    alpha1*beta0 - beta1*alpha0 = sigma; bumps representatives when the
+    least one gives alpha1 = 0 (only possible for beta1 = 1, sigma = -1)."""
+    alpha0 = (-sigma * pow(beta1, -1, beta0)) % beta0
+    alpha1 = (sigma + beta1 * alpha0) // beta0
+    if alpha1 == 0:
+        alpha0 += beta0
+        alpha1 += beta1
+    return alpha0, alpha1
+
+
+def forced_jump(sigma: int, t: int, u: int, beta0: int, beta1: int, alpha0=None) -> Fraction:
+    """The jump the one-step identity forces, back-solved from two deficits:
+    deficit(beta0, u0, alpha0) - deficit(beta1, u, alpha1) minus the
+    Delta-free step error, with u0 = beta1*t + u.  ``alpha0`` defaults to
+    the canonical partner; any alpha0 with beta1*alpha0 = -sigma mod beta0
+    works, and its partner alpha1 follows from the +-1 relation."""
+    if alpha0 is None:
+        alpha0, alpha1 = canonical_partner(sigma, beta0, beta1)
+    else:
+        alpha1, rem = divmod(sigma + beta1 * alpha0, beta0)
+        assert rem == 0, (sigma, alpha0, beta0, beta1)
+    base = Fraction((u + 1) * (sigma * u + beta0 - beta1), 2 * beta0 * beta1) + Fraction(
+        sigma * t * (beta1 * (t - sigma) + 2 * u + 1 - beta0), 2 * beta0
+    )
+    return deficit(beta0, beta1 * t + u, alpha0) - deficit(beta1, u, alpha1) - base
 
 
 def polytope_fraction(surface, family: str, n: int):

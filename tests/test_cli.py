@@ -4,8 +4,11 @@ golden digests of captured outputs."""
 
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import effcone.verify
 from conftest import jsonable
 from effcone import cli
 from effcone.cli import main
@@ -275,6 +279,42 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "EFFCONE_JOBS" in err and "'x'" in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_is_a_usage_error(self, capsys, jobs):
+        assert main(["verify", "--surface", "4,5,7", "--n-max", "2", "--jobs", jobs]) == 2
+        assert capsys.readouterr().err == (
+            f"effcone: error: --jobs must be at least 1, got {jobs}\n"
+        )
+
+    @pytest.mark.parametrize("env", ["0", "-4"])
+    def test_jobs_variable_below_one_is_a_usage_error(self, capsys, monkeypatch, env):
+        monkeypatch.setenv("EFFCONE_JOBS", env)
+        assert main(["verify", "--surface", "4,5,7", "--n-max", "2"]) == 2
+        assert capsys.readouterr().err == (
+            f"effcone: error: EFFCONE_JOBS must be at least 1, got {env}\n"
+        )
+
+    def test_pool_is_sized_by_the_surfaces(self, capsys, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(effcone.verify, "ProcessPoolExecutor", InProcessPool)
+        argv = ["verify", "--surface", "4,5,7", "--surface", "4,13,23", "--n-max", "4"]
+        assert run(capsys, *argv, "--jobs", "64") == run(capsys, *argv, "--jobs", "1")
+        assert sizes == [2]
+
 
 class TestCalibrate:
     def test_summary_omits_instances(self, capsys):
@@ -308,6 +348,33 @@ class TestHarness:
         assert code == 0
         assert capsys.readouterr().out == ""
         assert json.loads(target.read_text())["h0"] == 79
+
+    @pytest.mark.parametrize("argv", [
+        ("h0", "--surface", "4,5,7", "--family", "B", "--n", "3"),
+        ("gamma", "--surface", "4,5,7", "--n-max", "3", "--format", "csv"),
+    ], ids=["json", "csv"])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path, argv, where):
+        target = str(tmp_path / "no" / "x.out" if where == "missing-directory" else tmp_path)
+        assert main([*argv, "--output", target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("effcone: error: ") and target in captured.err
+
+    def test_closed_stdout_pipe_is_quiet(self):
+        # The payload (about 470 KB) overruns the pipe buffer, so the writer
+        # is still writing when the reader goes away.
+        env = dict(os.environ, PYTHONPATH=str(Path(effcone.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "effcone.cli", "calibrate-delta", "--beta-max", "30",
+             "--instances"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.read(64).startswith(b"{")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 0
+        assert "Traceback" not in err and "Error" not in err
 
     def test_version_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -25,7 +25,7 @@ from effcone import (
     step_error_bounds,
 )
 
-from conftest import frac_sum_direct
+from conftest import forced_jump, frac_sum_direct
 
 coprime_pairs = st.tuples(st.integers(1, 60), st.integers(1, 60)).filter(
     lambda ab: gcd(*ab) == 1
@@ -199,7 +199,7 @@ class TestStepError:
                 and gcd(beta0, beta1) == 1 and beta1 * t + u < beta0
             )
             if valid:
-                assert calibrated_delta(sigma, t, u, beta0, beta1) in (0, 1)
+                assert calibrated_delta(sigma, t, u, beta0, beta1) == 0
             else:
                 with pytest.raises(ValueError):
                     calibrated_delta(sigma, t, u, beta0, beta1)
@@ -227,9 +227,54 @@ class TestStepError:
                         )
                         got = step_error(sigma, t, u, beta0, beta1, delta="calibrated")
                         assert got == expected
-                        assert calibrated_delta(sigma, t, u, beta0, beta1) in (0, 1)
+                        assert calibrated_delta(sigma, t, u, beta0, beta1) == 0
                         checked += 1
         assert checked > 2000
+
+
+@st.composite
+def partner_steps(draw):
+    """(sigma, t, u, beta0, beta1, alpha0): any alpha0 coprime to beta0, the
+    partner beta1 < beta0 its +-1 relation fixes, and any u0 < beta0."""
+    beta0 = draw(st.one_of(st.integers(2, 60), st.integers(2, 10**18)))
+    alpha0 = draw(st.integers(-10**20, 10**20).filter(lambda a: gcd(a, beta0) == 1))
+    sigma = draw(st.sampled_from((1, -1)))
+    beta1 = (-sigma * pow(alpha0, -1, beta0)) % beta0
+    u0 = draw(st.one_of(
+        st.integers(0, beta0 - 1), st.sampled_from((0, beta0 - beta1, beta0 - 1)),
+    ))
+    t, u = divmod(u0, beta1)
+    return sigma, t, u, beta0, beta1, alpha0
+
+
+class TestCalibratedJumpTheorem:
+    """The jump is 0 for every partner pair (the fracsum module's theorem),
+    checked against the two-deficit oracle away from any exhaustive grid."""
+
+    @given(partner_steps())
+    @settings(max_examples=300)
+    @example((-1, 2, 0, 5, 2, 3))  # the published jump fires here; the true one is 0
+    @example((1, 4, 0, 5, 1, 4))  # beta1 = 1: every u' is 0
+    @example((-1, 4, 0, 5, 1, 1))  # beta1 = 1, sigma = -1, alpha1 = 0
+    @example((1, 1, 289156626506024098, 10**18 + 9, 710843373493975910, -(10**19 + 7)))
+    def test_identity_without_jump(self, step):
+        sigma, t, u, beta0, beta1, alpha0 = step
+        alpha1 = (sigma + beta1 * alpha0) // beta0
+        assert forced_jump(sigma, t, u, beta0, beta1, alpha0) == 0
+        assert calibrated_delta(sigma, t, u, beta0, beta1) == 0
+        assert deficit(beta0, beta1 * t + u, alpha0) == deficit(beta1, u, alpha1) + step_error(
+            sigma, t, u, beta0, beta1, delta="calibrated"
+        )
+
+    def test_oracle_on_canonical_partners(self):
+        # The canonical partner the library used to back-solve the jump.
+        for beta0 in range(2, 40):
+            for beta1 in range(1, beta0):
+                if gcd(beta0, beta1) != 1:
+                    continue
+                for sigma, u0 in product((1, -1), range(beta0)):
+                    t, u = divmod(u0, beta1)
+                    assert forced_jump(sigma, t, u, beta0, beta1) == 0
 
 
 class TestAlgebraicForms:

@@ -1,5 +1,5 @@
-"""Exact-arithmetic helpers: fractional part, rational coercion, triangular
-numbers, and the floor-sum kernel."""
+"""Exact-arithmetic helpers: rational coercion, triangular numbers, and the
+floor-sum kernel."""
 
 from fractions import Fraction
 from math import gcd
@@ -12,33 +12,8 @@ from effcone import (
     as_rational,
     floor_sum,
     floor_sum_linear,
-    frac,
     triangular,
 )
-
-
-class TestFrac:
-    @pytest.mark.parametrize(
-        "value, expected",
-        [
-            (Fraction(20, 7), Fraction(6, 7)),
-            (Fraction(-3, 4), Fraction(1, 4)),
-            (Fraction(-8, 4), Fraction(0)),
-            (5, Fraction(0)),
-            (0, Fraction(0)),
-            (Fraction(3, 10), Fraction(3, 10)),
-        ],
-    )
-    def test_frozen(self, value, expected):
-        assert frac(value) == expected
-
-    @given(st.integers(-10**6, 10**6), st.integers(1, 10**4))
-    def test_range_and_shift(self, num, den):
-        x = Fraction(num, den)
-        f = frac(x)
-        assert 0 <= f < 1
-        assert (x - f).denominator == 1
-        assert frac(x + 7) == f
 
 
 class TestAsRational:

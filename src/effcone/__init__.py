@@ -37,7 +37,7 @@ from .lattice import (
     point,
     triangle,
 )
-from .numerics import as_rational, floor_sum_linear, triangular
+from .numerics import as_rational, floor_sum_linear
 from .surface import (
     FAMILY_AZ,
     FAMILY_B,
@@ -80,7 +80,7 @@ from .verify import (
 __all__ = [
     "__version__",
     # numerics
-    "as_rational", "floor_sum_linear", "triangular",
+    "as_rational", "floor_sum_linear",
     # lattice
     "RationalPoint", "RationalTriangle", "point", "triangle",
     "count_points_rowscan", "count_points_pick", "contains_point",

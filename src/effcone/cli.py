@@ -12,13 +12,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from . import __version__
 from .ehrhart import coefficients
@@ -31,36 +30,58 @@ from .verify import CalibrationError, aggregate_sweep, calibrate_delta, sweep
 
 __all__ = ["main"]
 
-# Bare negative numbers or coordinate pairs ("-5,0", "-9/2,3", "-4") would be
-# eaten by argparse as option strings; a leading space defuses that and is
-# stripped again by the value parsers.
-_NEGATIVE_VALUE = re.compile(r"^-\d+(/\d+)?(,-?\d+(/\d+)?)*$")
+# Negative values ("-5,0", "-9/2,3", "-1.5,2", "-1e1") would be eaten by
+# argparse as option strings, and no option starts with "-" and a digit or
+# ".": a leading space defuses them and is stripped again by the value parsers.
+# argv[0], the command or an option, is never a value and is left alone.
+_NEGATIVE_VALUE = re.compile(r"^-[\d.]")
 
 
 def _shield_negatives(argv: list[str]) -> list[str]:
-    return [" " + tok if _NEGATIVE_VALUE.match(tok) else tok for tok in argv]
+    return argv[:1] + [" " + tok if _NEGATIVE_VALUE.match(tok) else tok for tok in argv[1:]]
+
+
+# Value parsers raise ArgumentTypeError, whose message argparse prints as is:
+# a ValueError it reports by the parser's name, a ZeroDivisionError not at all.
+def _parse_int(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {token.strip()!r}") from None
 
 
 def _parse_rational(token: str) -> Fraction:
-    # argparse reports ValueError but not ZeroDivisionError as a usage error.
+    token = token.strip()
     try:
-        return Fraction(token.strip())
+        return Fraction(token)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except ZeroDivisionError:
-        raise argparse.ArgumentTypeError(f"zero denominator in {token.strip()!r}") from None
+        raise argparse.ArgumentTypeError(f"zero denominator in {token!r}") from None
 
 
 def _parse_pair(token: str) -> tuple[Fraction, Fraction]:
     parts = token.strip().split(",")
     if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected 'x,y', got {token!r}")
+        raise argparse.ArgumentTypeError(f"expected 'x,y', got {token.strip()!r}")
     return (_parse_rational(parts[0]), _parse_rational(parts[1]))
+
+
+def _parse_head(token: str) -> tuple[int, int]:
+    alpha, beta = _parse_pair(token)
+    if alpha.denominator != 1 or beta.denominator != 1:
+        raise argparse.ArgumentTypeError(f"expected integers 'alpha,beta', got {token.strip()!r}")
+    return int(alpha), int(beta)
 
 
 def _parse_surface(token: str) -> WeightedSurface:
     parts = token.strip().split(",")
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected 'a,b,c', got {token!r}")
-    return make_surface(int(parts[0]), int(parts[1]), int(parts[2]))
+        raise argparse.ArgumentTypeError(f"expected 'a,b,c', got {token.strip()!r}")
+    try:
+        return make_surface(*map(int, parts))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _fmt_rational(x: Fraction) -> str:
@@ -74,11 +95,11 @@ def _json_default(obj) -> str:
 
 
 @lru_cache(maxsize=None)
-def _json_encoder(depth: int) -> json.JSONEncoder:
-    """C encoder for a container of scalars whose items sit at ``depth``."""
-    return json.JSONEncoder(
-        sort_keys=True, separators=(",\n" + "  " * depth, ": "), default=_json_default,
-    )
+def _json_encoder(depth: int):
+    """C encoder for a scalar, or a container of scalars whose items sit at
+    ``depth``; no cycle markers, as such a container cannot hold itself."""
+    return c_make_encoder(None, _json_default, encode_basestring_ascii, None,
+                          ": ", ",\n" + "  " * depth, True, False, True)
 
 
 # Types the C encoder renders by itself (Fraction through ``_json_default``).
@@ -93,7 +114,7 @@ def _write_json(obj, depth: int, out: list[str]) -> None:
     containers that hold containers, whose dict keys must be str.
     """
     if not isinstance(obj, (dict, list, tuple)):
-        out.append(_json_encoder(0).encode(obj))
+        out.append("".join(_json_encoder(0)(obj, 0)))
         return
     if not obj:
         out.append("{}" if isinstance(obj, dict) else "[]")
@@ -102,7 +123,7 @@ def _write_json(obj, depth: int, out: list[str]) -> None:
     inner = "\n" + "  " * (depth + 1)
     close = "\n" + "  " * depth + ("}" if is_dict else "]")
     if _SCALARS.issuperset(map(type, obj.values() if is_dict else obj)):
-        text = _json_encoder(depth + 1).encode(obj)
+        text = "".join(_json_encoder(depth + 1)(obj, 0))
         out += (text[0], inner, text[1:-1], close)
         return
     out.append("{" if is_dict else "[")
@@ -244,13 +265,6 @@ def _cmd_lower_bound(args) -> tuple[dict, int]:
     }, 0
 
 
-def _head_pair(raw) -> tuple[int, int]:
-    alpha, beta = raw
-    if alpha.denominator != 1 or beta.denominator != 1:
-        raise ValueError(f"--head expects integers 'alpha,beta', got {raw}")
-    return int(alpha), int(beta)
-
-
 def _cmd_reduce(args) -> tuple[dict, int]:
     if (args.entry is None) != (args.k is None):
         raise ValueError("--entry and --k must be given together")
@@ -263,7 +277,7 @@ def _cmd_reduce(args) -> tuple[dict, int]:
             raise ValueError("--surface prepends onto a standard chain; add --entry/--k")
         if args.c_case:
             raise ValueError("--c-case applies to standard chains only")
-        alpha, beta = _head_pair(args.head)
+        alpha, beta = args.head
         chain = ReductionChain(pairs=((alpha, beta), (1, 2)), sigmas=(beta - 2 * alpha,))
     else:
         chain = standard_chain(args.entry, args.k, c_case=args.c_case)
@@ -273,7 +287,7 @@ def _cmd_reduce(args) -> tuple[dict, int]:
                 raise ValueError(f"prepending requires p < 0, got {surface}")
             chain = chain.prepend(-surface.p, surface.b)
         elif args.head is not None:
-            chain = chain.prepend(*_head_pair(args.head))
+            chain = chain.prepend(*args.head)
     trace = reduce_chain(chain, args.u0, delta=args.delta)
     head_alpha, head_beta = chain.pairs[0]
     direct = deficit(head_beta, args.u0, head_alpha)
@@ -357,7 +371,7 @@ def _args_count(p) -> None:
 def _args_divisor(p, families=("B", "C", "AZ")) -> None:
     _add_surface(p)
     p.add_argument("--family", choices=families, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_parse_int, required=True)
     _add_output(p)
 
 
@@ -367,13 +381,13 @@ def _args_ehrhart(p) -> None:
 
 def _args_gamma(p) -> None:
     _add_surface(p)
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_parse_int, required=True)
     _add_output(p, formats=("json", "csv"))
 
 
 def _args_classify(p) -> None:
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--b", type=_parse_int, required=True)
+    p.add_argument("--p", type=_parse_int, required=True)
     _add_output(p)
 
 
@@ -383,27 +397,27 @@ def _args_lower_bound(p) -> None:
 
 
 def _args_reduce(p) -> None:
-    p.add_argument("--entry", type=int, choices=(1, 2, 3, 4),
+    p.add_argument("--entry", type=_parse_int, choices=(1, 2, 3, 4),
                    help="standard chain entry (with --k)")
-    p.add_argument("--k", type=int, help="standard chain parameter")
+    p.add_argument("--k", type=_parse_int, help="standard chain parameter")
     p.add_argument("--c-case", action="store_true",
                    help="flip the lead sigma (family-C head variant)")
-    p.add_argument("--u0", type=int, required=True)
+    p.add_argument("--u0", type=_parse_int, required=True)
     p.add_argument("--delta", choices=("paper", "calibrated"), default="calibrated")
     head = p.add_mutually_exclusive_group()
     head.add_argument("--surface", type=_parse_surface, metavar="A,B,C",
                       help="prepend the head (-p, b) of this surface")
-    head.add_argument("--head", type=_parse_pair, metavar="ALPHA,BETA",
+    head.add_argument("--head", type=_parse_head, metavar="ALPHA,BETA",
                       help="head pair: prepended, or with no --entry the chain "
                            "(alpha,beta) -> (1,2)")
     _add_output(p)
 
 
 def _args_family(p) -> None:
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--beta", type=int, required=True)
-    p.add_argument("--tau", type=int, choices=(1, -1), required=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--alpha", type=_parse_int, required=True)
+    p.add_argument("--beta", type=_parse_int, required=True)
+    p.add_argument("--tau", type=_parse_int, choices=(1, -1), required=True)
+    p.add_argument("--count", type=_parse_int, required=True)
     p.add_argument("--interval", type=_parse_pair, metavar="LO,HI",
                    help="keep only abscissas in this closed interval")
     _add_output(p)
@@ -412,14 +426,14 @@ def _args_family(p) -> None:
 def _args_verify(p) -> None:
     p.add_argument("--surface", type=_parse_surface, action="append", required=True,
                    metavar="A,B,C", help="repeatable")
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--jobs", type=int,
+    p.add_argument("--n-max", type=_parse_int, required=True)
+    p.add_argument("--jobs", type=_parse_int,
                    help="worker processes (default: EFFCONE_JOBS or all cores)")
     _add_output(p, formats=("json", "csv"))
 
 
 def _args_calibrate(p) -> None:
-    p.add_argument("--beta-max", type=int, required=True)
+    p.add_argument("--beta-max", type=_parse_int, required=True)
     p.add_argument("--instances", action="store_true",
                    help="include every disagreement instance in the payload")
     _add_output(p)

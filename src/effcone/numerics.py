@@ -15,7 +15,6 @@ from fractions import Fraction
 __all__ = [
     "as_rational",
     "floor_sum_linear",
-    "triangular",
 ]
 
 
@@ -64,10 +63,3 @@ def floor_sum_linear(n: int, m: int, a: int, b: int) -> int:
         n, b = divmod(top, m)
         m, a = a, m
 
-
-def triangular(d: int) -> int:
-    """The triangular number ``d*(d+1)/2`` (number of monomials of degree < d
-    in two variables, ``binomial(d+1, 2)``)."""
-    if d < 0:
-        raise ValueError(f"expected d >= 0, got {d}")
-    return d * (d + 1) // 2

@@ -97,37 +97,28 @@ def outer_bound(k: int) -> Fraction:
     return Fraction(16 * k * k, 8 * k * k - 4 * k - 1)
 
 
-def branch_interval(k: int, branch: str) -> tuple[Fraction, Fraction]:
-    """Closed endpoints [lo, hi] of one sub-interval at level k."""
+def _level(k: int) -> tuple[tuple[str, Fraction, Fraction, int, str, int], ...]:
+    """The four rows (branch, lo, hi, m0, family, nu0) of level k, in the
+    order of the module docstring's table."""
     if k < 1:
         raise ValueError(f"require k >= 1, got {k}")
     mid_left = Fraction(2 * k + 1, k)
     mid_right = Fraction(4 * (2 * k + 1) ** 2, 8 * k * k + 4 * k - 1)
-    if branch == "I'-":
-        return (outer_bound(k + 1), mid_left)
-    if branch == "I'+":
-        return (mid_left, mid_right)
-    if branch == "I''-":
-        return (mid_right, Fraction(4 * k, 2 * k - 1))
-    if branch == "I''+":
-        return (Fraction(4 * k, 2 * k - 1), outer_bound(k))
-    raise ValueError(f"unknown branch {branch!r}; expected one of {BRANCHES}")
-
-
-def _classification(k: int, branch: str, b: int, c: int) -> Classification:
-    if branch == "I'-":
-        m0, family, nu0 = 2 * k + 3, FAMILY_B, 4 * (k + 1)
-    elif branch == "I'+":
-        m0, family, nu0 = 2 * k + 1, FAMILY_C, 4 * (k + 1)
-    elif branch == "I''-":
-        m0, family, nu0 = k + 1, FAMILY_B, 2 * k + 1
-    else:  # I''+
-        m0, family, nu0 = k, FAMILY_C, 2 * k + 1
-    scale = c if family == FAMILY_B else b
-    return Classification(
-        k=k, branch=branch, m0=m0, family=family, nu0=nu0,
-        gamma_pred=Fraction(nu0 * scale, m0),
+    three_quarter = Fraction(4 * k, 2 * k - 1)
+    return (
+        ("I'-", outer_bound(k + 1), mid_left, 2 * k + 3, FAMILY_B, 4 * (k + 1)),
+        ("I'+", mid_left, mid_right, 2 * k + 1, FAMILY_C, 4 * (k + 1)),
+        ("I''-", mid_right, three_quarter, k + 1, FAMILY_B, 2 * k + 1),
+        ("I''+", three_quarter, outer_bound(k), k, FAMILY_C, 2 * k + 1),
     )
+
+
+def branch_interval(k: int, branch: str) -> tuple[Fraction, Fraction]:
+    """Closed endpoints [lo, hi] of one sub-interval at level k."""
+    for label, lo, hi, *_ in _level(k):
+        if label == branch:
+            return (lo, hi)
+    raise ValueError(f"unknown branch {branch!r}; expected one of {BRANCHES}")
 
 
 def classify(b: int, p: int) -> list[Classification]:
@@ -151,10 +142,12 @@ def classify(b: int, p: int) -> list[Classification]:
     while outer_bound(k + 1) > x:
         k += 1
     for level in (k, k + 1) if x == outer_bound(k + 1) else (k,):
-        for branch in BRANCHES:
-            lo, hi = branch_interval(level, branch)
+        for branch, lo, hi, m0, family, nu0 in _level(level):
             if lo <= x <= hi:
-                found.append(_classification(level, branch, b, c))
+                found.append(Classification(
+                    k=level, branch=branch, m0=m0, family=family, nu0=nu0,
+                    gamma_pred=Fraction(nu0 * (c if family == FAMILY_B else b), m0),
+                ))
     return found
 
 
@@ -177,10 +170,7 @@ class GammaSearchResult:
 def _search_families(surface: WeightedSurface) -> tuple[tuple[str, int], ...]:
     """(family, scale) pairs contributing candidate values scale*nu/n."""
     if surface.a == 4:
-        if surface.q != 3:
-            raise ValueError(
-                f"gamma search on a = 4 needs q = 3 (B/C polytope shapes), got {surface}"
-            )
+        # polytope() refuses the B/C shapes unless q = 3 as well.
         return ((FAMILY_B, surface.c), (FAMILY_C, surface.b))
     # a <= 3: only the AZ family (n*a*D_z ~ (n/b)H) is available.
     return ((FAMILY_AZ, surface.b),)

@@ -34,10 +34,9 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import partial
-from math import gcd
+from math import comb, gcd
 
 from .fracsum import paper_delta
-from .numerics import triangular
 # h0 is not called here; it stays bound because bench/test_bench.py checks
 # that the tracer rebinds and restores verify.h0.
 from .surface import FAMILY_B, FAMILY_C, WeightedSurface, h0  # noqa: F401
@@ -104,7 +103,7 @@ def margin_general(
             "use margin_at_multiple"
         )
     level = -(-cls.nu0 * degree // base)  # ceil(nu0*n*delta'/(m0*delta))
-    return triangular(level) + 1 - count
+    return comb(level + 1, 2) + 1 - count
 
 
 def margin_at_multiple(cls: Classification, t: int, count: int) -> int:
@@ -120,7 +119,7 @@ def margin_at_multiple(cls: Classification, t: int, count: int) -> int:
     """
     if t < 1:
         raise ValueError(f"require t >= 1, got {t}")
-    return triangular(cls.nu0 * t + 1) - count
+    return comb(cls.nu0 * t + 2, 2) - count
 
 
 def sweep_one(surface: WeightedSurface, n_max: int) -> dict:

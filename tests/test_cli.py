@@ -491,6 +491,64 @@ class TestParser:
         assert cli._parse_args(argv) == cli._build_parser().parse_args(argv)
 
 
+def cli_outcome(capsys, argv):
+    """Exit code and stdout + stderr of one call, whether argparse exits or
+    the handler returns."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out + captured.err
+
+
+# argv with a value that argparse rejects, and the reason it must print.
+VALUE_ERRORS = [
+    (["h0", "--surface", "4,6,7", "--family", "B", "--n", "1"],
+     "argument --surface: weights (4, 6, 7) are not pairwise coprime"),
+    (["h0", "--surface", "-4,5", "--family", "B", "--n", "1"],
+     "argument --surface: expected 'a,b,c', got '-4,5'"),
+    (["count", "--tri", "0,0", "-1", "0,1"],
+     "argument --tri: expected 'x,y', got '-1'"),
+    (["reduce", "--head", "1/2,5", "--u0", "1"],
+     "argument --head: expected integers 'alpha,beta', got '1/2,5'"),
+    (["count", "--tri", "0,0", "1,x", "2,2"],
+     "argument --tri: Invalid literal for Fraction: 'x'"),
+    (["classify", "--b", "5", "--p", "-3/2"],
+     "argument --p: invalid int value: '-3/2'"),
+    (["-5"], "invalid choice: '-5'"),
+]
+
+
+class TestValueParsing:
+    @pytest.mark.parametrize("argv, vertex", [
+        (["count", "--tri", "0,0", "-1.5,2", "3,0"], ["-3/2", "2"]),
+        (["count", "--tri", "0,0", "-1e1,0", "0,1"], ["-10", "0"]),
+    ], ids=["-1.5", "-1e1"])
+    def test_negative_decimal_vertex(self, capsys, argv, vertex):
+        code, payload = run_json(capsys, *argv)
+        assert code == 0
+        assert vertex in payload["vertices"]
+
+    def test_negative_decimal_interval(self, capsys):
+        code, payload = run_json(
+            capsys, "family", "--alpha", "1", "--beta", "3", "--tau", "1",
+            "--count", "2", "--interval", "-1.5,4",
+        )
+        assert code == 0
+        assert payload["request"]["interval"] == ["-3/2", "4"]
+        assert payload["surfaces"]
+
+    @pytest.mark.parametrize("argv, message", VALUE_ERRORS,
+                             ids=[" ".join(argv) for argv, _ in VALUE_ERRORS])
+    def test_error_names_the_reason(self, capsys, argv, message):
+        code, output = cli_outcome(capsys, argv)
+        assert code == 2
+        assert message in output
+        for leak in ("_parse_", "' -", "Fraction("):
+            assert leak not in output
+
+
 # (argv, exit code, SHA-256 of stdout, the --output file and stderr joined by
 # NUL) captured before the JSON writer and the per-command parser existed.
 GOLDEN = [

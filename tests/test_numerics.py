@@ -1,5 +1,4 @@
-"""Exact-arithmetic helpers: rational coercion, triangular numbers, and the
-floor-sum kernel."""
+"""Exact-arithmetic helpers: rational coercion and the floor-sum kernel."""
 
 from fractions import Fraction
 from math import gcd
@@ -12,7 +11,6 @@ from effcone import (
     as_rational,
     floor_sum,
     floor_sum_linear,
-    triangular,
 )
 
 
@@ -25,20 +23,6 @@ class TestAsRational:
     def test_rejects_float(self):
         with pytest.raises(TypeError):
             as_rational(0.5)
-
-
-class TestTriangular:
-    @pytest.mark.parametrize("d, expected", [(0, 0), (1, 1), (4, 10), (12, 78)])
-    def test_frozen(self, d, expected):
-        assert triangular(d) == expected
-
-    def test_negative(self):
-        with pytest.raises(ValueError):
-            triangular(-1)
-
-    @given(st.integers(0, 10**6))
-    def test_recurrence(self, d):
-        assert triangular(d + 1) - triangular(d) == d + 1
 
 
 small_or_huge = st.one_of(st.integers(-50, 50), st.integers(-10**30, 10**30))

@@ -87,6 +87,37 @@ class TestIntervals:
             outer_bound(0)
 
 
+class TestLevelTable:
+    @staticmethod
+    def published(k):
+        """The paper's four rows (branch, lo, hi, m0, family, nu0) at level k."""
+        def outer(j):
+            return Fraction(16 * j * j, 8 * j * j - 4 * j - 1)
+
+        mid_left = Fraction(2 * k + 1, k)
+        mid_right = Fraction(4 * (2 * k + 1) ** 2, 8 * k * k + 4 * k - 1)
+        three_quarter = Fraction(4 * k, 2 * k - 1)
+        return [
+            ("I'-", outer(k + 1), mid_left, 2 * k + 3, "B", 4 * (k + 1)),
+            ("I'+", mid_left, mid_right, 2 * k + 1, "C", 4 * (k + 1)),
+            ("I''-", mid_right, three_quarter, k + 1, "B", 2 * k + 1),
+            ("I''+", three_quarter, outer(k), k, "C", 2 * k + 1),
+        ]
+
+    @pytest.mark.parametrize("k", [*range(1, 61), 500])
+    def test_intervals_and_classifications_match_the_paper(self, k):
+        for branch, lo, hi, m0, family, nu0 in self.published(k):
+            assert branch_interval(k, branch) == (lo, hi)
+            mid = (lo + hi) / 2
+            b, p = mid.numerator, -mid.denominator
+            (cls,) = classify(b, p)
+            assert (cls.k, cls.branch, cls.m0, cls.family, cls.nu0) == (
+                k, branch, m0, family, nu0,
+            )
+            c = 3 * b + 4 * p
+            assert cls.gamma_pred == Fraction(nu0 * (c if family == "B" else b), m0)
+
+
 class TestClassify:
     def test_interior_single_match(self):
         (cls,) = classify(13, -4)  # abscissa 13/4
@@ -186,6 +217,15 @@ class TestGammaSearch:
             gamma_search(make_surface(4, 5, 9), 5)  # reduced type 1
         with pytest.raises(ValueError):
             gamma_search(make_surface(4, 5, 7), 0)
+
+    def test_b_and_c_shapes_are_refused_by_polytope(self):
+        surface = make_surface(4, 5, 9)  # reduced type 1
+        for family in ("B", "C"):
+            message = rf"^family {family} polytope requires a = 4 and q = 3, got P\(4,5,9\)$"
+            with pytest.raises(ValueError, match=message):
+                family_supremum(surface, family, 5)
+        with pytest.raises(ValueError, match=r"^family B polytope"):
+            gamma_search(surface, 5)
 
     def test_family_supremum(self):
         surface = make_surface(4, 13, 23)

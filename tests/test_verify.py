@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from effcone import DivisorSpec, classify_surface, h0, make_surface, triangular
+from effcone import DivisorSpec, classify_surface, h0, make_surface
 from effcone.verify import (
     aggregate_sweep,
     attainment_step,
@@ -171,12 +171,12 @@ class TestSweepOne:
                 cls, family, n = by_branch[row["branch"]], row["family"], row["n"]
                 if (n * degree[family]) % (cls.m0 * degree[cls.family]) == 0:
                     t = n * degree[family] // (cls.m0 * degree[cls.family])
-                    rhs = triangular(cls.nu0 * t + 1)
+                    rhs = math.comb(cls.nu0 * t + 2, 2)
                 else:
                     level = math.ceil(Fraction(
                         cls.nu0 * n * degree[family], cls.m0 * degree[cls.family]
                     ))
-                    rhs = triangular(level) + 1
+                    rhs = math.comb(level + 1, 2) + 1
                 assert row["rhs"] == rhs, (surface, row)
                 assert row["h0"] == h0(surface, DivisorSpec(family, n))
                 assert row["margin"] == rhs - row["h0"]

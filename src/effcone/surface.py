@@ -176,7 +176,7 @@ def h0(surface: WeightedSurface, div: DivisorSpec) -> int:
 
     No workload hits the cache any more (a verify sweep takes its counts
     from the gamma search); it stays because the benchmark harness clears
-    it and reads its statistics.  It stays unbounded: one ``verify
+    it and reads its statistics.  Its size is not bounded: one ``verify
     --n-max 200 --jobs 1`` call over the 86 surfaces of the benchmark's
     pool leaves 33,600 entries holding about 6.8 MiB (tracemalloc, Python
     3.11), freed when the process exits.

@@ -22,9 +22,9 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 from . import __version__
 from .ehrhart import coefficients
 from .families import FamilyRequest, solve_family
-from .fracsum import ReductionChain, deficit, reduce_chain, standard_chain
+from .fracsum import DELTA_POLICIES, ReductionChain, deficit, reduce_chain, standard_chain
 from .lattice import count_points_pick, count_points_rowscan, triangle
-from .surface import DivisorSpec, WeightedSurface, h0, make_surface
+from .surface import FAMILIES, FAMILY_B, FAMILY_C, DivisorSpec, WeightedSurface, h0, make_surface
 from .threshold import classify, gamma_search, lower_bound_small_a, nu_from_h0
 from .verify import CalibrationError, aggregate_sweep, calibrate_delta, sweep
 
@@ -297,13 +297,7 @@ def _cmd_reduce(args) -> tuple[dict, int]:
         "sigmas": list(chain.sigmas),
         "u0": args.u0,
         "delta": args.delta,
-        "steps": [
-            {
-                "alpha": step.alpha, "beta": step.beta, "sigma": step.sigma,
-                "t": step.t, "u": step.u, "error": step.error,
-            }
-            for step in trace.steps
-        ],
+        "steps": [dict(vars(step)) for step in trace.steps],
         "terminal": trace.terminal,
         "total": trace.total,
         "deficit_direct": direct,
@@ -328,10 +322,7 @@ def _cmd_family(args) -> tuple[dict, int]:
 def _cmd_verify(args) -> tuple[dict | list, int]:
     reports = sweep(args.surface, args.n_max, jobs=_jobs(args.jobs))
     aggregate = aggregate_sweep(reports)
-    ok = (
-        aggregate["surfaces"] == 0
-        or (aggregate["min_margin"] >= 1 and aggregate["all_gamma_match"])
-    )
+    ok = aggregate["min_margin"] >= 1 and aggregate["all_gamma_match"]
     if args.format == "csv":
         rows = [
             dict(
@@ -368,7 +359,7 @@ def _args_count(p) -> None:
     _add_output(p)
 
 
-def _args_divisor(p, families=("B", "C", "AZ")) -> None:
+def _args_divisor(p, families=FAMILIES) -> None:
     _add_surface(p)
     p.add_argument("--family", choices=families, required=True)
     p.add_argument("--n", type=_parse_int, required=True)
@@ -376,7 +367,7 @@ def _args_divisor(p, families=("B", "C", "AZ")) -> None:
 
 
 def _args_ehrhart(p) -> None:
-    _args_divisor(p, families=("B", "C"))
+    _args_divisor(p, families=(FAMILY_B, FAMILY_C))
 
 
 def _args_gamma(p) -> None:
@@ -403,7 +394,7 @@ def _args_reduce(p) -> None:
     p.add_argument("--c-case", action="store_true",
                    help="flip the lead sigma (family-C head variant)")
     p.add_argument("--u0", type=_parse_int, required=True)
-    p.add_argument("--delta", choices=("paper", "calibrated"), default="calibrated")
+    p.add_argument("--delta", choices=DELTA_POLICIES, default="calibrated")
     head = p.add_mutually_exclusive_group()
     head.add_argument("--surface", type=_parse_surface, metavar="A,B,C",
                       help="prepend the head (-p, b) of this surface")
@@ -500,15 +491,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         print(f"effcone: error: {exc}", file=sys.stderr)
         return 2
-    if getattr(args, "format", "json") == "csv":
-        if not isinstance(payload, list):
-            print("effcone: error: CSV output is not available for this payload",
-                  file=sys.stderr)
-            return 2
-        text = _render_csv(payload)
-    else:
-        text = _render_json(payload)
-    output = getattr(args, "output", None)
+    text = _render_csv(payload) if args.format == "csv" else _render_json(payload)
+    output = args.output
     try:
         _emit(text, output)
     except OSError as exc:

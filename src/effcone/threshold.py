@@ -136,11 +136,16 @@ def classify(b: int, p: int) -> list[Classification]:
         raise ValueError(f"abscissa b/(-p) = {x} outside the open interval (2, 16/3)")
     c = 3 * b + 4 * p
     found: list[Classification] = []
-    # L(k) decreases from L(1) = 16/3 toward 2, so the matching level(s)
-    # are located by monotone descent; an endpoint x = L(k) matches two.
-    k = 1
-    while outer_bound(k + 1) > x:
-        k += 1
+    # L(k) decreases from L(1) = 16/3 toward 2, so k + 1 is the least j >= 2
+    # with L(j) <= x, i.e. with lead*j^2 - 4b*j - b >= 0, where
+    # lead = 8b - 16(-p) > 0.  The start is the floor of that quadratic's
+    # positive root, so the integer test raises it at most once.  An
+    # endpoint x = L(k + 1) matches two levels.
+    lead = 8 * b + 16 * p
+    j = max(2, (2 * b + isqrt(4 * b * b + lead * b)) // lead)
+    while lead * j * j - 4 * b * j - b < 0:
+        j += 1
+    k = j - 1
     for level in (k, k + 1) if x == outer_bound(k + 1) else (k,):
         for branch, lo, hi, m0, family, nu0 in _level(level):
             if lo <= x <= hi:

@@ -184,8 +184,6 @@ def sweep(surfaces: list[WeightedSurface], n_max: int, jobs: int | None = None) 
     from one surface (e.g. one outside every classification interval) is
     raised again with the surface in front of its message.
     """
-    if not surfaces:
-        return []
     if jobs is not None and jobs > 1 and len(surfaces) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(surfaces))) as executor:
             return list(executor.map(partial(_sweep_named, n_max=n_max), surfaces))
@@ -255,9 +253,8 @@ def calibrate_delta(beta_max: int) -> dict:
             if gcd(alpha0, beta0) != 1:
                 continue
             for sigma in (1, -1):
+                # A unit mod beta0 >= 2, so beta1 lies in [1, beta0 - 1].
                 beta1 = (-sigma * pow(alpha0, -1, beta0)) % beta0
-                if beta1 == 0:
-                    continue  # only possible for beta0 = 1
                 alpha1 = (sigma + beta1 * alpha0) // beta0
                 if alpha1 == 0:
                     alpha1 = beta1  # same residue class mod beta1 (beta1 = 1 here)

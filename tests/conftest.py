@@ -16,6 +16,8 @@ literal loops it replaced, kept here as oracles with their own arithmetic.
 ``json.dumps(..., indent=2, sort_keys=True)`` it is the writer's oracle.
 :func:`forced_jump` is the deficit subtraction ``fracsum.calibrated_delta``
 made before the jump was proved to be 0; it is that proof's oracle.
+:func:`level_by_descent` is the level search ``threshold.classify`` made
+before it solved for the level directly.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from effcone import (
     classify_surface,
     deficit,
     make_surface,
+    outer_bound,
     solve_family,
 )
 
@@ -172,14 +175,18 @@ def rowscan_loop(tri) -> int:
 
 
 def brute_count(vertices) -> int:
-    """Lattice points of a triangle by bounding-box sign checks (small inputs)."""
-    import math
+    """Lattice points of a triangle by bounding-box sign checks (small inputs).
 
-    xs = [v.x for v in vertices]
-    ys = [v.y for v in vertices]
-    lo_x, hi_x = math.floor(min(xs)), math.ceil(max(xs))
-    lo_y, hi_y = math.floor(min(ys)), math.ceil(max(ys))
-    (x0, y0), (x1, y1), (x2, y2) = [(v.x, v.y) for v in vertices]
+    The vertices are scaled by the lcm ``L`` of their denominators, so every
+    sign test runs on integers: the lattice point (ix, iy) becomes (ix*L, iy*L).
+    """
+    scale = lcm(*(coord.denominator for v in vertices for coord in (v.x, v.y)))
+    pts = [(int(v.x * scale), int(v.y * scale)) for v in vertices]
+    xs = [x for x, _ in pts]
+    ys = [y for _, y in pts]
+    lo_x, hi_x = min(xs) // scale, -(-max(xs) // scale)
+    lo_y, hi_y = min(ys) // scale, -(-max(ys) // scale)
+    (x0, y0), (x1, y1), (x2, y2) = pts
 
     def side(px, py, qx, qy, rx, ry):
         return (qx - px) * (ry - py) - (qy - py) * (rx - px)
@@ -188,9 +195,10 @@ def brute_count(vertices) -> int:
     count = 0
     for ix in range(lo_x, hi_x + 1):
         for iy in range(lo_y, hi_y + 1):
-            s0 = side(x0, y0, x1, y1, ix, iy)
-            s1 = side(x1, y1, x2, y2, ix, iy)
-            s2 = side(x2, y2, x0, y0, ix, iy)
+            sx, sy = ix * scale, iy * scale
+            s0 = side(x0, y0, x1, y1, sx, sy)
+            s1 = side(x1, y1, x2, y2, sx, sy)
+            s2 = side(x2, y2, x0, y0, sx, sy)
             if orient > 0:
                 inside = s0 >= 0 and s1 >= 0 and s2 >= 0
             elif orient < 0:
@@ -198,12 +206,21 @@ def brute_count(vertices) -> int:
             else:
                 # Degenerate: point collinear with the (possibly repeated)
                 # vertices and within their hull's bounding box.
-                if s0 != 0 or side(x0, y0, x2, y2, ix, iy) != 0:
+                if s0 != 0 or side(x0, y0, x2, y2, sx, sy) != 0:
                     continue
-                inside = min(xs) <= ix <= max(xs) and min(ys) <= iy <= max(ys)
+                inside = min(xs) <= sx <= max(xs) and min(ys) <= sy <= max(ys)
             if inside:
                 count += 1
     return count
+
+
+def level_by_descent(x: Fraction) -> int:
+    """The level k of an abscissa x in (2, 16/3): the least k >= 1 with
+    L(k + 1) <= x, found by walking down the level edges one at a time."""
+    k = 1
+    while outer_bound(k + 1) > x:
+        k += 1
+    return k
 
 
 def build_pool():

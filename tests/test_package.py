@@ -1,5 +1,6 @@
 """The package re-exports exactly the public names of its library modules."""
 
+import doctest
 import importlib
 
 import pytest
@@ -28,3 +29,12 @@ def test_package_exports_resolve_to_module_exports():
     }
     assert set(effcone.__all__) - {"__version__"} == module_exports
     assert len(effcone.__all__) == len(set(effcone.__all__))
+
+
+def test_library_doctests_pass():
+    attempted = 0
+    for name in LIBRARY_MODULES:
+        result = doctest.testmod(importlib.import_module(f"effcone.{name}"))
+        assert result.failed == 0, f"effcone.{name}"
+        attempted += result.attempted
+    assert attempted == 11

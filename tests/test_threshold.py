@@ -28,6 +28,8 @@ from effcone import (
 )
 from effcone.threshold import BRANCHES
 
+from conftest import level_by_descent
+
 
 class TestNuFromH0:
     @pytest.mark.parametrize(
@@ -164,6 +166,31 @@ class TestClassify:
             found = classify_surface(surface)
             assert len(found) == 1
             assert (found[0].branch, found[0].k) == (branch, k)
+
+
+class TestClassifyLevel:
+    """classify solves for its level; the descent it replaced is the oracle."""
+
+    def test_grid_matches_descent(self):
+        for b in range(1, 400):
+            # 2 < b/m < 16/3 exactly when 3b/16 < m < b/2.
+            for m in range(3 * b // 16 + 1, (b + 1) // 2):
+                x = Fraction(b, m)
+                k = level_by_descent(x)
+                levels = [k, k + 1] if x == outer_bound(k + 1) else [k]
+                assert sorted({cls.k for cls in classify(b, -m)}) == levels, (b, m)
+
+    def test_level_edges_match_descent(self):
+        for k in range(2, 301):
+            edge = outer_bound(k)
+            assert level_by_descent(edge) == k - 1
+            found = classify(edge.numerator, -edge.denominator)
+            assert [(cls.k, cls.branch) for cls in found] == [(k - 1, "I'-"), (k, "I''+")]
+
+    def test_deep_level(self):
+        k = 10**15
+        found = classify(2 * k + 1, -k)  # abscissa (2k+1)/k, the I'-/I'+ edge
+        assert [(cls.k, cls.branch) for cls in found] == [(k, "I'-"), (k, "I'+")]
 
 
 class TestGammaSearch:

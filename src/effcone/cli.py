@@ -225,9 +225,10 @@ def _cmd_ehrhart(args) -> tuple[dict, int]:
 
 def _cmd_gamma(args) -> tuple[dict | list, int]:
     result = gamma_search(args.surface, args.n_max)
+    scales = dict(result.scales)
     table = [
-        {"family": family, "n": n, "h0": count, "nu": d, "value": value}
-        for family, n, count, d, value in result.table
+        {"family": family, "n": n, "h0": count, "nu": d, "value": Fraction(scales[family] * d, n)}
+        for family, n, count, d in result.table
     ]
     code = 0 if result.matches is not False else 1
     if args.format == "csv":

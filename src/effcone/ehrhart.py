@@ -48,12 +48,8 @@ def _require_hypotheses(surface: WeightedSurface) -> None:
         raise ValueError(
             f"Ehrhart closed forms require a = 4 and p < 0, got {surface} with p = {surface.p}"
         )
-    # p < 0 forces q = 3 for valid weights; polytope shapes rely on it.
-    if surface.q != 3:
-        raise ValueError(
-            f"Ehrhart closed forms require q = 3, got {surface} with p = {surface.p}, "
-            f"q = {surface.q}"
-        )
+    # The closed forms assume q = 3, which a = 4 and p < 0 force: q = 0 gives c = 4p < 0,
+    # WeightedSurface refuses q = 1 with p < 0, and q = 2 makes c = 4p + 2b even.
 
 
 def coefficients(surface: WeightedSurface, family: str, n: int) -> EhrhartCoeffs:

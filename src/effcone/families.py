@@ -62,11 +62,6 @@ def solve_family(req: FamilyRequest) -> list[WeightedSurface]:
     progression is infinite, so this only happens for filters that exclude
     the convergent tail, or for counts beyond the filtered range).
     """
-    g = gcd(req.alpha, req.beta)
-    if g != 1:  # FamilyRequest validation rules this out for built requests
-        raise ValueError(
-            f"require gcd(alpha, beta) = 1, got gcd({req.alpha}, {req.beta}) = {g}"
-        )
     # Particular solution of alpha*b - beta*m = tau; shift to the smallest
     # progression index with b > 4 and walk upward (b increases with t).
     b0 = pow(req.alpha, -1, req.beta) * req.tau

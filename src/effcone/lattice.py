@@ -8,8 +8,8 @@ Two counters are provided:
   :func:`~effcone.numerics.floor_sum_linear` calls, so it takes O(log) steps
   in the size of the vertices, however many rows the triangle spans.  It
   reads each vertex's numerators and denominators once and works on those
-  integers only, with no ``Fraction`` arithmetic.  It is the counter behind
-  every section count.
+  integers only, with no ``Fraction`` arithmetic.  It is the general counter
+  behind :func:`~effcone.surface.h0` (the gamma search uses ``section_count``).
 * :func:`count_points_pick` applies Pick's theorem and therefore only
   accepts non-degenerate triangles with integral vertices.
 
@@ -33,7 +33,6 @@ __all__ = [
     "triangle",
     "count_points_rowscan",
     "count_points_pick",
-    "contains_point",
 ]
 
 
@@ -183,35 +182,3 @@ def count_points_pick(tri: RationalTriangle) -> int:
         + gcd(abs(x0 - x2), abs(y0 - y2))
     )
     return (abs(cross) + boundary) // 2 + 1
-
-
-def _cross(ox, oy, ax, ay, bx, by) -> Fraction:
-    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
-
-
-def contains_point(tri: RationalTriangle, pt) -> bool:
-    """Exact membership test for the closed convex hull of ``tri``."""
-    if not isinstance(pt, RationalPoint):
-        x, y = pt
-        pt = point(x, y)
-    v0, v1, v2 = tri.vertices
-    orient = _cross(v0.x, v0.y, v1.x, v1.y, v2.x, v2.y)
-    if orient != 0:
-        c0 = _cross(v0.x, v0.y, v1.x, v1.y, pt.x, pt.y)
-        c1 = _cross(v1.x, v1.y, v2.x, v2.y, pt.x, pt.y)
-        c2 = _cross(v2.x, v2.y, v0.x, v0.y, pt.x, pt.y)
-        if orient > 0:
-            return c0 >= 0 and c1 >= 0 and c2 >= 0
-        return c0 <= 0 and c1 <= 0 and c2 <= 0
-    # Degenerate: the hull is the segment between the two extreme vertices
-    # (or a single point).  Order lexicographically and test collinearity
-    # plus the parameter range along the segment.
-    vs = sorted(tri.vertices, key=lambda v: (v.x, v.y))
-    a, b = vs[0], vs[2]
-    dx, dy = b.x - a.x, b.y - a.y
-    if dx == 0 and dy == 0:
-        return pt.x == a.x and pt.y == a.y
-    if dx * (pt.y - a.y) - dy * (pt.x - a.x) != 0:
-        return False
-    t_num = dx * (pt.x - a.x) + dy * (pt.y - a.y)
-    return 0 <= t_num <= dx * dx + dy * dy

@@ -13,12 +13,14 @@ negative).  Three one-parameter divisor families drive everything downstream:
 where D_x and D_z are the coordinate divisors of weights a and c.  Each
 divisor's global sections biject with lattice points of an explicit rational
 triangle.  :func:`polytope` builds each vertex coordinate as one
-``Fraction(num, den)`` of integers computed from (a, b, c, p, q, n), with no
-rational arithmetic, and :func:`h0` counts its points exactly with
-:func:`~effcone.lattice.count_points_rowscan`, which works on the vertices'
-integer numerators and denominators and whose floor-sum kernel takes O(log)
-steps however large the dilation n.  The tests check these counts
-against the monomial count of the graded ring and the row-by-row loop.
+``Fraction(num, den)`` of integers computed from (a, b, c, p, q, n), and
+:func:`h0` counts its points with the general counter
+:func:`~effcone.lattice.count_points_rowscan`.  :func:`section_count` sums
+the rows of the family-B and family-C triangles, without building them, in
+one :func:`~effcone.numerics.floor_sum_linear` call; the gamma search takes
+its counts from it.  Both take O(log) steps however large the dilation n,
+and the tests check them against each other, the monomial count of the
+graded ring and the row-by-row loop.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from functools import lru_cache
 from math import gcd
 
 from .lattice import RationalPoint, RationalTriangle, count_points_rowscan
+from .numerics import floor_sum_linear
 
 __all__ = [
     "FAMILY_B",
@@ -40,6 +43,7 @@ __all__ = [
     "make_surface",
     "polytope",
     "h0",
+    "section_count",
 ]
 
 FAMILY_B = "B"
@@ -146,8 +150,8 @@ def polytope(surface: WeightedSurface, div: DivisorSpec) -> RationalTriangle:
     """
     a, b, c, p, q = surface.a, surface.b, surface.c, surface.p, surface.q
     n = div.n
-    if (a != 4 or q != 3) and div.family in (FAMILY_B, FAMILY_C):
-        raise ValueError(f"family {div.family} polytope requires a = 4 and q = 3, got {surface}")
+    if div.family != FAMILY_AZ:
+        _require_bc_shape(surface, div.family)
     if div.family == FAMILY_B:
         # (0, 0), (-n, 0), (-3*n*s, 4*n*s) with s = b/c.
         return RationalTriangle((
@@ -174,11 +178,41 @@ def polytope(surface: WeightedSurface, div: DivisorSpec) -> RationalTriangle:
 def h0(surface: WeightedSurface, div: DivisorSpec) -> int:
     """Number of global sections of ``div``: lattice points of its polytope.
 
-    No workload hits the cache any more (a verify sweep takes its counts
-    from the gamma search); it stays because the benchmark harness clears
-    it and reads its statistics.  Its size is not bounded: one ``verify
-    --n-max 200 --jobs 1`` call over the 86 surfaces of the benchmark's
-    pool leaves 33,600 entries holding about 6.8 MiB (tracemalloc, Python
-    3.11), freed when the process exits.
+    The general counter, and the oracle of :func:`section_count`.  No workload
+    hits the cache; it stays because the benchmark harness reads its statistics.
     """
     return count_points_rowscan(polytope(surface, div))
+
+
+def _require_bc_shape(surface: WeightedSurface, family: str) -> None:
+    """Refuse the family-B and family-C shapes unless a = 4 and q = 3."""
+    if surface.a != 4 or surface.q != 3:
+        raise ValueError(f"family {family} polytope requires a = 4 and q = 3, got {surface}")
+
+
+def _right_edge_sum(rows: int) -> int:
+    """S(Y) = sum_{y=0}^{Y} floor(-3y/4) for rows = Y + 1: rows 4j..4j+3 add
+    -12j - 6, so with rows = 4t + r, S(Y) = -(6t^2 + 3tr + (0, 0, 1, 3)[r])."""
+    t, r = divmod(rows, 4)
+    return -(6 * t * t + 3 * t * r + (0, 0, 1, 3)[r])
+
+
+def section_count(surface: WeightedSurface, family: str, n: int) -> int:
+    """h0 of the n-th family-B or family-C divisor, summed over its rows.
+
+    Both triangles rest on y = 0 under the right edge x = -3y/4; the left edge
+    is x = (p*y - n*c)/b for C (rows y <= 4n) and x = -n + p*y/b for B (rows
+    y <= Y = floor(4nb/c)).  Row y holds floor(-3y/4) - ceil(left) + 1 points,
+    so with m = -p, h0 is S(4n) + 4n + 1 + floor_sum_linear(4n + 1, b, m, n*c)
+    for C and S(Y) + (n + 1)(Y + 1) + floor_sum_linear(Y + 1, b, m, 0) for B.
+    Equals ``h0(surface, DivisorSpec(family, n))``; raises its shape error.
+    """
+    if family not in (FAMILY_B, FAMILY_C) or n < 1:
+        raise ValueError(f"section_count needs family B or C and n >= 1, got {family!r}, {n}")
+    _require_bc_shape(surface, family)
+    b, c, m = surface.b, surface.c, -surface.p
+    if family == FAMILY_C:
+        rows = 4 * n + 1
+        return _right_edge_sum(rows) + floor_sum_linear(rows, b, m, n * c) + rows
+    rows = 4 * n * b // c + 1
+    return _right_edge_sum(rows) + (n + 1) * rows + floor_sum_linear(rows, b, m, 0)

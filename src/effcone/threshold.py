@@ -32,6 +32,7 @@ from .surface import (
     DivisorSpec,
     WeightedSurface,
     h0,
+    section_count,
 )
 
 __all__ = [
@@ -167,7 +168,8 @@ def classify_surface(surface: WeightedSurface) -> list[Classification]:
 class GammaSearchResult:
     best: Fraction
     witnesses: tuple[tuple[str, int, int], ...]  # (family, n, nu) attaining best
-    table: tuple[tuple[str, int, int, int, Fraction], ...]  # (family, n, h0, nu, value)
+    table: tuple[tuple[str, int, int, int], ...]  # (family, n, h0, nu)
+    scales: tuple[tuple[str, int], ...]  # (family, scale): a row's value is scale*nu/n
     prediction: Fraction | None
     matches: bool | None
 
@@ -175,24 +177,35 @@ class GammaSearchResult:
 def _search_families(surface: WeightedSurface) -> tuple[tuple[str, int], ...]:
     """(family, scale) pairs contributing candidate values scale*nu/n."""
     if surface.a == 4:
-        # polytope() refuses the B/C shapes unless q = 3 as well.
+        # section_count() refuses the B/C shapes unless q = 3 as well.
         return ((FAMILY_B, surface.c), (FAMILY_C, surface.b))
     # a <= 3: only the AZ family (n*a*D_z ~ (n/b)H) is available.
     return ((FAMILY_AZ, surface.b),)
 
 
-def _family_rows(
-    surface: WeightedSurface, family: str, scale: int, n_max: int
-) -> list[tuple[str, int, int, int, Fraction]]:
-    """One family's (family, n, h0, nu, scale*nu/n) rows for n = 1..n_max."""
+def _family_rows(surface: WeightedSurface, family: str, n_max: int) -> list[tuple]:
+    """One family's integer (family, n, h0, nu) rows for n = 1..n_max."""
     if n_max < 1:
         raise ValueError(f"require n_max >= 1, got {n_max}")
     rows = []
     for n in range(1, n_max + 1):
-        count = h0(surface, DivisorSpec(family, n))
-        d = nu_from_h0(count)
-        rows.append((family, n, count, d, Fraction(scale * d, n)))
+        count = (h0(surface, DivisorSpec(family, n)) if family == FAMILY_AZ
+                 else section_count(surface, family, n))
+        rows.append((family, n, count, nu_from_h0(count)))
     return rows
+
+
+def _best(rows: list, scales: dict[str, int]) -> tuple[Fraction, tuple]:
+    """The largest value scale*nu/n over ``rows`` and its (family, n, nu)
+    witnesses in row order, comparing values by cross-multiplying."""
+    top, bottom, witnesses = 0, 1, []  # values are >= 0: the first row ties or beats 0/1
+    for family, n, _, d in rows:
+        value = scales[family] * d
+        if value * bottom > top * n:
+            top, bottom, witnesses = value, n, [(family, n, d)]
+        elif value * bottom == top * n:
+            witnesses.append((family, n, d))
+    return Fraction(top, bottom), tuple(witnesses)
 
 
 def gamma_search(surface: WeightedSurface, n_max: int) -> GammaSearchResult:
@@ -201,26 +214,20 @@ def gamma_search(surface: WeightedSurface, n_max: int) -> GammaSearchResult:
     Family B contributes c*nu(n*b*D_x)/n, family C contributes
     b*nu(n*c*D_x)/n (for a <= 3, AZ contributes b*nu(n*a*D_z)/n).  Returns
     the best value, every attaining (family, n, nu) witness in (family, n)
-    order, the full table, and -- when the surface classifies (a = 4,
-    p < 0 and b/(-p) < 16/3) -- whether the best value matches the
-    predicted threshold.
+    order, the full table of integer rows with the family scales, and --
+    when the surface classifies (a = 4, p < 0 and b/(-p) < 16/3) -- whether
+    the best value matches the predicted threshold.
     """
-    rows = [
-        row
-        for family, scale in _search_families(surface)
-        for row in _family_rows(surface, family, scale, n_max)
-    ]
-    best = max(row[4] for row in rows)
-    witnesses = tuple(
-        (family, n, d) for family, n, count, d, value in rows if value == best
-    )
+    scales = _search_families(surface)
+    rows = [row for family, _ in scales for row in _family_rows(surface, family, n_max)]
+    best, witnesses = _best(rows, dict(scales))
     prediction: Fraction | None = None
     matches: bool | None = None
     if surface.a == 4 and surface.p < 0 and surface.bp_ratio < outer_bound(1):
         prediction = classify_surface(surface)[0].gamma_pred
         matches = best == prediction
     return GammaSearchResult(
-        best=best, witnesses=witnesses, table=tuple(rows),
+        best=best, witnesses=witnesses, table=tuple(rows), scales=scales,
         prediction=prediction, matches=matches,
     )
 
@@ -230,7 +237,7 @@ def family_supremum(surface: WeightedSurface, family: str, n_max: int) -> Fracti
     scales = dict(_search_families(surface))
     if family not in scales:
         raise ValueError(f"family {family!r} not available on {surface}")
-    return max(row[4] for row in _family_rows(surface, family, scales[family], n_max))
+    return _best(_family_rows(surface, family, n_max), scales)[0]
 
 
 def lower_bound_small_a(surface: WeightedSurface) -> int:

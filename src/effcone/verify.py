@@ -22,11 +22,11 @@ there.  For same-family cells the condition reduces to the familiar
 Both checks take the cell's count h0 and return margin = rhs - h0;
 margin >= 1 certifies the strict inequality, margin < 1 is a
 counterexample.  :func:`sweep_one` takes every count from the table of
-:func:`~effcone.threshold.gamma_search`, so each cell is counted once;
-:func:`sweep` runs every cell for a list of surfaces and aggregates;
-:func:`calibrate_delta` exhaustively compares the published step-error jump
-condition against the value forced by the reduction identity (see the
-fracsum module).
+:func:`~effcone.threshold.gamma_search`, so each cell is counted once, by
+:func:`~effcone.surface.section_count`; :func:`sweep` runs every cell for a
+list of surfaces and aggregates; :func:`calibrate_delta` exhaustively
+compares the published step-error jump condition against the value forced
+by the reduction identity (see the fracsum module).
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def sweep_one(surface: WeightedSurface, n_max: int) -> dict:
     rows = []
     cell_best: dict[tuple[str, int], int] = {}
     for cls in classifications:
-        for family, n, count, _, _ in search.table:
+        for family, n, count, _ in search.table:
             step = attainment_step(surface, cls, family, n)
             if step is not None:
                 margin = margin_at_multiple(cls, step, count)

@@ -17,7 +17,9 @@ literal loops it replaced, kept here as oracles with their own arithmetic.
 :func:`forced_jump` is the deficit subtraction ``fracsum.calibrated_delta``
 made before the jump was proved to be 0; it is that proof's oracle.
 :func:`level_by_descent` is the level search ``threshold.classify`` made
-before it solved for the level directly.
+before it solved for the level directly.  :func:`contains_point` is an
+exact membership test for a rational triangle, with which the tests check
+that the reference triangles sit inside the divisor polytopes.
 """
 
 from __future__ import annotations
@@ -30,11 +32,13 @@ import pytest
 from effcone import (
     BRANCHES,
     FamilyRequest,
+    RationalPoint,
     branch_interval,
     classify_surface,
     deficit,
     make_surface,
     outer_bound,
+    point,
     solve_family,
 )
 
@@ -212,6 +216,38 @@ def brute_count(vertices) -> int:
             if inside:
                 count += 1
     return count
+
+
+def _cross(ox, oy, ax, ay, bx, by) -> Fraction:
+    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+
+
+def contains_point(tri: RationalTriangle, pt) -> bool:
+    """Exact membership test for the closed convex hull of ``tri``."""
+    if not isinstance(pt, RationalPoint):
+        x, y = pt
+        pt = point(x, y)
+    v0, v1, v2 = tri.vertices
+    orient = _cross(v0.x, v0.y, v1.x, v1.y, v2.x, v2.y)
+    if orient != 0:
+        c0 = _cross(v0.x, v0.y, v1.x, v1.y, pt.x, pt.y)
+        c1 = _cross(v1.x, v1.y, v2.x, v2.y, pt.x, pt.y)
+        c2 = _cross(v2.x, v2.y, v0.x, v0.y, pt.x, pt.y)
+        if orient > 0:
+            return c0 >= 0 and c1 >= 0 and c2 >= 0
+        return c0 <= 0 and c1 <= 0 and c2 <= 0
+    # Degenerate: the hull is the segment between the two extreme vertices
+    # (or a single point).  Order lexicographically and test collinearity
+    # plus the parameter range along the segment.
+    vs = sorted(tri.vertices, key=lambda v: (v.x, v.y))
+    a, b = vs[0], vs[2]
+    dx, dy = b.x - a.x, b.y - a.y
+    if dx == 0 and dy == 0:
+        return pt.x == a.x and pt.y == a.y
+    if dx * (pt.y - a.y) - dy * (pt.x - a.x) != 0:
+        return False
+    t_num = dx * (pt.x - a.x) + dy * (pt.y - a.y)
+    return 0 <= t_num <= dx * dx + dy * dy
 
 
 def level_by_descent(x: Fraction) -> int:

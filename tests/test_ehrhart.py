@@ -1,12 +1,12 @@
 """Closed-form Ehrhart coefficients against the direct lattice counter."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from effcone import (
     DivisorSpec,
-    WeightedSurface,
     c0_middle_terms,
     c0_upper_bound,
     coefficients,
@@ -98,14 +98,18 @@ class TestHypothesisGates:
         with pytest.raises(ValueError):
             c0_upper_bound(surface, 1)
 
-    def test_requires_q_three(self):
-        # Valid weights with a = 4 and p < 0 force q = 3, so only an instance
-        # built past WeightedSurface's own checks reaches this guard.
-        bad = object.__new__(WeightedSurface)
-        for name, value in dict(a=4, b=5, c=7, p=-2, q=1).items():
-            object.__setattr__(bad, name, value)
-        with pytest.raises(ValueError, match="q = 1"):
-            coefficients(bad, "B", 1)
+    def test_negative_p_forces_q_three(self):
+        # The closed forms assume q = 3 and check only a = 4 and p < 0.
+        negative_p = 0
+        for b in range(5, 400, 2):
+            for c in range(b + 2, 3 * b, 2):  # c = 4p + q*b < 3b when p < 0
+                if gcd(b, c) != 1:
+                    continue
+                surface = make_surface(4, b, c)
+                if surface.p < 0:
+                    negative_p += 1
+                    assert surface.q == 3, surface
+        assert negative_p == 16_181
 
     def test_rejects_z_family_and_bad_n(self, s457):
         with pytest.raises(ValueError):

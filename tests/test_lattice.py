@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 
 from effcone import (
     RationalTriangle,
-    contains_point,
     count_points_pick,
     count_points_rowscan,
     point,
     triangle,
 )
 
-from conftest import brute_count, rowscan_loop
+from conftest import brute_count, contains_point, rowscan_loop
 
 coords = st.integers(-50, 50)
 small_coords = st.integers(-12, 12)

@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 from effcone import (
     DivisorSpec,
     WeightedSurface,
+    count_points_rowscan,
     h0,
     make_surface,
     point,
     polytope,
+    section_count,
 )
+from effcone.surface import _right_edge_sum
 
 from conftest import build_pool, monomial_count, polytope_fraction
 
@@ -207,6 +210,72 @@ class TestH0:
             assert h0(surface, DivisorSpec(family, n + 1)) > h0(
                 surface, DivisorSpec(family, n)
             )
+
+
+@st.composite
+def bc_cells(draw):
+    """(P(4, b, 3b + 4p), n) with q = 3 and odd b: b just above 2|p| (c just
+    above b), b near 16|p|/3 (the top of the classified range), or p > 0;
+    n up to 10^18."""
+    m = draw(st.integers(1, 10**6))
+    side = draw(st.sampled_from(("near 2|p|", "near 16|p|/3", "p > 0")))
+    if side == "near 2|p|":
+        b, p = 2 * m + 2 * draw(st.integers(0, 20)) + 1, -m
+    elif side == "near 16|p|/3":
+        b, p = (16 * m // 3 + draw(st.integers(-40, 40))) | 1, -m
+    else:
+        b, p = 2 * draw(st.integers(2, 10**6)) + 1, m
+    assume(b > max(4, 2 * -p) and gcd(b, m) == 1)
+    n = draw(st.one_of(st.integers(1, 400), st.integers(1, 10**18)))
+    return make_surface(4, b, 3 * b + 4 * p), n
+
+
+class TestSectionCount:
+    def test_right_edge_sum_is_the_direct_sum(self):
+        for rows in range(1000):
+            assert _right_edge_sum(rows) == sum(-3 * y // 4 for y in range(rows)), rows
+
+    @given(bc_cells())
+    @settings(max_examples=400)
+    @example((make_surface(4, 5, 7), 10**18))  # b = 2|p| + 1
+    @example((make_surface(4, 5, 19), 10**18))  # p = 1
+    @example((make_surface(4, 7, 17), 1))  # b/(-p) = 7 > 16/3
+    @example((make_surface(4, 2 * 10**6 + 1, 2 * 10**6 + 3), 10**18 - 1))
+    def test_matches_general_counter(self, cell):
+        surface, n = cell
+        for family in ("B", "C"):
+            expected = count_points_rowscan(polytope(surface, DivisorSpec(family, n)))
+            assert section_count(surface, family, n) == expected, (surface, family, n)
+
+    def test_matches_general_counter_on_pool(self, pool, named_surfaces):
+        # Every cell of a verify sweep at n_max = 200.
+        surfaces = dict.fromkeys(named_surfaces + [surface for surface, _, _ in pool])
+        for surface in surfaces:
+            for family in ("B", "C"):
+                for n in range(1, 201):
+                    expected = count_points_rowscan(polytope(surface, DivisorSpec(family, n)))
+                    assert section_count(surface, family, n) == expected, (surface, family, n)
+
+    def test_matches_monomial_oracle(self):
+        for weights in ((4, 5, 7), (4, 5, 19), (4, 7, 17), (4, 13, 23), (4, 49, 87)):
+            surface = make_surface(*weights)
+            for family in ("B", "C"):
+                for n in (1, 2, 3, 7, 12):
+                    expected = monomial_count(
+                        4, surface.b, surface.c, degree(surface, DivisorSpec(family, n))
+                    )
+                    assert section_count(surface, family, n) == expected, (surface, family, n)
+
+    def test_refusals(self):
+        surface = make_surface(4, 5, 9)  # q = 1
+        for family in ("B", "C"):
+            message = rf"^family {family} polytope requires a = 4 and q = 3, got P\(4,5,9\)$"
+            with pytest.raises(ValueError, match=message):
+                section_count(surface, family, 1)
+        with pytest.raises(ValueError, match="family B or C and n >= 1, got 'AZ', 1"):
+            section_count(make_surface(4, 5, 7), "AZ", 1)
+        with pytest.raises(ValueError, match="family B or C and n >= 1, got 'B', 0"):
+            section_count(make_surface(4, 5, 7), "B", 0)
 
 
 class TestAbscissaRange:

@@ -11,7 +11,6 @@ from effcone import (
     branch_interval,
     classify,
     classify_surface,
-    contains_point,
     count_points_pick,
     count_points_rowscan,
     expected_count_large,
@@ -28,7 +27,7 @@ from effcone import (
 )
 from effcone.threshold import BRANCHES
 
-from conftest import level_by_descent
+from conftest import contains_point, level_by_descent
 
 
 class TestNuFromH0:
@@ -233,7 +232,20 @@ class TestGammaSearch:
         assert [row[:2] for row in result.table] == [
             (family, n) for family in ("B", "C") for n in range(1, 9)
         ]
-        assert result.best == max(row[4] for row in result.table)
+        scales = dict(result.scales)
+        assert result.best == max(Fraction(scales[f] * d, n) for f, n, _, d in result.table)
+
+    def test_best_and_witnesses_match_fraction_values(self, pool):
+        # The search compares the values scale*nu/n by cross-multiplying;
+        # here each value is a Fraction, and the max and its attainers are
+        # taken from those.
+        for surface in [entry[0] for entry in pool] + [make_surface(3, 5, 7)]:
+            result = gamma_search(surface, 200)
+            scales = dict(result.scales)
+            values = [(Fraction(scales[f] * d, n), (f, n, d)) for f, n, _, d in result.table]
+            best = max(value for value, _ in values)
+            assert result.best == best, surface
+            assert result.witnesses == tuple(w for value, w in values if value == best), surface
 
     def test_positive_p_has_no_prediction(self):
         result = gamma_search(make_surface(4, 5, 19), 5)
@@ -269,10 +281,10 @@ class TestGammaSearch:
         surfaces = [entry[0] for entry in pool[::6]]
         surfaces += [make_surface(4, 7, 17), make_surface(3, 5, 7)]
         for surface in surfaces:
-            table = gamma_search(surface, 40).table
-            for family in {row[0] for row in table}:
+            result = gamma_search(surface, 40)
+            for family, scale in result.scales:
                 assert family_supremum(surface, family, 40) == max(
-                    value for fam, _, _, _, value in table if fam == family
+                    Fraction(scale * d, n) for fam, n, _, d in result.table if fam == family
                 ), (surface, family)
 
 

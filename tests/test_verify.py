@@ -1,11 +1,12 @@
 """Margins, sweeps, and the exhaustive jump calibration."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from effcone import DivisorSpec, classify_surface, h0, make_surface
+from effcone import DivisorSpec, classify_surface, h0, make_surface, section_count, threshold
 from effcone.verify import (
     aggregate_sweep,
     attainment_step,
@@ -183,14 +184,23 @@ class TestSweepOne:
 
 
     @pytest.mark.parametrize("b, c", [(13, 23), (5, 7)], ids=["P(4,13,23)", "P(4,5,7)"])
-    def test_each_cell_counted_once(self, b, c):
-        # The counts come from the gamma search's table: one h0 call per
-        # (family, n), however many classifications the surface has.
+    def test_each_cell_counted_once(self, b, c, monkeypatch):
+        # The counts come from the gamma search's table: one family count
+        # per (family, n), however many classifications the surface has,
+        # and no call of the general counter h0.
         surface = make_surface(4, b, c)
+        counted = Counter()
+
+        def counting(surface, family, n):
+            counted[family, n] += 1
+            return section_count(surface, family, n)
+
+        monkeypatch.setattr(threshold, "section_count", counting)
         h0.cache_clear()
         sweep_one(surface, 30)
         info = h0.cache_info()
-        assert (info.hits, info.misses) == (0, 60)
+        assert (info.hits, info.misses) == (0, 0)
+        assert counted == {(family, n): 1 for family in "BC" for n in range(1, 31)}
 
     def test_cross_family_ray_cells_count_the_attaining_divisor(self, pool, named_surfaces):
         # A cell of the other family on the attainment ray reads its count at

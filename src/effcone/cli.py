@@ -96,8 +96,9 @@ def _json_default(obj) -> str:
 
 @lru_cache(maxsize=None)
 def _json_encoder(depth: int):
-    """C encoder for a scalar, or a container of scalars whose items sit at
-    ``depth``; no cycle markers, as such a container cannot hold itself."""
+    """C encoder for a scalar, or a container of scalars (or a list of flat
+    dicts) whose innermost items sit at ``depth``; no cycle markers, as such
+    a container cannot hold itself."""
     return c_make_encoder(None, _json_default, encode_basestring_ascii, None,
                           ": ", ",\n" + "  " * depth, True, False, True)
 
@@ -106,12 +107,22 @@ def _json_encoder(depth: int):
 _SCALARS = frozenset({str, int, bool, type(None), Fraction})
 
 
+def _flat_dict(obj) -> bool:
+    """True for a non-empty dict whose values are all scalars."""
+    return isinstance(obj, dict) and bool(obj) and _SCALARS.issuperset(map(type, obj.values()))
+
+
 def _write_json(obj, depth: int, out: list[str]) -> None:
     """Append ``obj`` as ``json.dumps(..., indent=2, sort_keys=True)`` renders
     it, with every ``Fraction`` as its "num/den" string.
 
-    A container of scalars is one C-encoder call; Python recurses only over
-    containers that hold containers, whose dict keys must be str.
+    A container of scalars is one C-encoder call, and so is a list or tuple
+    of non-empty dicts of scalars (margin rows, disagreement records): the
+    encoder writes it at the dicts' depth, and one ``str.replace`` re-indents
+    the joins between the dicts.  Only those joins can read "},<newline>{",
+    because the encoder escapes every newline inside a string.  Python
+    recurses only over other containers that hold containers, whose dict
+    keys must be str.
     """
     if not isinstance(obj, (dict, list, tuple)):
         out.append("".join(_json_encoder(0)(obj, 0)))
@@ -125,6 +136,12 @@ def _write_json(obj, depth: int, out: list[str]) -> None:
     if _SCALARS.issuperset(map(type, obj.values() if is_dict else obj)):
         text = "".join(_json_encoder(depth + 1)(obj, 0))
         out += (text[0], inner, text[1:-1], close)
+        return
+    if not is_dict and all(map(_flat_dict, obj)):
+        keys = "\n" + "  " * (depth + 2)
+        text = "".join(_json_encoder(depth + 2)(obj, 0))  # "[{...},<keys>{...}]"
+        body = text[2:-2].replace("}," + keys + "{", inner + "}," + inner + "{" + keys)
+        out += ("[", inner, "{", keys, body, inner, "}", close)
         return
     out.append("{" if is_dict else "[")
     sep, comma = inner, "," + inner

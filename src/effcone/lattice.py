@@ -9,7 +9,7 @@ Two counters are provided:
   in the size of the vertices, however many rows the triangle spans.  It
   reads each vertex's numerators and denominators once and works on those
   integers only, with no ``Fraction`` arithmetic.  It is the general counter
-  behind :func:`~effcone.surface.h0` (the gamma search uses ``section_count``).
+  behind :func:`~effcone.surface.h0` (the gamma search uses ``section_counts``).
 * :func:`count_points_pick` applies Pick's theorem and therefore only
   accepts non-degenerate triangles with integral vertices.
 

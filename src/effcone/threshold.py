@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import isqrt
 
 from .lattice import RationalTriangle, triangle
@@ -32,7 +33,7 @@ from .surface import (
     DivisorSpec,
     WeightedSurface,
     h0,
-    section_count,
+    section_counts,
 )
 
 __all__ = [
@@ -177,7 +178,7 @@ class GammaSearchResult:
 def _search_families(surface: WeightedSurface) -> tuple[tuple[str, int], ...]:
     """(family, scale) pairs contributing candidate values scale*nu/n."""
     if surface.a == 4:
-        # section_count() refuses the B/C shapes unless q = 3 as well.
+        # section_counts() refuses the B/C shapes unless q = 3 as well.
         return ((FAMILY_B, surface.c), (FAMILY_C, surface.b))
     # a <= 3: only the AZ family (n*a*D_z ~ (n/b)H) is available.
     return ((FAMILY_AZ, surface.b),)
@@ -187,12 +188,11 @@ def _family_rows(surface: WeightedSurface, family: str, n_max: int) -> list[tupl
     """One family's integer (family, n, h0, nu) rows for n = 1..n_max."""
     if n_max < 1:
         raise ValueError(f"require n_max >= 1, got {n_max}")
-    rows = []
-    for n in range(1, n_max + 1):
-        count = (h0(surface, DivisorSpec(family, n)) if family == FAMILY_AZ
-                 else section_count(surface, family, n))
-        rows.append((family, n, count, nu_from_h0(count)))
-    return rows
+    if family == FAMILY_AZ:
+        counts = [h0(surface, DivisorSpec(family, n)) for n in range(1, n_max + 1)]
+    else:
+        counts = section_counts(surface, family, n_max)
+    return list(zip(repeat(family), range(1, n_max + 1), counts, map(nu_from_h0, counts)))
 
 
 def _best(rows: list, scales: dict[str, int]) -> tuple[Fraction, tuple]:

@@ -22,8 +22,9 @@ there.  For same-family cells the condition reduces to the familiar
 Both checks take the cell's count h0 and return margin = rhs - h0;
 margin >= 1 certifies the strict inequality, margin < 1 is a
 counterexample.  :func:`sweep_one` takes every count from the table of
-:func:`~effcone.threshold.gamma_search`, so each cell is counted once, by
-:func:`~effcone.surface.section_count`; :func:`sweep` runs every cell for a
+:func:`~effcone.threshold.gamma_search`, so each cell is counted once, and
+each family's counts come from one running sum,
+:func:`~effcone.surface.section_counts`; :func:`sweep` runs every cell for a
 list of surfaces and aggregates; :func:`calibrate_delta` exhaustively
 compares the published step-error jump condition against the value forced
 by the reduction identity (see the fracsum module).
@@ -59,15 +60,21 @@ class CalibrationError(Exception):
     fracsum theorem (the jump is 0) rules out: a data failure, not an input error."""
 
 
+def _delta(surface: WeightedSurface, family: str) -> int:
+    """The degree unit delta of a family: b for family B and c for family C."""
+    if family == FAMILY_B:
+        return surface.b
+    if family == FAMILY_C:
+        return surface.c
+    raise ValueError(f"margins need family 'B' or 'C', got {family!r}")
+
+
 def _degrees(
     surface: WeightedSurface, cls: Classification, family: str, n: int
 ) -> tuple[int, int]:
     """Degrees (m0*delta, n*delta') of the attaining divisor and of the
     (family, n) cell, with delta = b for family B and c for family C."""
-    delta = {FAMILY_B: surface.b, FAMILY_C: surface.c}
-    if family not in delta:
-        raise ValueError(f"margins need family 'B' or 'C', got {family!r}")
-    return cls.m0 * delta[cls.family], n * delta[family]
+    return cls.m0 * _delta(surface, cls.family), n * _delta(surface, family)
 
 
 def attainment_step(
@@ -136,12 +143,15 @@ def sweep_one(surface: WeightedSurface, n_max: int) -> dict:
     """
     classifications = classify_surface(surface)
     search = gamma_search(surface, n_max)
+    delta = {FAMILY_B: surface.b, FAMILY_C: surface.c}
     rows = []
     cell_best: dict[tuple[str, int], int] = {}
     for cls in classifications:
+        base = cls.m0 * delta[cls.family]
         for family, n, count, _ in search.table:
-            step = attainment_step(surface, cls, family, n)
-            if step is not None:
+            # Same routing as attainment_step, with the degrees hoisted.
+            step, rest = divmod(n * delta[family], base)
+            if rest == 0:
                 margin = margin_at_multiple(cls, step, count)
             else:
                 margin = margin_general(surface, cls, family, n, count)
@@ -182,8 +192,11 @@ def sweep(surfaces: list[WeightedSurface], n_max: int, jobs: int | None = None) 
     ``jobs > 1`` spreads the surfaces over min(jobs, len(surfaces)) worker
     processes; the output is deterministic either way.  A ``ValueError``
     from one surface (e.g. one outside every classification interval) is
-    raised again with the surface in front of its message.
+    raised again with the surface in front of its message; a bad ``n_max``
+    is refused first, naming no surface.
     """
+    if n_max < 1:
+        raise ValueError(f"require n_max >= 1, got {n_max}")
     if jobs is not None and jobs > 1 and len(surfaces) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(surfaces))) as executor:
             return list(executor.map(partial(_sweep_named, n_max=n_max), surfaces))

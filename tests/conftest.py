@@ -20,6 +20,8 @@ made before the jump was proved to be 0; it is that proof's oracle.
 before it solved for the level directly.  :func:`contains_point` is an
 exact membership test for a rational triangle, with which the tests check
 that the reference triangles sit inside the divisor polytopes.
+:func:`section_count` is the per-cell closed form of one family-B or
+family-C count that ``surface.section_counts`` replaced by a running sum.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from effcone import (
     branch_interval,
     classify_surface,
     deficit,
+    floor_sum_linear,
     make_surface,
     outer_bound,
     point,
@@ -248,6 +251,32 @@ def contains_point(tri: RationalTriangle, pt) -> bool:
         return False
     t_num = dx * (pt.x - a.x) + dy * (pt.y - a.y)
     return 0 <= t_num <= dx * dx + dy * dy
+
+
+def right_edge_sum(rows: int) -> int:
+    """S(Y) = sum_{y=0}^{Y} floor(-3y/4) for rows = Y + 1: rows 4j..4j+3 add
+    -12j - 6, so with rows = 4t + r, S(Y) = -(6t^2 + 3tr + (0, 0, 1, 3)[r])."""
+    t, r = divmod(rows, 4)
+    return -(6 * t * t + 3 * t * r + (0, 0, 1, 3)[r])
+
+
+def section_count(surface, family: str, n: int) -> int:
+    """h0 of the n-th family-B or family-C divisor of an a = 4, q = 3
+    surface, summed over its rows in closed form.
+
+    Both triangles rest on y = 0 under the right edge x = -3y/4; the left edge
+    is x = (p*y - n*c)/b for C (rows y <= 4n) and x = -n + p*y/b for B (rows
+    y <= Y = floor(4nb/c)).  Row y holds floor(-3y/4) - ceil(left) + 1 points,
+    so with m = -p, h0 is S(4n) + 4n + 1 + floor_sum_linear(4n + 1, b, m, n*c)
+    for C and S(Y) + (n + 1)(Y + 1) + floor_sum_linear(Y + 1, b, m, 0) for B.
+    """
+    assert family in ("B", "C") and n >= 1 and (surface.a, surface.q) == (4, 3)
+    b, c, m = surface.b, surface.c, -surface.p
+    if family == "C":
+        rows = 4 * n + 1
+        return right_edge_sum(rows) + floor_sum_linear(rows, b, m, n * c) + rows
+    rows = 4 * n * b // c + 1
+    return right_edge_sum(rows) + (n + 1) * rows + floor_sum_linear(rows, b, m, 0)
 
 
 def level_by_descent(x: Fraction) -> int:

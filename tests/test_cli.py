@@ -273,6 +273,20 @@ class TestVerify:
             "interval (2, 16/3)\n"
         )
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_n_max_below_one_names_no_surface(self, capsys, monkeypatch, jobs):
+        # Refused once, before any surface is swept or any worker started.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(effcone.verify, "ProcessPoolExecutor", no_pool)
+        code = main([
+            "verify", "--surface", "4,5,7", "--surface", "4,7,13",
+            "--n-max", "0", "--jobs", jobs,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "effcone: error: require n_max >= 1, got 0\n"
+
     def test_non_integer_jobs_variable(self, capsys, monkeypatch):
         monkeypatch.setenv("EFFCONE_JOBS", "x")
         assert main(["verify", "--surface", "4,5,7", "--n-max", "2"]) == 2
@@ -403,6 +417,38 @@ PAYLOADS = st.recursive(
     ),
     max_leaves=30,
 )
+# Record lists: lists and tuples of flat dicts, which the writer renders with
+# one encoder call unless an item is empty or not flat.  Keys and strings hold
+# the characters of the joins it re-indents.
+RECORD_TEXT = st.text(alphabet='}{,"\\\n: a', max_size=6)
+RECORD_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**20, 10**20),
+    st.fractions(max_denominator=10**6), RECORD_TEXT,
+)
+FLAT_DICTS = st.dictionaries(RECORD_TEXT, RECORD_SCALARS, min_size=1, max_size=4)
+
+
+@st.composite
+def record_lists(draw):
+    records = draw(st.lists(FLAT_DICTS, min_size=1, max_size=5))
+    if draw(st.booleans()):  # an empty dict sends the list down the general path
+        records.insert(draw(st.integers(0, len(records))), {})
+    return tuple(records) if draw(st.booleans()) else records
+
+
+@st.composite
+def nested_record_lists(draw):
+    """A record list nested 0 to 3 deep in lists, tuples and dicts."""
+    payload = draw(record_lists())
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("list", "tuple", "dict")))
+        if kind == "list":
+            payload = [payload, draw(record_lists())]
+        elif kind == "tuple":
+            payload = (payload,)
+        else:
+            payload = {draw(RECORD_TEXT): payload}
+    return payload
 
 
 def reference_json(payload) -> str:
@@ -417,6 +463,14 @@ class TestJsonWriter:
     @example({"x": [True, 1, False, 0, -(10**70)], "y": Fraction(5), "z": Fraction(-1, 2)})
     @example({"q\"\\": "\x00\u00e9\U0001f600", "": {"\u03b2": ["\t"]}})
     def test_matches_indented_dumps(self, payload):
+        assert cli._render_json(payload) == reference_json(payload)
+
+    @settings(max_examples=200)
+    @given(nested_record_lists())
+    @example([{"a": "},\n    {"}, {"},\n    {": Fraction(1, 3)}])
+    @example({"k": [{"x": 1}, {}, {"y": [2]}]})
+    @example(([{"}": "{"}],))
+    def test_record_lists_match_indented_dumps(self, payload):
         assert cli._render_json(payload) == reference_json(payload)
 
     @pytest.mark.parametrize("bad", [

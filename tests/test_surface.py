@@ -15,11 +15,10 @@ from effcone import (
     make_surface,
     point,
     polytope,
-    section_count,
+    section_counts,
 )
-from effcone.surface import _right_edge_sum
 
-from conftest import build_pool, monomial_count, polytope_fraction
+from conftest import build_pool, monomial_count, polytope_fraction, right_edge_sum, section_count
 
 
 def degree(surface, spec):
@@ -213,10 +212,10 @@ class TestH0:
 
 
 @st.composite
-def bc_cells(draw):
-    """(P(4, b, 3b + 4p), n) with q = 3 and odd b: b just above 2|p| (c just
-    above b), b near 16|p|/3 (the top of the classified range), or p > 0;
-    n up to 10^18."""
+def bc_surfaces(draw):
+    """P(4, b, 3b + 4p) with q = 3 and odd b up to about 2*10^6: b just above
+    2|p| (c just above b), b near 16|p|/3 (the top of the classified range),
+    or p > 0."""
     m = draw(st.integers(1, 10**6))
     side = draw(st.sampled_from(("near 2|p|", "near 16|p|/3", "p > 0")))
     if side == "near 2|p|":
@@ -226,14 +225,29 @@ def bc_cells(draw):
     else:
         b, p = 2 * draw(st.integers(2, 10**6)) + 1, m
     assume(b > max(4, 2 * -p) and gcd(b, m) == 1)
+    return make_surface(4, b, 3 * b + 4 * p)
+
+
+@st.composite
+def bc_cells(draw):
+    """(surface, n) with a :func:`bc_surfaces` surface and n up to 10^18."""
+    surface = draw(bc_surfaces())
     n = draw(st.one_of(st.integers(1, 400), st.integers(1, 10**18)))
-    return make_surface(4, b, 3 * b + 4 * p), n
+    return surface, n
+
+
+def general_counts(surface, family, n_max):
+    return [count_points_rowscan(polytope(surface, DivisorSpec(family, n)))
+            for n in range(1, n_max + 1)]
 
 
 class TestSectionCount:
+    """``section_counts`` and the per-cell closed form it replaced, which the
+    tests keep as an oracle (``conftest.section_count``)."""
+
     def test_right_edge_sum_is_the_direct_sum(self):
         for rows in range(1000):
-            assert _right_edge_sum(rows) == sum(-3 * y // 4 for y in range(rows)), rows
+            assert right_edge_sum(rows) == sum(-3 * y // 4 for y in range(rows)), rows
 
     @given(bc_cells())
     @settings(max_examples=400)
@@ -242,40 +256,56 @@ class TestSectionCount:
     @example((make_surface(4, 7, 17), 1))  # b/(-p) = 7 > 16/3
     @example((make_surface(4, 2 * 10**6 + 1, 2 * 10**6 + 3), 10**18 - 1))
     def test_matches_general_counter(self, cell):
+        # The closed-form oracle, cell by cell at any n.
         surface, n = cell
         for family in ("B", "C"):
             expected = count_points_rowscan(polytope(surface, DivisorSpec(family, n)))
             assert section_count(surface, family, n) == expected, (surface, family, n)
 
+    @given(bc_surfaces(), st.integers(1, 400))
+    @settings(max_examples=200, deadline=None)
+    @example(make_surface(4, 5, 7), 400)  # b = 2|p| + 1
+    @example(make_surface(4, 5, 19), 400)  # p = 1
+    @example(make_surface(4, 7, 17), 1)  # b/(-p) = 7 > 16/3
+    @example(make_surface(4, 2 * 10**6 + 1, 2 * 10**6 + 3), 400)
+    def test_running_sum_matches_general_counter(self, surface, n_max):
+        for family in ("B", "C"):
+            counts = section_counts(surface, family, n_max)
+            assert counts == general_counts(surface, family, n_max), (surface, family)
+
     def test_matches_general_counter_on_pool(self, pool, named_surfaces):
-        # Every cell of a verify sweep at n_max = 200.
+        # Every cell of a verify sweep at n_max = 200, against h0 and the oracle.
         surfaces = dict.fromkeys(named_surfaces + [surface for surface, _, _ in pool])
         for surface in surfaces:
             for family in ("B", "C"):
-                for n in range(1, 201):
-                    expected = count_points_rowscan(polytope(surface, DivisorSpec(family, n)))
-                    assert section_count(surface, family, n) == expected, (surface, family, n)
+                counts = section_counts(surface, family, 200)
+                assert len(counts) == 200
+                for n, count in enumerate(counts, 1):
+                    assert count == h0(surface, DivisorSpec(family, n)), (surface, family, n)
+                    assert count == section_count(surface, family, n), (surface, family, n)
 
     def test_matches_monomial_oracle(self):
         for weights in ((4, 5, 7), (4, 5, 19), (4, 7, 17), (4, 13, 23), (4, 49, 87)):
             surface = make_surface(*weights)
             for family in ("B", "C"):
+                counts = section_counts(surface, family, 12)
                 for n in (1, 2, 3, 7, 12):
                     expected = monomial_count(
                         4, surface.b, surface.c, degree(surface, DivisorSpec(family, n))
                     )
-                    assert section_count(surface, family, n) == expected, (surface, family, n)
+                    assert counts[n - 1] == expected, (surface, family, n)
 
     def test_refusals(self):
         surface = make_surface(4, 5, 9)  # q = 1
         for family in ("B", "C"):
             message = rf"^family {family} polytope requires a = 4 and q = 3, got P\(4,5,9\)$"
             with pytest.raises(ValueError, match=message):
-                section_count(surface, family, 1)
-        with pytest.raises(ValueError, match="family B or C and n >= 1, got 'AZ', 1"):
-            section_count(make_surface(4, 5, 7), "AZ", 1)
-        with pytest.raises(ValueError, match="family B or C and n >= 1, got 'B', 0"):
-            section_count(make_surface(4, 5, 7), "B", 0)
+                section_counts(surface, family, 1)
+        with pytest.raises(ValueError, match="^section_counts needs family B or C, got 'AZ'$"):
+            section_counts(make_surface(4, 5, 7), "AZ", 1)
+        for n_max in (0, -3):
+            with pytest.raises(ValueError, match=f"^require n_max >= 1, got {n_max}$"):
+                section_counts(make_surface(4, 5, 7), "B", n_max)
 
 
 class TestAbscissaRange:

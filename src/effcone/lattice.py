@@ -24,12 +24,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .numerics import as_rational, floor_sum_linear
+from .numerics import floor_sum_linear
 
 __all__ = [
     "RationalPoint",
     "RationalTriangle",
-    "point",
     "triangle",
     "count_points_rowscan",
     "count_points_pick",
@@ -55,20 +54,21 @@ class RationalTriangle:
         return all(v.x.denominator == 1 and v.y.denominator == 1 for v in self.vertices)
 
 
-def point(x, y) -> RationalPoint:
-    """Build a :class:`RationalPoint`, coercing coordinates to Fractions."""
-    return RationalPoint(as_rational(x), as_rational(y))
-
-
 def triangle(p0, p1, p2) -> RationalTriangle:
-    """Build a :class:`RationalTriangle` from three points or ``(x, y)`` pairs."""
+    """Build a :class:`RationalTriangle` from three points or ``(x, y)`` pairs.
+
+    Coordinates may be ints, Fractions or strings such as ``"3/7"``; floats
+    are refused, since converting them would bring binary rounding error
+    into computations that must stay exact.
+    """
     pts = []
     for p in (p0, p1, p2):
-        if isinstance(p, RationalPoint):
-            pts.append(p)
-        else:
+        if not isinstance(p, RationalPoint):
             x, y = p
-            pts.append(point(x, y))
+            if isinstance(x, float) or isinstance(y, float):
+                raise TypeError("refusing a float coordinate; pass an int, Fraction or string")
+            p = RationalPoint(Fraction(x), Fraction(y))
+        pts.append(p)
     return RationalTriangle((pts[0], pts[1], pts[2]))
 
 

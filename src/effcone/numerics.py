@@ -1,33 +1,15 @@
-"""Exact-arithmetic helpers shared by the rest of the package.
+"""The floor-sum kernel: :func:`floor_sum_linear`, the Euclid-like sum of
+floors behind both the lattice-point counter and the fractional-part sums.
 
-Most of this is thin glue over :mod:`fractions`: the point is to centralize
-the few conventions the package relies on (rationals are always
-:class:`fractions.Fraction`, never floats); gcds and
-modular inverses come from :func:`math.gcd` and ``pow(a, -1, m)``.  The one
-algorithm is :func:`floor_sum_linear`, the Euclid-like floor-sum kernel
-behind both the lattice-point counter and the fractional-part sums.
+Everything in the package is exact: rationals are always
+:class:`fractions.Fraction` or pairs of integers, never floats.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 __all__ = [
-    "as_rational",
     "floor_sum_linear",
 ]
-
-
-def as_rational(value) -> Fraction:
-    """Coerce ``value`` to an exact :class:`~fractions.Fraction`.
-
-    Accepts ints, Fractions, and strings such as ``"3/7"`` or ``"-2"``.
-    Floats are rejected: silently converting them would smuggle binary
-    rounding error into computations that must stay exact.
-    """
-    if isinstance(value, float):
-        raise TypeError("refusing to convert float to exact rational; pass a Fraction or string")
-    return Fraction(value)
 
 
 def floor_sum_linear(n: int, m: int, a: int, b: int) -> int:

@@ -17,7 +17,8 @@ cell of the non-attaining family whose degree n*delta' is a multiple of
 m0*delta lies on the attainment ray (at step t = n*delta'/(m0*delta)) and
 meets the threshold with equality; only the attainment-type bound can hold
 there.  For same-family cells the condition reduces to the familiar
-"n is a multiple of m0".
+"n is a multiple of m0".  :func:`sweep_one` is the one place that makes this
+test; it hands the degrees it compared on to :func:`margin_general`.
 
 Both checks take the cell's count h0 and return margin = rhs - h0;
 margin >= 1 certifies the strict inequality, margin < 1 is a
@@ -45,7 +46,6 @@ from .threshold import Classification, classify_surface, gamma_search
 
 __all__ = [
     "CalibrationError",
-    "attainment_step",
     "margin_general",
     "margin_at_multiple",
     "sweep_one",
@@ -60,54 +60,26 @@ class CalibrationError(Exception):
     fracsum theorem (the jump is 0) rules out: a data failure, not an input error."""
 
 
-def _delta(surface: WeightedSurface, family: str) -> int:
-    """The degree unit delta of a family: b for family B and c for family C."""
-    if family == FAMILY_B:
-        return surface.b
-    if family == FAMILY_C:
-        return surface.c
-    raise ValueError(f"margins need family 'B' or 'C', got {family!r}")
-
-
-def _degrees(
-    surface: WeightedSurface, cls: Classification, family: str, n: int
-) -> tuple[int, int]:
-    """Degrees (m0*delta, n*delta') of the attaining divisor and of the
-    (family, n) cell, with delta = b for family B and c for family C."""
-    return cls.m0 * _delta(surface, cls.family), n * _delta(surface, family)
-
-
-def attainment_step(
-    surface: WeightedSurface, cls: Classification, family: str, n: int
-) -> int | None:
-    """Step t if the (family, n) divisor is t times the attaining divisor.
-
-    Returns the integer ratio of the degrees n*delta' / (m0*delta) when it
-    is exact -- the two cells then name the same divisor class -- and None
-    when the cell is off the attainment ray.
-    """
-    base, degree = _degrees(surface, cls, family, n)
-    return degree // base if degree % base == 0 else None
-
-
-def margin_general(
-    surface: WeightedSurface, cls: Classification, family: str, n: int, count: int
-) -> int:
+def margin_general(cls: Classification, degree: int, base: int, count: int) -> int:
     """rhs - count for the strict sub-threshold inequality at one off-ray
-    cell, where ``count`` is the cell's h0.
+    cell of divisor degree ``degree`` = n*delta', where ``base`` = m0*delta
+    is the degree of the attaining divisor and ``count`` is the cell's h0.
 
-    Not applicable when the cell's divisor degree n*delta' is a multiple of
-    m0*delta (the divisor then sits on the attainment ray and meets the
-    threshold exactly); use :func:`margin_at_multiple` there.
+    Not applicable when ``degree`` is a multiple of ``base`` (the divisor
+    then sits on the attainment ray and meets the threshold exactly); use
+    :func:`margin_at_multiple` there.  On P(4, 5, 7), branch I'- (family B,
+    m0 = 7, base 7*5) and cell (B, 1) (degree 5, h0 = 3):
+
+    >>> from effcone.threshold import classify
+    >>> margin_general(classify(5, -2)[0], 5, 35, 3)
+    1
     """
-    if n < 1:
-        raise ValueError(f"require n >= 1, got {n}")
-    base, degree = _degrees(surface, cls, family, n)
+    if degree < 1 or base < 1:
+        raise ValueError(f"require degree >= 1 and base >= 1, got {degree} and {base}")
     if degree % base == 0:
         raise ValueError(
-            f"the (family {family!r}, n = {n}) divisor is a multiple of m0 = "
-            f"{cls.m0} in family {cls.family!r} (attainment step t = {degree // base}); "
-            "use margin_at_multiple"
+            f"degree {degree} is a multiple of m0 = {cls.m0} times delta, base = "
+            f"{base} (attainment step t = {degree // base}); use margin_at_multiple"
         )
     level = -(-cls.nu0 * degree // base)  # ceil(nu0*n*delta'/(m0*delta))
     return comb(level + 1, 2) + 1 - count
@@ -120,9 +92,8 @@ def margin_at_multiple(cls: Classification, t: int, count: int) -> int:
     rhs = C(nu0*t + 2, 2); margin >= 1 certifies nu there is at most nu0*t,
     so the cell's value never exceeds the predicted threshold (equality is
     reached at t = 1 and whenever the count fills the triangular bound).
-    Covers the classified family's cells n = m0*t and, through
-    :func:`attainment_step`, the other family's cells naming the same
-    divisor.
+    Covers the classified family's cells n = m0*t and the other family's
+    cells naming the same divisor.
     """
     if t < 1:
         raise ValueError(f"require t >= 1, got {t}")
@@ -149,12 +120,13 @@ def sweep_one(surface: WeightedSurface, n_max: int) -> dict:
     for cls in classifications:
         base = cls.m0 * delta[cls.family]
         for family, n, count, _ in search.table:
-            # Same routing as attainment_step, with the degrees hoisted.
-            step, rest = divmod(n * delta[family], base)
+            # A cell is on the attainment ray iff base divides its degree.
+            degree = n * delta[family]
+            step, rest = divmod(degree, base)
             if rest == 0:
                 margin = margin_at_multiple(cls, step, count)
             else:
-                margin = margin_general(surface, cls, family, n, count)
+                margin = margin_general(cls, degree, base, count)
             rows.append(
                 {
                     "branch": cls.branch,
@@ -217,15 +189,6 @@ def aggregate_sweep(reports: list[dict]) -> dict:
     The sweep cannot decide asymptotic claims, so the summary records the
     per-b minima and the smallest b at which every margin is >= 1.
     """
-    if not reports:
-        return {
-            "surfaces": 0,
-            "min_margin": None,
-            "failure_count": 0,
-            "all_gamma_match": None,
-            "by_b": [],
-            "smallest_clean_b": None,
-        }
     by_b: dict[int, dict] = {}
     for report in reports:
         b = report["surface"]["b"]
@@ -235,14 +198,15 @@ def aggregate_sweep(reports: list[dict]) -> dict:
             entry["min_margin"] = mm
         entry["gamma_match"] = entry["gamma_match"] and bool(report["gamma_match"])
     stratified = [by_b[b] for b in sorted(by_b)]
-    clean = [row["b"] for row in stratified if row["min_margin"] >= 1]
     return {
         "surfaces": len(reports),
-        "min_margin": min(report["min_margin"] for report in reports),
+        "min_margin": min((report["min_margin"] for report in reports), default=None),
         "failure_count": sum(len(report["failures"]) for report in reports),
-        "all_gamma_match": all(report["gamma_match"] for report in reports),
+        "all_gamma_match": all(report["gamma_match"] for report in reports) if reports else None,
         "by_b": stratified,
-        "smallest_clean_b": min(clean) if clean else None,
+        "smallest_clean_b": min(
+            (row["b"] for row in stratified if row["min_margin"] >= 1), default=None
+        ),
     }
 
 

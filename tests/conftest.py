@@ -34,14 +34,12 @@ import pytest
 from effcone import (
     BRANCHES,
     FamilyRequest,
-    RationalPoint,
     branch_interval,
     classify_surface,
     deficit,
     floor_sum_linear,
     make_surface,
     outer_bound,
-    point,
     solve_family,
 )
 
@@ -226,16 +224,15 @@ def _cross(ox, oy, ax, ay, bx, by) -> Fraction:
 
 
 def contains_point(tri: RationalTriangle, pt) -> bool:
-    """Exact membership test for the closed convex hull of ``tri``."""
-    if not isinstance(pt, RationalPoint):
-        x, y = pt
-        pt = point(x, y)
+    """Exact membership test of the point ``pt = (x, y)``, with int or
+    Fraction coordinates, for the closed convex hull of ``tri``."""
+    x, y = pt
     v0, v1, v2 = tri.vertices
     orient = _cross(v0.x, v0.y, v1.x, v1.y, v2.x, v2.y)
     if orient != 0:
-        c0 = _cross(v0.x, v0.y, v1.x, v1.y, pt.x, pt.y)
-        c1 = _cross(v1.x, v1.y, v2.x, v2.y, pt.x, pt.y)
-        c2 = _cross(v2.x, v2.y, v0.x, v0.y, pt.x, pt.y)
+        c0 = _cross(v0.x, v0.y, v1.x, v1.y, x, y)
+        c1 = _cross(v1.x, v1.y, v2.x, v2.y, x, y)
+        c2 = _cross(v2.x, v2.y, v0.x, v0.y, x, y)
         if orient > 0:
             return c0 >= 0 and c1 >= 0 and c2 >= 0
         return c0 <= 0 and c1 <= 0 and c2 <= 0
@@ -246,10 +243,10 @@ def contains_point(tri: RationalTriangle, pt) -> bool:
     a, b = vs[0], vs[2]
     dx, dy = b.x - a.x, b.y - a.y
     if dx == 0 and dy == 0:
-        return pt.x == a.x and pt.y == a.y
-    if dx * (pt.y - a.y) - dy * (pt.x - a.x) != 0:
+        return x == a.x and y == a.y
+    if dx * (y - a.y) - dy * (x - a.x) != 0:
         return False
-    t_num = dx * (pt.x - a.x) + dy * (pt.y - a.y)
+    t_num = dx * (x - a.x) + dy * (y - a.y)
     return 0 <= t_num <= dx * dx + dy * dy
 
 

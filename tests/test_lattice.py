@@ -12,7 +12,6 @@ from effcone import (
     RationalTriangle,
     count_points_pick,
     count_points_rowscan,
-    point,
     triangle,
 )
 
@@ -208,18 +207,34 @@ class TestInvariance:
         assert count_points_rowscan(swapped) == expected
 
 
+class TestTriangle:
+    def test_coerces_coordinates(self):
+        tri = triangle((Fraction(3, 7), 5), ("-2", "1/3"), (0, 0))
+        assert [(v.x, v.y) for v in tri.vertices] == [
+            (Fraction(3, 7), Fraction(5)), (Fraction(-2), Fraction(1, 3)), (0, 0)
+        ]
+        assert all(isinstance(c, Fraction) for v in tri.vertices for c in (v.x, v.y))
+        assert triangle(*tri.vertices) == tri
+
+    def test_rejects_float(self):
+        with pytest.raises(TypeError):
+            triangle((0, 0), (1, 0), (0.5, 0))
+        with pytest.raises(TypeError):
+            triangle((0, 0), (1, 0), (0, 0.5))
+
+
 class TestContainsPoint:
     def test_vertices_and_interior(self):
         tri = triangle((0, 0), (-5, 0), (-15, 20))
         for v in tri.vertices:
-            assert contains_point(tri, v)
-        assert contains_point(tri, point(-5, 4))
-        assert not contains_point(tri, point(1, 0))
-        assert not contains_point(tri, point(0, 1))
+            assert contains_point(tri, (v.x, v.y))
+        assert contains_point(tri, (-5, 4))
+        assert not contains_point(tri, (1, 0))
+        assert not contains_point(tri, (0, 1))
 
     def test_degenerate_segment(self):
         tri = triangle((0, 0), (4, 4), (2, 2))
-        assert contains_point(tri, point(3, 3))
-        assert contains_point(tri, point(Fraction(1, 2), Fraction(1, 2)))
-        assert not contains_point(tri, point(5, 5))
-        assert not contains_point(tri, point(1, 2))
+        assert contains_point(tri, (3, 3))
+        assert contains_point(tri, (Fraction(1, 2), Fraction(1, 2)))
+        assert not contains_point(tri, (5, 5))
+        assert not contains_point(tri, (1, 2))

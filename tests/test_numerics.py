@@ -1,6 +1,5 @@
-"""Exact-arithmetic helpers: rational coercion and the floor-sum kernel."""
+"""The floor-sum kernel against direct sums and the full-period closed form."""
 
-from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -8,21 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from effcone import (
-    as_rational,
     floor_sum,
     floor_sum_linear,
 )
-
-
-class TestAsRational:
-    def test_passthrough(self):
-        assert as_rational(Fraction(3, 7)) == Fraction(3, 7)
-        assert as_rational(5) == Fraction(5)
-        assert isinstance(as_rational(5), Fraction)
-
-    def test_rejects_float(self):
-        with pytest.raises(TypeError):
-            as_rational(0.5)
 
 
 small_or_huge = st.one_of(st.integers(-50, 50), st.integers(-10**30, 10**30))

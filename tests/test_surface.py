@@ -13,7 +13,6 @@ from effcone import (
     count_points_rowscan,
     h0,
     make_surface,
-    point,
     polytope,
     section_counts,
 )

@@ -8,7 +8,6 @@ import pytest
 from effcone import DivisorSpec, classify_surface, h0, make_surface, section_counts, threshold
 from effcone.verify import (
     aggregate_sweep,
-    attainment_step,
     calibrate_delta,
     margin_at_multiple,
     margin_general,
@@ -29,11 +28,13 @@ def s41323():
 
 class TestMargins:
     def test_frozen_general(self, s457, s41323):
+        # margin_general takes the cell's degree n*delta' and the attaining
+        # degree m0*delta: 7*5 for I'- of P(4,5,7), 3*23 for P(4,13,23).
         cls_minus, cls_plus = classify_surface(s457)
-        assert margin_general(s457, cls_minus, "B", 1, h0(s457, DivisorSpec("B", 1))) == 1
-        assert margin_general(s457, cls_minus, "B", 2, h0(s457, DivisorSpec("B", 2))) == 2
+        assert margin_general(cls_minus, 5, 35, h0(s457, DivisorSpec("B", 1))) == 1
+        assert margin_general(cls_minus, 10, 35, h0(s457, DivisorSpec("B", 2))) == 2
         (cls,) = classify_surface(s41323)
-        assert margin_general(s41323, cls, "C", 1, h0(s41323, DivisorSpec("C", 1))) == 1
+        assert margin_general(cls, 23, 69, h0(s41323, DivisorSpec("C", 1))) == 1
 
     def test_frozen_at_multiples(self, s457, s41323):
         for cls in classify_surface(s457):
@@ -46,51 +47,63 @@ class TestMargins:
             assert margin_at_multiple(cls, 1, count) == 16  # 153 - 137
 
     def test_routing(self, s457):
-        cls_minus, _ = classify_surface(s457)  # family B, m0 = 7
+        cls_minus, _ = classify_surface(s457)  # family B, m0 = 7, degree 35
+        degree = {"B": s457.b, "C": s457.c}
+
+        def general(family, n, count):
+            return margin_general(cls_minus, n * degree[family], 35, count)
+
         with pytest.raises(ValueError, match="multiple of m0 = 7"):
-            margin_general(s457, cls_minus, "B", 7, h0(s457, DivisorSpec("B", 7)))
+            general("B", 7, h0(s457, DivisorSpec("B", 7)))
         with pytest.raises(ValueError, match="multiple of m0 = 7"):
-            margin_general(s457, cls_minus, "B", 14, h0(s457, DivisorSpec("B", 14)))
+            general("B", 14, h0(s457, DivisorSpec("B", 14)))
         # (C, 5) names the same divisor as the attaining (B, 7): 5*7 = 7*5.
         with pytest.raises(ValueError, match="attainment step t = 1"):
-            margin_general(s457, cls_minus, "C", 5, h0(s457, DivisorSpec("C", 5)))
+            general("C", 5, h0(s457, DivisorSpec("C", 5)))
         with pytest.raises(ValueError, match="attainment step t = 2"):
-            margin_general(s457, cls_minus, "C", 10, h0(s457, DivisorSpec("C", 10)))
+            general("C", 10, h0(s457, DivisorSpec("C", 10)))
         # Off-ray cells of the other family stay with margin_general:
         # (C, 7) has degree 7*7 = 49, not a multiple of 7*5 = 35.
-        count = h0(s457, DivisorSpec("C", 7))
-        assert isinstance(margin_general(s457, cls_minus, "C", 7, count), int)
-        with pytest.raises(ValueError):
-            margin_general(s457, cls_minus, "B", 0, 1)
+        assert isinstance(general("C", 7, h0(s457, DivisorSpec("C", 7))), int)
         with pytest.raises(ValueError):
             margin_at_multiple(cls_minus, 0, 1)
 
-    @pytest.mark.parametrize("family", ["AZ", "X"])
-    @pytest.mark.parametrize("n", [5, 7])
-    def test_non_bc_family_is_rejected(self, s457, family, n):
-        # Read as family C, (AZ, 5) would sit on the I'- ray (5*7 = 7*5)
-        # and (AZ, 7) off it; only B and C cells have a margin.
+    @pytest.mark.parametrize("degree, base", [(0, 35), (-5, 35), (5, 0), (5, -35)])
+    def test_degree_and_base_must_be_positive(self, s457, degree, base):
         cls_minus, _ = classify_surface(s457)
-        with pytest.raises(ValueError, match=f"got {family!r}"):
-            attainment_step(s457, cls_minus, family, n)
-        with pytest.raises(ValueError, match=f"got {family!r}"):
-            margin_general(s457, cls_minus, family, n, 1)
+        with pytest.raises(ValueError, match=f"got {degree} and {base}"):
+            margin_general(cls_minus, degree, base, 1)
 
     def test_attainment_step(self, s457, s41323):
+        # sweep_one routes a cell at step t of the attainment ray (degree
+        # n*delta' = t*m0*delta) to rhs C(nu0*t + 2, 2), every other cell to
+        # the general rhs C(ceil(nu0*n*delta'/(m0*delta)) + 1, 2) + 1.
+        def rhs_by_cell(surface, n_max):
+            rows = sweep_one(surface, n_max)["rows"]
+            return {(r["branch"], r["family"], r["n"]): r["rhs"] for r in rows}
+
+        def ray(cls, t):
+            return math.comb(cls.nu0 * t + 2, 2)
+
+        def general(cls, degree, base):
+            return math.comb(math.ceil(Fraction(cls.nu0 * degree, base)) + 1, 2) + 1
+
         cls_minus, cls_plus = classify_surface(s457)
         # cls_minus: family B, m0 = 7 (degree 35); cls_plus: family C,
         # m0 = 5 (degree 35).  Both rays coincide at this endpoint surface.
-        assert attainment_step(s457, cls_minus, "B", 7) == 1
-        assert attainment_step(s457, cls_minus, "C", 5) == 1
-        assert attainment_step(s457, cls_plus, "B", 14) == 2
-        assert attainment_step(s457, cls_minus, "B", 6) is None
-        assert attainment_step(s457, cls_minus, "C", 7) is None
+        rhs = rhs_by_cell(s457, 14)
+        assert rhs[("I'-", "B", 7)] == ray(cls_minus, 1)
+        assert rhs[("I'-", "C", 5)] == ray(cls_minus, 1)
+        assert rhs[("I'+", "B", 14)] == ray(cls_plus, 2)
+        assert rhs[("I'-", "B", 6)] == general(cls_minus, 6 * 5, 35)
+        assert rhs[("I'-", "C", 7)] == general(cls_minus, 7 * 7, 35)
         # Interior surface, family C, m0 = 3 (degree 69): the first family-B
         # collision needs 69 | 13n, i.e. n = 69.
         (cls,) = classify_surface(s41323)
-        assert attainment_step(s41323, cls, "B", 69) == 13
+        rhs = rhs_by_cell(s41323, 69)
+        assert rhs[(cls.branch, "B", 69)] == ray(cls, 13)
         assert all(
-            attainment_step(s41323, cls, "B", n) is None for n in range(1, 69)
+            rhs[(cls.branch, "B", n)] == general(cls, 13 * n, 69) for n in range(1, 69)
         )
 
 
@@ -137,9 +150,10 @@ class TestSweepOne:
         surface = make_surface(4, 5, 11)
         (cls,) = classify_surface(surface)
         assert (cls.m0, cls.family, cls.nu0) == (1, "C", 3)
-        assert attainment_step(surface, cls, "B", 11) == 5
+        degree, base = 11 * surface.b, cls.m0 * surface.c
+        assert divmod(degree, base) == (5, 0)
         with pytest.raises(ValueError, match="attainment step t = 5"):
-            margin_general(surface, cls, "B", 11, h0(surface, DivisorSpec("B", 11)))
+            margin_general(cls, degree, base, h0(surface, DivisorSpec("B", 11)))
         report = sweep_one(surface, 22)
         rows = {(r["family"], r["n"]): r for r in report["rows"]}
         assert rows[("B", 11)] == {
@@ -208,11 +222,12 @@ class TestSweepOne:
         # also where m0*t lies beyond the sweep's n_max = 200.
         cells = beyond = 0
         for surface in named_surfaces + [surface for surface, _, _ in pool]:
+            degree = {"B": surface.b, "C": surface.c}
             for cls in classify_surface(surface):
                 other = "C" if cls.family == "B" else "B"
                 for n in range(1, 201):
-                    t = attainment_step(surface, cls, other, n)
-                    if t is None:
+                    t, rest = divmod(n * degree[other], cls.m0 * degree[cls.family])
+                    if rest:
                         continue
                     cells += 1
                     beyond += cls.m0 * t > 200
@@ -236,9 +251,14 @@ class TestSweepAggregation:
         ]
 
     def test_empty_aggregate(self):
-        agg = aggregate_sweep([])
-        assert agg["surfaces"] == 0 and agg["min_margin"] is None
-        assert agg["smallest_clean_b"] is None
+        assert aggregate_sweep([]) == {
+            "surfaces": 0,
+            "min_margin": None,
+            "failure_count": 0,
+            "all_gamma_match": None,
+            "by_b": [],
+            "smallest_clean_b": None,
+        }
 
     def test_parallel_matches_serial(self, s457, s41323):
         surfaces = [s457, s41323, make_surface(4, 7, 13)]

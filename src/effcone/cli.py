@@ -4,7 +4,7 @@ All payloads are emitted as deterministic JSON (sorted keys, exact rationals
 rendered as "num/den" strings, integers as integers); the tabular commands
 (``gamma``, ``verify``) can emit CSV instead.  Exit codes: 0 success,
 1 a data-level verification failure was found, 2 invalid input.  A call
-builds the parser of the subcommand it names, not of all of them.
+builds its command's parser alone; the full tree only reports usage errors.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from . import __version__
@@ -107,17 +108,12 @@ def _json_encoder(depth: int):
 _SCALARS = frozenset({str, int, bool, type(None), Fraction})
 
 
-def _flat_dict(obj) -> bool:
-    """True for a non-empty dict whose values are all scalars."""
-    return isinstance(obj, dict) and bool(obj) and _SCALARS.issuperset(map(type, obj.values()))
-
-
 def _write_json(obj, depth: int, out: list[str]) -> None:
     """Append ``obj`` as ``json.dumps(..., indent=2, sort_keys=True)`` renders
     it, with every ``Fraction`` as its "num/den" string.
 
     A container of scalars is one C-encoder call, and so is a list or tuple
-    of non-empty dicts of scalars (margin rows, disagreement records): the
+    of non-empty plain dicts of scalars (margin rows, disagreement records): the
     encoder writes it at the dicts' depth, and one ``str.replace`` re-indents
     the joins between the dicts.  Only those joins can read "},<newline>{",
     because the encoder escapes every newline inside a string.  Python
@@ -137,7 +133,8 @@ def _write_json(obj, depth: int, out: list[str]) -> None:
         text = "".join(_json_encoder(depth + 1)(obj, 0))
         out += (text[0], inner, text[1:-1], close)
         return
-    if not is_dict and all(map(_flat_dict, obj)):
+    if (not is_dict and set(map(type, obj)) == {dict} and all(obj)
+            and _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, obj))))):
         keys = "\n" + "  " * (depth + 2)
         text = "".join(_json_encoder(depth + 2)(obj, 0))  # "[{...},<keys>{...}]"
         body = text[2:-2].replace("}," + keys + "{", inner + "}," + inner + "{" + keys)
@@ -177,8 +174,7 @@ def _emit(text: str, output: str | None) -> None:
 
 def _render_csv(rows: list[dict]) -> str:
     buffer = io.StringIO()
-    fieldnames = list(rows[0].keys()) if rows else []
-    writer = csv.DictWriter(buffer, fieldnames=fieldnames, lineterminator="\n")
+    writer = csv.DictWriter(buffer, list(rows[0]) if rows else [], lineterminator="\n")
     writer.writeheader()
     for row in rows:
         writer.writerow({
@@ -469,8 +465,8 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The top-level parser with every subcommand, or with ``command`` alone."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="effcone",
         description="Exact lattice counts, Ehrhart coefficients, and expected "
@@ -479,22 +475,26 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments, handler) in _COMMANDS.items():
-        if command is None or command == name:
-            p = sub.add_parser(name, help=help_text)
-            add_arguments(p)
-            p.set_defaults(func=handler)
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse with only the named subcommand's parser when argv[0] names one.
-
-    Leftover arguments are reported with the top-level usage, which lists
-    every command, so they are parsed again by the full parser, which exits.
-    """
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args, extra = _build_parser(command).parse_known_args(argv)
-    return _build_parser().parse_args(argv) if extra else args
+    """Parse with argv[0]'s command parser alone, built as ``add_parser``
+    builds it in the full tree.  The full tree parses only to report with the
+    top-level usage: leftover arguments, no or an unknown command, top-level
+    -h/--version, or a "--=" token, which the top level finds ambiguous."""
+    if argv and argv[0] in _COMMANDS and not any(tok.startswith("--=") for tok in argv):
+        _, add_arguments, handler = _COMMANDS[argv[0]]
+        parser = argparse.ArgumentParser(prog=f"effcone {argv[0]}")
+        add_arguments(parser)
+        parser.set_defaults(func=handler, command=argv[0])
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -510,11 +510,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"effcone: error: {exc}", file=sys.stderr)
         return 2
     text = _render_csv(payload) if args.format == "csv" else _render_json(payload)
-    output = args.output
     try:
-        _emit(text, output)
+        _emit(text, args.output)
     except OSError as exc:
-        if output:
+        if args.output:
             print(f"effcone: error: cannot write --output: {exc}", file=sys.stderr)
             return 2
         if not isinstance(exc, BrokenPipeError):

@@ -2,6 +2,7 @@
 writer against its oracle, the per-command parser against the full one, and
 golden digests of captured outputs."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -484,6 +485,21 @@ class TestJsonWriter:
             cli._render_json(bad)
 
 
+class SortedOnly(dict):
+    """A dict subclass: the writer's one-call record path takes exact dicts only."""
+
+
+@pytest.mark.parametrize("payload", [
+    [SortedOnly(b=1, a=2), {"c": 3}],
+    [{"a": 1}, {}],
+    [{"a": 1}, {"b": [2]}],
+    [{"a": 1}, ({"b": 2},)],
+    [{"a": Fraction(1, 3)}, {"b": None, "c": True}],
+], ids=["subclass", "empty", "nested", "tuple", "scalars"])
+def test_record_list_shapes(payload):
+    assert cli._render_json(payload) == reference_json(payload)
+
+
 # argv that argparse rejects or answers (help, version) before any handler runs.
 PARSE_EXITS = [
     [], ["--help"], ["-h", "verify"], ["--version"], ["bogus"], ["Count"], ["-5"],
@@ -501,6 +517,7 @@ PARSE_EXITS = [
     ["classify", "--b", "5", "--p", "-2", "x", "-1"],
     ["h0", "--surface", "4,5,7", "--family", "B", "--n", "7", "--bogus"],
     ["count", "--version"],
+    ["count", "--tri", "0,0", "1,0", "0,1", "--=x"],
 ]
 
 
@@ -511,15 +528,46 @@ def exit_outcome(capsys, call):
     return excinfo.value.code, captured.out, captured.err
 
 
+def count_parsers(monkeypatch) -> list:
+    """Record the prog of every ArgumentParser built from now on."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
 class TestParser:
     @pytest.mark.parametrize("argv", PARSE_EXITS, ids=" ".join)
     def test_lazy_parser_matches_full(self, capsys, monkeypatch, argv):
-        monkeypatch.setenv("COLUMNS", "80")
-        lazy = exit_outcome(capsys, lambda: main(argv))
-        full = exit_outcome(
-            capsys, lambda: cli._build_parser().parse_args(cli._shield_negatives(argv))
+        # Help and usage wrap at the terminal width when they are formatted.
+        for columns in ("40", "80", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            lazy = exit_outcome(capsys, lambda: main(argv))
+            full = exit_outcome(
+                capsys, lambda: cli._build_parser().parse_args(cli._shield_negatives(argv))
+            )
+            assert lazy == full, columns
+
+    def test_well_formed_call_builds_one_parser(self, capsys, monkeypatch):
+        built = count_parsers(monkeypatch)
+        assert main(["classify", "--b", "13", "--p", "-4"]) == 0
+        assert built == ["effcone classify"]
+
+    def test_leftover_argument_builds_the_full_tree(self, capsys, monkeypatch):
+        built = count_parsers(monkeypatch)
+        code, _, err = exit_outcome(
+            capsys, lambda: main(["classify", "--b", "13", "--p", "-4", "x"])
         )
-        assert lazy == full
+        assert code == 2
+        assert err.startswith("usage: effcone [-h] [--version]")
+        assert err.endswith("effcone: error: unrecognized arguments: x\n")
+        assert built == ["effcone classify", "effcone",
+                         *(f"effcone {name}" for name in cli._COMMANDS)]
 
     @pytest.mark.parametrize("argv", [
         ["count", "--tri", "0,0", "1,0", "0,1/0"],
@@ -533,12 +581,21 @@ class TestParser:
         assert "zero denominator in '1/0'" in err
         assert "Traceback" not in err
 
+    # One valid argv per command; "--n-m" and "--inst" are abbreviated flags.
     @pytest.mark.parametrize("argv", [
         ["count", "--tri", "0,0", "-1,0", "-15/7,20/7", "--method", "pick"],
+        ["h0", "--surface", "4,5,7", "--family", "AZ", "--n", "3"],
+        ["nu", "--surface", "4,13,23", "--family", "B", "--n", "5", "--output", "nu.json"],
+        ["ehrhart", "--surface", "4,13,23", "--family", "C", "--n", "10"],
+        ["gamma", "--surface", "4,5,7", "--n-max", "20", "--format", "csv",
+         "--output", "gamma.csv"],
+        ["classify", "--b", "13", "--p", "-4"],
+        ["lower-bound", "--surface", "4,13,23", "--format", "json"],
         ["reduce", "--entry", "4", "--k", "1", "--surface", "4,13,23", "--u0", "5"],
-        ["verify", "--surface", "4,5,7", "--surface", "4,7,13", "--n-m", "3"],
         ["family", "--alpha", "1", "--beta", "3", "--tau", "-1", "--count", "2",
          "--interval", "3,36/11"],
+        ["verify", "--surface", "4,5,7", "--surface", "4,7,13", "--n-m", "3"],
+        ["calibrate-delta", "--beta-max", "10", "--inst"],
     ], ids=lambda argv: argv[0])
     def test_lazy_namespace_matches_full(self, argv):
         argv = cli._shield_negatives(argv)

@@ -485,18 +485,14 @@ class TestJsonWriter:
             cli._render_json(bad)
 
 
-class SortedOnly(dict):
-    """A dict subclass: the writer's one-call record path takes exact dicts only."""
+class DictSubclass(dict):
+    pass
 
 
-@pytest.mark.parametrize("payload", [
-    [SortedOnly(b=1, a=2), {"c": 3}],
-    [{"a": 1}, {}],
-    [{"a": 1}, {"b": [2]}],
-    [{"a": 1}, ({"b": 2},)],
-    [{"a": Fraction(1, 3)}, {"b": None, "c": True}],
-], ids=["subclass", "empty", "nested", "tuple", "scalars"])
-def test_record_list_shapes(payload):
+def test_record_list_of_dict_subclasses_matches_indented_dumps():
+    # The one-call record path takes exact dicts only; a subclass takes the
+    # general path, which must render it the same.
+    payload = [DictSubclass(b=1, a=2), {"c": Fraction(1, 3)}]
     assert cli._render_json(payload) == reference_json(payload)
 
 

@@ -5,6 +5,12 @@ rendered as "num/den" strings, integers as integers); the tabular commands
 (``gamma``, ``verify``) can emit CSV instead.  Exit codes: 0 success,
 1 a data-level verification failure was found, 2 invalid input.  A call
 builds its command's parser alone; the full tree only reports usage errors.
+
+The JSON writer renders a record list whose plain dicts share one key set and
+hold only exact ints and strs (margin rows, disagreement records) through one
+cached ``%``-template per record, with any "%" in a key escaped; record lists
+holding a Fraction, bool or None (reduction steps, gamma tables,
+classifications) keep one C-encoder call, and the output is the same either way.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import itemgetter
 
 from . import __version__
 from .ehrhart import coefficients
@@ -99,26 +106,82 @@ def _json_default(obj) -> str:
 def _json_encoder(depth: int):
     """C encoder for a scalar, or a container of scalars (or a list of flat
     dicts) whose innermost items sit at ``depth``; no cycle markers, as such
-    a container cannot hold itself."""
+    a container cannot hold itself.  Record lists of exact ints and strs take
+    a row template instead (``_template_rows``).  A record list holding a
+    Fraction, bool or None still comes here, in one call: a template would
+    need a Python conversion per such value, which costs more than the call
+    on the short lists (reduction steps, classifications) that hold them."""
     return c_make_encoder(None, _json_default, encode_basestring_ascii, None,
                           ": ", ",\n" + "  " * depth, True, False, True)
 
 
 # Types the C encoder renders by itself (Fraction through ``_json_default``).
 _SCALARS = frozenset({str, int, bool, type(None), Fraction})
+# Value types a record template takes: "%d" renders an int as the encoder
+# does, and a str is passed through ``encode_basestring_ascii`` to "%s".
+_TEMPLATE_TYPES = frozenset({int, str})
+
+
+@lru_cache(maxsize=64)
+def _row_template(keys: tuple[str, ...], formats: str, depth: int) -> str:
+    """``%``-template of one record at ``depth`` with the sorted ``keys``,
+    where ``formats`` holds "d" (int) or "s" (encoded str) per key.  A "%"
+    in a key is escaped as "%%"."""
+    close = "\n" + "  " * depth
+    field = close + "  "
+    return "{" + ",".join(
+        f"{field}{encode_basestring_ascii(key).replace('%', '%%')}: %{fmt}"
+        for key, fmt in zip(keys, formats)
+    ) + close + "}"
+
+
+def _template_rows(records, depth: int) -> str | None:
+    """The non-empty plain dicts ``records``, whose values are exact ints and
+    strs, rendered at ``depth`` and joined as in a list; None if they differ
+    in key set, if a key is not a str, or if a key holds an int in one record
+    and a str in another.
+
+    The first record fixes the keys and each column's format; every record
+    is then one ``%`` operation.  Int-only records are formatted straight
+    from each dict, building no list of rows.
+    """
+    first = records[0]
+    if len(set(map(len, records))) != 1 or set(map(type, first)) != {str}:
+        return None
+    keys = tuple(sorted(first))
+    formats = "".join("s" if type(first[key]) is str else "d" for key in keys)
+    template = _row_template(keys, formats, depth)
+    if "s" in formats:
+        rows = zip(*(
+            map(encode_basestring_ascii, map(itemgetter(key), records)) if fmt == "s"
+            else map(itemgetter(key), records)
+            for key, fmt in zip(keys, formats)
+        ))
+    else:
+        rows = map(itemgetter(*keys), records)
+    try:
+        return (",\n" + "  " * depth).join(map(template.__mod__, rows))
+    except (KeyError, TypeError):  # a key set or a column's type differs
+        return None
 
 
 def _write_json(obj, depth: int, out: list[str]) -> None:
     """Append ``obj`` as ``json.dumps(..., indent=2, sort_keys=True)`` renders
     it, with every ``Fraction`` as its "num/den" string.
 
-    A container of scalars is one C-encoder call, and so is a list or tuple
-    of non-empty plain dicts of scalars (margin rows, disagreement records): the
-    encoder writes it at the dicts' depth, and one ``str.replace`` re-indents
-    the joins between the dicts.  Only those joins can read "},<newline>{",
-    because the encoder escapes every newline inside a string.  Python
-    recurses only over other containers that hold containers, whose dict
-    keys must be str.
+    A container of scalars is one C-encoder call.  A list or tuple of
+    non-empty plain dicts of scalars (a record list) takes one of two paths.
+    If the dicts share one key set and every value is an exact int or str
+    (margin rows, disagreement records), each record is one ``%`` operation
+    on a cached row template (``_template_rows``), with no per-dict key sort.
+    Any other record list (differing key sets, or the Fraction, bool or None
+    values of reduction steps, a gamma table, the classifications or
+    ``by_b``, which a template could format only by a Python conversion per
+    value) the encoder writes at the dicts' depth in one call, and one
+    ``str.replace`` re-indents the joins between the dicts.  Only those
+    joins can read "},<newline>{", because the encoder escapes every newline
+    inside a string.  Python recurses only over other containers that hold
+    containers, whose dict keys must be str.
     """
     if not isinstance(obj, (dict, list, tuple)):
         out.append("".join(_json_encoder(0)(obj, 0)))
@@ -133,13 +196,18 @@ def _write_json(obj, depth: int, out: list[str]) -> None:
         text = "".join(_json_encoder(depth + 1)(obj, 0))
         out += (text[0], inner, text[1:-1], close)
         return
-    if (not is_dict and set(map(type, obj)) == {dict} and all(obj)
-            and _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, obj))))):
-        keys = "\n" + "  " * (depth + 2)
-        text = "".join(_json_encoder(depth + 2)(obj, 0))  # "[{...},<keys>{...}]"
-        body = text[2:-2].replace("}," + keys + "{", inner + "}," + inner + "{" + keys)
-        out += ("[", inner, "{", keys, body, inner, "}", close)
-        return
+    if not is_dict and set(map(type, obj)) == {dict} and all(obj):
+        types = set(map(type, chain.from_iterable(map(dict.values, obj))))
+        rows = _template_rows(obj, depth + 1) if _TEMPLATE_TYPES.issuperset(types) else None
+        if rows is not None:
+            out += ("[", inner, rows, close)
+            return
+        if _SCALARS.issuperset(types):
+            keys = "\n" + "  " * (depth + 2)
+            text = "".join(_json_encoder(depth + 2)(obj, 0))  # "[{...},<keys>{...}]"
+            body = text[2:-2].replace("}," + keys + "{", inner + "}," + inner + "{" + keys)
+            out += ("[", inner, "{", keys, body, inner, "}", close)
+            return
     out.append("{" if is_dict else "[")
     sep, comma = inner, "," + inner
     if is_dict:

@@ -11,6 +11,7 @@ import shlex
 import subprocess
 import sys
 from decimal import Decimal
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
@@ -452,6 +453,37 @@ def nested_record_lists(draw):
     return payload
 
 
+# Uniform record lists: plain dicts sharing one key set, each in its own
+# insertion order, holding ints and strings; the writer renders them through a
+# "%"-template.  Keys and strings hold its format characters.
+UNIFORM_TEXT = st.text(alphabet='%sd{}"\\\n\xe9', max_size=6)
+UNIFORM_INTS = st.integers(-10**30, 10**30)
+
+
+@st.composite
+def uniform_record_lists(draw):
+    keys = draw(st.lists(UNIFORM_TEXT, min_size=1, max_size=8, unique=True))
+    columns = {  # mostly one type per column; a mixed column takes the fallback
+        key: draw(st.sampled_from((UNIFORM_INTS, UNIFORM_TEXT, UNIFORM_INTS | UNIFORM_TEXT)))
+        for key in keys
+    }
+    records = [
+        {key: draw(columns[key]) for key in draw(st.permutations(keys))}
+        for _ in range(draw(st.integers(2, 40)))
+    ]
+    for _ in range(draw(st.integers(0, 2))):  # the template depends on the depth
+        records = {draw(UNIFORM_TEXT): records}
+    return records
+
+
+class Level(IntEnum):
+    HIGH = 7
+
+
+class Tag(str):
+    pass
+
+
 def reference_json(payload) -> str:
     return json.dumps(jsonable(payload), indent=2, sort_keys=True)
 
@@ -474,6 +506,18 @@ class TestJsonWriter:
     def test_record_lists_match_indented_dumps(self, payload):
         assert cli._render_json(payload) == reference_json(payload)
 
+    @settings(max_examples=200)
+    @given(uniform_record_lists())
+    @example([{"n": 1, "s": "a"}, {"s": "b", "n": True}])
+    @example([{"n": 1}, {"n": Level.HIGH}])
+    @example([{"s": "%s"}, {"s": Tag("%d")}])
+    @example({"big": [{"x": 10**299 + 1, "y": "y"}, {"y": "z", "x": -(10**300 - 1)}]})
+    @example([{"%": 5}, {"%": -5}])
+    @example([{"%d": "%s"}, {"%d": "\n"}])
+    @example([{"a": 1, "b": 2}, {"a": 3, "c": 4}])
+    def test_uniform_record_lists_match_indented_dumps(self, payload):
+        assert cli._render_json(payload) == reference_json(payload)
+
     @pytest.mark.parametrize("bad", [
         object(), {1, 2}, 1j, b"bytes", Decimal("1.5"),
         {"a": [1, {"b": object()}]}, [{"c": {2}}], ({"d": b"x"},),
@@ -494,6 +538,30 @@ def test_record_list_of_dict_subclasses_matches_indented_dumps():
     # general path, which must render it the same.
     payload = [DictSubclass(b=1, a=2), {"c": Fraction(1, 3)}]
     assert cli._render_json(payload) == reference_json(payload)
+
+
+def count_encoders(monkeypatch) -> list:
+    """Record the depth of every ``cli._json_encoder`` lookup from now on."""
+    depths = []
+    encoder = cli._json_encoder
+
+    def counting_encoder(depth):
+        depths.append(depth)
+        return encoder(depth)
+
+    monkeypatch.setattr(cli, "_json_encoder", counting_encoder)
+    return depths
+
+
+def test_int_str_records_take_the_template(monkeypatch):
+    # A silent fallback to the encoder path would render the same bytes.
+    records = [{"n": n, "s": str(n), "sq": n * n} for n in range(1000)]
+    depths = count_encoders(monkeypatch)
+    assert cli._render_json({"records": records}) == reference_json({"records": records})
+    assert depths == []
+    records[500] = dict(records[500], sq=Fraction(1, 3))
+    assert cli._render_json({"records": records}) == reference_json({"records": records})
+    assert depths == [3]
 
 
 # argv that argparse rejects or answers (help, version) before any handler runs.
@@ -703,6 +771,12 @@ GOLDEN = [
      "f795bb3732f0adcb0fcafc01acb6fc03f5113a11e4d520235b8f227f71ea8464"),
     (["calibrate-delta", "--beta-max", "8", "--instances"], 0,
      "d869f685cce52759c3921967a588bf918776edbc332085e5daadfaa25933bfe3"),
+    # Captured before record lists of exact ints and strs took a row template.
+    (["calibrate-delta", "--beta-max", "24", "--instances"], 0,
+     "c4d4e2d0eea766346a82933efedb59f114ec31aa3faac9a7ba1a8a29140e5011"),
+    (["verify", "--surface", "4,13,23", "--surface", "4,7,13", "--n-max", "60",
+      "--jobs", "1"], 0,
+     "4a1762df87aa1a32bce9528d2259a55fed1f61685a2917b431a6174faff64397"),
     (["h0", "--surface", "4,5,7", "--family", "C", "--n", "5", "--output", "OUT"], 0,
      "efa56e68e60d8b1e0f0d9741b0fc431c6ab0c41985a267e7bb4502a70c4c4bf6"),
     (["gamma", "--surface", "4,5,7", "--n-max", "5", "--format", "csv",

@@ -515,6 +515,7 @@ class TestJsonWriter:
     @example([{"%": 5}, {"%": -5}])
     @example([{"%d": "%s"}, {"%d": "\n"}])
     @example([{"a": 1, "b": 2}, {"a": 3, "c": 4}])
+    @example([{"a": 1}, {"a": 2, "b": 3}])
     def test_uniform_record_lists_match_indented_dumps(self, payload):
         assert cli._render_json(payload) == reference_json(payload)
 

@@ -419,9 +419,9 @@ def _cmd_verify(args) -> tuple[dict | list, int]:
 
 
 def _cmd_calibrate(args) -> tuple[dict, int]:
-    report = calibrate_delta(args.beta_max)
+    report = calibrate_delta(args.beta_max, instances=args.instances)
     if not args.instances:
-        report = dict(report, disagreements="omitted (rerun with --instances)")
+        report["disagreements"] = "omitted (rerun with --instances)"
     return report, 0
 
 

@@ -35,8 +35,12 @@ beta1*t + sigma*(2u+1) - beta1 + beta0 - 2*beta0*[sigma = 1]).  As beta0 -
 2*beta0*[sigma = 1] = -sigma*beta0, that is 2*beta0*beta1*E.  (For beta1 = 1
 every u' is 0.)
 
-The verify module's exhaustive calibration checks this independently and
-finds the published jump wrong on a documented set of sigma = -1 steps.
+``verify.calibrate_delta`` checks the per-term identity above, the floor
+form floor(alpha1*j/beta1) - floor(alpha0*j/beta0) = [sigma = 1, beta1 | j,
+j > 0] for 0 <= j < beta0, for every partner pair of its grid, and finds the
+published jump wrong on a documented set of sigma = -1 steps.  The tests
+check the theorem independently, by back-solving the jump from two deficits
+and by the per-instance residue-sum loop that calibration replaced.
 """
 
 from __future__ import annotations

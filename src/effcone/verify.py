@@ -26,19 +26,25 @@ counterexample.  :func:`sweep_one` takes every count from the table of
 :func:`~effcone.threshold.gamma_search`, so each cell is counted once, and
 each family's counts come from one running sum,
 :func:`~effcone.surface.section_counts`; :func:`sweep` runs every cell for a
-list of surfaces and aggregates; :func:`calibrate_delta` exhaustively
-compares the published step-error jump condition against the value forced
-by the reduction identity (see the fracsum module).
+list of surfaces and aggregates.
+
+:func:`calibrate_delta` compares the published step-error jump condition
+with the value forced by the reduction identity (see the fracsum module).
+At run time it checks, for every partner pair of its grid, the per-term
+floor identity from which the fracsum theorem sums to a jump of 0 at every
+u0, so every instance is still checked; its report then follows in closed
+form.  The tests compare that report with the per-instance residue-sum loop
+it replaced, and check that the per-term check rejects perturbed pairs.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 from functools import partial
+from itertools import repeat
 from math import comb, gcd
+from operator import add, floordiv
 
-from .fracsum import paper_delta
 # h0 is not called here; it stays bound because bench/test_bench.py checks
 # that the tracer rebinds and restores verify.h0.
 from .surface import FAMILY_B, FAMILY_C, WeightedSurface, h0  # noqa: F401
@@ -56,8 +62,9 @@ __all__ = [
 
 
 class CalibrationError(Exception):
-    """:func:`calibrate_delta` found a forced jump outside {0, 1}, which the
-    fracsum theorem (the jump is 0) rules out: a data failure, not an input error."""
+    """:func:`calibrate_delta` found a partner pair whose per-term identity
+    fails, so its forced jump is not 0, which the fracsum theorem rules out:
+    a data failure, not an input error."""
 
 
 def margin_general(cls: Classification, degree: int, base: int, count: int) -> int:
@@ -210,75 +217,81 @@ def aggregate_sweep(reports: list[dict]) -> dict:
     }
 
 
-def calibrate_delta(beta_max: int) -> dict:
-    """Exhaustively compare the published step-error jump with the exact one.
+def _check_partner(alpha0: int, beta0: int, alpha1: int, beta1: int, sigma: int) -> None:
+    """Check the fracsum proof's per-term identity for one partner pair:
+    floor(alpha1*j/beta1) - floor(alpha0*j/beta0) = [sigma = 1, beta1 | j,
+    j > 0] for every 0 <= j < beta0; raise :class:`CalibrationError`
+    otherwise.  ``alpha1`` is the true partner (sigma + beta1*alpha0)/beta0.
 
-    For every beta0 <= beta_max, coprime alpha0 < beta0, sigma = +-1 (with
+    Summed over j <= u0, the identity is the step identity with jump 0 at
+    that u0, so one check covers the pair's beta0 instances.  Each side is
+    one C-level ``map`` over the multiples of alpha."""
+    lower = list(map(floordiv, range(0, alpha0 * beta0, alpha0), repeat(beta0)))
+    if alpha1:
+        upper = list(map(floordiv, range(0, alpha1 * beta0, alpha1), repeat(beta1)))
+    else:  # range() takes no step 0
+        upper = [0] * beta0
+    if sigma == 1:
+        # The bracket: one more at every multiple j > 0 of beta1.
+        lower[beta1::beta1] = map(add, lower[beta1::beta1], repeat(1))
+    if upper != lower:
+        raise CalibrationError(
+            f"per-term identity fails at (alpha0={alpha0}, beta0={beta0}, sigma={sigma}) "
+            f"with partner (alpha1={alpha1}, beta1={beta1}): the forced jump is not 0"
+        )
+
+
+def calibrate_delta(beta_max: int, instances: bool = True) -> dict:
+    """Compare the published step-error jump with the exact one on every
+    instance: beta0 <= beta_max, coprime alpha0 < beta0, sigma = +-1 (with
     the partner pair (alpha1, beta1) determined by the +-1 relation) and
-    every u0 < beta0, computes the jump forced by the one-step reduction
-    identity and the published condition's jump.  The forced jump must lie
-    in {0, 1} -- anything else falsifies the calibrated model and raises.
-    Disagreements are findings, not errors, and are all listed.
+    u0 < beta0.
+
+    Checked at run time, for every (alpha0, beta0, sigma): the per-term
+    identity of the fracsum proof (:func:`_check_partner`), which makes the
+    forced jump 0 at every u0; a failure raises :class:`CalibrationError`.
+    The report then follows in closed form.  Each (alpha0, sigma) adds beta0
+    instances.  The published condition fires exactly on the sigma = -1
+    instances with u0 >= beta0 - beta1, beta1 of them per pair; as alpha0
+    runs over the units mod beta0 so does beta1, so they are a quarter of
+    all instances.  Each such disagreement is a finding and is listed (with
+    alpha1 = beta1 = 1 where the partner is 0), in the order beta0, alpha0,
+    u0; ``instances=False`` builds no list and reports None in its place.
+    The tests compare this report with the per-instance loop it replaced.
     """
     if beta_max < 3:
         raise ValueError(f"require beta_max >= 3, got {beta_max}")
-    matrix = {"agree_0": 0, "agree_1": 0, "paper_1_true_0": 0, "paper_0_true_1": 0}
-    disagreements = []
-    instances = 0
+    total = over = 0
+    disagreements = [] if instances else None
     for beta0 in range(2, beta_max + 1):
         for alpha0 in range(1, beta0):
             if gcd(alpha0, beta0) != 1:
                 continue
-            for sigma in (1, -1):
-                # A unit mod beta0 >= 2, so beta1 lies in [1, beta0 - 1].
-                beta1 = (-sigma * pow(alpha0, -1, beta0)) % beta0
-                alpha1 = (sigma + beta1 * alpha0) // beta0
-                if alpha1 == 0:
-                    alpha1 = beta1  # same residue class mod beta1 (beta1 = 1 here)
-                # Incremental residue sums keep the whole grid in integers:
-                # d_true has denominator 2*beta0*beta1 after clearing.
-                prefix1 = [0] * beta1
-                acc = 0
-                for j in range(beta1):
-                    acc += (alpha1 * j) % beta1
-                    prefix1[j] = acc
-                sum0 = 0
-                for u0 in range(beta0):
-                    sum0 += (alpha0 * u0) % beta0
-                    t, u = divmod(u0, beta1)
-                    num_f0 = beta1 * ((u0 + 1) * (beta0 - 1) - 2 * sum0)
-                    num_f1 = beta0 * ((u + 1) * (beta1 - 1) - 2 * prefix1[u])
-                    num_base = (u + 1) * (sigma * u + beta0 - beta1) + sigma * t * beta1 * (
-                        beta1 * (t - sigma) + 2 * u + 1 - beta0
-                    )
-                    num_true = num_f0 - num_f1 - num_base
-                    den = 2 * beta0 * beta1
-                    if num_true % den != 0 or num_true // den not in (0, 1):
-                        raise CalibrationError(
-                            f"forced jump {Fraction(num_true, den)} outside {{0, 1}} at "
-                            f"(alpha0={alpha0}, beta0={beta0}, alpha1={alpha1}, "
-                            f"beta1={beta1}, sigma={sigma}, u0={u0})"
-                        )
-                    d_true = num_true // den
-                    d_paper = paper_delta(sigma, t, u, beta0, beta1)
-                    instances += 1
-                    if d_true == d_paper:
-                        matrix["agree_1" if d_true else "agree_0"] += 1
-                    else:
-                        key = "paper_1_true_0" if d_paper else "paper_0_true_1"
-                        matrix[key] += 1
-                        disagreements.append(
-                            {
-                                "alpha0": alpha0, "beta0": beta0,
-                                "alpha1": alpha1, "beta1": beta1,
-                                "sigma": sigma, "u0": u0,
-                                "delta_true": d_true, "delta_paper": d_paper,
-                            }
-                        )
+            # sigma = -1's partner: beta1 = alpha0^-1 mod beta0, in [1, beta0 - 1]
+            # as beta0 >= 2.  sigma = +1's is (alpha0 - alpha1, beta0 - beta1).
+            beta1 = pow(alpha0, -1, beta0)
+            alpha1 = (beta1 * alpha0 - 1) // beta0
+            _check_partner(alpha0, beta0, alpha0 - alpha1, beta0 - beta1, 1)
+            _check_partner(alpha0, beta0, alpha1, beta1, -1)
+            total += 2 * beta0
+            over += beta1
+            if instances:
+                alpha1 = alpha1 or beta1  # same residue class mod beta1 (beta1 = 1 here)
+                disagreements += [
+                    {
+                        "alpha0": alpha0, "beta0": beta0,
+                        "alpha1": alpha1, "beta1": beta1,
+                        "sigma": -1, "u0": u0,
+                        "delta_true": 0, "delta_paper": 1,
+                    }
+                    for u0 in range(beta0 - beta1, beta0)
+                ]
     return {
         "beta_max": beta_max,
-        "instances": instances,
-        "matrix": matrix,
-        "disagreement_count": len(disagreements),
+        "instances": total,
+        "matrix": {
+            "agree_0": total - over, "agree_1": 0, "paper_1_true_0": over, "paper_0_true_1": 0,
+        },
+        "disagreement_count": over,
         "disagreements": disagreements,
     }

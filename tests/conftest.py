@@ -16,6 +16,9 @@ literal loops it replaced, kept here as oracles with their own arithmetic.
 ``json.dumps(..., indent=2, sort_keys=True)`` it is the writer's oracle.
 :func:`forced_jump` is the deficit subtraction ``fracsum.calibrated_delta``
 made before the jump was proved to be 0; it is that proof's oracle.
+:func:`calibration_loop` is the per-instance loop that
+``verify.calibrate_delta`` replaced by a per-term identity check and a
+closed-form report; it recomputes every forced jump from residue sums.
 :func:`level_by_descent` is the level search ``threshold.classify`` made
 before it solved for the level directly.  :func:`contains_point` is an
 exact membership test for a rational triangle, with which the tests check
@@ -27,12 +30,13 @@ family-C count that ``surface.section_counts`` replaced by a running sum.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
 from effcone import (
     BRANCHES,
+    CalibrationError,
     FamilyRequest,
     branch_interval,
     classify_surface,
@@ -40,6 +44,7 @@ from effcone import (
     floor_sum_linear,
     make_surface,
     outer_bound,
+    paper_delta,
     solve_family,
 )
 
@@ -87,6 +92,74 @@ def forced_jump(sigma: int, t: int, u: int, beta0: int, beta1: int, alpha0=None)
         sigma * t * (beta1 * (t - sigma) + 2 * u + 1 - beta0), 2 * beta0
     )
     return deficit(beta0, beta1 * t + u, alpha0) - deficit(beta1, u, alpha1) - base
+
+
+def calibration_loop(beta_max: int) -> dict:
+    """The calibration report as :func:`effcone.verify.calibrate_delta` built
+    it before the report took closed form: every instance's forced jump from
+    incremental residue sums, compared with ``paper_delta``."""
+    if beta_max < 3:
+        raise ValueError(f"require beta_max >= 3, got {beta_max}")
+    matrix = {"agree_0": 0, "agree_1": 0, "paper_1_true_0": 0, "paper_0_true_1": 0}
+    disagreements = []
+    instances = 0
+    for beta0 in range(2, beta_max + 1):
+        for alpha0 in range(1, beta0):
+            if gcd(alpha0, beta0) != 1:
+                continue
+            for sigma in (1, -1):
+                # A unit mod beta0 >= 2, so beta1 lies in [1, beta0 - 1].
+                beta1 = (-sigma * pow(alpha0, -1, beta0)) % beta0
+                alpha1 = (sigma + beta1 * alpha0) // beta0
+                if alpha1 == 0:
+                    alpha1 = beta1  # same residue class mod beta1 (beta1 = 1 here)
+                # Incremental residue sums keep the whole grid in integers:
+                # d_true has denominator 2*beta0*beta1 after clearing.
+                prefix1 = [0] * beta1
+                acc = 0
+                for j in range(beta1):
+                    acc += (alpha1 * j) % beta1
+                    prefix1[j] = acc
+                sum0 = 0
+                for u0 in range(beta0):
+                    sum0 += (alpha0 * u0) % beta0
+                    t, u = divmod(u0, beta1)
+                    num_f0 = beta1 * ((u0 + 1) * (beta0 - 1) - 2 * sum0)
+                    num_f1 = beta0 * ((u + 1) * (beta1 - 1) - 2 * prefix1[u])
+                    num_base = (u + 1) * (sigma * u + beta0 - beta1) + sigma * t * beta1 * (
+                        beta1 * (t - sigma) + 2 * u + 1 - beta0
+                    )
+                    num_true = num_f0 - num_f1 - num_base
+                    den = 2 * beta0 * beta1
+                    if num_true % den != 0 or num_true // den not in (0, 1):
+                        raise CalibrationError(
+                            f"forced jump {Fraction(num_true, den)} outside {{0, 1}} at "
+                            f"(alpha0={alpha0}, beta0={beta0}, alpha1={alpha1}, "
+                            f"beta1={beta1}, sigma={sigma}, u0={u0})"
+                        )
+                    d_true = num_true // den
+                    d_paper = paper_delta(sigma, t, u, beta0, beta1)
+                    instances += 1
+                    if d_true == d_paper:
+                        matrix["agree_1" if d_true else "agree_0"] += 1
+                    else:
+                        key = "paper_1_true_0" if d_paper else "paper_0_true_1"
+                        matrix[key] += 1
+                        disagreements.append(
+                            {
+                                "alpha0": alpha0, "beta0": beta0,
+                                "alpha1": alpha1, "beta1": beta1,
+                                "sigma": sigma, "u0": u0,
+                                "delta_true": d_true, "delta_paper": d_paper,
+                            }
+                        )
+    return {
+        "beta_max": beta_max,
+        "instances": instances,
+        "matrix": matrix,
+        "disagreement_count": len(disagreements),
+        "disagreements": disagreements,
+    }
 
 
 def polytope_fraction(surface, family: str, n: int):

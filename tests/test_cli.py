@@ -350,6 +350,21 @@ class TestCalibrate:
         assert len(payload["disagreements"]) == 18
         assert all(d["sigma"] == -1 for d in payload["disagreements"])
 
+    def test_identity_failure_exits_one(self, capsys, monkeypatch):
+        # The real check, handed a partner alpha1 one too large, fails on the
+        # first pair, (alpha0, beta0) = (1, 2) with sigma = +1.
+        check = effcone.verify._check_partner
+        monkeypatch.setattr(
+            effcone.verify, "_check_partner",
+            lambda alpha0, beta0, alpha1, beta1, sigma:
+                check(alpha0, beta0, alpha1 + 1, beta1, sigma),
+        )
+        assert main(["calibrate-delta", "--beta-max", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("effcone: verification failure: ")
+        assert "(alpha0=1, beta0=2, sigma=1)" in captured.err
+
 
 class TestHarness:
     def test_deterministic_output(self, capsys):
@@ -775,6 +790,9 @@ GOLDEN = [
     # Captured before record lists of exact ints and strs took a row template.
     (["calibrate-delta", "--beta-max", "24", "--instances"], 0,
      "c4d4e2d0eea766346a82933efedb59f114ec31aa3faac9a7ba1a8a29140e5011"),
+    # Captured before the calibration report was built in closed form.
+    (["calibrate-delta", "--beta-max", "80"], 0,
+     "0bd0e2c87217f288997c404f758ee2683c75b0ea7efb423afac3253d6f7a6611"),
     (["verify", "--surface", "4,13,23", "--surface", "4,7,13", "--n-max", "60",
       "--jobs", "1"], 0,
      "4a1762df87aa1a32bce9528d2259a55fed1f61685a2917b431a6174faff64397"),

@@ -1,12 +1,16 @@
 """Margins, sweeps, and the exhaustive jump calibration."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from conftest import calibration_loop
 from effcone import DivisorSpec, classify_surface, h0, make_surface, section_counts, threshold
 from effcone.verify import (
+    CalibrationError,
+    _check_partner,
     aggregate_sweep,
     calibrate_delta,
     margin_at_multiple,
@@ -302,3 +306,99 @@ class TestCalibration:
     def test_validation(self):
         with pytest.raises(ValueError):
             calibrate_delta(2)
+
+    def test_matches_the_loop_at_every_beta_max(self):
+        # The loop runs once, at 80 (the benchmark's grid); the report at a
+        # smaller beta_max is its restriction to beta0 <= beta_max.  The
+        # loop checked agree_1 = paper_0_true_1 = 0 on every instance, so the
+        # restricted matrix follows from the restricted records and the
+        # grid's size, counted here pair by pair.
+        oracle = calibration_loop(80)
+        assert calibrate_delta(80) == oracle
+        (keys,) = set(map(tuple, oracle["disagreements"]))  # one key order throughout
+        for beta_max in range(3, 81):
+            got = calibrate_delta(beta_max)
+            records = [d for d in oracle["disagreements"] if d["beta0"] <= beta_max]
+            size = sum(
+                2 * beta0
+                for beta0 in range(2, beta_max + 1)
+                for alpha0 in range(1, beta0)
+                if math.gcd(alpha0, beta0) == 1
+            )
+            assert got == {
+                "beta_max": beta_max,
+                "instances": size,
+                "matrix": {
+                    "agree_0": size - len(records), "agree_1": 0,
+                    "paper_1_true_0": len(records), "paper_0_true_1": 0,
+                },
+                "disagreement_count": len(records),
+                "disagreements": records,
+            }, beta_max
+            assert list(got) == list(oracle) and list(got["matrix"]) == list(oracle["matrix"])
+            assert set(map(tuple, got["disagreements"])) == {keys}
+            assert 4 * got["disagreement_count"] == got["instances"]
+
+    def test_without_instances_builds_no_records(self):
+        tracemalloc.start()
+        try:
+            report = calibrate_delta(80, instances=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert report == {
+            "beta_max": 80,
+            "instances": 210776,
+            "matrix": {"agree_0": 158082, "agree_1": 0, "paper_1_true_0": 52694,
+                       "paper_0_true_1": 0},
+            "disagreement_count": 52694,
+            "disagreements": None,
+        }
+
+
+def true_partners(beta_limit: int):
+    """Every (alpha0, beta0, alpha1, beta1, sigma) with 2 <= beta0 <= beta_limit,
+    coprime 1 <= alpha0 < beta0, and alpha1*beta0 - beta1*alpha0 = sigma for
+    the beta1 in [1, beta0) that sigma determines; alpha1 is the true partner,
+    which is 0 for alpha0 = 1, sigma = -1."""
+    for beta0 in range(2, beta_limit + 1):
+        for alpha0 in range(1, beta0):
+            if math.gcd(alpha0, beta0) != 1:
+                continue
+            for sigma in (1, -1):
+                beta1 = next(b for b in range(1, beta0) if (sigma + b * alpha0) % beta0 == 0)
+                yield alpha0, beta0, (sigma + beta1 * alpha0) // beta0, beta1, sigma
+
+
+class TestPartnerCheck:
+    def test_accepts_every_true_partner(self):
+        pairs = list(true_partners(30))
+        assert len(pairs) == 2 * sum(
+            1 for b in range(2, 31) for a in range(1, b) if math.gcd(a, b) == 1
+        )
+        for pair in pairs:
+            _check_partner(*pair)
+
+    def test_rejects_a_beta1_off_by_one(self):
+        rejected = 0
+        for alpha0, beta0, alpha1, beta1, sigma in true_partners(30):
+            if alpha1 == 0:
+                continue  # floor(0*j/beta1) = 0 whatever beta1 is
+            for wrong in (beta1 - 1, beta1 + 1):
+                if wrong >= 1 and math.gcd(wrong, beta0) == 1:
+                    with pytest.raises(CalibrationError, match=f"beta0={beta0}, sigma={sigma}"):
+                        _check_partner(alpha0, beta0, alpha1, wrong, sigma)
+                    rejected += 1
+        assert rejected > 500
+
+    def test_rejects_the_wrong_sigma(self):
+        for alpha0, beta0, alpha1, beta1, sigma in true_partners(30):
+            with pytest.raises(CalibrationError, match=f"alpha0={alpha0}, beta0={beta0}"):
+                _check_partner(alpha0, beta0, alpha1, beta1, -sigma)
+
+    def test_rejects_an_alpha1_off_by_one(self):
+        for alpha0, beta0, alpha1, beta1, sigma in true_partners(30):
+            for wrong in (alpha1 - 1, alpha1 + 1):
+                with pytest.raises(CalibrationError):
+                    _check_partner(alpha0, beta0, wrong, beta1, sigma)

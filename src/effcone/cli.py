@@ -571,13 +571,14 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse_args(_shield_negatives(list(argv)))
     try:
         payload, code = args.func(args)
+        # Rendering raises ValueError too, on an int past Python's digit limit.
+        text = _render_csv(payload) if args.format == "csv" else _render_json(payload)
     except CalibrationError as exc:
         print(f"effcone: verification failure: {exc}", file=sys.stderr)
         return 1
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         print(f"effcone: error: {exc}", file=sys.stderr)
         return 2
-    text = _render_csv(payload) if args.format == "csv" else _render_json(payload)
     try:
         _emit(text, args.output)
     except OSError as exc:

@@ -16,11 +16,11 @@ triangle.  :func:`polytope` builds each vertex coordinate as one
 ``Fraction(num, den)`` of integers computed from (a, b, c, p, q, n), and
 :func:`h0` counts its points with the general counter
 :func:`~effcone.lattice.count_points_rowscan`, in O(log) steps however large
-the dilation n.  :func:`section_counts` returns the family-B or family-C
-counts for every n = 1..n_max at once, without building a triangle, from one
-running sum over the rows of the largest one; the gamma search takes its
-counts from it.  The tests check both against each other, the monomial count
-of the graded ring and the row-by-row loop.
+the dilation n.  :func:`section_counts` returns the counts of any family for
+every n = 1..n_max at once, without building a triangle, from one running sum
+over the rows of the largest one; every search takes its counts from it, and
+only single-divisor queries call :func:`h0`.  The tests check both against
+each other, the monomial count of the graded ring and the row-by-row loop.
 """
 
 from __future__ import annotations
@@ -178,8 +178,9 @@ def polytope(surface: WeightedSurface, div: DivisorSpec) -> RationalTriangle:
 def h0(surface: WeightedSurface, div: DivisorSpec) -> int:
     """Number of global sections of ``div``: lattice points of its polytope.
 
-    The general counter, and the oracle of :func:`section_counts`.  No workload
-    hits the cache; it stays because the benchmark harness reads its statistics.
+    The single-divisor counter, and the oracle of :func:`section_counts`.  No
+    search calls it, so no workload hits the cache; it stays because the
+    benchmark harness reads its statistics.
     """
     return count_points_rowscan(polytope(surface, div))
 
@@ -191,37 +192,34 @@ def _require_bc_shape(surface: WeightedSurface, family: str) -> None:
 
 
 def section_counts(surface: WeightedSurface, family: str, n_max: int) -> list[int]:
-    """h0 of the n-th family-B or family-C divisor for n = 1..n_max, in order.
+    """h0 of the n-th ``family`` divisor for n = 1..n_max, in order.
 
-    Both triangles rest on y = 0 under the right edge x = -3y/4, and their
-    left edge is x = -n + p*y/b for B (rows y <= Y = floor(4nb/c)) and
-    x = (p*y - n*c)/b for C (rows y <= 4n).  Row y holds
-    floor(-3y/4) - ceil(left) + 1 points.  With m = -p, that is
-    n + 1 + floor(-3y/4) + floor(m*y/b) for B.  For C, a = 4 and q = 3 give
-    c = 3b - 4m, so (m*y + n*c)/b = 3n - m*w/b at w = 4n - y, and row y holds
-    3n + 1 + floor(-3y/4) + floor(-m*w/b).  With the running sum
-    R(W) = sum_{y<=W} (floor(-3y/4) + floor(s*y/b)), where s = m for B and
-    s = -m for C,
+    Row j = 0..T(n) of each triangle, counted from its vertex at the origin,
+    holds floor(g*j/a) + floor(s*j'/b) + k*n + 1 points, where j' = 4n - j
+    for C (whose left edge is x = (p*j - n*c)/b, with c = 3b + 4p) and j' = j
+    otherwise, and (g, s, k, T(n)) is (-q, -p, 1, floor(a*n*b/c)) for B,
+    (-q, p, q, a*n) for C and (q, p, 0, a*n) for AZ.  The AZ triangle
+    (0, 0), (q*n, -a*n), (-p*a*n/b, -a*n) has these rows for any n, because
+    c = p*a + q*b > 0.  As j' runs over the same rows as j, the running sum
+    R(W) = sum_{j<=W} (floor(g*j/a) + floor(s*j/b)) gives
 
-        count_B(n) = R(Y) + (n + 1)(Y + 1),
-        count_C(n) = R(4n) + (3n + 1)(4n + 1).
+        count(n) = R(T(n)) + (k*n + 1)(T(n) + 1).
 
     One :func:`itertools.accumulate` pass builds R up to the last row of
     n = n_max, so every count is a lookup.  Entry n - 1 equals
-    ``h0(surface, DivisorSpec(family, n))``; raises its shape error.
+    ``h0(surface, DivisorSpec(family, n))``; raises its errors.
+
+    >>> section_counts(make_surface(1, 2, 3), "AZ", 3)
+    [3, 7, 12]
     """
-    if family not in (FAMILY_B, FAMILY_C):
-        raise ValueError(f"section_counts needs family B or C, got {family!r}")
+    DivisorSpec(family, 1)  # refuses an unknown family
     if n_max < 1:
         raise ValueError(f"require n_max >= 1, got {n_max}")
-    _require_bc_shape(surface, family)
-    b, c, m = surface.b, surface.c, -surface.p
-    slope, last_row = (-m, 4 * n_max) if family == FAMILY_C else (m, 4 * n_max * b // c)
-    running = list(accumulate(-3 * y // 4 + slope * y // b for y in range(last_row + 1)))
-    if family == FAMILY_C:
-        return [running[4 * n] + (3 * n + 1) * (4 * n + 1) for n in range(1, n_max + 1)]
-    counts = []
-    for n in range(1, n_max + 1):
-        top = 4 * n * b // c
-        counts.append(running[top] + (n + 1) * (top + 1))
-    return counts
+    a, b, c, p, q = surface.a, surface.b, surface.c, surface.p, surface.q
+    if family != FAMILY_AZ:
+        _require_bc_shape(surface, family)
+    g, s, k = {FAMILY_B: (-q, -p, 1), FAMILY_C: (-q, p, q), FAMILY_AZ: (q, p, 0)}[family]
+    ns = range(1, n_max + 1)
+    tops = [a * b * n // c for n in ns] if family == FAMILY_B else range(a, a * n_max + 1, a)
+    running = list(accumulate(g * j // a + s * j // b for j in range(tops[-1] + 1)))
+    return [running[t] + (k * n + 1) * (t + 1) for n, t in zip(ns, tops)]

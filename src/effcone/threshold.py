@@ -186,12 +186,7 @@ def _search_families(surface: WeightedSurface) -> tuple[tuple[str, int], ...]:
 
 def _family_rows(surface: WeightedSurface, family: str, n_max: int) -> list[tuple]:
     """One family's integer (family, n, h0, nu) rows for n = 1..n_max."""
-    if n_max < 1:
-        raise ValueError(f"require n_max >= 1, got {n_max}")
-    if family == FAMILY_AZ:
-        counts = [h0(surface, DivisorSpec(family, n)) for n in range(1, n_max + 1)]
-    else:
-        counts = section_counts(surface, family, n_max)
+    counts = section_counts(surface, family, n_max)
     return list(zip(repeat(family), range(1, n_max + 1), counts, map(nu_from_h0, counts)))
 
 
@@ -216,7 +211,8 @@ def gamma_search(surface: WeightedSurface, n_max: int) -> GammaSearchResult:
     the best value, every attaining (family, n, nu) witness in (family, n)
     order, the full table of integer rows with the family scales, and --
     when the surface classifies (a = 4, p < 0 and b/(-p) < 16/3) -- whether
-    the best value matches the predicted threshold.
+    the best value matches the predicted threshold.  Each family's counts
+    come from one :func:`~effcone.surface.section_counts` call, not from h0.
     """
     scales = _search_families(surface)
     rows = [row for family, _ in scales for row in _family_rows(surface, family, n_max)]

@@ -392,6 +392,17 @@ class TestHarness:
         assert captured.out == ""
         assert captured.err.startswith("effcone: error: ") and target in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ("count", "--tri", "0,0", "1,0", "1e5000,1"),
+        ("h0", "--surface", "4,5,7", "--family", "B", "--n", "1" + "0" * 2200),
+    ], ids=["count", "h0"])
+    def test_integer_past_the_digit_limit_is_a_usage_error(self, capsys, argv):
+        # Rendering these counts passes Python's int-to-str digit limit.
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("effcone: error: ")
+
     def test_closed_stdout_pipe_is_quiet(self):
         # The payload (about 470 KB) overruns the pipe buffer, so the writer
         # is still writing when the reader goes away.
@@ -803,6 +814,11 @@ GOLDEN = [
      "667c45a0ba7f32f9a4a7aa427307b92f5d5ece052c2df3f3cc7a60c6fe824a9d"),
     (["verify", "--surface", "4,7,13", "--n-max", "3", "--jobs", "1", "--output", "OUT"], 0,
      "e839ea90cac704737b35b0865e35c2520aad3bfb99b074f601febe4774dafc2b"),
+    # Captured before section_counts counted the AZ family.
+    (["gamma", "--surface", "3,5,7", "--n-max", "60"], 0,
+     "350140747f433523543de8d271b74aae2b845e57353d19f4bd12ec4599c9b106"),
+    (["gamma", "--surface", "3,5,7", "--n-max", "60", "--format", "csv"], 0,
+     "d36643998190ae2a4392ab074b5f4126b790d45fed4e7a0a4bd8e943b8454f45"),
 ]
 
 

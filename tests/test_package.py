@@ -37,4 +37,4 @@ def test_library_doctests_pass():
         result = doctest.testmod(importlib.import_module(f"effcone.{name}"))
         assert result.failed == 0, f"effcone.{name}"
         attempted += result.attempted
-    assert attempted == 13
+    assert attempted == 14

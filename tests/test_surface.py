@@ -283,10 +283,28 @@ class TestSectionCount:
                     assert count == h0(surface, DivisorSpec(family, n)), (surface, family, n)
                     assert count == section_count(surface, family, n), (surface, family, n)
 
+    @given(surfaces(), st.integers(1, 60))
+    @settings(max_examples=200, deadline=None)
+    @example(make_surface(1, 2, 3), 60)  # a = 1, q = 0
+    @example(make_surface(2, 3, 7), 60)  # p = 2 > 0
+    @example(make_surface(3, 5, 7), 60)  # p = -1 < 0
+    @example(make_surface(4, 5, 7), 60)  # p = -2 < 0, q = 3
+    @example(make_surface(4, 5, 19), 60)  # p = 1 > 0, q = 3
+    @example(make_surface(4, 5, 9), 60)  # q = 1: B and C are refused, AZ is not
+    def test_az_matches_h0_and_monomial_oracle(self, surface, n_max):
+        counts = section_counts(surface, "AZ", n_max)
+        for n, count in enumerate(counts, 1):
+            assert count == h0(surface, DivisorSpec("AZ", n)), (surface, n)
+        for n, count in enumerate(counts[:6], 1):  # the enumeration grows as n^2
+            expected = monomial_count(
+                surface.a, surface.b, surface.c, degree(surface, DivisorSpec("AZ", n))
+            )
+            assert count == expected, (surface, n)
+
     def test_matches_monomial_oracle(self):
         for weights in ((4, 5, 7), (4, 5, 19), (4, 7, 17), (4, 13, 23), (4, 49, 87)):
             surface = make_surface(*weights)
-            for family in ("B", "C"):
+            for family in ("B", "C", "AZ"):
                 counts = section_counts(surface, family, 12)
                 for n in (1, 2, 3, 7, 12):
                     expected = monomial_count(
@@ -300,8 +318,10 @@ class TestSectionCount:
             message = rf"^family {family} polytope requires a = 4 and q = 3, got P\(4,5,9\)$"
             with pytest.raises(ValueError, match=message):
                 section_counts(surface, family, 1)
-        with pytest.raises(ValueError, match="^section_counts needs family B or C, got 'AZ'$"):
-            section_counts(make_surface(4, 5, 7), "AZ", 1)
+        for family in ("X", "az"):
+            message = rf"^unknown family '{family}'; expected one of \('B', 'C', 'AZ'\)$"
+            with pytest.raises(ValueError, match=message):
+                section_counts(make_surface(4, 5, 7), family, 1)
         for n_max in (0, -3):
             with pytest.raises(ValueError, match=f"^require n_max >= 1, got {n_max}$"):
                 section_counts(make_surface(4, 5, 7), "B", n_max)

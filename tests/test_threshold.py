@@ -17,6 +17,7 @@ from effcone import (
     expected_count_small,
     family_supremum,
     gamma_search,
+    h0,
     lower_bound_small_a,
     make_surface,
     nu,
@@ -276,6 +277,16 @@ class TestGammaSearch:
             family_supremum(make_surface(3, 5, 7), "B", 10)
         with pytest.raises(ValueError, match="n_max"):
             family_supremum(surface, "C", 0)
+
+    def test_search_makes_no_h0_call(self, pool):
+        surfaces = [make_surface(3, 5, 7), make_surface(2, 3, 7), make_surface(1, 2, 3)]
+        for surface in surfaces + [pool[0][0]]:
+            h0.cache_clear()
+            result = gamma_search(surface, 40)
+            for family, _ in result.scales:
+                family_supremum(surface, family, 40)
+            info = h0.cache_info()
+            assert (info.hits, info.misses) == (0, 0), surface
 
     def test_family_supremum_is_max_of_search_rows(self, pool):
         surfaces = [entry[0] for entry in pool[::6]]

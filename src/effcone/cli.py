@@ -51,11 +51,22 @@ def _shield_negatives(argv: list[str]) -> list[str]:
 
 # Value parsers raise ArgumentTypeError, whose message argparse prints as is:
 # a ValueError it reports by the parser's name, a ZeroDivisionError not at all.
+def _error_text(exc: Exception, text: str | None = None) -> str:
+    """``text`` (by default ``exc``'s message); Python's int/str digit-limit
+    error advises a call that a CLI user cannot make, so it gets a message
+    naming the limit instead."""
+    if not str(exc).startswith("Exceeds the limit ("):
+        return str(exc) if text is None else text
+    return (f"an integer has more than {sys.get_int_max_str_digits()} digits, the most "
+            "that Python converts between integers and text")
+
+
 def _parse_int(token: str) -> int:
     try:
         return int(token)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {token.strip()!r}") from None
+    except ValueError as exc:
+        text = _error_text(exc, f"invalid int value: {token.strip()!r}")
+        raise argparse.ArgumentTypeError(text) from None
 
 
 def _parse_rational(token: str) -> Fraction:
@@ -63,7 +74,7 @@ def _parse_rational(token: str) -> Fraction:
     try:
         return Fraction(token)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        raise argparse.ArgumentTypeError(_error_text(exc)) from None
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(f"zero denominator in {token!r}") from None
 
@@ -577,7 +588,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"effcone: verification failure: {exc}", file=sys.stderr)
         return 1
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        print(f"effcone: error: {exc}", file=sys.stderr)
+        print(f"effcone: error: {_error_text(exc)}", file=sys.stderr)
         return 2
     try:
         _emit(text, args.output)

@@ -17,8 +17,9 @@ triangle.  :func:`polytope` builds each vertex coordinate as one
 :func:`h0` counts its points with the general counter
 :func:`~effcone.lattice.count_points_rowscan`, in O(log) steps however large
 the dilation n.  :func:`section_counts` returns the counts of any family for
-every n = 1..n_max at once, without building a triangle, from one running sum
-over the rows of the largest one; every search takes its counts from it, and
+every n = 1..n_max at once, without building a triangle, from two running
+sums over the rows, of floor(-q*j/a) and of floor(p*j/b), built once per
+surface; the gamma search takes all its families from one such pair, and
 only single-divisor queries call :func:`h0`.  The tests check both against
 each other, the monomial count of the graded ring and the row-by-row loop.
 """
@@ -28,8 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import gcd
+from operator import add, floordiv
 
 from .lattice import RationalPoint, RationalTriangle, count_points_rowscan
 
@@ -205,21 +207,43 @@ def section_counts(surface: WeightedSurface, family: str, n_max: int) -> list[in
 
         count(n) = R(T(n)) + (k*n + 1)(T(n) + 1).
 
-    One :func:`itertools.accumulate` pass builds R up to the last row of
-    n = n_max, so every count is a lookup.  Entry n - 1 equals
-    ``h0(surface, DivisorSpec(family, n))``; raises its errors.
+    With F and P the running sums of floor(-q*j/a) and floor(p*j/b), and
+    floor(-x) = -floor(x) - [x not integral], R is F + P for C,
+    F - P - (T - floor(T/b)) for B and P - F - (T - floor(T/a)) for AZ, as
+    gcd(p, b) = gcd(q, a) = 1 (both divide c).  One C-level pass builds each
+    of F and P for every family at once, so every count is a lookup.  Entry
+    n - 1 equals ``h0(surface, DivisorSpec(family, n))``; raises its errors.
 
     >>> section_counts(make_surface(1, 2, 3), "AZ", 3)
     [3, 7, 12]
     """
-    DivisorSpec(family, 1)  # refuses an unknown family
+    return _family_counts(surface, (family,), n_max)[0]
+
+
+def _family_counts(surface: WeightedSurface, families: tuple, n_max: int) -> list[list[int]]:
+    """:func:`section_counts` of each of ``families``, from one F and one P."""
+    for family in families:
+        DivisorSpec(family, 1)  # refuses an unknown family
     if n_max < 1:
         raise ValueError(f"require n_max >= 1, got {n_max}")
+    for family in families:
+        if family != FAMILY_AZ:
+            _require_bc_shape(surface, family)
     a, b, c, p, q = surface.a, surface.b, surface.c, surface.p, surface.q
-    if family != FAMILY_AZ:
-        _require_bc_shape(surface, family)
-    g, s, k = {FAMILY_B: (-q, -p, 1), FAMILY_C: (-q, p, q), FAMILY_AZ: (q, p, 0)}[family]
-    ns = range(1, n_max + 1)
-    tops = [a * b * n // c for n in ns] if family == FAMILY_B else range(a, a * n_max + 1, a)
-    running = list(accumulate(g * j // a + s * j // b for j in range(tops[-1] + 1)))
-    return [running[t] + (k * n + 1) * (t + 1) for n, t in zip(ns, tops)]
+    top, ns = a * n_max, range(1, n_max + 1)
+    # F and P for j = 0..top; p != 0 as gcd(p, b) = 1 < b, q = 0 only if a = 1.
+    terms = map(floordiv, range(0, -q * top - 1, -q), repeat(a)) if q else repeat(0, top + 1)
+    f_sum = list(accumulate(terms))
+    p_sum = list(accumulate(map(floordiv, range(0, p * (top + 1), p), repeat(b))))
+    out = []
+    for family in families:
+        if family == FAMILY_B:
+            tops = [a * b * n // c for n in ns]
+            rs, k = [f_sum[t] - p_sum[t] - t + t // b for t in tops], 1
+        elif family == FAMILY_C:
+            tops, rs, k = range(a, top + 1, a), map(add, f_sum[a::a], p_sum[a::a]), q
+        else:  # T - floor(T/a) = a*n - n
+            tops, k = range(a, top + 1, a), 0
+            rs = [y - x - t + n for n, t, x, y in zip(ns, tops, f_sum[a::a], p_sum[a::a])]
+        out.append([r + (k * n + 1) * (t + 1) for n, t, r in zip(ns, tops, rs)])
+    return out

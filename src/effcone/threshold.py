@@ -32,8 +32,8 @@ from .surface import (
     FAMILY_C,
     DivisorSpec,
     WeightedSurface,
+    _family_counts,
     h0,
-    section_counts,
 )
 
 __all__ = [
@@ -178,16 +178,19 @@ class GammaSearchResult:
 def _search_families(surface: WeightedSurface) -> tuple[tuple[str, int], ...]:
     """(family, scale) pairs contributing candidate values scale*nu/n."""
     if surface.a == 4:
-        # section_counts() refuses the B/C shapes unless q = 3 as well.
+        # _family_counts() refuses the B/C shapes unless q = 3 as well.
         return ((FAMILY_B, surface.c), (FAMILY_C, surface.b))
     # a <= 3: only the AZ family (n*a*D_z ~ (n/b)H) is available.
     return ((FAMILY_AZ, surface.b),)
 
 
-def _family_rows(surface: WeightedSurface, family: str, n_max: int) -> list[tuple]:
-    """One family's integer (family, n, h0, nu) rows for n = 1..n_max."""
-    counts = section_counts(surface, family, n_max)
-    return list(zip(repeat(family), range(1, n_max + 1), counts, map(nu_from_h0, counts)))
+def _family_rows(surface: WeightedSurface, families: tuple[str, ...], n_max: int) -> list[tuple]:
+    """Integer (family, n, h0, nu) rows of each of ``families`` in turn, for
+    n = 1..n_max, all counted in one pass."""
+    rows: list[tuple] = []
+    for family, counts in zip(families, _family_counts(surface, families, n_max)):
+        rows += zip(repeat(family), range(1, n_max + 1), counts, map(nu_from_h0, counts))
+    return rows
 
 
 def _best(rows: list, scales: dict[str, int]) -> tuple[Fraction, tuple]:
@@ -211,11 +214,12 @@ def gamma_search(surface: WeightedSurface, n_max: int) -> GammaSearchResult:
     the best value, every attaining (family, n, nu) witness in (family, n)
     order, the full table of integer rows with the family scales, and --
     when the surface classifies (a = 4, p < 0 and b/(-p) < 16/3) -- whether
-    the best value matches the predicted threshold.  Each family's counts
-    come from one :func:`~effcone.surface.section_counts` call, not from h0.
+    the best value matches the predicted threshold.  Every family's counts
+    come from one shared pair of running sums (as in
+    :func:`~effcone.surface.section_counts`), not from h0.
     """
     scales = _search_families(surface)
-    rows = [row for family, _ in scales for row in _family_rows(surface, family, n_max)]
+    rows = _family_rows(surface, tuple(family for family, _ in scales), n_max)
     best, witnesses = _best(rows, dict(scales))
     prediction: Fraction | None = None
     matches: bool | None = None
@@ -233,7 +237,7 @@ def family_supremum(surface: WeightedSurface, family: str, n_max: int) -> Fracti
     scales = dict(_search_families(surface))
     if family not in scales:
         raise ValueError(f"family {family!r} not available on {surface}")
-    return _best(_family_rows(surface, family, n_max), scales)[0]
+    return _best(_family_rows(surface, (family,), n_max), scales)[0]
 
 
 def lower_bound_small_a(surface: WeightedSurface) -> int:

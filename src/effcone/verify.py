@@ -16,17 +16,20 @@ n and the family-C level n' name the same divisor whenever n*b = n'*c, so a
 cell of the non-attaining family whose degree n*delta' is a multiple of
 m0*delta lies on the attainment ray (at step t = n*delta'/(m0*delta)) and
 meets the threshold with equality; only the attainment-type bound can hold
-there.  For same-family cells the condition reduces to the familiar
-"n is a multiple of m0".  :func:`sweep_one` is the one place that makes this
-test; it hands the degrees it compared on to :func:`margin_general`.
+there.  As m0*delta divides n*delta' exactly when n is a multiple of
+step = m0*delta/gcd(m0*delta, delta') (for same-family cells, step = m0),
+:func:`sweep_one` routes one (classification, family) column of cells at a
+time, the one place that makes this test: the ray cells n = step, 2*step,
+... go to :func:`margin_at_multiple` in one ``map``, the others to
+:func:`margin_general` in one more, so each cell makes one margin call.
 
 Both checks take the cell's count h0 and return margin = rhs - h0;
 margin >= 1 certifies the strict inequality, margin < 1 is a
 counterexample.  :func:`sweep_one` takes every count from the table of
-:func:`~effcone.threshold.gamma_search`, so each cell is counted once, and
-each family's counts come from one running sum,
-:func:`~effcone.surface.section_counts`; :func:`sweep` runs every cell for a
-list of surfaces and aggregates.
+:func:`~effcone.threshold.gamma_search`, so each cell is counted once, from
+one pair of running sums per surface (see
+:func:`~effcone.surface.section_counts`); :func:`sweep` runs every cell for
+a list of surfaces and aggregates.
 
 :func:`calibrate_delta` compares the published step-error jump condition
 with the value forced by the reduction identity (see the fracsum module).
@@ -43,7 +46,7 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from itertools import repeat
 from math import comb, gcd
-from operator import add, floordiv
+from operator import floordiv, itemgetter, sub
 
 # h0 is not called here; it stays bound because bench/test_bench.py checks
 # that the tracer rebinds and restores verify.h0.
@@ -121,35 +124,25 @@ def sweep_one(surface: WeightedSurface, n_max: int) -> dict:
     """
     classifications = classify_surface(surface)
     search = gamma_search(surface, n_max)
-    delta = {FAMILY_B: surface.b, FAMILY_C: surface.c}
-    rows = []
-    cell_best: dict[tuple[str, int], int] = {}
+    delta = {FAMILY_B: surface.b, FAMILY_C: surface.c}  # in the table's order
+    counts = list(map(itemgetter(2), search.table))
+    columns, ns = (counts[:n_max], counts[n_max:]), range(1, n_max + 1)
+    rows: list[dict] = []
+    best: list[int] | None = None  # each cell's best margin, in (family, n) order
     for cls in classifications:
-        base = cls.m0 * delta[cls.family]
-        for family, n, count, _ in search.table:
-            # A cell is on the attainment ray iff base divides its degree.
-            degree = n * delta[family]
-            step, rest = divmod(degree, base)
-            if rest == 0:
-                margin = margin_at_multiple(cls, step, count)
-            else:
-                margin = margin_general(cls, degree, base, count)
-            rows.append(
-                {
-                    "branch": cls.branch,
-                    "family": family,
-                    "n": n,
-                    "h0": count,
-                    "rhs": margin + count,
-                    "margin": margin,
-                }
-            )
-            key = (family, n)
-            if key not in cell_best or margin > cell_best[key]:
-                cell_best[key] = margin
+        base, branch, margins = cls.m0 * delta[cls.family], cls.branch, []
+        for (family, degree), column in zip(delta.items(), columns):
+            block = _margin_column(cls, base, degree, column)
+            rows += [
+                {"branch": branch, "family": family, "n": n, "h0": count,
+                 "rhs": margin + count, "margin": margin}
+                for n, count, margin in zip(ns, column, block)
+            ]
+            margins += block
+        best = margins if best is None else list(map(max, best, margins))
     failures = [
-        {"family": family, "n": n, "margin": margin}
-        for (family, n), margin in sorted(cell_best.items())
+        {"family": (FAMILY_B, FAMILY_C)[i // n_max], "n": i % n_max + 1, "margin": margin}
+        for i, margin in enumerate(best)
         if margin < 1
     ]
     return {
@@ -157,12 +150,30 @@ def sweep_one(surface: WeightedSurface, n_max: int) -> dict:
         "classifications": [dict(vars(cls)) for cls in classifications],
         "n_max": n_max,
         "rows": rows,
-        "min_margin": min(cell_best.values()),
+        "min_margin": min(best),
         "failures": failures,
         "gamma_best": search.best,
         "gamma_pred": search.prediction,
         "gamma_match": search.matches,
     }
+
+
+def _margin_column(cls: Classification, base: int, delta: int, counts: list[int]) -> list[int]:
+    """Margins under ``cls`` of the cells n = 1..len(counts) of degree
+    n*delta, routed as the module docstring says: one margin call each."""
+    n_max, g = len(counts), gcd(base, delta)
+    step = base // g  # base divides n*delta iff step divides n
+    degrees = range(delta, (n_max + 1) * delta, delta)
+    if step > n_max:  # no cell on the ray
+        return list(map(margin_general, repeat(cls), degrees, repeat(base), counts))
+    ray, t = slice(step - 1, None, step), delta // g  # n = i*step is ray step i*t
+    on = map(margin_at_multiple, repeat(cls), range(t, (n_max // step + 1) * t, t), counts[ray])
+    degrees, off = list(degrees), counts[:]
+    del degrees[ray], off[ray]
+    margins = list(map(margin_general, repeat(cls), degrees, repeat(base), off))
+    for i, margin in enumerate(on, 1):  # the ray cell n = i*step, back in n order
+        margins.insert(i * step - 1, margin)
+    return margins
 
 
 def sweep(surfaces: list[WeightedSurface], n_max: int, jobs: int | None = None) -> list[dict]:
@@ -217,28 +228,29 @@ def aggregate_sweep(reports: list[dict]) -> dict:
     }
 
 
-def _check_partner(alpha0: int, beta0: int, alpha1: int, beta1: int, sigma: int) -> None:
-    """Check the fracsum proof's per-term identity for one partner pair:
+def _check_partners(alpha0: int, beta0: int, *partners: tuple[int, int, int]) -> None:
+    """Check the fracsum proof's per-term identity for each partner
+    (alpha1, beta1, sigma) of (alpha0, beta0):
     floor(alpha1*j/beta1) - floor(alpha0*j/beta0) = [sigma = 1, beta1 | j,
     j > 0] for every 0 <= j < beta0; raise :class:`CalibrationError`
     otherwise.  ``alpha1`` is the true partner (sigma + beta1*alpha0)/beta0.
 
     Summed over j <= u0, the identity is the step identity with jump 0 at
     that u0, so one check covers the pair's beta0 instances.  Each side is
-    one C-level ``map`` over the multiples of alpha."""
+    one C-level ``map`` over the multiples of alpha; the sigma-free side is
+    built once for all partners."""
     lower = list(map(floordiv, range(0, alpha0 * beta0, alpha0), repeat(beta0)))
-    if alpha1:
-        upper = list(map(floordiv, range(0, alpha1 * beta0, alpha1), repeat(beta1)))
-    else:  # range() takes no step 0
-        upper = [0] * beta0
-    if sigma == 1:
-        # The bracket: one more at every multiple j > 0 of beta1.
-        lower[beta1::beta1] = map(add, lower[beta1::beta1], repeat(1))
-    if upper != lower:
-        raise CalibrationError(
-            f"per-term identity fails at (alpha0={alpha0}, beta0={beta0}, sigma={sigma}) "
-            f"with partner (alpha1={alpha1}, beta1={beta1}): the forced jump is not 0"
-        )
+    for alpha1, beta1, sigma in partners:
+        multiples = range(0, alpha1 * beta0, alpha1) if alpha1 else repeat(0, beta0)  # no step 0
+        upper = list(map(floordiv, multiples, repeat(beta1)))
+        if sigma == 1:
+            # The bracket: one more at every multiple j > 0 of beta1.
+            upper[beta1::beta1] = map(sub, upper[beta1::beta1], repeat(1))
+        if upper != lower:
+            raise CalibrationError(
+                f"per-term identity fails at (alpha0={alpha0}, beta0={beta0}, sigma={sigma}) "
+                f"with partner (alpha1={alpha1}, beta1={beta1}): the forced jump is not 0"
+            )
 
 
 def calibrate_delta(beta_max: int, instances: bool = True) -> dict:
@@ -248,7 +260,7 @@ def calibrate_delta(beta_max: int, instances: bool = True) -> dict:
     u0 < beta0.
 
     Checked at run time, for every (alpha0, beta0, sigma): the per-term
-    identity of the fracsum proof (:func:`_check_partner`), which makes the
+    identity of the fracsum proof (:func:`_check_partners`), which makes the
     forced jump 0 at every u0; a failure raises :class:`CalibrationError`.
     The report then follows in closed form.  Each (alpha0, sigma) adds beta0
     instances.  The published condition fires exactly on the sigma = -1
@@ -271,8 +283,9 @@ def calibrate_delta(beta_max: int, instances: bool = True) -> dict:
             # as beta0 >= 2.  sigma = +1's is (alpha0 - alpha1, beta0 - beta1).
             beta1 = pow(alpha0, -1, beta0)
             alpha1 = (beta1 * alpha0 - 1) // beta0
-            _check_partner(alpha0, beta0, alpha0 - alpha1, beta0 - beta1, 1)
-            _check_partner(alpha0, beta0, alpha1, beta1, -1)
+            _check_partners(
+                alpha0, beta0, (alpha0 - alpha1, beta0 - beta1, 1), (alpha1, beta1, -1)
+            )
             total += 2 * beta0
             over += beta1
             if instances:

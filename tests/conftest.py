@@ -25,6 +25,8 @@ exact membership test for a rational triangle, with which the tests check
 that the reference triangles sit inside the divisor polytopes.
 :func:`section_count` is the per-cell closed form of one family-B or
 family-C count that ``surface.section_counts`` replaced by a running sum.
+:func:`sweep_cells` is the per-cell margin loop that ``verify.sweep_one``
+replaced by routing a column of cells at a time.
 """
 
 from __future__ import annotations
@@ -36,13 +38,18 @@ import pytest
 
 from effcone import (
     BRANCHES,
+    FAMILY_B,
+    FAMILY_C,
     CalibrationError,
     FamilyRequest,
     branch_interval,
     classify_surface,
     deficit,
     floor_sum_linear,
+    gamma_search,
     make_surface,
+    margin_at_multiple,
+    margin_general,
     outer_bound,
     paper_delta,
     solve_family,
@@ -347,6 +354,56 @@ def section_count(surface, family: str, n: int) -> int:
         return right_edge_sum(rows) + floor_sum_linear(rows, b, m, n * c) + rows
     rows = 4 * n * b // c + 1
     return right_edge_sum(rows) + (n + 1) * rows + floor_sum_linear(rows, b, m, 0)
+
+
+def sweep_cells(surface, n_max: int) -> dict:
+    """The margin report as :func:`effcone.verify.sweep_one` built it before
+    it routed a column of cells at a time: one ``divmod`` per cell, and each
+    cell's best margin over the classifications kept in a dict."""
+    classifications = classify_surface(surface)
+    search = gamma_search(surface, n_max)
+    delta = {FAMILY_B: surface.b, FAMILY_C: surface.c}
+    rows = []
+    cell_best: dict[tuple[str, int], int] = {}
+    for cls in classifications:
+        base = cls.m0 * delta[cls.family]
+        for family, n, count, _ in search.table:
+            # A cell is on the attainment ray iff base divides its degree.
+            degree = n * delta[family]
+            step, rest = divmod(degree, base)
+            if rest == 0:
+                margin = margin_at_multiple(cls, step, count)
+            else:
+                margin = margin_general(cls, degree, base, count)
+            rows.append(
+                {
+                    "branch": cls.branch,
+                    "family": family,
+                    "n": n,
+                    "h0": count,
+                    "rhs": margin + count,
+                    "margin": margin,
+                }
+            )
+            key = (family, n)
+            if key not in cell_best or margin > cell_best[key]:
+                cell_best[key] = margin
+    failures = [
+        {"family": family, "n": n, "margin": margin}
+        for (family, n), margin in sorted(cell_best.items())
+        if margin < 1
+    ]
+    return {
+        "surface": dict(vars(surface)),
+        "classifications": [dict(vars(cls)) for cls in classifications],
+        "n_max": n_max,
+        "rows": rows,
+        "min_margin": min(cell_best.values()),
+        "failures": failures,
+        "gamma_best": search.best,
+        "gamma_pred": search.prediction,
+        "gamma_match": search.matches,
+    }
 
 
 def level_by_descent(x: Fraction) -> int:

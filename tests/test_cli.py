@@ -353,11 +353,12 @@ class TestCalibrate:
     def test_identity_failure_exits_one(self, capsys, monkeypatch):
         # The real check, handed a partner alpha1 one too large, fails on the
         # first pair, (alpha0, beta0) = (1, 2) with sigma = +1.
-        check = effcone.verify._check_partner
+        check = effcone.verify._check_partners
         monkeypatch.setattr(
-            effcone.verify, "_check_partner",
-            lambda alpha0, beta0, alpha1, beta1, sigma:
-                check(alpha0, beta0, alpha1 + 1, beta1, sigma),
+            effcone.verify, "_check_partners",
+            lambda alpha0, beta0, *partners: check(alpha0, beta0, *(
+                (alpha1 + 1, beta1, sigma) for alpha1, beta1, sigma in partners
+            )),
         )
         assert main(["calibrate-delta", "--beta-max", "5"]) == 1
         captured = capsys.readouterr()
@@ -397,11 +398,35 @@ class TestHarness:
         ("h0", "--surface", "4,5,7", "--family", "B", "--n", "1" + "0" * 2200),
     ], ids=["count", "h0"])
     def test_integer_past_the_digit_limit_is_a_usage_error(self, capsys, argv):
-        # Rendering these counts passes Python's int-to-str digit limit.
+        # Rendering these counts passes Python's int-to-str digit limit.  The
+        # message names the limit, not Python's advice to raise it.
         assert main(list(argv)) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("effcone: error: ")
+        limit = sys.get_int_max_str_digits()
+        assert captured.err == (
+            f"effcone: error: an integer has more than {limit} digits, the most that "
+            "Python converts between integers and text\n"
+        )
+        assert "set_int_max_str_digits" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ("count", "--tri", "0,0", "1,0", "1" * 5000 + ",1"),
+        ("h0", "--surface", "4,5,7", "--family", "B", "--n", "1" * 5000),
+    ], ids=["rational", "int"])
+    def test_argument_past_the_digit_limit_is_a_usage_error(self, capsys, argv):
+        # Parsing these values passes the limit the other way, str to int;
+        # the message names the limit and does not echo the 5000 digits.
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        limit = sys.get_int_max_str_digits()
+        assert err.endswith(
+            f"an integer has more than {limit} digits, the most that Python converts "
+            "between integers and text\n"
+        )
+        assert "set_int_max_str_digits" not in err and "1" * 100 not in err
 
     def test_closed_stdout_pipe_is_quiet(self):
         # The payload (about 470 KB) overruns the pipe buffer, so the writer

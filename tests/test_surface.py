@@ -16,6 +16,7 @@ from effcone import (
     polytope,
     section_counts,
 )
+from effcone.surface import _family_counts
 
 from conftest import build_pool, monomial_count, polytope_fraction, right_edge_sum, section_count
 
@@ -300,6 +301,37 @@ class TestSectionCount:
                 surface.a, surface.b, surface.c, degree(surface, DivisorSpec("AZ", n))
             )
             assert count == expected, (surface, n)
+
+    @given(surfaces(), st.integers(0, 6))
+    @settings(max_examples=100, deadline=None)
+    @example(make_surface(1, 2, 3), 0)  # a = 1, q = 0: F is all zeros
+    @example(make_surface(4, 5, 7), 0)
+    @example(make_surface(4, 5, 19), 3)  # p = 1 > 0
+    @example(make_surface(3, 5, 7), 0)  # p = -1 < 0
+    def test_shared_pass_past_rows_a_and_b(self, surface, extra):
+        # a*n_max >= c > b, so the sums run past the rows j = a, 2a, ... and
+        # b, 2b, ..., where floor(-x) and -floor(x) agree, for every family
+        # (B's last row is floor(a*b*n/c) >= b from n = c/a on).
+        families = ("B", "C", "AZ") if (surface.a, surface.q) == (4, 3) else ("AZ",)
+        n_max = -(-surface.c // surface.a) + extra
+        for family, counts in zip(families, _family_counts(surface, families, n_max)):
+            assert counts == section_counts(surface, family, n_max), (surface, family)
+            for n, count in enumerate(counts, 1):
+                assert count == h0(surface, DivisorSpec(family, n)), (surface, family, n)
+
+    @pytest.mark.parametrize("weights", [
+        (1, 2, 3), (2, 3, 7), (3, 5, 7), (3, 7, 8), (4, 5, 7), (4, 5, 19), (4, 7, 17),
+        (4, 13, 23),
+    ])
+    def test_shared_pass_matches_monomial_oracle(self, weights):
+        # Every n up to a*n >= c, against the monomial count.
+        surface = make_surface(*weights)
+        families = ("B", "C", "AZ") if (surface.a, surface.q) == (4, 3) else ("AZ",)
+        n_max = -(-surface.c // surface.a) + 1
+        for family, counts in zip(families, _family_counts(surface, families, n_max)):
+            for n, count in enumerate(counts, 1):
+                expected = monomial_count(*weights, degree(surface, DivisorSpec(family, n)))
+                assert count == expected, (surface, family, n)
 
     def test_matches_monomial_oracle(self):
         for weights in ((4, 5, 7), (4, 5, 19), (4, 7, 17), (4, 13, 23), (4, 49, 87)):

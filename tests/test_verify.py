@@ -1,16 +1,21 @@
 """Margins, sweeps, and the exhaustive jump calibration."""
 
+import json
 import math
 import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from conftest import calibration_loop
-from effcone import DivisorSpec, classify_surface, h0, make_surface, section_counts, threshold
+import conftest
+from conftest import calibration_loop, sweep_cells
+from effcone import DivisorSpec, classify_surface, h0, make_surface, threshold, verify
+from effcone.surface import _family_counts
 from effcone.verify import (
     CalibrationError,
-    _check_partner,
+    _check_partners,
     aggregate_sweep,
     calibrate_delta,
     margin_at_multiple,
@@ -202,23 +207,24 @@ class TestSweepOne:
 
     @pytest.mark.parametrize("b, c", [(13, 23), (5, 7)], ids=["P(4,13,23)", "P(4,5,7)"])
     def test_each_cell_counted_once(self, b, c, monkeypatch):
-        # The counts come from the gamma search's table: one running-sum call
-        # per family, returning every n, however many classifications the
-        # surface has, and no call of the general counter h0.
+        # The counts come from the gamma search's table: one shared counting
+        # pass per surface, returning both families at every n, however many
+        # classifications the surface has, and no call of the general
+        # counter h0.
         surface = make_surface(4, b, c)
         calls = []
 
-        def counting(surface, family, n_max):
-            counts = section_counts(surface, family, n_max)
-            calls.append((family, len(counts)))
+        def counting(surface, families, n_max):
+            counts = _family_counts(surface, families, n_max)
+            calls.append(tuple(zip(families, map(len, counts))))
             return counts
 
-        monkeypatch.setattr(threshold, "section_counts", counting)
+        monkeypatch.setattr(threshold, "_family_counts", counting)
         h0.cache_clear()
         sweep_one(surface, 30)
         info = h0.cache_info()
         assert (info.hits, info.misses) == (0, 0)
-        assert calls == [("B", 30), ("C", 30)]  # 60 cells per surface
+        assert calls == [(("B", 30), ("C", 30))]  # 60 cells per surface
 
     def test_cross_family_ray_cells_count_the_attaining_divisor(self, pool, named_surfaces):
         # A cell of the other family on the attainment ray reads its count at
@@ -238,6 +244,98 @@ class TestSweepOne:
                     attaining = h0(surface, DivisorSpec(cls.family, cls.m0 * t))
                     assert h0(surface, DivisorSpec(other, n)) == attaining, (surface, cls, n)
         assert (cells, beyond) == (234, 48)  # the pool alone: (100, 23)
+
+
+
+def routing_steps(surface) -> set[int]:
+    """step = base/gcd(base, delta) of every (classification, family) block:
+    the family's cell n lies on the attainment ray iff step divides n."""
+    delta = {"B": surface.b, "C": surface.c}
+    steps = set()
+    for cls in classify_surface(surface):
+        base = cls.m0 * delta[cls.family]
+        steps.update(base // math.gcd(base, d) for d in delta.values())
+    return steps
+
+
+def n_max_grid(surface) -> list[int]:
+    """1, 200, and step - 1, step, step + 1 of every block, within [1, 200]."""
+    grid = {1, 200}
+    for step in routing_steps(surface):
+        grid.update(n for n in (step - 1, step, step + 1) if 1 <= n <= 200)
+    return sorted(grid)
+
+
+def assert_matches_the_oracle(surface, n_max):
+    got, expected = sweep_one(surface, n_max), sweep_cells(surface, n_max)
+    assert got == expected, (surface, n_max)
+    # Key order too, at every depth: the JSON writer keeps it for the rows.
+    assert json.dumps(got, default=str) == json.dumps(expected, default=str), (surface, n_max)
+
+
+@st.composite
+def classified_surfaces(draw):
+    """P(4, b, 3b - 4m) with 2 < b/m < 16/3: every surface verify sweeps."""
+    b = draw(st.integers(2, 300)) * 2 + 1
+    m = draw(st.integers(3 * b // 16 + 1, (b - 1) // 2))
+    assume(math.gcd(b, m) == 1)
+    return make_surface(4, b, 3 * b - 4 * m)
+
+
+class TestSweepOneOracle:
+    """``sweep_one`` routes a column of cells at a time; ``conftest.sweep_cells``
+    is the per-cell ``divmod`` loop it replaced."""
+
+    def test_grid_covers_every_routing_case(self, pool, named_surfaces):
+        surfaces = named_surfaces + [surface for surface, _, _ in pool]
+        steps = set().union(*map(routing_steps, surfaces))
+        assert 1 in steps and max(steps) > 200  # a whole ray column, and none
+        endpoints = [s for s in named_surfaces if len(classify_surface(s)) == 2]
+        assert [(s.b, s.c) for s in endpoints] == [(5, 7), (7, 9)]
+
+    def test_named_and_pool_surfaces(self, pool, named_surfaces):
+        for surface in named_surfaces + [surface for surface, _, _ in pool]:
+            for n_max in n_max_grid(surface):
+                assert_matches_the_oracle(surface, n_max)
+
+    @given(classified_surfaces())
+    @settings(max_examples=40, deadline=None)
+    @example(make_surface(4, 5, 11))  # m0 = 1: step 1 for family C
+    @example(make_surface(4, 5, 7))  # two classifications
+    @example(make_surface(4, 7, 9))  # two classifications
+    @example(make_surface(4, 401, 463))  # a cross-family step above 200
+    def test_random_surfaces(self, surface):
+        for n_max in n_max_grid(surface):
+            assert_matches_the_oracle(surface, n_max)
+
+    @pytest.mark.parametrize("b, c", [(5, 7), (7, 9), (5, 11), (13, 23)])
+    def test_failures_match_the_oracle(self, b, c, monkeypatch):
+        # Lowered margins make failures, on both sides alike: the report
+        # keeps each cell's best margin over the classifications, in
+        # (family, n) order.
+        for module in (verify, conftest):
+            for name in ("margin_general", "margin_at_multiple"):
+                original = getattr(module, name)
+                monkeypatch.setattr(
+                    module, name, lambda *args, f=original: f(*args) - 8,
+                )
+        surface = make_surface(4, b, c)
+        for n_max in (1, 7, 40):
+            report = sweep_one(surface, n_max)
+            assert report["failures"] and report["min_margin"] < 1
+            assert_matches_the_oracle(surface, n_max)
+
+    def test_one_margin_call_per_cell(self, monkeypatch):
+        calls = []
+        for name in ("margin_general", "margin_at_multiple"):
+            original = getattr(verify, name)
+            monkeypatch.setattr(
+                verify, name, lambda cls, *args, f=original: calls.append(args) or f(cls, *args),
+            )
+        for b, c in ((5, 7), (5, 11), (13, 23), (401, 463)):
+            calls.clear()
+            report = sweep_one(make_surface(4, b, c), 200)
+            assert len(calls) == len(report["rows"]) == 200 * 2 * len(report["classifications"])
 
 
 class TestSweepAggregation:
@@ -377,8 +475,8 @@ class TestPartnerCheck:
         assert len(pairs) == 2 * sum(
             1 for b in range(2, 31) for a in range(1, b) if math.gcd(a, b) == 1
         )
-        for pair in pairs:
-            _check_partner(*pair)
+        for alpha0, beta0, alpha1, beta1, sigma in pairs:
+            _check_partners(alpha0, beta0, (alpha1, beta1, sigma))
 
     def test_rejects_a_beta1_off_by_one(self):
         rejected = 0
@@ -388,17 +486,32 @@ class TestPartnerCheck:
             for wrong in (beta1 - 1, beta1 + 1):
                 if wrong >= 1 and math.gcd(wrong, beta0) == 1:
                     with pytest.raises(CalibrationError, match=f"beta0={beta0}, sigma={sigma}"):
-                        _check_partner(alpha0, beta0, alpha1, wrong, sigma)
+                        _check_partners(alpha0, beta0, (alpha1, wrong, sigma))
                     rejected += 1
         assert rejected > 500
 
     def test_rejects_the_wrong_sigma(self):
         for alpha0, beta0, alpha1, beta1, sigma in true_partners(30):
             with pytest.raises(CalibrationError, match=f"alpha0={alpha0}, beta0={beta0}"):
-                _check_partner(alpha0, beta0, alpha1, beta1, -sigma)
+                _check_partners(alpha0, beta0, (alpha1, beta1, -sigma))
+
+    def test_both_partners_share_one_lower_side(self):
+        # Checking sigma = +1 first must leave the shared side as it was for
+        # sigma = -1, as calibrate_delta checks them; a wrong second partner
+        # is still caught and named.
+        for beta0 in range(2, 31):
+            for alpha0 in range(1, beta0):
+                if math.gcd(alpha0, beta0) != 1:
+                    continue
+                beta1 = pow(alpha0, -1, beta0)
+                alpha1 = (beta1 * alpha0 - 1) // beta0
+                plus = (alpha0 - alpha1, beta0 - beta1, 1)
+                _check_partners(alpha0, beta0, plus, (alpha1, beta1, -1))
+                with pytest.raises(CalibrationError, match=f"beta0={beta0}, sigma=-1"):
+                    _check_partners(alpha0, beta0, plus, (alpha1 + 1, beta1, -1))
 
     def test_rejects_an_alpha1_off_by_one(self):
         for alpha0, beta0, alpha1, beta1, sigma in true_partners(30):
             for wrong in (alpha1 - 1, alpha1 + 1):
                 with pytest.raises(CalibrationError):
-                    _check_partner(alpha0, beta0, wrong, beta1, sigma)
+                    _check_partners(alpha0, beta0, (wrong, beta1, sigma))

@@ -859,6 +859,65 @@ class TestGolden:
         assert hashlib.sha256(blob).hexdigest() == digest
 
 
+# The 40 "ehrhart --surface S --family F --n N" calls of each of the benchmark's
+# deep-ehrhart seeds 1 to 3, as "S F N", and the SHA-256 of their stdouts joined
+# by NUL, captured before the closed forms were evaluated over one integer
+# denominator and before scalar leaves were rendered without the encoder.
+DEEP_EHRHART = {
+    1: (
+        "4,2087,3261 C 27297, 4,1273,2263 C 48833, 4,2677,4759 B 46164, 4,2533,4223 B 73153, "
+        "4,1783,2973 B 11497, 4,1895,3369 B 13000, 4,2975,5289 B 81315, 4,2759,4905 C 34459, "
+        "4,1237,2199 C 19476, 4,2551,4253 C 77084, 4,2331,4661 C 21762, 4,2933,6599 B 23142, "
+        "4,1007,1677 B 16349, 4,2383,3973 C 12228, 4,1535,2729 B 32613, 4,1571,2793 C 86840, "
+        "4,1885,3771 C 15418, 4,1895,2961 B 25920, 4,2459,4917 C 54639, 4,1825,3651 B 91637, "
+        "4,1063,2125 B 20423, 4,2705,4507 B 41173, 4,2347,3913 B 29154, 4,2701,4503 C 30631, "
+        "4,1593,3187 B 36697, 4,1817,3027 C 17322, 4,2663,4161 C 10935, 4,2981,6707 B 57824, "
+        "4,1319,2061 B 10300, 4,2709,6095 C 61596, 4,2405,5411 C 24327, 4,1353,2707 C 97014, "
+        "4,1307,2177 C 43244, 4,2215,3461 C 69162, 4,1525,2711 B 18321, 4,2829,5659 B 14594, "
+        "4,1447,2261 B 64791, 4,2835,5669 B 51714, 4,1247,2217 C 13723, 4,1853,3707 C 38832",
+        "8ba9f63d8bdb2c34af53dc9e5497c7dbae4e3ccdd2fc9898d0370130fc8a6143",
+    ),
+    2: (
+        "4,1607,2857 C 13741, 4,1075,2149 B 20623, 4,1653,3719 B 23149, 4,2393,4787 C 15339, "
+        "4,2349,4699 C 96852, 4,2117,3527 C 43546, 4,1819,3637 C 54774, 4,1747,3493 C 21743, "
+        "4,2543,4521 B 13010, 4,1373,2747 B 36726, 4,2965,5271 C 48956, 4,1509,3395 C 61299, "
+        "4,2609,4347 B 41165, 4,1075,1793 B 28899, 4,2075,3689 B 81612, 4,2321,3867 B 16338, "
+        "4,2687,4777 C 87017, 4,2791,4361 C 10846, 4,1519,2533 C 12265, 4,1331,2661 B 51853, "
+        "4,2983,4661 B 10335, 4,2481,4963 B 91682, 4,1261,2103 B 11529, 4,2089,3483 B 72998, "
+        "4,2183,3881 C 34544, 4,2173,3863 C 19335, 4,2087,3261 B 25753, 4,1877,4223 C 24517, "
+        "4,2241,4483 B 14460, 4,1913,3827 C 38814, 4,2561,4267 C 17368, 4,1813,3223 B 45900, "
+        "4,2087,3261 C 69049, 4,2919,4561 B 64937, 4,2395,3993 C 77535, 4,1531,2553 C 30597, "
+        "4,1957,4403 B 57980, 4,1383,2161 C 27301, 4,2245,3991 B 18394, 4,2183,3881 B 32494",
+        "d3f8c54b1d4e7860751ed7dbb635f92147267be9677af9e3b2816dce3c41d9f2",
+    ),
+    3: (
+        "4,2209,3927 C 19362, 4,1477,2955 B 14486, 4,2867,5097 B 32575, 4,2173,4347 B 91482, "
+        "4,2965,6671 B 23065, 4,2857,4763 B 11544, 4,1253,2507 C 96676, 4,1835,3669 B 51632, "
+        "4,2851,5701 C 54536, 4,1319,2345 C 34625, 4,2005,3343 B 73253, 4,2471,4393 C 86928, "
+        "4,1621,3647 C 24485, 4,1511,2361 B 10303, 4,2651,4713 B 81899, 4,2013,4027 C 38555, "
+        "4,2469,4939 C 15394, 4,2727,4261 B 25961, 4,2687,4477 B 16307, 4,2023,3161 C 27414, "
+        "4,1525,2711 B 18330, 4,2279,3561 B 65066, 4,1031,2061 B 20576, 4,2755,4593 C 77241, "
+        "4,1925,3207 C 43362, 4,2311,3853 C 30688, 4,1383,2161 C 68943, 4,2785,4643 C 12171, "
+        "4,2757,6203 C 61150, 4,1131,2261 C 21667, 4,2339,3897 B 41105, 4,1813,3223 C 48716, "
+        "4,2191,3653 B 29078, 4,1319,2061 C 10886, 4,2963,4937 C 17350, 4,2929,5207 B 45912, "
+        "4,1031,1833 B 13018, 4,1197,2395 B 36323, 4,2111,3753 C 13687, 4,2885,6491 B 58163",
+        "895fe60027b7a558eb1c98d27b76f8485801b6fe75ddaed68a6c2c1e9adcdd33",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DEEP_EHRHART))
+def test_deep_ehrhart_digest(capsys, seed):
+    calls, digest = DEEP_EHRHART[seed]
+    outputs = []
+    for call in calls.split(", "):
+        surface, family, n = call.split()
+        assert main(["ehrhart", "--surface", surface, "--family", family, "--n", n]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert len(outputs) == 40
+    assert hashlib.sha256("\0".join(outputs).encode()).hexdigest() == digest
+
+
 def readme_examples():
     """``(argv, head, expected)`` for every ``$ effcone ...`` line of README.md:
     its arguments, the ``| head -N`` line limit (or None), and the lines

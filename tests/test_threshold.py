@@ -1,5 +1,6 @@
 """nu invariants, the interval classification, gamma searches, and reference triangles."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -144,6 +145,17 @@ class TestClassify:
         assert len(found) == 2
         assert {cls.branch for cls in found} == set(branches)
         assert {cls.gamma_pred for cls in found} == {Fraction(gamma)}
+
+    def test_sweep_digest(self):
+        # The repr of every classification with b <= 300, captured before
+        # classify compared the abscissa with its bounds by cross-multiplying.
+        digest = hashlib.sha256()
+        for b in range(3, 301):
+            for m in range(3 * b // 16 + 1, (b + 1) // 2):
+                digest.update(repr(classify(b, -m)).encode())
+        assert digest.hexdigest() == (
+            "102a44d4c79533e47a55032ae527fd3eea11c8fd187c6e377e44dc8fb49c6714"
+        )
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -126,8 +126,13 @@ def _json_encoder(depth: int):
                           ": ", ",\n" + "  " * depth, True, False, True)
 
 
-# Types the C encoder renders by itself (Fraction through ``_json_default``).
-_SCALARS = frozenset({str, int, bool, type(None), Fraction})
+# The C encoder's text for a scalar of each type it renders (Fraction by ``_json_default``).
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii, int: int.__repr__, type(None): lambda _: "null",
+    bool: {True: "true", False: "false"}.__getitem__,
+    Fraction: lambda x: encode_basestring_ascii(_fmt_rational(x)),
+}
+_SCALARS = frozenset(_SCALAR_TEXT)
 # Value types a record template takes: "%d" renders an int as the encoder
 # does, and a str is passed through ``encode_basestring_ascii`` to "%s".
 _TEMPLATE_TYPES = frozenset({int, str})
@@ -180,8 +185,10 @@ def _write_json(obj, depth: int, out: list[str]) -> None:
     """Append ``obj`` as ``json.dumps(..., indent=2, sort_keys=True)`` renders
     it, with every ``Fraction`` as its "num/den" string.
 
-    A container of scalars is one C-encoder call.  A list or tuple of
-    non-empty plain dicts of scalars (a record list) takes one of two paths.
+    A scalar of exactly a ``_SCALAR_TEXT`` type is written as the encoder's
+    text for it, and any other leaf (a float, an int or str subclass) by the
+    encoder.  A container of scalars is one C-encoder call.  A list or tuple
+    of non-empty plain dicts of scalars (a record list) takes one of two paths.
     If the dicts share one key set and every value is an exact int or str
     (margin rows, disagreement records), each record is one ``%`` operation
     on a cached row template (``_template_rows``), with no per-dict key sort.
@@ -194,6 +201,10 @@ def _write_json(obj, depth: int, out: list[str]) -> None:
     inside a string.  Python recurses only over other containers that hold
     containers, whose dict keys must be str.
     """
+    text = _SCALAR_TEXT.get(type(obj))
+    if text is not None:
+        out.append(text(obj))
+        return
     if not isinstance(obj, (dict, list, tuple)):
         out.append("".join(_json_encoder(0)(obj, 0)))
         return

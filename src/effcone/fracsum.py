@@ -87,8 +87,12 @@ def frac_sum(alpha: int, beta: int, u: int) -> Fraction:
         raise ValueError(f"require beta >= 1, got {beta}")
     if u < 0:
         raise ValueError(f"require u >= 0, got {u}")
-    residues = alpha * (u * (u + 1) // 2) - beta * floor_sum_linear(u + 1, beta, alpha, 0)
-    return Fraction(residues, beta)
+    return Fraction(_residue_sum(alpha, beta, u), beta)
+
+
+def _residue_sum(alpha: int, beta: int, u: int) -> int:
+    """sum_{j=0}^{u} (alpha*j mod beta), :func:`frac_sum` times beta (unchecked)."""
+    return alpha * (u * (u + 1) // 2) - beta * floor_sum_linear(u + 1, beta, alpha, 0)
 
 
 def deficit(beta: int, u: int, alpha: int) -> Fraction:

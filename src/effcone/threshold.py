@@ -96,22 +96,27 @@ def outer_bound(k: int) -> Fraction:
     """L(k) = 16k^2/(8k^2 - 4k - 1), the decreasing sequence of level edges."""
     if k < 1:
         raise ValueError(f"require k >= 1, got {k}")
-    return Fraction(16 * k * k, 8 * k * k - 4 * k - 1)
+    return Fraction(*_edge(k))
 
 
-def _level(k: int) -> tuple[tuple[str, Fraction, Fraction, int, str, int], ...]:
-    """The four rows (branch, lo, hi, m0, family, nu0) of level k, in the
-    order of the module docstring's table."""
+def _edge(k: int) -> tuple[int, int]:
+    """L(k) as the integer pair (16k^2, 8k^2 - 4k - 1)."""
+    return (16 * k * k, 8 * k * k - 4 * k - 1)
+
+
+def _level(k: int) -> tuple[tuple[str, tuple, tuple, int, str, int], ...]:
+    """The four rows (branch, lo, hi, m0, family, nu0) of level k, in the order
+    of the module docstring's table, each endpoint an integer pair (num, den > 0)."""
     if k < 1:
         raise ValueError(f"require k >= 1, got {k}")
-    mid_left = Fraction(2 * k + 1, k)
-    mid_right = Fraction(4 * (2 * k + 1) ** 2, 8 * k * k + 4 * k - 1)
-    three_quarter = Fraction(4 * k, 2 * k - 1)
+    mid_left = (2 * k + 1, k)
+    mid_right = (4 * (2 * k + 1) ** 2, 8 * k * k + 4 * k - 1)
+    three_quarter = (4 * k, 2 * k - 1)
     return (
-        ("I'-", outer_bound(k + 1), mid_left, 2 * k + 3, FAMILY_B, 4 * (k + 1)),
+        ("I'-", _edge(k + 1), mid_left, 2 * k + 3, FAMILY_B, 4 * (k + 1)),
         ("I'+", mid_left, mid_right, 2 * k + 1, FAMILY_C, 4 * (k + 1)),
         ("I''-", mid_right, three_quarter, k + 1, FAMILY_B, 2 * k + 1),
-        ("I''+", three_quarter, outer_bound(k), k, FAMILY_C, 2 * k + 1),
+        ("I''+", three_quarter, _edge(k), k, FAMILY_C, 2 * k + 1),
     )
 
 
@@ -119,7 +124,7 @@ def branch_interval(k: int, branch: str) -> tuple[Fraction, Fraction]:
     """Closed endpoints [lo, hi] of one sub-interval at level k."""
     for label, lo, hi, *_ in _level(k):
         if label == branch:
-            return (lo, hi)
+            return (Fraction(*lo), Fraction(*hi))
     raise ValueError(f"unknown branch {branch!r}; expected one of {BRANCHES}")
 
 
@@ -133,24 +138,25 @@ def classify(b: int, p: int) -> list[Classification]:
         raise ValueError(f"classification requires p < 0, got {p}")
     if b < 1:
         raise ValueError(f"require b >= 1, got {b}")
-    x = Fraction(b, -p)
-    if not Fraction(2) < x < Fraction(16, 3):
+    m = -p  # b/m is compared with each bound lo/hi by cross-multiplying integers
+    if not (2 * m < b and 3 * b < 16 * m):
+        x = Fraction(b, m)
         raise ValueError(f"abscissa b/(-p) = {x} outside the open interval (2, 16/3)")
     c = 3 * b + 4 * p
     found: list[Classification] = []
     # L(k) decreases from L(1) = 16/3 toward 2, so k + 1 is the least j >= 2
-    # with L(j) <= x, i.e. with lead*j^2 - 4b*j - b >= 0, where
-    # lead = 8b - 16(-p) > 0.  The start is the floor of that quadratic's
+    # with L(j) <= b/m, i.e. with gap = lead*j^2 - 4b*j - b >= 0, where
+    # lead = 8b - 16m > 0.  The start is the floor of that quadratic's
     # positive root, so the integer test raises it at most once.  An
-    # endpoint x = L(k + 1) matches two levels.
-    lead = 8 * b + 16 * p
+    # endpoint b/m = L(k + 1), where gap = 0, matches two levels.
+    lead = 8 * b - 16 * m
     j = max(2, (2 * b + isqrt(4 * b * b + lead * b)) // lead)
-    while lead * j * j - 4 * b * j - b < 0:
+    while (gap := lead * j * j - 4 * b * j - b) < 0:
         j += 1
     k = j - 1
-    for level in (k, k + 1) if x == outer_bound(k + 1) else (k,):
-        for branch, lo, hi, m0, family, nu0 in _level(level):
-            if lo <= x <= hi:
+    for level in (k, k + 1) if gap == 0 else (k,):
+        for branch, (lo, lo_den), (hi, hi_den), m0, family, nu0 in _level(level):
+            if lo * m <= b * lo_den and b * hi_den <= hi * m:
                 found.append(Classification(
                     k=level, branch=branch, m0=m0, family=family, nu0=nu0,
                     gamma_pred=Fraction(nu0 * (c if family == FAMILY_B else b), m0),

@@ -20,9 +20,16 @@ made before the jump was proved to be 0; it is that proof's oracle.
 ``verify.calibrate_delta`` replaced by a per-term identity check and a
 closed-form report; it recomputes every forced jump from residue sums.
 :func:`level_by_descent` is the level search ``threshold.classify`` made
-before it solved for the level directly.  :func:`contains_point` is an
-exact membership test for a rational triangle, with which the tests check
-that the reference triangles sit inside the divisor polytopes.
+before it solved for the level directly, and :func:`classify_by_fractions`
+the ``Fraction`` comparisons it made before it cross-multiplied integers.
+:func:`fraction_coefficients`, :func:`fraction_middle_terms`,
+:func:`fraction_c0_tail` and :func:`fraction_value` are the ``Fraction``
+expressions that ``ehrhart.coefficients``, ``c0_middle_terms``,
+``c0_upper_bound`` and ``EhrhartCoeffs.value`` evaluated before each
+coefficient became one numerator over one integer denominator.
+:func:`contains_point` is an exact membership test for a rational triangle,
+with which the tests check that the reference triangles sit inside the
+divisor polytopes.
 :func:`section_count` is the per-cell closed form of one family-B or
 family-C count that ``surface.section_counts`` replaced by a running sum.
 :func:`sweep_cells` is the per-cell margin loop that ``verify.sweep_one``
@@ -32,7 +39,7 @@ replaced by routing a column of cells at a time.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 
@@ -41,11 +48,13 @@ from effcone import (
     FAMILY_B,
     FAMILY_C,
     CalibrationError,
+    Classification,
     FamilyRequest,
     branch_interval,
     classify_surface,
     deficit,
     floor_sum_linear,
+    frac_sum,
     gamma_search,
     make_surface,
     margin_at_multiple,
@@ -413,6 +422,98 @@ def level_by_descent(x: Fraction) -> int:
     while outer_bound(k + 1) > x:
         k += 1
     return k
+
+
+def classify_by_fractions(b: int, p: int) -> list:
+    """``threshold.classify`` as it compared the abscissa x = b/(-p) with the
+    published table, one ``Fraction`` comparison per bound."""
+    def outer(j):
+        return Fraction(16 * j * j, 8 * j * j - 4 * j - 1)
+
+    def level_rows(k):
+        mid_left = Fraction(2 * k + 1, k)
+        mid_right = Fraction(4 * (2 * k + 1) ** 2, 8 * k * k + 4 * k - 1)
+        three_quarter = Fraction(4 * k, 2 * k - 1)
+        return (
+            ("I'-", outer(k + 1), mid_left, 2 * k + 3, FAMILY_B, 4 * (k + 1)),
+            ("I'+", mid_left, mid_right, 2 * k + 1, FAMILY_C, 4 * (k + 1)),
+            ("I''-", mid_right, three_quarter, k + 1, FAMILY_B, 2 * k + 1),
+            ("I''+", three_quarter, outer(k), k, FAMILY_C, 2 * k + 1),
+        )
+
+    if p >= 0:
+        raise ValueError(f"classification requires p < 0, got {p}")
+    if b < 1:
+        raise ValueError(f"require b >= 1, got {b}")
+    x = Fraction(b, -p)
+    if not Fraction(2) < x < Fraction(16, 3):
+        raise ValueError(f"abscissa b/(-p) = {x} outside the open interval (2, 16/3)")
+    c = 3 * b + 4 * p
+    found = []
+    lead = 8 * b + 16 * p
+    j = max(2, (2 * b + isqrt(4 * b * b + lead * b)) // lead)
+    while lead * j * j - 4 * b * j - b < 0:
+        j += 1
+    k = j - 1
+    for level in (k, k + 1) if x == outer(k + 1) else (k,):
+        for branch, lo, hi, m0, family, nu0 in level_rows(level):
+            if lo <= x <= hi:
+                found.append(Classification(
+                    k=level, branch=branch, m0=m0, family=family, nu0=nu0,
+                    gamma_pred=Fraction(nu0 * (c if family == FAMILY_B else b), m0),
+                ))
+    return found
+
+
+def fraction_coefficients(surface, family: str, n: int) -> tuple:
+    """(c2, c1, c0) of ``ehrhart.coefficients`` as Fraction expressions of the
+    published formulas, without its input checks."""
+    b, c, p = surface.b, surface.c, surface.p
+    s = Fraction(b, c)
+    if family == FAMILY_B:
+        c2 = 2 * s
+        c1 = (1 + s + Fraction(4, c)) / 2
+        frac_4sn = Fraction((4 * b * n) % c, c)
+        c0 = (
+            1
+            - Fraction(c, 8 * b) * (frac_4sn * frac_4sn - frac_4sn)
+            + fraction_middle_terms(surface, n)
+            + fraction_c0_tail(surface, n)
+        )
+    elif family == FAMILY_C:
+        c2 = 2 / s
+        c1 = (1 + 1 / s + Fraction(4, b)) / 2
+        frac_4n_b = Fraction((4 * n) % b, b)
+        c0 = (
+            1
+            - frac_4n_b
+            - Fraction(b - 1, 2) * frac_4n_b
+            + frac_sum(-p, b, (4 * n) % b)
+        )
+    else:
+        raise ValueError(f"Ehrhart coefficients exist for families B and C only, got {family!r}")
+    return c2, c1, c0
+
+
+def fraction_middle_terms(surface, n: int) -> Fraction:
+    """-(5/2){sn} + sum_{j=0}^{l} {3j/4}, l = floor(4sn) mod 4, as Fractions."""
+    b, c = surface.b, surface.c
+    frac_sn = Fraction((b * n) % c, c)
+    ell = ((4 * b * n) // c) % 4
+    return -Fraction(5, 2) * frac_sn + frac_sum(3, 4, ell)
+
+
+def fraction_c0_tail(surface, n: int) -> Fraction:
+    """((b-1)/2){4n/c} - sum_{j=0}^{r} {-pj/b}, r = floor(4sn) mod b: the
+    last two terms of the family-B c0."""
+    b, c, p = surface.b, surface.c, surface.p
+    r = ((4 * b * n) // c) % b
+    return Fraction((b - 1) * ((4 * n) % c), 2 * c) - frac_sum(-p, b, r)
+
+
+def fraction_value(c2: Fraction, c1: Fraction, c0: Fraction, n: int) -> Fraction:
+    """c2*n^2 + c1*n + c0, one Fraction operation at a time."""
+    return c2 * n * n + c1 * n + c0
 
 
 def build_pool():

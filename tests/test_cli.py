@@ -539,9 +539,28 @@ def reference_json(payload) -> str:
     return json.dumps(jsonable(payload), indent=2, sort_keys=True)
 
 
+# Scalars the writer renders without the encoder (exact str, int, bool, None
+# and Fraction), and ones it leaves to the encoder (an IntEnum member, floats).
+SCALAR_LEAVES = (
+    True, False, 1, 0, None, "", '"', "\\", "\x00\x1f\n\t\x7f", "\xe9\u2028\U0001f600",
+    Fraction(-7, 3), Fraction(5), Fraction(-4), Level.HIGH,
+    1.5, -0.0, 1e300, float("nan"), float("inf"), float("-inf"),
+)
+
+
+def with_scalar_leaves(test):
+    """``test`` with an example per scalar leaf, alone and as a dict value
+    beside a nested container, and one of True and False beside 1 and 0."""
+    test = example({"t": True, "one": 1, "f": False, "zero": 0, "list": [[True, 1]]})(test)
+    for leaf in SCALAR_LEAVES:
+        test = example(leaf)(example({"leaf": leaf, "nested": {"x": [leaf]}})(test))
+    return test
+
+
 class TestJsonWriter:
     @settings(max_examples=400)
     @given(PAYLOADS)
+    @with_scalar_leaves
     @example({"a": [{"b": ({"c": [{"d": Fraction(-7, 3)}]},)}], "e": {}, "f": []})
     @example([[[[[1, True, None]]]], [], {}, ((),)])
     @example({"x": [True, 1, False, 0, -(10**70)], "y": Fraction(5), "z": Fraction(-1, 2)})

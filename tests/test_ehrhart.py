@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from effcone import (
     DivisorSpec,
@@ -14,7 +16,13 @@ from effcone import (
     make_surface,
 )
 
-from conftest import build_pool
+from conftest import (
+    build_pool,
+    fraction_c0_tail,
+    fraction_coefficients,
+    fraction_middle_terms,
+    fraction_value,
+)
 
 
 @pytest.fixture(scope="module")
@@ -164,4 +172,58 @@ class TestUpperBound:
     def test_bounds_family_b_constant(self, s457, s41323):
         for surface in (s457, s41323, make_surface(4, 23, 41)):
             for n in range(1, 120):
-                assert coefficients(surface, "B", n).c0 <= c0_upper_bound(surface, n)
+                b, c = surface.b, surface.c
+        cut = Fraction(1, 2) + Fraction(c, 80 * b)
+        lead = 1 if Fraction(b * n % c, c) >= cut else Fraction(9, 8) + Fraction(c, 32 * b)
+        bound = c0_upper_bound(surface, n)
+        assert bound == lead + fraction_c0_tail(surface, n)
+        assert coefficients(surface, "B", n).c0 <= bound
+
+
+@st.composite
+def surfaces_with_levels(draw):
+    """An a = 4, p < 0 surface with b <= 10^4, and a dilation level n: 1, a
+    multiple of b or c or a neighbour of one, or one in [10^5, 10^12]."""
+    b = draw(st.integers(2, 4999)) * 2 + 1
+    m = draw(st.integers(1, (b - 1) // 2))  # p = -m; c = 3b - 4m > b
+    assume(gcd(b, m) == 1)
+    surface = make_surface(4, b, 3 * b - 4 * m)
+    multiple = draw(st.integers(1, 50)) * draw(st.sampled_from((b, surface.c)))
+    n = draw(st.one_of(
+        st.just(1),
+        st.sampled_from((multiple - 1, multiple, multiple + 1)),
+        st.integers(10**5, 10**12),
+    ))
+    return surface, n
+
+
+class TestFractionOracle:
+    """Each coefficient is one numerator over one integer denominator; the
+    Fraction expressions it replaced are the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(surfaces_with_levels(), st.sampled_from(("B", "C")))
+    @example((make_surface(4, 5, 7), 1), "B")
+    @example((make_surface(4, 9999, 3 * 9999 - 4 * 4999), 10**12), "C")
+    @example((make_surface(4, 9999, 3 * 9999 - 4), 9999 * 50 + 1), "B")
+    def test_coefficients_and_value(self, surface_level, family):
+        surface, n = surface_level
+        coeffs = coefficients(surface, family, n)
+        expected = fraction_coefficients(surface, family, n)
+        assert (coeffs.c2, coeffs.c1, coeffs.c0) == expected
+        assert (coeffs.n, coeffs.family) == (n, family)
+        count = h0(surface, DivisorSpec(family, n))
+        assert coeffs.value() == fraction_value(*expected, n) == count
+
+    @settings(max_examples=200, deadline=None)
+    @given(surfaces_with_levels())
+    def test_middle_terms_and_upper_bound(self, surface_level):
+        surface, n = surface_level
+        assert c0_middle_terms(surface, n) == fraction_middle_terms(surface, n)
+        assert c0_middle_terms(surface, 0) == fraction_middle_terms(surface, 0) == 0
+        b, c = surface.b, surface.c
+        cut = Fraction(1, 2) + Fraction(c, 80 * b)
+        lead = 1 if Fraction(b * n % c, c) >= cut else Fraction(9, 8) + Fraction(c, 32 * b)
+        bound = c0_upper_bound(surface, n)
+        assert bound == lead + fraction_c0_tail(surface, n)
+        assert coefficients(surface, "B", n).c0 <= bound

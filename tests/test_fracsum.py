@@ -25,6 +25,8 @@ from effcone import (
     step_error_bounds,
 )
 
+from effcone.fracsum import _residue_sum
+
 from conftest import forced_jump, frac_sum_direct
 
 coprime_pairs = st.tuples(st.integers(1, 60), st.integers(1, 60)).filter(
@@ -55,6 +57,21 @@ class TestFracSum:
     @example(10**15 + 1, 10**12, 0)
     def test_direct_oracle(self, alpha, beta, u):
         assert frac_sum(alpha, beta, u) == frac_sum_direct(alpha, beta, u)
+
+    @given(
+        st.one_of(st.integers(-10**4, -1), st.integers(-10**15, -1)),
+        st.one_of(st.integers(1, 60), st.integers(1, 10**12)),
+        st.integers(0, 600),
+    )
+    @settings(max_examples=200)
+    @example(-7, 5, 12)
+    @example(-(10**4), 9999, 600)  # alpha = -1 mod beta
+    @example(-1, 1, 0)
+    def test_residue_sum_with_negative_alpha(self, alpha, beta, u):
+        # The integer core of frac_sum, which the Ehrhart closed forms call.
+        residues = _residue_sum(alpha, beta, u)
+        assert type(residues) is int
+        assert Fraction(residues, beta) == frac_sum_direct(alpha, beta, u)
 
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError, match="beta >= 1"):

@@ -29,7 +29,7 @@ from effcone import (
 )
 from effcone.threshold import BRANCHES
 
-from conftest import contains_point, level_by_descent
+from conftest import classify_by_fractions, contains_point, level_by_descent
 
 
 class TestNuFromH0:
@@ -203,6 +203,54 @@ class TestClassifyLevel:
         k = 10**15
         found = classify(2 * k + 1, -k)  # abscissa (2k+1)/k, the I'-/I'+ edge
         assert [(cls.k, cls.branch) for cls in found] == [(k, "I'-"), (k, "I'+")]
+
+
+def shared_endpoints(k):
+    """The four shared endpoints of level k: L(k), (2k+1)/k,
+    4(2k+1)^2/(8k^2+4k-1) and 4k/(2k-1)."""
+    return (
+        Fraction(16 * k * k, 8 * k * k - 4 * k - 1),
+        Fraction(2 * k + 1, k),
+        Fraction(4 * (2 * k + 1) ** 2, 8 * k * k + 4 * k - 1),
+        Fraction(4 * k, 2 * k - 1),
+    )
+
+
+class TestClassifyCrossMultiplied:
+    """classify compares integers; the Fraction comparisons it replaced are the oracle."""
+
+    def test_every_shared_endpoint_and_its_neighbours(self):
+        for k in [*range(1, 121), 10**6, 10**15]:
+            for x in shared_endpoints(k):
+                if x == Fraction(16, 3):  # L(1) closes the range
+                    continue
+                b, m = x.numerator, x.denominator
+                found = classify(b, -m)
+                assert len(found) == 2, (k, x)
+                for b_, m_ in ((3 * b, 3 * m), (1000 * b - 1, 1000 * m), (1000 * b + 1, 1000 * m)):
+                    assert classify(b_, -m_) == classify_by_fractions(b_, -m_), (k, b_, m_)
+                assert found == classify_by_fractions(b, -m)
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 10**12), st.fractions(Fraction(2), Fraction(16, 3)))
+    def test_random_abscissas(self, scale, x):
+        b, m = scale * x.numerator, scale * x.denominator
+        if 2 * m < b < Fraction(16, 3) * m:
+            assert classify(b, -m) == classify_by_fractions(b, -m)
+
+    @pytest.mark.parametrize("b, p", [
+        (4, -2), (16, -3), (32, -6), (5, 0), (0, -1), (7, -1), (7, -4),
+        (2 * 10**15 + 1, -(10**15)),
+    ])
+    def test_errors_match(self, b, p):
+        try:
+            expected = classify_by_fractions(b, p)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                classify(b, p)
+            assert str(caught.value) == str(exc)
+        else:
+            assert classify(b, p) == expected
 
 
 class TestGammaSearch:

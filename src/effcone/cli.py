@@ -126,11 +126,11 @@ def _json_encoder(depth: int):
                           ": ", ",\n" + "  " * depth, True, False, True)
 
 
-# The C encoder's text for a scalar of each type it renders (Fraction by ``_json_default``).
+# The C encoder's text for each scalar type it renders (Fraction by ``_json_default``):
+# str() of a Fraction is ``_fmt_rational``'s "num/den" or "num", with nothing to escape.
 _SCALAR_TEXT = {
-    str: encode_basestring_ascii, int: int.__repr__, type(None): lambda _: "null",
-    bool: {True: "true", False: "false"}.__getitem__,
-    Fraction: lambda x: encode_basestring_ascii(_fmt_rational(x)),
+    str: encode_basestring_ascii, int: int.__repr__, type(None): {None: "null"}.__getitem__,
+    bool: {True: "true", False: "false"}.__getitem__, Fraction: '"%s"'.__mod__,
 }
 _SCALARS = frozenset(_SCALAR_TEXT)
 # Value types a record template takes: "%d" renders an int as the encoder

@@ -3,11 +3,11 @@
 For surfaces P(4,b,c) with p < 0 the lattice count of the n-th family-B or
 family-C polytope is a quadratic c2*n^2 + c1*n + c0 whose constant term c0
 varies periodically with n.  The formulas below evaluate each coefficient as
-one exact rational, a numerator built by integer arithmetic over a single
-denominator (8bc for the family-B c0, 2b for the family-C c0); the partial
-sums of fractional parts enter as their integer residue sums.  c0 is always
-computed from its own closed form (never back-solved from a count), so
-agreement with the rowscan counter is a genuine two-sided test.
+one exact rational: an integer numerator over one denominator (8bc for the
+family-B c0, 2b for the family-C c0), each partial sum of fractional parts
+entering as its integer residue sum.  c0 is computed from its own closed
+form, never back-solved from a count, so agreement with the rowscan counter
+is a genuine two-sided test.
 
 The module also exposes the two c0 ingredients with published range bounds:
 :func:`c0_middle_terms` (the -(5/2){sn} + partial-sum block) and
@@ -42,12 +42,12 @@ class EhrhartCoeffs:
     family: str
 
     def value(self) -> Fraction:
-        """c2*n^2 + c1*n + c0, one numerator over the product of the three
-        denominators; an integer (the lattice count) when correct."""
-        c2, c1, c0, n = self.c2, self.c1, self.c0, self.n
-        d2, d1, d0 = c2.denominator, c1.denominator, c0.denominator
-        top = (c2.numerator * n * d1 + c1.numerator * d2) * n * d0 + c0.numerator * d2 * d1
-        return Fraction(top, d2 * d1 * d0)
+        """c2*n^2 + c1*n + c0 as one numerator over d2*d1*d0; the lattice count when correct."""
+        n2, d2 = self.c2.as_integer_ratio()
+        n1, d1 = self.c1.as_integer_ratio()
+        n0, d0 = self.c0.as_integer_ratio()
+        n = self.n
+        return Fraction((n2 * n * d1 + n1 * d2) * n * d0 + n0 * d2 * d1, d2 * d1 * d0)
 
 
 def _require_hypotheses(surface: WeightedSurface) -> None:

@@ -172,12 +172,7 @@ class TestUpperBound:
     def test_bounds_family_b_constant(self, s457, s41323):
         for surface in (s457, s41323, make_surface(4, 23, 41)):
             for n in range(1, 120):
-                b, c = surface.b, surface.c
-        cut = Fraction(1, 2) + Fraction(c, 80 * b)
-        lead = 1 if Fraction(b * n % c, c) >= cut else Fraction(9, 8) + Fraction(c, 32 * b)
-        bound = c0_upper_bound(surface, n)
-        assert bound == lead + fraction_c0_tail(surface, n)
-        assert coefficients(surface, "B", n).c0 <= bound
+                assert coefficients(surface, "B", n).c0 <= c0_upper_bound(surface, n)
 
 
 @st.composite

@@ -937,6 +937,37 @@ def test_deep_ehrhart_digest(capsys, seed):
     assert hashlib.sha256("\0".join(outputs).encode()).hexdigest() == digest
 
 
+# (argv, SHA-256 as TestGolden takes it) of the two record lists, captured
+# before margin rows and calibration records were kept as column blocks.
+# "POOL" stands for one --surface per conftest pool surface, then per named one.
+RECORD_GOLDEN = [
+    (["verify", "POOL", "--n-max", "200", "--jobs", "1"],
+     "7ca438c89f9bef94295bf70af6c23ede063120599188b6266cc2e4998f3bfba4"),
+    (["verify", "POOL", "--n-max", "200", "--jobs", "1", "--format", "csv"],
+     "3111713ad4697d8fb20285ae0239c1bcf58a54f980d84f52c76762d6ad03d82a"),
+    (["calibrate-delta", "--beta-max", "80", "--instances"],
+     "cce9cdbd91a64877bad7184e890af4fa72b85e337fda616d1e95c3579ce1b198"),
+    (["calibrate-delta", "--beta-max", "24"],
+     "17aedef85b289e4080c7b04d6df97ea5ef23f88a6467963b93a9066db158f506"),
+]
+
+
+def pool_argv(pool, named_surfaces) -> list[str]:
+    surfaces = [surface for surface, _, _ in pool] + named_surfaces
+    return [tok for s in surfaces for tok in ("--surface", f"{s.a},{s.b},{s.c}")]
+
+
+@pytest.mark.parametrize("argv, digest", RECORD_GOLDEN,
+                         ids=[" ".join(argv) for argv, _ in RECORD_GOLDEN])
+def test_record_list_digest(capsys, pool, named_surfaces, argv, digest):
+    surfaces = pool_argv(pool, named_surfaces)
+    assert len(surfaces) == 2 * 86
+    assert main([tok for arg in argv for tok in (surfaces if arg == "POOL" else [arg])]) == 0
+    captured = capsys.readouterr()
+    blob = "\0".join((captured.out, "", captured.err)).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
 def readme_examples():
     """``(argv, head, expected)`` for every ``$ effcone ...`` line of README.md:
     its arguments, the ``| head -N`` line limit (or None), and the lines

@@ -6,11 +6,13 @@ rendered as "num/den" strings, integers as integers); the tabular commands
 1 a data-level verification failure was found, 2 invalid input.  A call
 builds its command's parser alone; the full tree only reports usage errors.
 
-The JSON writer renders a record list whose plain dicts share one key set and
-hold only exact ints and strs (margin rows, disagreement records) through one
-cached ``%``-template per record, with any "%" in a key escaped; record lists
+The JSON writer renders the library's :class:`~effcone.verify.Records` (margin
+rows, disagreement records) a block at a time: the block's shared values fill
+a cached row template once, and each record is then one ``%`` operation on its
+column values, appended to the output as it is made.  A plain record list of
+exact ints and strs (witnesses, failures) takes the same template builder; one
 holding a Fraction, bool or None (reduction steps, gamma tables,
-classifications) keep one C-encoder call, and the output is the same either way.
+classifications) keeps one C-encoder call, and the output is the same either way.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .fracsum import DELTA_POLICIES, ReductionChain, deficit, reduce_chain, stan
 from .lattice import count_points_pick, count_points_rowscan, triangle
 from .surface import FAMILIES, FAMILY_B, FAMILY_C, DivisorSpec, WeightedSurface, h0, make_surface
 from .threshold import classify, gamma_search, lower_bound_small_a, nu_from_h0
-from .verify import CalibrationError, aggregate_sweep, calibrate_delta, sweep
+from .verify import CalibrationError, Records, aggregate_sweep, calibrate_delta, sweep
 
 __all__ = ["main"]
 
@@ -117,11 +119,13 @@ def _json_default(obj) -> str:
 def _json_encoder(depth: int):
     """C encoder for a scalar, or a container of scalars (or a list of flat
     dicts) whose innermost items sit at ``depth``; no cycle markers, as such
-    a container cannot hold itself.  Record lists of exact ints and strs take
-    a row template instead (``_template_rows``).  A record list holding a
-    Fraction, bool or None still comes here, in one call: a template would
-    need a Python conversion per such value, which costs more than the call
-    on the short lists (reduction steps, classifications) that hold them."""
+    a container cannot hold itself.  Records, and record lists of exact ints
+    and strs, take a row template instead (``_row_template``).  A plain
+    record list holding a Fraction, bool or None still comes here, in one
+    call: a template would need a Python conversion per such value, which
+    costs more than the call on the short lists (reduction steps,
+    classifications) that hold them.  A Records block converts each shared
+    value once, whatever its length."""
     return c_make_encoder(None, _json_default, encode_basestring_ascii, None,
                           ": ", ",\n" + "  " * depth, True, False, True)
 
@@ -139,71 +143,128 @@ _TEMPLATE_TYPES = frozenset({int, str})
 
 
 @lru_cache(maxsize=64)
-def _row_template(keys: tuple[str, ...], formats: str, depth: int) -> str:
-    """``%``-template of one record at ``depth`` with the sorted ``keys``,
-    where ``formats`` holds "d" (int) or "s" (encoded str) per key.  A "%"
-    in a key is escaped as "%%"."""
+def _row_template(keys: tuple[str, ...], kinds: str, depth: int) -> str:
+    """``%``-template of one record at ``depth`` with the sorted str ``keys``,
+    led by its list separator ",<newline><indent>".  ``kinds`` has a letter
+    per key: "d" (an int) or "s" (an encoded str) for a field filled per
+    record, "v" for a value a block of records shares.  A template with a "v"
+    takes two ``%`` operations, the shared texts first and each record's
+    fields second, so its other "%"s are doubled once more; a "%" in a key is
+    escaped either way."""
+    block = "v" in kinds
+    fields = {"d": "%%d", "s": "%%s", "v": "%s"} if block else {"d": "%d", "s": "%s"}
+    percent = "%%%%" if block else "%%"
     close = "\n" + "  " * depth
     field = close + "  "
-    return "{" + ",".join(
-        f"{field}{encode_basestring_ascii(key).replace('%', '%%')}: %{fmt}"
-        for key, fmt in zip(keys, formats)
+    return "," + close + "{" + ",".join(
+        f"{field}{encode_basestring_ascii(key).replace('%', percent)}: {fields[kind]}"
+        for key, kind in zip(keys, kinds)
     ) + close + "}"
 
 
-def _template_rows(records, depth: int) -> str | None:
-    """The non-empty plain dicts ``records``, whose values are exact ints and
-    strs, rendered at ``depth`` and joined as in a list; None if they differ
-    in key set, if a key is not a str, or if a key holds an int in one record
-    and a str in another.
-
-    The first record fixes the keys and each column's format; every record
-    is then one ``%`` operation.  Int-only records are formatted straight
-    from each dict, building no list of rows.
-    """
+def _template_rows(records, depth: int, out: list[str]) -> bool:
+    """Append the non-empty plain dicts ``records`` as ``_block_rows``
+    appends a block that shares no value; False, appending nothing, if they
+    differ in key set, if a key is not a str, or if ``_block_rows`` refuses
+    a column (a key holds an int in one record and a str in another)."""
     first = records[0]
     if len(set(map(len, records))) != 1 or set(map(type, first)) != {str}:
-        return None
+        return False
     keys = tuple(sorted(first))
-    formats = "".join("s" if type(first[key]) is str else "d" for key in keys)
-    template = _row_template(keys, formats, depth)
-    if "s" in formats:
-        rows = zip(*(
-            map(encode_basestring_ascii, map(itemgetter(key), records)) if fmt == "s"
-            else map(itemgetter(key), records)
-            for key, fmt in zip(keys, formats)
-        ))
-    else:
-        rows = map(itemgetter(*keys), records)
     try:
-        return (",\n" + "  " * depth).join(map(template.__mod__, rows))
-    except (KeyError, TypeError):  # a key set or a column's type differs
-        return None
+        columns = {key: list(map(itemgetter(key), records)) for key in keys}
+    except KeyError:  # a key set differs
+        return False
+    return _block_rows(keys, {}, columns, depth, out)
+
+
+def _block_rows(keys: tuple[str, ...], shared: dict, columns: dict, depth: int,
+                out: list[str]) -> bool:
+    """Append each record of one block, as :class:`~effcone.verify.Records`
+    holds it, with the sorted str ``keys``, rendered at ``depth`` and led by
+    its list separator; False, appending nothing, if a shared value is not
+    exactly of a ``_SCALAR_TEXT`` type or a column is neither a ``range`` nor
+    all exact ints nor all exact strs.
+
+    The shared values' texts fill the row template once; each record is then
+    one ``%`` operation on its column values, appended as it is made."""
+    texts, kinds, fields = [], [], []
+    for key in keys:
+        if key in shared:
+            text = _SCALAR_TEXT.get(type(shared[key]))
+            if text is None:
+                return False
+            texts.append(text(shared[key]).replace("%", "%%"))
+            kinds.append("v")
+            continue
+        column = columns[key]
+        types = set(map(type, column)) if type(column) is not range else {int}
+        if types <= {int}:
+            kinds.append("d")
+            fields.append(column)
+        elif types == {str}:
+            kinds.append("s")
+            fields.append(map(encode_basestring_ascii, column))
+        else:
+            return False
+    template = _row_template(keys, "".join(kinds), depth)
+    if texts:
+        template %= tuple(texts)
+    out += map(template.__mod__, zip(*fields))
+    return True
+
+
+def _write_records(records: Records, depth: int, out: list[str]) -> None:
+    """Append ``records`` as the list of its dicts, a block at a time: through
+    ``_block_rows``, or else record by record through ``_write_json``."""
+    if not records:
+        out.append("[]")
+        return
+    start, keys = len(out), records.keys
+    sorted_keys = tuple(sorted(keys)) if set(map(type, keys)) == {str} else None
+    separator = ",\n" + "  " * (depth + 1)
+    for shared, columns in records.blocks:
+        if sorted_keys is None or not _block_rows(sorted_keys, shared, columns, depth + 1, out):
+            for record in Records(keys, [(shared, columns)]):
+                out.append(separator)
+                _write_json(record, depth + 1, out)
+    out[start] = "[" + out[start][1:]  # the first record has no comma before it
+    out.append("\n" + "  " * depth + "]")
 
 
 def _write_json(obj, depth: int, out: list[str]) -> None:
     """Append ``obj`` as ``json.dumps(..., indent=2, sort_keys=True)`` renders
-    it, with every ``Fraction`` as its "num/den" string.
+    it, with every ``Fraction`` as its "num/den" string and a
+    :class:`~effcone.verify.Records` as the list of its dicts.
 
     A scalar of exactly a ``_SCALAR_TEXT`` type is written as the encoder's
     text for it, and any other leaf (a float, an int or str subclass) by the
-    encoder.  A container of scalars is one C-encoder call.  A list or tuple
-    of non-empty plain dicts of scalars (a record list) takes one of two paths.
-    If the dicts share one key set and every value is an exact int or str
-    (margin rows, disagreement records), each record is one ``%`` operation
-    on a cached row template (``_template_rows``), with no per-dict key sort.
-    Any other record list (differing key sets, or the Fraction, bool or None
-    values of reduction steps, a gamma table, the classifications or
-    ``by_b``, which a template could format only by a Python conversion per
-    value) the encoder writes at the dicts' depth in one call, and one
-    ``str.replace`` re-indents the joins between the dicts.  Only those
-    joins can read "},<newline>{", because the encoder escapes every newline
-    inside a string.  Python recurses only over other containers that hold
-    containers, whose dict keys must be str.
+    encoder.  A ``Records`` goes a block at a time (``_write_records``): the
+    shared values' texts, with any "%" escaped, fill the sorted-key row
+    template once, and each record is one ``%`` operation on its columns,
+    ``%d`` for a ``range`` or exact ints and ``%s`` for encoded exact strs; a
+    block holding anything else is written record by record.  A container of
+    scalars is one C-encoder call.  A list or tuple of non-empty plain dicts
+    of scalars (a record list) takes one of two paths.  If the dicts share one
+    key set and every value is an exact int or str (witnesses, failures), each
+    record is one ``%`` operation on a cached row template (``_template_rows``),
+    with no per-dict key sort.  Any other record list (differing key sets, or
+    the Fraction, bool or None values of reduction steps, a gamma table, the
+    classifications or ``by_b``, which a template could format only by a
+    Python conversion per value) the encoder writes at the dicts' depth in
+    one call, and one ``str.replace`` re-indents the joins between the dicts.
+    Only those joins can read "},<newline>{", because the encoder escapes
+    every newline inside a string.  Python recurses only over other
+    containers that hold containers, whose dict keys must be str.  Template
+    rows are appended to ``out`` one by one, each led by its list separator,
+    so no block or list is joined before the whole payload.
     """
     text = _SCALAR_TEXT.get(type(obj))
     if text is not None:
         out.append(text(obj))
+        return
+    if isinstance(obj, Records):
+        _write_records(obj, depth, out)
         return
     if not isinstance(obj, (dict, list, tuple)):
         out.append("".join(_json_encoder(0)(obj, 0)))
@@ -220,9 +281,10 @@ def _write_json(obj, depth: int, out: list[str]) -> None:
         return
     if not is_dict and set(map(type, obj)) == {dict} and all(obj):
         types = set(map(type, chain.from_iterable(map(dict.values, obj))))
-        rows = _template_rows(obj, depth + 1) if _TEMPLATE_TYPES.issuperset(types) else None
-        if rows is not None:
-            out += ("[", inner, rows, close)
+        start = len(out)
+        if _TEMPLATE_TYPES.issuperset(types) and _template_rows(obj, depth + 1, out):
+            out[start] = "[" + out[start][1:]  # the first record has no comma before it
+            out.append(close)
             return
         if _SCALARS.issuperset(types):
             keys = "\n" + "  " * (depth + 2)

@@ -38,15 +38,26 @@ floor identity from which the fracsum theorem sums to a jump of 0 at every
 u0, so every instance is still checked; its report then follows in closed
 form.  The tests compare that report with the per-instance residue-sum loop
 it replaced, and check that the per-term check rejects perturbed pairs.
+
+Both record lists are :class:`Records`, flat dicts stored as column blocks:
+:func:`sweep_one`'s margin rows hold one block per (classification, family)
+column, with ``branch`` and ``family`` shared and ``n`` (a ``range``), ``h0``,
+``rhs`` and ``margin`` as columns, and :func:`calibrate_delta`'s
+disagreements one block per (alpha0, beta0), with ``u0`` (a ``range``) the
+only column.  They read and compare as lists of dicts; the CLI's JSON writer
+renders them a block at a time without building the dicts, and a worker
+process sends them to its parent as their blocks.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import comb, gcd
-from operator import floordiv, itemgetter, sub
+from operator import add, floordiv, index as as_index, itemgetter, sub
 
 # h0 is not called here; it stays bound because bench/test_bench.py checks
 # that the tracer rebinds and restores verify.h0.
@@ -55,6 +66,7 @@ from .threshold import Classification, classify_surface, gamma_search
 
 __all__ = [
     "CalibrationError",
+    "Records",
     "margin_general",
     "margin_at_multiple",
     "sweep_one",
@@ -68,6 +80,90 @@ class CalibrationError(Exception):
     """:func:`calibrate_delta` found a partner pair whose per-term identity
     fails, so its forced jump is not 0, which the fracsum theorem rules out:
     a data failure, not an input error."""
+
+
+class Records(Sequence):
+    """An immutable sequence of flat dicts, stored as blocks of records.
+
+    ``keys`` fixes every record's key order.  Each block is a pair
+    (``shared``, ``columns``): ``shared`` maps some keys to the value every
+    record of the block holds, and ``columns`` maps the other keys (at least
+    one) to equal-length sequences, such as a ``range``, whose i-th items
+    belong to the block's i-th record.  Iterating or indexing builds the
+    dicts (a slice is a list of them); ``==`` against a list or another ``Records`` compares the records.
+    It pickles as its blocks, and the JSON writer renders a block through one
+    row template without building its dicts.
+    """
+
+    __slots__ = ("_keys", "_blocks", "_starts")
+
+    def __init__(self, keys, blocks=()):
+        self._keys = tuple(keys)
+        self._blocks = tuple((dict(shared), dict(columns)) for shared, columns in blocks)
+        names, sizes = set(self._keys), []
+        if len(names) != len(self._keys):
+            raise ValueError(f"repeated key in {self._keys}")
+        for shared, columns in self._blocks:
+            lengths = set(map(len, columns.values()))
+            if shared.keys() | columns.keys() != names or shared.keys() & columns.keys():
+                raise ValueError(f"a block's shared keys {list(shared)} and column keys "
+                                 f"{list(columns)} do not split {self._keys}")
+            if len(lengths) != 1:
+                raise ValueError(f"a block needs one or more columns of one length, "
+                                 f"got lengths {sorted(lengths)}")
+            sizes += lengths
+        self._starts = (0, *accumulate(sizes))  # block i holds records starts[i]..starts[i+1]-1
+
+    @property
+    def keys(self) -> tuple:
+        return self._keys
+
+    @property
+    def blocks(self) -> tuple:
+        """The (shared, columns) pairs, in record order."""
+        return self._blocks
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __iter__(self):
+        keys = self._keys
+        for shared, columns in self._blocks:
+            values = zip(*(columns[k] if k in columns else repeat(shared[k]) for k in keys))
+            yield from map(dict, map(zip, repeat(keys), values))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = as_index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("Records index out of range")
+        block = bisect_right(self._starts, i) - 1
+        shared, columns = self._blocks[block]
+        i -= self._starts[block]
+        return {k: columns[k][i] if k in columns else shared[k] for k in self._keys}
+
+    def __eq__(self, other):
+        if not isinstance(other, (Records, list)):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+    __hash__ = None
+
+    def __reduce__(self):
+        return Records, (self._keys, self._blocks)
+
+    def __repr__(self) -> str:
+        return f"Records({self._keys!r}, {list(self._blocks)!r})"
+
+
+# Key order of a margin row, and of a disagreement record.
+_ROW_KEYS = ("branch", "family", "n", "h0", "rhs", "margin")
+_DISAGREEMENT_KEYS = (
+    "alpha0", "beta0", "alpha1", "beta1", "sigma", "u0", "delta_true", "delta_paper",
+)
 
 
 def margin_general(cls: Classification, degree: int, base: int, count: int) -> int:
@@ -127,17 +223,16 @@ def sweep_one(surface: WeightedSurface, n_max: int) -> dict:
     delta = {FAMILY_B: surface.b, FAMILY_C: surface.c}  # in the table's order
     counts = list(map(itemgetter(2), search.table))
     columns, ns = (counts[:n_max], counts[n_max:]), range(1, n_max + 1)
-    rows: list[dict] = []
+    blocks = []  # one per (classification, family) column of cells
     best: list[int] | None = None  # each cell's best margin, in (family, n) order
     for cls in classifications:
-        base, branch, margins = cls.m0 * delta[cls.family], cls.branch, []
+        base, margins = cls.m0 * delta[cls.family], []
         for (family, degree), column in zip(delta.items(), columns):
             block = _margin_column(cls, base, degree, column)
-            rows += [
-                {"branch": branch, "family": family, "n": n, "h0": count,
-                 "rhs": margin + count, "margin": margin}
-                for n, count, margin in zip(ns, column, block)
-            ]
+            blocks.append((
+                {"branch": cls.branch, "family": family},
+                {"n": ns, "h0": column, "rhs": list(map(add, block, column)), "margin": block},
+            ))
             margins += block
         best = margins if best is None else list(map(max, best, margins))
     failures = [
@@ -149,7 +244,7 @@ def sweep_one(surface: WeightedSurface, n_max: int) -> dict:
         "surface": dict(vars(surface)),
         "classifications": [dict(vars(cls)) for cls in classifications],
         "n_max": n_max,
-        "rows": rows,
+        "rows": Records(_ROW_KEYS, blocks),
         "min_margin": min(best),
         "failures": failures,
         "gamma_best": search.best,
@@ -274,7 +369,7 @@ def calibrate_delta(beta_max: int, instances: bool = True) -> dict:
     if beta_max < 3:
         raise ValueError(f"require beta_max >= 3, got {beta_max}")
     total = over = 0
-    disagreements = [] if instances else None
+    blocks = []  # one per (alpha0, beta0) with instances
     for beta0 in range(2, beta_max + 1):
         for alpha0 in range(1, beta0):
             if gcd(alpha0, beta0) != 1:
@@ -289,16 +384,13 @@ def calibrate_delta(beta_max: int, instances: bool = True) -> dict:
             total += 2 * beta0
             over += beta1
             if instances:
-                alpha1 = alpha1 or beta1  # same residue class mod beta1 (beta1 = 1 here)
-                disagreements += [
-                    {
-                        "alpha0": alpha0, "beta0": beta0,
-                        "alpha1": alpha1, "beta1": beta1,
-                        "sigma": -1, "u0": u0,
-                        "delta_true": 0, "delta_paper": 1,
-                    }
-                    for u0 in range(beta0 - beta1, beta0)
-                ]
+                shared = {
+                    "alpha0": alpha0, "beta0": beta0,
+                    # 0 or beta1: the same residue class mod beta1 (beta1 = 1 here)
+                    "alpha1": alpha1 or beta1, "beta1": beta1,
+                    "sigma": -1, "delta_true": 0, "delta_paper": 1,
+                }
+                blocks.append((shared, {"u0": range(beta0 - beta1, beta0)}))
     return {
         "beta_max": beta_max,
         "instances": total,
@@ -306,5 +398,5 @@ def calibrate_delta(beta_max: int, instances: bool = True) -> dict:
             "agree_0": total - over, "agree_1": 0, "paper_1_true_0": over, "paper_0_true_1": 0,
         },
         "disagreement_count": over,
-        "disagreements": disagreements,
+        "disagreements": Records(_DISAGREEMENT_KEYS, blocks) if instances else None,
     }

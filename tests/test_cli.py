@@ -23,6 +23,7 @@ import effcone.verify
 from conftest import jsonable
 from effcone import cli
 from effcone.cli import main
+from effcone.verify import Records
 
 
 def run(capsys, *argv):
@@ -309,6 +310,16 @@ class TestVerify:
         assert capsys.readouterr().err == (
             f"effcone: error: EFFCONE_JOBS must be at least 1, got {env}\n"
         )
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_worker_processes_write_the_bytes_of_one_job(self, capsys, fmt):
+        # A real process pool: each report, with its Records of margin rows,
+        # is pickled in a worker and unpickled here.
+        argv = ["verify", "--surface", "4,5,7", "--surface", "4,13,23", "--n-max", "40",
+                "--format", fmt]
+        code, out = run(capsys, *argv, "--jobs", "2")
+        assert (code, out) == run(capsys, *argv, "--jobs", "1")
+        assert code == 0 and out.count("\n") > 200
 
     def test_pool_is_sized_by_the_surfaces(self, capsys, monkeypatch):
         sizes = []
@@ -633,6 +644,105 @@ def test_int_str_records_take_the_template(monkeypatch):
     records[500] = dict(records[500], sq=Fraction(1, 3))
     assert cli._render_json({"records": records}) == reference_json({"records": records})
     assert depths == [3]
+
+
+# Records: column blocks of flat dicts, which the writer renders a block at a
+# time through a row template filled with the block's shared values.  Keys and
+# strings hold "%", quotes, backslashes and non-ASCII characters.
+BLOCK_TEXT = st.text(alphabet='%sd"\\\n\xe9\u2028\U0001f600 {},', max_size=6)
+SHARED_VALUES = st.one_of(
+    st.integers(-10**30, 10**30), BLOCK_TEXT, st.fractions(max_denominator=10**6),
+    st.booleans(), st.none(),
+)
+BLOCK_COLUMNS = st.one_of(
+    st.lists(st.integers(-10**30, 10**30), max_size=5),
+    st.builds(range, st.integers(-9, 9), st.integers(-9, 9), st.sampled_from((1, 2, -3))),
+    st.lists(BLOCK_TEXT, max_size=5),
+)
+# A column the template cannot take: its block is rendered record by record.
+FALLBACK_ITEMS = st.one_of(st.booleans(), st.just(Level.HIGH), st.floats())
+
+
+@st.composite
+def records_values(draw):
+    keys = tuple(draw(st.lists(BLOCK_TEXT, min_size=1, max_size=5, unique=True)))
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        column_keys = draw(st.lists(st.sampled_from(keys), min_size=1, unique=True))
+        length = draw(st.integers(0, 5))
+        columns = {}
+        for key in column_keys:
+            column = draw(BLOCK_COLUMNS | st.lists(FALLBACK_ITEMS | SHARED_VALUES, max_size=5))
+            columns[key] = (list(column) + [0] * length)[:length]
+        if draw(st.booleans()):  # a column as the producers build it, a range
+            key = draw(st.sampled_from(column_keys))
+            start = draw(st.integers(-5, 5))
+            columns[key] = range(start, start + length)
+        shared = {key: draw(SHARED_VALUES) for key in keys if key not in columns}
+        blocks.append((shared, columns))
+    return Records(keys, blocks)
+
+
+@st.composite
+def nested_records(draw):
+    """A Records value nested 0 to 4 deep in lists, tuples and dicts."""
+    payload = draw(records_values())
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("list", "tuple", "dict")))
+        if kind == "list":
+            payload = [payload, draw(SHARED_VALUES)]
+        elif kind == "tuple":
+            payload = (payload,)
+        else:
+            payload = {draw(BLOCK_TEXT): payload}
+    return payload
+
+
+def expanded(payload):
+    """``payload`` with every Records value replaced by the list of its dicts."""
+    if isinstance(payload, Records):
+        return list(payload)
+    if isinstance(payload, dict):
+        return {key: expanded(value) for key, value in payload.items()}
+    if isinstance(payload, (list, tuple)):
+        return [expanded(value) for value in payload]
+    return payload
+
+
+class TestRecordsWriter:
+    @settings(max_examples=300)
+    @given(nested_records())
+    @example(Records(("n",)))
+    @example({"rows": Records(("n", "s"), [({"s": "%d%%"}, {"n": range(0)})])})
+    @example([Records(("%", "%d", "%%s"), [
+        ({"%": "%s", "%d": Fraction(-1, 3)}, {"%%s": range(3)}),
+        ({"%d": None}, {"%": ["%%", "\u2028"], "%%s": [True, 2]}),
+        ({"%": 10**40, "%d": False}, {"%%s": [1.5]}),
+    ])])
+    def test_matches_indented_dumps_of_the_records(self, payload):
+        assert cli._render_json(payload) == reference_json(expanded(payload))
+
+    @pytest.mark.parametrize("column", [
+        [1, True], [Level.HIGH], [1, 2.5], ["a", 1], [Fraction(1, 2)], [None],
+    ])
+    def test_other_column_types_take_the_generic_path(self, column):
+        shared = {"s": "%s"}
+        out = []
+        assert not cli._block_rows(("n", "s"), shared, {"n": column}, 1, out)
+        assert out == []
+        payload = {"rows": Records(("s", "n"), [(shared, {"n": column})])}
+        assert cli._render_json(payload) == reference_json(expanded(payload))
+
+    def test_unsupported_shared_value_takes_the_generic_path(self):
+        out = []
+        assert not cli._block_rows(("n", "x"), {"x": 0.5}, {"n": range(2)}, 1, out)
+        assert out == []
+
+    def test_records_take_the_template(self, monkeypatch):
+        records = Records(("u", "s", "f"), [({"s": "%x", "f": Fraction(2, 3)}, {"u": range(500)})])
+        depths = count_encoders(monkeypatch)
+        assert cli._render_json({"r": records}) == reference_json({"r": list(records)})
+        assert depths == []
 
 
 # argv that argparse rejects or answers (help, version) before any handler runs.

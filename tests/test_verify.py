@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from effcone import DivisorSpec, classify_surface, h0, make_surface, threshold, 
 from effcone.surface import _family_counts
 from effcone.verify import (
     CalibrationError,
+    Records,
     _check_partners,
     aggregate_sweep,
     calibrate_delta,
@@ -33,6 +35,106 @@ def s457():
 @pytest.fixture(scope="module")
 def s41323():
     return make_surface(4, 13, 23)
+
+
+def three_blocks() -> Records:
+    return Records(("b", "a", "n"), [
+        ({"b": "x", "a": Fraction(1, 3)}, {"n": range(3)}),
+        ({"b": "y"}, {"a": [True, None], "n": (5, 6)}),
+        ({"a": 1, "b": 2}, {"n": []}),
+    ])
+
+
+THREE_BLOCKS = [
+    {"b": "x", "a": Fraction(1, 3), "n": 0},
+    {"b": "x", "a": Fraction(1, 3), "n": 1},
+    {"b": "x", "a": Fraction(1, 3), "n": 2},
+    {"b": "y", "a": True, "n": 5},
+    {"b": "y", "a": None, "n": 6},
+]
+
+
+class TestRecords:
+    def test_length_and_iteration(self):
+        records = three_blocks()
+        assert len(records) == 5
+        assert list(records) == THREE_BLOCKS
+        assert [list(record) for record in records] == [["b", "a", "n"]] * 5  # key order
+        assert list(reversed(records)) == THREE_BLOCKS[::-1]
+
+    def test_indexing(self):
+        records = three_blocks()
+        for i in range(-5, 5):
+            assert records[i] == THREE_BLOCKS[i] and list(records[i]) == ["b", "a", "n"]
+        for i in (5, -6, 10**20):
+            with pytest.raises(IndexError):
+                records[i]
+        with pytest.raises(TypeError):
+            records["n"]
+        for sl in (slice(None), slice(1, 4), slice(None, None, -2), slice(3, 1, -1),
+                   slice(-3, None), slice(10, 20), slice(4, 0)):
+            assert records[sl] == THREE_BLOCKS[sl], sl
+
+    def test_equality_in_both_directions(self):
+        records = three_blocks()
+        rows = [dict(record) for record in THREE_BLOCKS]
+        regrouped = Records(("b", "a", "n"), [
+            ({"b": "x"}, {"a": [Fraction(1, 3)] * 3, "n": [0, 1, 2]}),
+            ({"a": True, "b": "y"}, {"n": [5]}),
+            ({}, {"b": ["y"], "a": [None], "n": [6]}),
+        ])
+        for other in (rows, list(records), regrouped):
+            assert records == other and other == records
+            assert not records != other and not other != records
+        for unequal in (rows[:-1], rows + rows[:1], rows[::-1], [dict(rows[0], n=9)] + rows[1:],
+                        Records(("b", "a", "n"))):
+            assert records != unequal and unequal != records
+        assert records != tuple(rows) and records != "records"
+        with pytest.raises(TypeError):
+            hash(records)
+
+    def test_pickle_round_trip(self):
+        records = three_blocks()
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(records, protocol))
+            assert type(copy) is Records and copy == records
+            assert copy.keys == records.keys and copy.blocks == records.blocks
+
+    def test_repr_rebuilds(self):
+        records = three_blocks()
+        text = repr(records)
+        assert text.startswith("Records(('b', 'a', 'n'), [({'b': 'x', 'a': Fraction(1, 3)}, ")
+        assert eval(text, {"Records": Records, "Fraction": Fraction}) == records
+
+    def test_empty(self):
+        for records in (Records(("k",)), Records(("k", "j"), [({"j": 1}, {"k": range(0)})])):
+            assert len(records) == 0 and not records
+            assert list(records) == [] and records == [] and [] == records
+            assert records[:] == []
+            with pytest.raises(IndexError):
+                records[0]
+
+    @pytest.mark.parametrize("keys, blocks", [
+        (("a", "a"), []),
+        (("a", "b"), [({"a": 1}, {})]),  # no column
+        (("a", "b"), [({"a": 1}, {"b": [1], "c": [2]})]),  # a key outside keys
+        (("a", "b"), [({"a": 1}, {"a": [1], "b": [2]})]),  # a key both shared and a column
+        (("a", "b"), [({}, {"b": [1]})]),  # a key missing
+        (("a", "b"), [({}, {"a": [1, 2], "b": range(3)})]),  # columns of two lengths
+    ])
+    def test_malformed_blocks_are_refused(self, keys, blocks):
+        with pytest.raises(ValueError):
+            Records(keys, blocks)
+
+    def test_producers_keep_their_key_order(self, s457):
+        rows = sweep_one(s457, 6)["rows"]
+        assert type(rows) is Records and len(rows) == 2 * 2 * 6
+        assert {tuple(row) for row in rows} == {("branch", "family", "n", "h0", "rhs", "margin")}
+        records = calibrate_delta(9)["disagreements"]
+        assert type(records) is Records
+        assert {tuple(record) for record in records} == {(
+            "alpha0", "beta0", "alpha1", "beta1", "sigma", "u0", "delta_true", "delta_paper",
+        )}
 
 
 class TestMargins:
@@ -270,6 +372,7 @@ def assert_matches_the_oracle(surface, n_max):
     got, expected = sweep_one(surface, n_max), sweep_cells(surface, n_max)
     assert got == expected, (surface, n_max)
     # Key order too, at every depth: the JSON writer keeps it for the rows.
+    got = dict(got, rows=list(got["rows"]))  # Records is not stdlib-JSON-serializable
     assert json.dumps(got, default=str) == json.dumps(expected, default=str), (surface, n_max)
 
 

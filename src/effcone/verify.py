@@ -90,9 +90,10 @@ class Records(Sequence):
     record of the block holds, and ``columns`` maps the other keys (at least
     one) to equal-length sequences, such as a ``range``, whose i-th items
     belong to the block's i-th record.  Iterating or indexing builds the
-    dicts (a slice is a list of them); ``==`` against a list or another ``Records`` compares the records.
-    It pickles as its blocks, and the JSON writer renders a block through one
-    row template without building its dicts.
+    dicts (a slice is a list of them); ``==`` against a list or another
+    ``Records`` compares the records.  It pickles as its blocks, and the JSON
+    writer renders a block through one row template without building its
+    dicts.
     """
 
     __slots__ = ("_keys", "_blocks", "_starts")
@@ -384,10 +385,9 @@ def calibrate_delta(beta_max: int, instances: bool = True) -> dict:
             total += 2 * beta0
             over += beta1
             if instances:
+                alpha1 = alpha1 or beta1  # same residue class mod beta1 (beta1 = 1 here)
                 shared = {
-                    "alpha0": alpha0, "beta0": beta0,
-                    # 0 or beta1: the same residue class mod beta1 (beta1 = 1 here)
-                    "alpha1": alpha1 or beta1, "beta1": beta1,
+                    "alpha0": alpha0, "beta0": beta0, "alpha1": alpha1, "beta1": beta1,
                     "sigma": -1, "delta_true": 0, "delta_paper": 1,
                 }
                 blocks.append((shared, {"u0": range(beta0 - beta1, beta0)}))

@@ -8,11 +8,11 @@ builds its command's parser alone; the full tree only reports usage errors.
 
 The JSON writer renders the library's :class:`~effcone.verify.Records` (margin
 rows, disagreement records) a block at a time: the block's shared values fill
-a cached row template once, and each record is then one ``%`` operation on its
-column values, appended to the output as it is made.  A plain record list of
-exact ints and strs (witnesses, failures) takes the same template builder; one
-holding a Fraction, bool or None (reduction steps, gamma tables,
-classifications) keeps one C-encoder call, and the output is the same either way.
+a cached row template once, and its records follow, one ``%`` each or, in a
+one-field block, as value texts between the template's head and tail.  A plain
+record list of exact ints and strs (witnesses, failures) and ``verify``'s CSV
+rows take the same template builder; a list holding a Fraction, bool or None
+(reduction steps, gamma tables, classifications) keeps one C-encoder call.
 """
 
 from __future__ import annotations
@@ -102,16 +102,12 @@ def _parse_surface(token: str) -> WeightedSurface:
     try:
         return make_surface(*map(int, parts))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _fmt_rational(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        raise argparse.ArgumentTypeError(_error_text(exc)) from None
 
 
 def _json_default(obj) -> str:
     if isinstance(obj, Fraction):
-        return _fmt_rational(obj)
+        return Fraction.__str__(obj)  # "num/den", or "num" for an integer
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
@@ -131,7 +127,7 @@ def _json_encoder(depth: int):
 
 
 # The C encoder's text for each scalar type it renders (Fraction by ``_json_default``):
-# str() of a Fraction is ``_fmt_rational``'s "num/den" or "num", with nothing to escape.
+# str() of a Fraction is "num/den" or "num", with nothing to escape.
 _SCALAR_TEXT = {
     str: encode_basestring_ascii, int: int.__repr__, type(None): {None: "null"}.__getitem__,
     bool: {True: "true", False: "false"}.__getitem__, Fraction: '"%s"'.__mod__,
@@ -143,16 +139,19 @@ _TEMPLATE_TYPES = frozenset({int, str})
 
 
 @lru_cache(maxsize=64)
-def _row_template(keys: tuple[str, ...], kinds: str, depth: int) -> str:
+def _row_template(keys: tuple[str, ...], kinds: str, depth: int | None) -> str:
     """``%``-template of one record at ``depth`` with the sorted str ``keys``,
-    led by its list separator ",<newline><indent>".  ``kinds`` has a letter
-    per key: "d" (an int) or "s" (an encoded str) for a field filled per
-    record, "v" for a value a block of records shares.  A template with a "v"
-    takes two ``%`` operations, the shared texts first and each record's
-    fields second, so its other "%"s are doubled once more; a "%" in a key is
+    led by its list separator ",<newline><indent>", or for ``depth`` None its
+    CSV line, led by "<newline>".  ``kinds`` has a letter per key: "d" (an
+    int) or "s" (an encoded str or a CSV cell) for a field filled per record,
+    "v" for a value a block of records shares.  A template with a "v" takes
+    two ``%`` operations, the shared texts first and each record's fields
+    second, so its other "%"s are doubled once more; a "%" in a key is
     escaped either way."""
     block = "v" in kinds
     fields = {"d": "%%d", "s": "%%s", "v": "%s"} if block else {"d": "%d", "s": "%s"}
+    if depth is None:
+        return "\n" + ",".join(map(fields.__getitem__, kinds))
     percent = "%%%%" if block else "%%"
     close = "\n" + "  " * depth
     field = close + "  "
@@ -178,20 +177,24 @@ def _template_rows(records, depth: int, out: list[str]) -> bool:
     return _block_rows(keys, {}, columns, depth, out)
 
 
-def _block_rows(keys: tuple[str, ...], shared: dict, columns: dict, depth: int,
-                out: list[str]) -> bool:
+def _block_rows(keys: tuple[str, ...], shared: dict, columns: dict, depth: int | None,
+                out: list[str], cell=None) -> bool:
     """Append each record of one block, as :class:`~effcone.verify.Records`
-    holds it, with the sorted str ``keys``, rendered at ``depth`` and led by
-    its list separator; False, appending nothing, if a shared value is not
-    exactly of a ``_SCALAR_TEXT`` type or a column is neither a ``range`` nor
-    all exact ints nor all exact strs.
+    holds it, with the str ``keys`` (sorted for JSON), rendered at ``depth``
+    and led by its list separator; False, appending nothing, if a shared
+    value is not exactly of a ``_SCALAR_TEXT`` type or a column is neither a
+    ``range`` nor all exact ints nor all exact strs.  Given ``cell``, the CSV
+    text of any value, the records are CSV lines (``depth`` None), none refused.
 
-    The shared values' texts fill the row template once; each record is then
-    one ``%`` operation on its column values, appended as it is made."""
+    The shared texts fill the row template once.  Each record is then one
+    ``%``, except in a one-field block: its template, "%%" hidden as NUL (if
+    no CSV cell holds one), is split at the field, and the block goes in as
+    the head, each value's text with one ``tail + head`` between, and the
+    tail.  A string per block would cost peak RSS: freed, it stays on the heap."""
     texts, kinds, fields = [], [], []
     for key in keys:
         if key in shared:
-            text = _SCALAR_TEXT.get(type(shared[key]))
+            text = cell or _SCALAR_TEXT.get(type(shared[key]))
             if text is None:
                 return False
             texts.append(text(shared[key]).replace("%", "%%"))
@@ -202,15 +205,23 @@ def _block_rows(keys: tuple[str, ...], shared: dict, columns: dict, depth: int,
         if types <= {int}:
             kinds.append("d")
             fields.append(column)
-        elif types == {str}:
+        elif types == {str} or cell:
             kinds.append("s")
-            fields.append(map(encode_basestring_ascii, column))
+            fields.append(map(cell or encode_basestring_ascii, column))
         else:
             return False
     template = _row_template(keys, "".join(kinds), depth)
     if texts:
         template %= tuple(texts)
-    out += map(template.__mod__, zip(*fields))
+    if len(fields) > 1 or "\0" in template:
+        out += map(template.__mod__, zip(*fields))
+        return True
+    head, tail = (p.replace("\0", "%") for p in re.split("%[ds]", template.replace("%%", "\0")))
+    values = list(map(str, fields[0]))
+    if values:
+        rows = [tail + head] * (2 * len(values) + 1)
+        rows[0], rows[1::2], rows[-1] = head, values, tail
+        out += rows
     return True
 
 
@@ -241,7 +252,7 @@ def _write_json(obj, depth: int, out: list[str]) -> None:
     text for it, and any other leaf (a float, an int or str subclass) by the
     encoder.  A ``Records`` goes a block at a time (``_write_records``): the
     shared values' texts, with any "%" escaped, fill the sorted-key row
-    template once, and each record is one ``%`` operation on its columns,
+    template once, and its columns fill it per record (``_block_rows``),
     ``%d`` for a ``range`` or exact ints and ``%s`` for encoded exact strs; a
     block holding anything else is written record by record.  A container of
     scalars is one C-encoder call.  A list or tuple of non-empty plain dicts
@@ -256,7 +267,7 @@ def _write_json(obj, depth: int, out: list[str]) -> None:
     Only those joins can read "},<newline>{", because the encoder escapes
     every newline inside a string.  Python recurses only over other
     containers that hold containers, whose dict keys must be str.  Template
-    rows are appended to ``out`` one by one, each led by its list separator,
+    rows, or a one-field block's pieces, are appended to ``out`` one by one,
     so no block or list is joined before the whole payload.
     """
     text = _SCALAR_TEXT.get(type(obj))
@@ -324,25 +335,42 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.flush()
 
 
-def _render_csv(rows: list[dict]) -> str:
+def _csv_cell(value) -> str:
+    """The cell ``csv.writer`` writes for ``value`` in a row of two or more:
+    a text holding none of the characters it may quote for, as it is."""
+    text = "" if value is None else value if isinstance(value, str) else str(value)
+    if re.search('[,"\r\n]', text) is None:
+        return text
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow((text, ""))
+    return buffer.getvalue()[:-2]
+
+
+def _render_csv(rows) -> str:
+    """``rows`` under a header of their keys, as ``csv.DictWriter`` writes
+    them with "\n" line ends: a ``Records`` a block at a time (``_block_rows``)."""
+    if isinstance(rows, Records):
+        # csv.writer quotes the one cell of a row when it is empty.
+        cell = _csv_cell if len(rows.keys) > 1 else lambda value: _csv_cell(value) or '""'
+        out = [",".join(map(cell, rows.keys))]
+        for shared, columns in rows.blocks:
+            _block_rows(rows.keys, shared, columns, None, out, cell)
+        out.append("\n")
+        return "".join(out)
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, list(rows[0]) if rows else [], lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow({
-            key: _fmt_rational(value) if isinstance(value, Fraction) else value
-            for key, value in row.items()
-        })
+    writer.writerows(rows)
     return buffer.getvalue()
 
 
 def _jobs(flag: int | None) -> int:
-    """Worker processes: ``--jobs``, else EFFCONE_JOBS, else every core."""
+    """Worker processes: ``--jobs``, else EFFCONE_JOBS, else one (faster at ``--n-max 200``)."""
     name, jobs = "--jobs", flag
     if flag is None:
         name, env = "EFFCONE_JOBS", os.environ.get("EFFCONE_JOBS")
         if not env:
-            return os.cpu_count() or 1
+            return 1
         try:
             jobs = int(env)
         except ValueError:
@@ -489,16 +517,10 @@ def _cmd_verify(args) -> tuple[dict | list, int]:
     reports = sweep(args.surface, args.n_max, jobs=_jobs(args.jobs))
     aggregate = aggregate_sweep(reports)
     ok = aggregate["min_margin"] >= 1 and aggregate["all_gamma_match"]
-    if args.format == "csv":
-        rows = [
-            dict(
-                {"a": rep["surface"]["a"], "b": rep["surface"]["b"], "c": rep["surface"]["c"]},
-                **row,
-            )
-            for rep in reports
-            for row in rep["rows"]
-        ]
-        return rows, 0 if ok else 1
+    if args.format == "csv":  # the margin rows' blocks, each led by its surface's a, b, c
+        blocks = [({key: rep["surface"][key] for key in "abc"} | shared, columns)
+                  for rep in reports for shared, columns in rep["rows"].blocks]
+        return Records(("a", "b", "c", *reports[0]["rows"].keys), blocks), 0 if ok else 1
     return {"reports": reports, "aggregate": aggregate}, 0 if ok else 1
 
 
@@ -585,7 +607,7 @@ def _args_verify(p) -> None:
                    metavar="A,B,C", help="repeatable")
     p.add_argument("--n-max", type=_parse_int, required=True)
     p.add_argument("--jobs", type=_parse_int,
-                   help="worker processes (default: EFFCONE_JOBS or all cores)")
+                   help="worker processes (default: EFFCONE_JOBS or 1)")
     _add_output(p, formats=("json", "csv"))
 
 

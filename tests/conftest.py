@@ -34,10 +34,14 @@ divisor polytopes.
 family-C count that ``surface.section_counts`` replaced by a running sum.
 :func:`sweep_cells` is the per-cell margin loop that ``verify.sweep_one``
 replaced by routing a column of cells at a time.
+:func:`verify_csv` is the dict per margin row that ``verify --format csv``
+built and ``csv.DictWriter`` wrote before the CLI wrote the rows' blocks.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -201,6 +205,21 @@ def jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [jsonable(value) for value in obj]
     return obj
+
+
+def verify_csv(reports: list[dict]) -> str:
+    """The CSV of :func:`~effcone.verify.sweep`'s ``reports``: one dict per
+    margin row, led by its surface's a, b and c, through ``csv.DictWriter``."""
+    rows = [
+        dict({"a": rep["surface"]["a"], "b": rep["surface"]["b"], "c": rep["surface"]["c"]}, **row)
+        for rep in reports
+        for row in rep["rows"]
+    ]
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, list(rows[0]) if rows else [], lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(map(jsonable, rows))
+    return buffer.getvalue()
 
 
 def _edge_record(p, q):

@@ -3,7 +3,9 @@ writer against its oracle, the per-command parser against the full one, and
 golden digests of captured outputs."""
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -20,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import effcone.verify
-from conftest import jsonable
+from conftest import jsonable, verify_csv
 from effcone import cli
 from effcone.cli import main
 from effcone.verify import Records
@@ -303,6 +305,18 @@ class TestVerify:
             f"effcone: error: --jobs must be at least 1, got {jobs}\n"
         )
 
+    def test_one_worker_by_default(self, capsys, monkeypatch):
+        # With neither --jobs nor EFFCONE_JOBS, no worker pool is started.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.delenv("EFFCONE_JOBS", raising=False)
+        monkeypatch.setattr(effcone.verify, "ProcessPoolExecutor", no_pool)
+        assert cli._jobs(None) == 1
+        code, out = run(capsys, "verify", "--surface", "4,5,7", "--surface", "4,13,23",
+                        "--n-max", "40")
+        assert code == 0 and json.loads(out)["aggregate"]["surfaces"] == 2
+
     @pytest.mark.parametrize("env", ["0", "-4"])
     def test_jobs_variable_below_one_is_a_usage_error(self, capsys, monkeypatch, env):
         monkeypatch.setenv("EFFCONE_JOBS", env)
@@ -320,6 +334,16 @@ class TestVerify:
         code, out = run(capsys, *argv, "--jobs", "2")
         assert (code, out) == run(capsys, *argv, "--jobs", "1")
         assert code == 0 and out.count("\n") > 200
+
+    def test_csv_matches_the_dict_writer_oracle(self, capsys, pool, named_surfaces):
+        # Pool surfaces from all four branches, and the named ones, two of
+        # which sit on a branch boundary and so have two classifications.
+        surfaces = [surface for surface, _, _ in pool][::5] + named_surfaces
+        argv = [tok for s in surfaces for tok in ("--surface", f"{s.a},{s.b},{s.c}")]
+        code, out = run(capsys, "verify", *argv, "--n-max", "30", "--format", "csv")
+        assert code == 0
+        assert out == verify_csv(effcone.verify.sweep(surfaces, 30))
+        assert out.count("\n") > 30 * len(surfaces)
 
     def test_pool_is_sized_by_the_surfaces(self, capsys, monkeypatch):
         sizes = []
@@ -424,7 +448,8 @@ class TestHarness:
     @pytest.mark.parametrize("argv", [
         ("count", "--tri", "0,0", "1,0", "1" * 5000 + ",1"),
         ("h0", "--surface", "4,5,7", "--family", "B", "--n", "1" * 5000),
-    ], ids=["rational", "int"])
+        ("h0", "--surface", "4,5," + "1" * 5000, "--family", "B", "--n", "1"),
+    ], ids=["rational", "int", "surface"])
     def test_argument_past_the_digit_limit_is_a_usage_error(self, capsys, argv):
         # Parsing these values passes the limit the other way, str to int;
         # the message names the limit and does not echo the 5000 digits.
@@ -709,6 +734,35 @@ def expanded(payload):
     return payload
 
 
+# One-field blocks: every disagreement block has this shape.  Texts hold "%",
+# "%d", quotes, backslashes, NUL, U+2028 and non-ASCII characters, and keys and
+# shared values "%d" and "%%s".
+ONE_FIELD_TEXT = st.text(alphabet='%ds"\\\0\u2028\xe9\U0001f600 ', max_size=6)
+ONE_FIELD_KEYS = st.sampled_from(("%d", "%%s")) | ONE_FIELD_TEXT
+ONE_FIELD_COLUMNS = st.one_of(
+    st.lists(st.integers(-10**80, 10**80), max_size=5),
+    st.builds(range, st.integers(-9, 9), st.integers(-9, 9)),
+    st.lists(ONE_FIELD_TEXT, max_size=5),
+)
+
+
+@st.composite
+def one_field_records(draw):
+    """A Records value of one-column blocks, some empty, nested 0 to 4 deep."""
+    keys = tuple(draw(st.lists(ONE_FIELD_KEYS, min_size=1, max_size=5, unique=True)))
+    blocks = []
+    for _ in range(draw(st.integers(0, 5))):
+        field = draw(st.sampled_from(keys))
+        shared = {key: draw(st.sampled_from(("%d", "%%s")) | SHARED_VALUES)
+                  for key in keys if key != field}
+        blocks.append((shared, {field: draw(ONE_FIELD_COLUMNS)}))
+    payload = Records(keys, blocks)
+    for _ in range(draw(st.integers(0, 4))):
+        payload = {draw(ONE_FIELD_KEYS): payload} if draw(st.booleans()) else [payload]
+    return payload
+
+
+
 class TestRecordsWriter:
     @settings(max_examples=300)
     @given(nested_records())
@@ -743,6 +797,77 @@ class TestRecordsWriter:
         depths = count_encoders(monkeypatch)
         assert cli._render_json({"r": records}) == reference_json({"r": list(records)})
         assert depths == []
+
+    @settings(max_examples=300)
+    @given(one_field_records())
+    @example(Records(("%d", "%%s"), [
+        ({"%%s": "%d"}, {"%d": range(0)}), ({"%%s": "%%s"}, {"%d": [10**80, -(10**80)]}),
+        ({"%d": "%s"}, {"%%s": []}), ({"%d": None}, {"%%s": ["%", "%d", '"\\\0\u2028\xe9']}),
+    ]))
+    def test_one_field_blocks_match_indented_dumps(self, payload):
+        assert cli._render_json(payload) == reference_json(expanded(payload))
+
+    def test_one_field_block_is_appended_as_value_texts(self):
+        # No row is formatted: the head, then each value's text with one
+        # shared string between them, then the tail.
+        out = []
+        assert cli._block_rows(("n", "s"), {"s": "%d"}, {"n": range(3)}, 1, out)
+        head, first, joint, second, joint2, third, tail = out
+        assert (first, second, third) == ("0", "1", "2") and joint is joint2
+        assert head == ',\n  {\n    "n": ' and tail == ',\n    "s": "%d"\n  }'
+        assert joint == tail + head
+        assert cli._block_rows(("n",), {}, {"n": []}, 1, out) and len(out) == 7
+
+
+# Records as CSV: str cells hold the characters csv quotes for, "%", NUL and
+# the empty string; ints reach 10**80 either way.
+CSV_TEXT = st.text(alphabet=',"\r\n%d \0\xe9', max_size=4)
+CSV_INTS = st.integers(-10**80, 10**80)
+CSV_VALUES = st.one_of(CSV_INTS, CSV_TEXT, st.fractions(max_denominator=10**6),
+                       st.booleans(), st.none())
+
+
+@st.composite
+def csv_records(draw):
+    """A Records value whose columns hold ints, a range, strs or mixed values."""
+    keys = tuple(draw(st.lists(CSV_TEXT, min_size=1, max_size=5, unique=True)))
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        column_keys = draw(st.lists(st.sampled_from(keys), min_size=1, unique=True))
+        length = draw(st.integers(0, 5))
+        columns = {}
+        for key in column_keys:
+            items = draw(st.sampled_from((CSV_INTS, CSV_TEXT, CSV_VALUES | FALLBACK_ITEMS)))
+            columns[key] = draw(st.lists(items, min_size=length, max_size=length))
+        if draw(st.booleans()):
+            start = draw(st.integers(-5, 5))
+            columns[draw(st.sampled_from(column_keys))] = range(start, start + length)
+        shared = {key: draw(CSV_VALUES) for key in keys if key not in columns}
+        blocks.append((shared, columns))
+    return Records(keys, blocks)
+
+
+def dict_writer_csv(records: Records) -> str:
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, records.keys, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(records)
+    return buffer.getvalue()
+
+
+class TestCsvWriter:
+    @settings(max_examples=300)
+    @given(csv_records())
+    @example(Records(("",), [({}, {"": ["", "a", None, 10**80]})]))
+    @example(Records(("a\rb", "x"), [({"x": "\r"}, {"a\rb": ["", ",", '"', "\n", "%d"]})]))
+    @example(Records(("s", "n"), [({"s": "\0%%d"}, {"n": [1, 2]}), ({"s": "%"}, {"n": [3]})]))
+    @example(Records(("%d", "%%s", "n"), [
+        ({"%d": "%s", "%%s": ""}, {"n": range(0)}),
+        ({"%d": -(10**80), "%%s": Fraction(-7, 3)}, {"n": range(2)}),
+        ({"%d": None}, {"n": [1, 2], "%%s": ["%", True]}),
+    ]))
+    def test_matches_dict_writer(self, records):
+        assert cli._render_csv(records) == dict_writer_csv(records)
 
 
 # argv that argparse rejects or answers (help, version) before any handler runs.

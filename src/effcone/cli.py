@@ -6,13 +6,13 @@ rendered as "num/den" strings, integers as integers); the tabular commands
 1 a data-level verification failure was found, 2 invalid input.  A call
 builds its command's parser alone; the full tree only reports usage errors.
 
-The JSON writer renders the library's :class:`~effcone.verify.Records` (margin
-rows, disagreement records) a block at a time: the block's shared values fill
-a cached row template once, and its records follow, one ``%`` each or, in a
-one-field block, as value texts between the template's head and tail.  A plain
-record list of exact ints and strs (witnesses, failures) and ``verify``'s CSV
-rows take the same template builder; a list holding a Fraction, bool or None
-(reduction steps, gamma tables, classifications) keeps one C-encoder call.
+Every list of flat records (margin rows, disagreement records, gamma tables,
+witnesses, failures, classifications, reduction steps), whether a
+:class:`~effcone.verify.Records` or a plain list of dicts, is rendered a block
+at a time by one row-template builder, for JSON and CSV alike: the block's
+shared values fill a cached row template once, and its records follow, one
+``%`` each or, in a one-field block, as value texts between the template's
+head and tail.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
 
@@ -113,15 +112,9 @@ def _json_default(obj) -> str:
 
 @lru_cache(maxsize=None)
 def _json_encoder(depth: int):
-    """C encoder for a scalar, or a container of scalars (or a list of flat
-    dicts) whose innermost items sit at ``depth``; no cycle markers, as such
-    a container cannot hold itself.  Records, and record lists of exact ints
-    and strs, take a row template instead (``_row_template``).  A plain
-    record list holding a Fraction, bool or None still comes here, in one
-    call: a template would need a Python conversion per such value, which
-    costs more than the call on the short lists (reduction steps,
-    classifications) that hold them.  A Records block converts each shared
-    value once, whatever its length."""
+    """C encoder for a scalar, or a container of scalars whose items sit at
+    ``depth``; no cycle markers, as such a container cannot hold itself.
+    Record lists take a row template instead (``_row_template``)."""
     return c_make_encoder(None, _json_default, encode_basestring_ascii, None,
                           ": ", ",\n" + "  " * depth, True, False, True)
 
@@ -133,9 +126,6 @@ _SCALAR_TEXT = {
     bool: {True: "true", False: "false"}.__getitem__, Fraction: '"%s"'.__mod__,
 }
 _SCALARS = frozenset(_SCALAR_TEXT)
-# Value types a record template takes: "%d" renders an int as the encoder
-# does, and a str is passed through ``encode_basestring_ascii`` to "%s".
-_TEMPLATE_TYPES = frozenset({int, str})
 
 
 @lru_cache(maxsize=64)
@@ -143,8 +133,8 @@ def _row_template(keys: tuple[str, ...], kinds: str, depth: int | None) -> str:
     """``%``-template of one record at ``depth`` with the sorted str ``keys``,
     led by its list separator ",<newline><indent>", or for ``depth`` None its
     CSV line, led by "<newline>".  ``kinds`` has a letter per key: "d" (an
-    int) or "s" (an encoded str or a CSV cell) for a field filled per record,
-    "v" for a value a block of records shares.  A template with a "v" takes
+    int) or "s" (a value's JSON text or CSV cell) for a field filled per
+    record, "v" for a value a block of records shares.  A template with a "v" takes
     two ``%`` operations, the shared texts first and each record's fields
     second, so its other "%"s are doubled once more; a "%" in a key is
     escaped either way."""
@@ -165,7 +155,7 @@ def _template_rows(records, depth: int, out: list[str]) -> bool:
     """Append the non-empty plain dicts ``records`` as ``_block_rows``
     appends a block that shares no value; False, appending nothing, if they
     differ in key set, if a key is not a str, or if ``_block_rows`` refuses
-    a column (a key holds an int in one record and a str in another)."""
+    a column (its values are of two types, or of a non-scalar type)."""
     first = records[0]
     if len(set(map(len, records))) != 1 or set(map(type, first)) != {str}:
         return False
@@ -182,15 +172,17 @@ def _block_rows(keys: tuple[str, ...], shared: dict, columns: dict, depth: int |
     """Append each record of one block, as :class:`~effcone.verify.Records`
     holds it, with the str ``keys`` (sorted for JSON), rendered at ``depth``
     and led by its list separator; False, appending nothing, if a shared
-    value is not exactly of a ``_SCALAR_TEXT`` type or a column is neither a
-    ``range`` nor all exact ints nor all exact strs.  Given ``cell``, the CSV
-    text of any value, the records are CSV lines (``depth`` None), none refused.
+    value is not exactly of a ``_SCALAR_TEXT`` type or a column's values are
+    not all of one such type.  Given ``cell``, the CSV text of any value, the
+    records are CSV lines (``depth`` None), none refused.
 
-    The shared texts fill the row template once.  Each record is then one
-    ``%``, except in a one-field block: its template, "%%" hidden as NUL (if
-    no CSV cell holds one), is split at the field, and the block goes in as
-    the head, each value's text with one ``tail + head`` between, and the
-    tail.  A string per block would cost peak RSS: freed, it stays on the heap."""
+    The shared texts fill the row template once.  A ``range`` or int column
+    fills it through ``%d``, any other column as its values' texts through
+    ``%s``, one ``%`` per record, except in a one-field block: its template,
+    "%%" hidden as NUL (if no CSV cell holds one), is split at the field, and
+    the block goes in as the head, each value's text with one ``tail + head``
+    between, and the tail.  A string per block would cost peak RSS: freed, it
+    stays on the heap."""
     texts, kinds, fields = [], [], []
     for key in keys:
         if key in shared:
@@ -205,11 +197,12 @@ def _block_rows(keys: tuple[str, ...], shared: dict, columns: dict, depth: int |
         if types <= {int}:
             kinds.append("d")
             fields.append(column)
-        elif types == {str} or cell:
-            kinds.append("s")
-            fields.append(map(cell or encode_basestring_ascii, column))
-        else:
+            continue
+        text = cell or (_SCALAR_TEXT.get(*types) if len(types) == 1 else None)
+        if text is None:
             return False
+        kinds.append("s")
+        fields.append(map(text, column))
     template = _row_template(keys, "".join(kinds), depth)
     if texts:
         template %= tuple(texts)
@@ -249,26 +242,13 @@ def _write_json(obj, depth: int, out: list[str]) -> None:
     :class:`~effcone.verify.Records` as the list of its dicts.
 
     A scalar of exactly a ``_SCALAR_TEXT`` type is written as the encoder's
-    text for it, and any other leaf (a float, an int or str subclass) by the
-    encoder.  A ``Records`` goes a block at a time (``_write_records``): the
-    shared values' texts, with any "%" escaped, fill the sorted-key row
-    template once, and its columns fill it per record (``_block_rows``),
-    ``%d`` for a ``range`` or exact ints and ``%s`` for encoded exact strs; a
-    block holding anything else is written record by record.  A container of
-    scalars is one C-encoder call.  A list or tuple of non-empty plain dicts
-    of scalars (a record list) takes one of two paths.  If the dicts share one
-    key set and every value is an exact int or str (witnesses, failures), each
-    record is one ``%`` operation on a cached row template (``_template_rows``),
-    with no per-dict key sort.  Any other record list (differing key sets, or
-    the Fraction, bool or None values of reduction steps, a gamma table, the
-    classifications or ``by_b``, which a template could format only by a
-    Python conversion per value) the encoder writes at the dicts' depth in
-    one call, and one ``str.replace`` re-indents the joins between the dicts.
-    Only those joins can read "},<newline>{", because the encoder escapes
-    every newline inside a string.  Python recurses only over other
-    containers that hold containers, whose dict keys must be str.  Template
-    rows, or a one-field block's pieces, are appended to ``out`` one by one,
-    so no block or list is joined before the whole payload.
+    text for it, any other leaf (a float, an int or str subclass) and any
+    container of scalars by one C-encoder call.  A ``Records``
+    (``_write_records``) and a list or tuple of non-empty plain dicts with one
+    key set (``_template_rows``) go a block at a time through ``_block_rows``,
+    whose rows are appended to ``out`` one by one.  Python recurses over any
+    other container, and over a block or record list that ``_block_rows``
+    refuses; dict keys must then be str.
     """
     text = _SCALAR_TEXT.get(type(obj))
     if text is not None:
@@ -291,17 +271,10 @@ def _write_json(obj, depth: int, out: list[str]) -> None:
         out += (text[0], inner, text[1:-1], close)
         return
     if not is_dict and set(map(type, obj)) == {dict} and all(obj):
-        types = set(map(type, chain.from_iterable(map(dict.values, obj))))
         start = len(out)
-        if _TEMPLATE_TYPES.issuperset(types) and _template_rows(obj, depth + 1, out):
+        if _template_rows(obj, depth + 1, out):
             out[start] = "[" + out[start][1:]  # the first record has no comma before it
             out.append(close)
-            return
-        if _SCALARS.issuperset(types):
-            keys = "\n" + "  " * (depth + 2)
-            text = "".join(_json_encoder(depth + 2)(obj, 0))  # "[{...},<keys>{...}]"
-            body = text[2:-2].replace("}," + keys + "{", inner + "}," + inner + "{" + keys)
-            out += ("[", inner, "{", keys, body, inner, "}", close)
             return
     out.append("{" if is_dict else "[")
     sep, comma = inner, "," + inner
@@ -346,22 +319,16 @@ def _csv_cell(value) -> str:
     return buffer.getvalue()[:-2]
 
 
-def _render_csv(rows) -> str:
-    """``rows`` under a header of their keys, as ``csv.DictWriter`` writes
-    them with "\n" line ends: a ``Records`` a block at a time (``_block_rows``)."""
-    if isinstance(rows, Records):
-        # csv.writer quotes the one cell of a row when it is empty.
-        cell = _csv_cell if len(rows.keys) > 1 else lambda value: _csv_cell(value) or '""'
-        out = [",".join(map(cell, rows.keys))]
-        for shared, columns in rows.blocks:
-            _block_rows(rows.keys, shared, columns, None, out, cell)
-        out.append("\n")
-        return "".join(out)
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, list(rows[0]) if rows else [], lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buffer.getvalue()
+def _render_csv(records: Records) -> str:
+    """``records`` under a header of their keys, a block at a time
+    (``_block_rows``), in the bytes ``csv.DictWriter`` writes with "\n" line ends."""
+    # csv.writer quotes the one cell of a row when it is empty.
+    cell = _csv_cell if len(records.keys) > 1 else lambda value: _csv_cell(value) or '""'
+    out = [",".join(map(cell, records.keys))]
+    for shared, columns in records.blocks:
+        _block_rows(records.keys, shared, columns, None, out, cell)
+    out.append("\n")
+    return "".join(out)
 
 
 def _jobs(flag: int | None) -> int:
@@ -416,13 +383,13 @@ def _cmd_ehrhart(args) -> tuple[dict, int]:
     return payload, 0 if exact else 1
 
 
-def _cmd_gamma(args) -> tuple[dict | list, int]:
+def _cmd_gamma(args) -> tuple[dict | Records, int]:
     result = gamma_search(args.surface, args.n_max)
     scales = dict(result.scales)
-    table = [
-        {"family": family, "n": n, "h0": count, "nu": d, "value": Fraction(scales[family] * d, n)}
-        for family, n, count, d in result.table
-    ]
+    families, ns, counts, nus = zip(*result.table)
+    values = [Fraction(scales[family] * d, n) for family, n, _, d in result.table]
+    columns = {"family": families, "n": ns, "h0": counts, "nu": nus, "value": values}
+    table = Records(columns, [({}, columns)])
     code = 0 if result.matches is not False else 1
     if args.format == "csv":
         return table, code
@@ -513,7 +480,7 @@ def _cmd_family(args) -> tuple[dict, int]:
     }, 0
 
 
-def _cmd_verify(args) -> tuple[dict | list, int]:
+def _cmd_verify(args) -> tuple[dict | Records, int]:
     reports = sweep(args.surface, args.n_max, jobs=_jobs(args.jobs))
     aggregate = aggregate_sweep(reports)
     ok = aggregate["min_margin"] >= 1 and aggregate["all_gamma_match"]

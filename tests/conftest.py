@@ -35,7 +35,9 @@ family-C count that ``surface.section_counts`` replaced by a running sum.
 :func:`sweep_cells` is the per-cell margin loop that ``verify.sweep_one``
 replaced by routing a column of cells at a time.
 :func:`verify_csv` is the dict per margin row that ``verify --format csv``
-built and ``csv.DictWriter`` wrote before the CLI wrote the rows' blocks.
+built and ``csv.DictWriter`` wrote before the CLI wrote the rows' blocks, and
+:func:`gamma_table` the dict per row that ``gamma`` built before its table
+became column blocks.
 """
 
 from __future__ import annotations
@@ -220,6 +222,16 @@ def verify_csv(reports: list[dict]) -> str:
     writer.writeheader()
     writer.writerows(map(jsonable, rows))
     return buffer.getvalue()
+
+
+def gamma_table(result) -> list[dict]:
+    """The rows of a :func:`~effcone.threshold.gamma_search` result as plain
+    dicts, each with its candidate value scale*nu/n."""
+    scales = dict(result.scales)
+    return [
+        {"family": family, "n": n, "h0": count, "nu": d, "value": Fraction(scales[family] * d, n)}
+        for family, n, count, d in result.table
+    ]
 
 
 def _edge_record(p, q):

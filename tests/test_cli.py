@@ -22,8 +22,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import effcone.verify
-from conftest import jsonable, verify_csv
-from effcone import cli
+from conftest import gamma_table, jsonable, verify_csv
+from effcone import cli, gamma_search, make_surface
 from effcone.cli import main
 from effcone.verify import Records
 
@@ -133,6 +133,21 @@ class TestGamma:
                         "--format", "csv")
         assert code == 0
         assert out.strip().splitlines()[-1] == "C,5,79,12,12"
+
+    def test_table_matches_the_plain_dict_oracle(self, capsys, pool, named_surfaces):
+        # Pool surfaces from all four branches, the named ones, and P(3,5,7),
+        # whose one family is AZ.
+        surfaces = [surface for surface, _, _ in pool][::5] + named_surfaces
+        for surface in surfaces + [make_surface(3, 5, 7)]:
+            table = gamma_table(gamma_search(surface, 200))
+            argv = ["gamma", "--surface", f"{surface.a},{surface.b},{surface.c}",
+                    "--n-max", "200"]
+            code, out = run(capsys, *argv, "--format", "csv")
+            assert out == dict_writer_csv(list(table[0]), table)
+            json_code, out = run(capsys, *argv)
+            assert json_code == code
+            # The table's bytes; every other field is read back as written.
+            assert out == reference_json({**json.loads(out), "table": table}) + "\n"
 
     def test_csv_rejected_on_json_only_command(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -345,6 +360,18 @@ class TestVerify:
         assert out == verify_csv(effcone.verify.sweep(surfaces, 30))
         assert out.count("\n") > 30 * len(surfaces)
 
+    def test_failures_match_the_oracle(self, capsys, monkeypatch):
+        # Lowered margins make failures, which no surface has at its true margins.
+        for name in ("margin_general", "margin_at_multiple"):
+            original = getattr(effcone.verify, name)
+            monkeypatch.setattr(effcone.verify, name, lambda *args, f=original: f(*args) - 8)
+        code, out = run(capsys, "verify", "--surface", "4,5,7", "--surface", "4,13,23",
+                        "--n-max", "40")
+        reports = effcone.verify.sweep([make_surface(4, 5, 7), make_surface(4, 13, 23)], 40)
+        assert code == 1 and all(report["failures"] for report in reports)
+        payload = {"reports": reports, "aggregate": effcone.verify.aggregate_sweep(reports)}
+        assert out == reference_json(expanded(payload)) + "\n"
+
     def test_pool_is_sized_by_the_surfaces(self, capsys, monkeypatch):
         sizes = []
 
@@ -541,19 +568,24 @@ def nested_record_lists(draw):
 
 
 # Uniform record lists: plain dicts sharing one key set, each in its own
-# insertion order, holding ints and strings; the writer renders them through a
-# "%"-template.  Keys and strings hold its format characters.
+# insertion order, holding ints, strings, Fractions, bools and None; the writer
+# renders them through a "%"-template.  Keys and strings hold its format
+# characters.
 UNIFORM_TEXT = st.text(alphabet='%sd{}"\\\n\xe9', max_size=6)
 UNIFORM_INTS = st.integers(-10**30, 10**30)
+UNIFORM_SCALARS = st.sampled_from((
+    UNIFORM_INTS, UNIFORM_TEXT, st.builds(Fraction, UNIFORM_INTS, st.integers(1, 10**6)),
+    st.booleans(), st.none(),
+))
+# Mostly one type per column; a mixed column takes the fallback.
+MIXED_COLUMNS = st.lists(UNIFORM_SCALARS, min_size=2, max_size=3).map(st.one_of)
+UNIFORM_COLUMNS = UNIFORM_SCALARS | MIXED_COLUMNS
 
 
 @st.composite
 def uniform_record_lists(draw):
     keys = draw(st.lists(UNIFORM_TEXT, min_size=1, max_size=8, unique=True))
-    columns = {  # mostly one type per column; a mixed column takes the fallback
-        key: draw(st.sampled_from((UNIFORM_INTS, UNIFORM_TEXT, UNIFORM_INTS | UNIFORM_TEXT)))
-        for key in keys
-    }
+    columns = {key: draw(UNIFORM_COLUMNS) for key in keys}
     records = [
         {key: draw(columns[key]) for key in draw(st.permutations(keys))}
         for _ in range(draw(st.integers(2, 40)))
@@ -622,6 +654,9 @@ class TestJsonWriter:
     @example([{"%d": "%s"}, {"%d": "\n"}])
     @example([{"a": 1, "b": 2}, {"a": 3, "c": 4}])
     @example([{"a": 1}, {"a": 2, "b": 3}])
+    @example([{"q": Fraction(-1, 3), "t": True, "z": None},
+              {"z": None, "t": False, "q": Fraction(2)}])
+    @example([{"x": None, "%s": Fraction(1, 2)}, {"x": Fraction(1, 2), "%s": None}])
     def test_uniform_record_lists_match_indented_dumps(self, payload):
         assert cli._render_json(payload) == reference_json(payload)
 
@@ -660,15 +695,16 @@ def count_encoders(monkeypatch) -> list:
     return depths
 
 
-def test_int_str_records_take_the_template(monkeypatch):
-    # A silent fallback to the encoder path would render the same bytes.
-    records = [{"n": n, "s": str(n), "sq": n * n} for n in range(1000)]
+def test_scalar_column_records_take_the_template(monkeypatch):
+    # A silent fallback to the encoder would render the same bytes.
+    records = [{"n": n, "s": str(n), "q": Fraction(n, 7), "odd": n % 2 == 1, "none": None}
+               for n in range(1000)]
     depths = count_encoders(monkeypatch)
     assert cli._render_json({"records": records}) == reference_json({"records": records})
     assert depths == []
-    records[500] = dict(records[500], sq=Fraction(1, 3))
+    records = [{"n": n, "sq": n * n} for n in range(1000)]
+    records[500] = dict(records[500], sq=Fraction(1, 3))  # a mixed column
     assert cli._render_json({"records": records}) == reference_json({"records": records})
-    assert depths == [3]
 
 
 # Records: column blocks of flat dicts, which the writer renders a block at a
@@ -777,8 +813,16 @@ class TestRecordsWriter:
         assert cli._render_json(payload) == reference_json(expanded(payload))
 
     @pytest.mark.parametrize("column", [
-        [1, True], [Level.HIGH], [1, 2.5], ["a", 1], [Fraction(1, 2)], [None],
+        [Fraction(1, 2)], [None], [True, False], [Fraction(3), Fraction(-1, 3)],
     ])
+    def test_scalar_columns_take_the_template(self, column):
+        shared = {"s": "%s"}
+        out = []
+        assert cli._block_rows(("n", "s"), shared, {"n": column}, 1, out)
+        payload = {"rows": Records(("s", "n"), [(shared, {"n": column})])}
+        assert cli._render_json(payload) == reference_json(expanded(payload))
+
+    @pytest.mark.parametrize("column", [[1, True], [Level.HIGH], [1, 2.5], ["a", 1]])
     def test_other_column_types_take_the_generic_path(self, column):
         shared = {"s": "%s"}
         out = []
@@ -847,11 +891,11 @@ def csv_records(draw):
     return Records(keys, blocks)
 
 
-def dict_writer_csv(records: Records) -> str:
+def dict_writer_csv(keys, rows) -> str:
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, records.keys, lineterminator="\n")
+    writer = csv.DictWriter(buffer, keys, lineterminator="\n")
     writer.writeheader()
-    writer.writerows(records)
+    writer.writerows(rows)
     return buffer.getvalue()
 
 
@@ -867,7 +911,7 @@ class TestCsvWriter:
         ({"%d": None}, {"n": [1, 2], "%%s": ["%", True]}),
     ]))
     def test_matches_dict_writer(self, records):
-        assert cli._render_csv(records) == dict_writer_csv(records)
+        assert cli._render_csv(records) == dict_writer_csv(records.keys, records)
 
 
 # argv that argparse rejects or answers (help, version) before any handler runs.

@@ -1,7 +1,10 @@
-"""The package re-exports exactly the public names of its library modules."""
+"""The package re-exports exactly the public names of its library modules,
+whose doctests pass and whose source holds no ``assert`` statement."""
 
+import ast
 import doctest
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -46,3 +49,16 @@ def test_library_doctests_pass():
         assert result.failed == 0, f"effcone.{name}"
         attempted[name] = result.attempted
     assert attempted == DOCTEST_EXAMPLES
+
+
+def test_library_has_no_assert_statement():
+    # "python -O" strips asserts, so an invariant must raise a real exception.
+    paths = sorted(Path(effcone.__file__).parent.rglob("*.py"))
+    assert {path.stem for path in paths} >= {*LIBRARY_MODULES, "cli"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

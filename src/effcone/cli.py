@@ -9,17 +9,15 @@ builds its command's parser alone; the full tree only reports usage errors.
 Every list of flat records (margin rows, disagreement records, gamma tables,
 witnesses, failures, classifications, reduction steps), whether a
 :class:`~effcone.verify.Records` or a plain list of dicts, is rendered a block
-at a time by one row-template builder, for JSON and CSV alike: the block's
-shared values fill a cached row template once, and its records follow, one
-``%`` each or, in a one-field block, as value texts between the template's
-head and tail.
+at a time by one block writer, for JSON and CSV alike: the block's shared
+values join the cached literal text of a record once, and its records
+follow, one ``%`` each or, in a one-field block, as value texts between a
+head and a tail.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import os
 import re
 import sys
@@ -114,7 +112,7 @@ def _json_default(obj) -> str:
 def _json_encoder(depth: int):
     """C encoder for a scalar, or a container of scalars whose items sit at
     ``depth``; no cycle markers, as such a container cannot hold itself.
-    Record lists take a row template instead (``_row_template``)."""
+    Record lists take their literal row texts instead (``_row_texts``)."""
     return c_make_encoder(None, _json_default, encode_basestring_ascii, None,
                           ": ", ",\n" + "  " * depth, True, False, True)
 
@@ -129,26 +127,17 @@ _SCALARS = frozenset(_SCALAR_TEXT)
 
 
 @lru_cache(maxsize=64)
-def _row_template(keys: tuple[str, ...], kinds: str, depth: int | None) -> str:
-    """``%``-template of one record at ``depth`` with the sorted str ``keys``,
-    led by its list separator ",<newline><indent>", or for ``depth`` None its
-    CSV line, led by "<newline>".  ``kinds`` has a letter per key: "d" (an
-    int) or "s" (a value's JSON text or CSV cell) for a field filled per
-    record, "v" for a value a block of records shares.  A template with a "v" takes
-    two ``%`` operations, the shared texts first and each record's fields
-    second, so its other "%"s are doubled once more; a "%" in a key is
-    escaped either way."""
-    block = "v" in kinds
-    fields = {"d": "%%d", "s": "%%s", "v": "%s"} if block else {"d": "%d", "s": "%s"}
+def _row_texts(keys: tuple[str, ...], depth: int | None) -> tuple[tuple[str, ...], str]:
+    """The literal text before each of the sorted str ``keys``' values in one
+    record at ``depth``, the first led by the list separator
+    ",<newline><indent>" and "{", and the text after the last value; for ``depth``
+    None those of a CSV line: "<newline>", "," before each later key, and ""."""
     if depth is None:
-        return "\n" + ",".join(map(fields.__getitem__, kinds))
-    percent = "%%%%" if block else "%%"
+        return ("\n",) + (",",) * (len(keys) - 1), ""
     close = "\n" + "  " * depth
-    field = close + "  "
-    return "," + close + "{" + ",".join(
-        f"{field}{encode_basestring_ascii(key).replace('%', percent)}: {fields[kind]}"
-        for key, kind in zip(keys, kinds)
-    ) + close + "}"
+    befores = [f",{close}  {encode_basestring_ascii(key)}: " for key in keys]
+    befores[0] = "," + close + "{" + befores[0][1:]
+    return tuple(befores), close + "}"
 
 
 def _template_rows(records, depth: int, out: list[str]) -> bool:
@@ -176,40 +165,39 @@ def _block_rows(keys: tuple[str, ...], shared: dict, columns: dict, depth: int |
     not all of one such type.  Given ``cell``, the CSV text of any value, the
     records are CSV lines (``depth`` None), none refused.
 
-    The shared texts fill the row template once.  A ``range`` or int column
-    fills it through ``%d``, any other column as its values' texts through
-    ``%s``, one ``%`` per record, except in a one-field block: its template,
-    "%%" hidden as NUL (if no CSV cell holds one), is split at the field, and
-    the block goes in as the head, each value's text with one ``tail + head``
-    between, and the tail.  A string per block would cost peak RSS: freed, it
-    stays on the heap."""
-    texts, kinds, fields = [], [], []
-    for key in keys:
+    Each shared value's text joins the literal text around it, so a record is
+    a literal piece before each column's value and one after the last.  A
+    one-field block goes in as the head, each value's text with one
+    ``tail + head`` between, and the tail.  Any other block takes one ``%``
+    per record, its pieces joined by "%s": a ``range`` or int column's values
+    as they are, any other column's as their texts.  A string per block would
+    cost peak RSS: freed, it stays on the heap."""
+    befores, after = _row_texts(keys, depth)
+    pieces, fields, literal = [], [], ""
+    for key, before in zip(keys, befores):
+        literal += before
         if key in shared:
             text = cell or _SCALAR_TEXT.get(type(shared[key]))
             if text is None:
                 return False
-            texts.append(text(shared[key]).replace("%", "%%"))
-            kinds.append("v")
+            literal += text(shared[key])
             continue
         column = columns[key]
         types = set(map(type, column)) if type(column) is not range else {int}
         if types <= {int}:
-            kinds.append("d")
             fields.append(column)
-            continue
-        text = cell or (_SCALAR_TEXT.get(*types) if len(types) == 1 else None)
-        if text is None:
-            return False
-        kinds.append("s")
-        fields.append(map(text, column))
-    template = _row_template(keys, "".join(kinds), depth)
-    if texts:
-        template %= tuple(texts)
-    if len(fields) > 1 or "\0" in template:
-        out += map(template.__mod__, zip(*fields))
+        else:
+            text = cell or (_SCALAR_TEXT.get(*types) if len(types) == 1 else None)
+            if text is None:
+                return False
+            fields.append(map(text, column))
+        pieces.append(literal)
+        literal = ""
+    pieces.append(literal + after)
+    if len(fields) != 1:
+        out += map("%s".join(piece.replace("%", "%%") for piece in pieces).__mod__, zip(*fields))
         return True
-    head, tail = (p.replace("\0", "%") for p in re.split("%[ds]", template.replace("%%", "\0")))
+    head, tail = pieces
     values = list(map(str, fields[0]))
     if values:
         rows = [tail + head] * (2 * len(values) + 1)
@@ -309,20 +297,20 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _csv_cell(value) -> str:
-    """The cell ``csv.writer`` writes for ``value`` in a row of two or more:
-    a text holding none of the characters it may quote for, as it is."""
+    """The cell of ``value`` in a row of two or more: its text, quoted with
+    its quotes doubled if it holds a ",", '"', "\\r" or "\\n"."""
     text = "" if value is None else value if isinstance(value, str) else str(value)
     if re.search('[,"\r\n]', text) is None:
         return text
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow((text, ""))
-    return buffer.getvalue()[:-2]
+    return '"' + text.replace('"', '""') + '"'
 
 
 def _render_csv(records: Records) -> str:
     """``records`` under a header of their keys, a block at a time
-    (``_block_rows``), in the bytes ``csv.DictWriter`` writes with "\n" line ends."""
-    # csv.writer quotes the one cell of a row when it is empty.
+    (``_block_rows``), in the bytes ``csv.DictWriter`` writes with "\n" line
+    ends, except that a cell holding "\\r" is quoted, so ``csv.reader`` reads
+    every record back."""
+    # As csv.writer does, the one cell of a row is quoted when it is empty.
     cell = _csv_cell if len(records.keys) > 1 else lambda value: _csv_cell(value) or '""'
     out = [",".join(map(cell, records.keys))]
     for shared, columns in records.blocks:
@@ -332,19 +320,12 @@ def _render_csv(records: Records) -> str:
 
 
 def _jobs(flag: int | None) -> int:
-    """Worker processes: ``--jobs``, else EFFCONE_JOBS, else one (faster at ``--n-max 200``)."""
-    name, jobs = "--jobs", flag
+    """Worker processes: ``--jobs``, else one (faster at ``--n-max 200``)."""
     if flag is None:
-        name, env = "EFFCONE_JOBS", os.environ.get("EFFCONE_JOBS")
-        if not env:
-            return 1
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ValueError(f"EFFCONE_JOBS must be an integer, got {env!r}") from None
-    if jobs < 1:
-        raise ValueError(f"{name} must be at least 1, got {jobs}")
-    return jobs
+        return 1
+    if flag < 1:
+        raise ValueError(f"--jobs must be at least 1, got {flag}")
+    return flag
 
 
 def _cmd_count(args) -> tuple[dict, int]:
@@ -574,7 +555,7 @@ def _args_verify(p) -> None:
                    metavar="A,B,C", help="repeatable")
     p.add_argument("--n-max", type=_parse_int, required=True)
     p.add_argument("--jobs", type=_parse_int,
-                   help="worker processes (default: EFFCONE_JOBS or 1)")
+                   help="worker processes (default: 1)")
     _add_output(p, formats=("json", "csv"))
 
 

@@ -19,9 +19,9 @@ meets the threshold with equality; only the attainment-type bound can hold
 there.  As m0*delta divides n*delta' exactly when n is a multiple of
 step = m0*delta/gcd(m0*delta, delta') (for same-family cells, step = m0),
 :func:`sweep_one` routes one (classification, family) column of cells at a
-time, the one place that makes this test: the ray cells n = step, 2*step,
-... go to :func:`margin_at_multiple` in one ``map``, the others to
-:func:`margin_general` in one more, so each cell makes one margin call.
+time, the one place that makes this test: in one pass over the column, the
+ray cells n = step, 2*step, ... go to :func:`margin_at_multiple` and the
+others to :func:`margin_general`, so each cell makes one margin call.
 
 Both checks take the cell's count h0 and return margin = rhs - h0;
 margin >= 1 certifies the strict inequality, margin < 1 is a
@@ -92,8 +92,8 @@ class Records(Sequence):
     belong to the block's i-th record.  Iterating or indexing builds the
     dicts (a slice is a list of them); ``==`` against a list or another
     ``Records`` compares the records.  It pickles as its blocks, and the JSON
-    writer renders a block through one row template without building its
-    dicts.
+    writer renders a block, its shared values joined to a record's literal
+    texts once, without building its dicts.
     """
 
     __slots__ = ("_keys", "_blocks", "_starts")
@@ -257,19 +257,11 @@ def sweep_one(surface: WeightedSurface, n_max: int) -> dict:
 def _margin_column(cls: Classification, base: int, delta: int, counts: list[int]) -> list[int]:
     """Margins under ``cls`` of the cells n = 1..len(counts) of degree
     n*delta, routed as the module docstring says: one margin call each."""
-    n_max, g = len(counts), gcd(base, delta)
-    step = base // g  # base divides n*delta iff step divides n
-    degrees = range(delta, (n_max + 1) * delta, delta)
-    if step > n_max:  # no cell on the ray
-        return list(map(margin_general, repeat(cls), degrees, repeat(base), counts))
-    ray, t = slice(step - 1, None, step), delta // g  # n = i*step is ray step i*t
-    on = map(margin_at_multiple, repeat(cls), range(t, (n_max // step + 1) * t, t), counts[ray])
-    degrees, off = list(degrees), counts[:]
-    del degrees[ray], off[ray]
-    margins = list(map(margin_general, repeat(cls), degrees, repeat(base), off))
-    for i, margin in enumerate(on, 1):  # the ray cell n = i*step, back in n order
-        margins.insert(i * step - 1, margin)
-    return margins
+    g = gcd(base, delta)
+    step, t = base // g, delta // g  # base divides n*delta iff step divides n, at ray step n/step*t
+    return [margin_at_multiple(cls, n // step * t, count) if n % step == 0
+            else margin_general(cls, n * delta, base, count)
+            for n, count in enumerate(counts, 1)]
 
 
 def sweep(surfaces: list[WeightedSurface], n_max: int, jobs: int | None = None) -> list[dict]:

@@ -1,5 +1,6 @@
 """The package re-exports exactly the public names of its library modules,
-whose doctests pass and whose source holds no ``assert`` statement."""
+whose doctests pass and whose source holds no ``assert`` statement and no
+unused import."""
 
 import ast
 import doctest
@@ -62,3 +63,22 @@ def test_library_has_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# Bound but never read: bench/test_bench.py checks that its tracer rebinds and
+# restores these two names.
+BENCH_PINNED_IMPORTS = {"verify.h0", "ehrhart.frac_sum"}
+
+
+def test_library_has_no_unused_import():
+    unused = set()
+    for path in sorted(Path(effcone.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                bound = ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+                unused.update(f"{path.stem}.{name}" for name in bound
+                              if name != "*" and name not in read)
+    assert unused == BENCH_PINNED_IMPORTS

@@ -3,8 +3,10 @@
 All payloads are emitted as deterministic JSON (sorted keys, exact rationals
 rendered as "num/den" strings, integers as integers); the tabular commands
 (``gamma``, ``verify``) can emit CSV instead.  Exit codes: 0 success,
-1 a data-level verification failure was found, 2 invalid input.  A call
-builds its command's parser alone; the full tree only reports usage errors.
+1 a data-level verification failure was found, 2 invalid input.  A
+well-formed call is read straight from its command's option table and builds
+no parser; argparse's full tree, built from the same tables, parses any other
+call and prints every help text and usage error.
 
 Every list of flat records (margin rows, disagreement records, gamma tables,
 witnesses, failures, classifications, reduction steps), whether a
@@ -146,7 +148,8 @@ def _template_rows(records, depth: int, out: list[str]) -> bool:
     differ in key set, if a key is not a str, or if ``_block_rows`` refuses
     a column (its values are of two types, or of a non-scalar type)."""
     first = records[0]
-    if len(set(map(len, records))) != 1 or set(map(type, first)) != {str}:
+    if (len(set(map(len, records))) != 1 or set(map(type, first)) != {str}
+            or not _SCALARS.issuperset(map(type, first.values()))):
         return False
     keys = tuple(sorted(first))
     try:
@@ -479,111 +482,81 @@ def _cmd_calibrate(args) -> tuple[dict, int]:
     return report, 0
 
 
-def _add_output(p, formats=("json",)) -> None:
-    p.add_argument("--format", choices=formats, default="json")
-    p.add_argument("--output", help="write the payload to this path instead of stdout")
+# Each command's options in help order, as (flag, kwargs) pairs that the full
+# tree passes to ``add_argument`` and the table path of ``_parse_args`` reads;
+# a tuple of such pairs is one mutually exclusive group.
+def _output(formats=("json",)) -> tuple:
+    return (("--format", {"choices": formats, "default": "json"}),
+            ("--output", {"help": "write the payload to this path instead of stdout"}))
 
 
-def _add_surface(p) -> None:
-    p.add_argument("--surface", type=_parse_surface, required=True, metavar="A,B,C")
+_SURFACE = ("--surface", {"type": _parse_surface, "required": True, "metavar": "A,B,C"})
 
 
-def _args_count(p) -> None:
-    p.add_argument("--tri", nargs=3, type=_parse_pair, required=True,
-                   metavar="X,Y", help="three vertices, rational coordinates")
-    p.add_argument("--method", choices=("rowscan", "pick"), default="rowscan")
-    _add_output(p)
+def _divisor(families=FAMILIES) -> tuple:
+    return (_SURFACE, ("--family", {"choices": families, "required": True}),
+            ("--n", {"type": _parse_int, "required": True}), *_output())
 
 
-def _args_divisor(p, families=FAMILIES) -> None:
-    _add_surface(p)
-    p.add_argument("--family", choices=families, required=True)
-    p.add_argument("--n", type=_parse_int, required=True)
-    _add_output(p)
-
-
-def _args_ehrhart(p) -> None:
-    _args_divisor(p, families=(FAMILY_B, FAMILY_C))
-
-
-def _args_gamma(p) -> None:
-    _add_surface(p)
-    p.add_argument("--n-max", type=_parse_int, required=True)
-    _add_output(p, formats=("json", "csv"))
-
-
-def _args_classify(p) -> None:
-    p.add_argument("--b", type=_parse_int, required=True)
-    p.add_argument("--p", type=_parse_int, required=True)
-    _add_output(p)
-
-
-def _args_lower_bound(p) -> None:
-    _add_surface(p)
-    _add_output(p)
-
-
-def _args_reduce(p) -> None:
-    p.add_argument("--entry", type=_parse_int, choices=(1, 2, 3, 4),
-                   help="standard chain entry (with --k)")
-    p.add_argument("--k", type=_parse_int, help="standard chain parameter")
-    p.add_argument("--c-case", action="store_true",
-                   help="flip the lead sigma (family-C head variant)")
-    p.add_argument("--u0", type=_parse_int, required=True)
-    p.add_argument("--delta", choices=DELTA_POLICIES, default="calibrated")
-    head = p.add_mutually_exclusive_group()
-    head.add_argument("--surface", type=_parse_surface, metavar="A,B,C",
-                      help="prepend the head (-p, b) of this surface")
-    head.add_argument("--head", type=_parse_head, metavar="ALPHA,BETA",
-                      help="head pair: prepended, or with no --entry the chain "
-                           "(alpha,beta) -> (1,2)")
-    _add_output(p)
-
-
-def _args_family(p) -> None:
-    p.add_argument("--alpha", type=_parse_int, required=True)
-    p.add_argument("--beta", type=_parse_int, required=True)
-    p.add_argument("--tau", type=_parse_int, choices=(1, -1), required=True)
-    p.add_argument("--count", type=_parse_int, required=True)
-    p.add_argument("--interval", type=_parse_pair, metavar="LO,HI",
-                   help="keep only abscissas in this closed interval")
-    _add_output(p)
-
-
-def _args_verify(p) -> None:
-    p.add_argument("--surface", type=_parse_surface, action="append", required=True,
-                   metavar="A,B,C", help="repeatable")
-    p.add_argument("--n-max", type=_parse_int, required=True)
-    p.add_argument("--jobs", type=_parse_int,
-                   help="worker processes (default: 1)")
-    _add_output(p, formats=("json", "csv"))
-
-
-def _args_calibrate(p) -> None:
-    p.add_argument("--beta-max", type=_parse_int, required=True)
-    p.add_argument("--instances", action="store_true",
-                   help="include every disagreement instance in the payload")
-    _add_output(p)
-
-
-#: Every subcommand, in help order: name -> (help, argument adder, handler).
+#: Every subcommand, in help order: name -> (help, options, handler).
 _COMMANDS = {
-    "count": ("lattice points of a rational triangle", _args_count, _cmd_count),
-    "h0": ("section count of a family divisor", _args_divisor, _cmd_h0),
-    "nu": ("nu invariant of a family divisor", _args_divisor, _cmd_nu),
+    "count": ("lattice points of a rational triangle", (
+        ("--tri", {"nargs": 3, "type": _parse_pair, "required": True, "metavar": "X,Y",
+                   "help": "three vertices, rational coordinates"}),
+        ("--method", {"choices": ("rowscan", "pick"), "default": "rowscan"}),
+        *_output(),
+    ), _cmd_count),
+    "h0": ("section count of a family divisor", _divisor(), _cmd_h0),
+    "nu": ("nu invariant of a family divisor", _divisor(), _cmd_nu),
     "ehrhart": ("closed-form Ehrhart coefficients and exactness check",
-                _args_ehrhart, _cmd_ehrhart),
-    "gamma": ("search the expected-threshold candidates up to n-max",
-              _args_gamma, _cmd_gamma),
-    "classify": ("interval classification of (b, p)", _args_classify, _cmd_classify),
-    "lower-bound": ("small-a expected-threshold lower bound",
-                    _args_lower_bound, _cmd_lower_bound),
-    "reduce": ("trace a chain reduction of a deficit sum", _args_reduce, _cmd_reduce),
-    "family": ("generate surfaces with alpha*b - beta*(-p) = tau",
-               _args_family, _cmd_family),
-    "verify": ("margin sweep over one or more surfaces", _args_verify, _cmd_verify),
-    "calibrate-delta": ("exhaustive step-error jump calibration",
-                        _args_calibrate, _cmd_calibrate),
+                _divisor((FAMILY_B, FAMILY_C)), _cmd_ehrhart),
+    "gamma": ("search the expected-threshold candidates up to n-max", (
+        _SURFACE, ("--n-max", {"type": _parse_int, "required": True}), *_output(("json", "csv")),
+    ), _cmd_gamma),
+    "classify": ("interval classification of (b, p)", (
+        ("--b", {"type": _parse_int, "required": True}),
+        ("--p", {"type": _parse_int, "required": True}),
+        *_output(),
+    ), _cmd_classify),
+    "lower-bound": ("small-a expected-threshold lower bound", (_SURFACE, *_output()),
+                    _cmd_lower_bound),
+    "reduce": ("trace a chain reduction of a deficit sum", (
+        ("--entry", {"type": _parse_int, "choices": (1, 2, 3, 4),
+                     "help": "standard chain entry (with --k)"}),
+        ("--k", {"type": _parse_int, "help": "standard chain parameter"}),
+        ("--c-case", {"action": "store_true",
+                      "help": "flip the lead sigma (family-C head variant)"}),
+        ("--u0", {"type": _parse_int, "required": True}),
+        ("--delta", {"choices": DELTA_POLICIES, "default": "calibrated"}),
+        (("--surface", {"type": _parse_surface, "metavar": "A,B,C",
+                        "help": "prepend the head (-p, b) of this surface"}),
+         ("--head", {"type": _parse_head, "metavar": "ALPHA,BETA",
+                     "help": "head pair: prepended, or with no --entry the chain "
+                             "(alpha,beta) -> (1,2)"})),
+        *_output(),
+    ), _cmd_reduce),
+    "family": ("generate surfaces with alpha*b - beta*(-p) = tau", (
+        ("--alpha", {"type": _parse_int, "required": True}),
+        ("--beta", {"type": _parse_int, "required": True}),
+        ("--tau", {"type": _parse_int, "choices": (1, -1), "required": True}),
+        ("--count", {"type": _parse_int, "required": True}),
+        ("--interval", {"type": _parse_pair, "metavar": "LO,HI",
+                        "help": "keep only abscissas in this closed interval"}),
+        *_output(),
+    ), _cmd_family),
+    "verify": ("margin sweep over one or more surfaces", (
+        ("--surface", {"type": _parse_surface, "action": "append", "required": True,
+                       "metavar": "A,B,C", "help": "repeatable"}),
+        ("--n-max", {"type": _parse_int, "required": True}),
+        ("--jobs", {"type": _parse_int, "help": "worker processes (default: 1)"}),
+        *_output(("json", "csv")),
+    ), _cmd_verify),
+    "calibrate-delta": ("exhaustive step-error jump calibration", (
+        ("--beta-max", {"type": _parse_int, "required": True}),
+        ("--instances", {"action": "store_true",
+                         "help": "include every disagreement instance in the payload"}),
+        *_output(),
+    ), _cmd_calibrate),
 }
 
 
@@ -596,27 +569,76 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
+    for name, (help_text, options, handler) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        add_arguments(p)
+        for entry in options:
+            group, pairs = ((p, [entry]) if isinstance(entry[0], str)
+                            else (p.add_mutually_exclusive_group(), entry))
+            for flag, kwargs in pairs:
+                group.add_argument(flag, **kwargs)
         p.set_defaults(func=handler)
     return parser
 
 
+def _read_options(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace the full tree parses ``argv`` into, read from the option
+    table of its command argv[0]; None unless every later token is an exact
+    flag of that command followed by exactly its values, none of them starting
+    with "-", each flag is given once (an "append" one any number of times),
+    each value converts by the option's type and is one of its choices, every
+    required flag is given, and at most one of an exclusive group."""
+    _, options, handler = _COMMANDS[argv[0]]
+    table, exclusive = {}, ()
+    for entry in options:
+        if isinstance(entry[0], str):
+            table[entry[0]] = entry[1]
+        else:
+            table.update(entry)
+            exclusive = [flag for flag, _ in entry]
+    values, i = {}, 1
+    while i < len(argv):
+        flag = argv[i]
+        kwargs = table.get(flag)
+        if kwargs is None or (flag in values and kwargs.get("action") != "append"):
+            return None
+        if kwargs.get("action") == "store_true":
+            values[flag], i = True, i + 1
+            continue
+        count = kwargs.get("nargs", 1)
+        tokens, i = argv[i + 1:i + 1 + count], i + 1 + count
+        if len(tokens) < count or any(token.startswith("-") for token in tokens):
+            return None
+        # argparse's _get_value turns exactly these into a usage error.
+        try:
+            converted = list(map(kwargs.get("type", str), tokens))
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        choices = kwargs.get("choices")
+        if choices is not None and any(value not in choices for value in converted):
+            return None
+        value = converted if "nargs" in kwargs else converted[0]
+        if kwargs.get("action") == "append":
+            values.setdefault(flag, []).append(value)
+        else:
+            values[flag] = value
+    if sum(flag in values for flag in exclusive) > 1:
+        return None
+    args = argparse.Namespace(command=argv[0], func=handler)
+    for flag, kwargs in table.items():
+        if flag not in values and kwargs.get("required"):
+            return None
+        default = kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
+        setattr(args, flag[2:].replace("-", "_"), values.get(flag, default))
+    return args
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse with argv[0]'s command parser alone, built as ``add_parser``
-    builds it in the full tree.  The full tree parses only to report with the
-    top-level usage: leftover arguments, no or an unknown command, top-level
-    -h/--version, or a "--=" token, which the top level finds ambiguous."""
-    if argv and argv[0] in _COMMANDS and not any(tok.startswith("--=") for tok in argv):
-        _, add_arguments, handler = _COMMANDS[argv[0]]
-        parser = argparse.ArgumentParser(prog=f"effcone {argv[0]}")
-        add_arguments(parser)
-        parser.set_defaults(func=handler, command=argv[0])
-        args, extra = parser.parse_known_args(argv[1:])
-        if not extra:
-            return args
-    return _build_parser().parse_args(argv)
+    """Read a well-formed call straight from its command's option table
+    (``_read_options``), building no parser; the full tree parses any other
+    argv (help, --version, an abbreviated or "--flag=value" option, a repeated
+    flag, a bad value, a missing or leftover argument) and answers it."""
+    args = _read_options(argv) if argv and argv[0] in _COMMANDS else None
+    return args if args is not None else _build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

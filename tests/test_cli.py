@@ -1,11 +1,12 @@
 """End-to-end CLI tests: payload shapes, exit codes, determinism, the JSON
-writer against its oracle, the per-command parser against the full one, and
-golden digests of captured outputs."""
+writer against its oracle, the option-table parser against the full argparse
+tree, and golden digests of captured outputs."""
 
 import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -944,7 +945,65 @@ PARSE_EXITS = [
     ["h0", "--surface", "4,5,7", "--family", "B", "--n", "7", "--bogus"],
     ["count", "--version"],
     ["count", "--tri", "0,0", "1,0", "0,1", "--=x"],
+    # Each a well-formed call but for its last tokens: values that start with
+    # "-", a help flag, both options of the exclusive group, a missing value.
+    ["classify", "--b", "5", "--p", "-x"],
+    ["classify", "--b", "5", "--p", "-2", "--output", "-x"],
+    ["gamma", "--surface", "4,5,7", "--n-max", "5", "-h"],
+    ["reduce", "--entry", "4", "--k", "1", "--head", "3,5", "--surface", "4,13,23",
+     "--u0", "5"],
+    ["verify", "--surface", "4,5,7", "--n-max"],
+    ["count", "--tri", "0,0", "1,0"],
 ]
+
+# One exact, well-formed argv per command, which the option table reads alone.
+WELL_FORMED = [
+    ["count", "--tri", "0,0", "-1,0", "-15/7,20/7", "--method", "rowscan"],
+    ["h0", "--surface", "4,5,7", "--family", "AZ", "--n", "3"],
+    ["nu", "--surface", "4,13,23", "--family", "B", "--n", "5"],
+    ["ehrhart", "--surface", "4,13,23", "--family", "C", "--n", "10"],
+    ["gamma", "--surface", "4,5,7", "--n-max", "5", "--format", "csv"],
+    ["classify", "--b", "13", "--p", "-4"],
+    ["lower-bound", "--surface", "3,5,7", "--format", "json"],
+    ["reduce", "--entry", "4", "--k", "1", "--surface", "4,13,23", "--u0", "5"],
+    ["family", "--alpha", "1", "--beta", "3", "--tau", "1", "--count", "2",
+     "--interval", "3,36/11"],
+    ["verify", "--surface", "4,5,7", "--surface", "4,13,23", "--n-max", "12", "--jobs", "1"],
+    ["calibrate-delta", "--beta-max", "8", "--instances"],
+]
+
+# Values that each option converts and accepts, by its type.
+RATIONAL_TEXTS = st.fractions(max_denominator=10**6).map(str)
+VALUE_TEXTS = {
+    cli._parse_int: st.integers(-10**30, 10**30).map(str),
+    cli._parse_pair: st.tuples(RATIONAL_TEXTS, RATIONAL_TEXTS).map(",".join),
+    cli._parse_head: st.tuples(st.integers(), st.integers()).map(lambda ab: "%d,%d" % ab),
+    cli._parse_surface: st.sampled_from(["4,5,7", "4,13,23", "4,7,13", "3,5,7"]),
+    None: st.text(max_size=8).filter(lambda text: not text.startswith("-")),
+}
+
+
+@st.composite
+def well_formed_argv(draw) -> list[str]:
+    """A valid call of any command, drawn from its option table: every required
+    option, a random subset of the others and at most one of an exclusive
+    group, in random order, with an "append" option given one to three times."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    options = []
+    for entry in cli._COMMANDS[name][1]:
+        if not isinstance(entry[0], str):
+            entry = draw(st.sampled_from([None, *entry]))
+            if entry is None:
+                continue
+        flag, kwargs = entry
+        if not (kwargs.get("required") or draw(st.booleans())):
+            continue
+        values = (st.sampled_from(kwargs["choices"]).map(str) if "choices" in kwargs
+                  else VALUE_TEXTS[kwargs.get("type")])
+        count = 0 if kwargs.get("action") == "store_true" else kwargs.get("nargs", 1)
+        for _ in range(draw(st.integers(1, 3)) if kwargs.get("action") == "append" else 1):
+            options.append([flag, *(draw(values) for _ in range(count))])
+    return [name, *itertools.chain.from_iterable(draw(st.permutations(options)))]
 
 
 def exit_outcome(capsys, call):
@@ -979,10 +1038,26 @@ class TestParser:
             )
             assert lazy == full, columns
 
-    def test_well_formed_call_builds_one_parser(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv", WELL_FORMED, ids=lambda argv: argv[0])
+    def test_well_formed_call_builds_no_parser(self, capsys, monkeypatch, argv):
         built = count_parsers(monkeypatch)
-        assert main(["classify", "--b", "13", "--p", "-4"]) == 0
-        assert built == ["effcone classify"]
+        assert main(argv) == 0
+        assert built == []
+
+    @settings(max_examples=300)
+    @given(argv=well_formed_argv())
+    @example(argv=["family", "--alpha", "1", "--beta", "3", "--tau", "-1", "--count", "2",
+                   "--output", ""])
+    @example(argv=["classify", "--p", "-4", "--b", "13"])
+    @example(argv=["verify", "--surface", "4,5,7", "--n-max", "3", "--surface", "4,7,13",
+                   "--surface", "4,5,7"])
+    def test_table_namespace_matches_full(self, argv):
+        argv = cli._shield_negatives(argv)
+        with pytest.MonkeyPatch.context() as patch:
+            built = count_parsers(patch)
+            args = cli._parse_args(argv)
+        assert built == []
+        assert args == cli._build_parser().parse_args(argv)
 
     def test_leftover_argument_builds_the_full_tree(self, capsys, monkeypatch):
         built = count_parsers(monkeypatch)
@@ -992,8 +1067,7 @@ class TestParser:
         assert code == 2
         assert err.startswith("usage: effcone [-h] [--version]")
         assert err.endswith("effcone: error: unrecognized arguments: x\n")
-        assert built == ["effcone classify", "effcone",
-                         *(f"effcone {name}" for name in cli._COMMANDS)]
+        assert built == ["effcone", *(f"effcone {name}" for name in cli._COMMANDS)]
 
     @pytest.mark.parametrize("argv", [
         ["count", "--tri", "0,0", "1,0", "0,1/0"],
@@ -1007,7 +1081,9 @@ class TestParser:
         assert "zero denominator in '1/0'" in err
         assert "Traceback" not in err
 
-    # One valid argv per command; "--n-m" and "--inst" are abbreviated flags.
+    # One valid argv per command; "--n-m" and "--inst" are abbreviated flags. The
+    # last two fall back to the full tree: a repeated flag, whose last value
+    # wins, and "--n=5".
     @pytest.mark.parametrize("argv", [
         ["count", "--tri", "0,0", "-1,0", "-15/7,20/7", "--method", "pick"],
         ["h0", "--surface", "4,5,7", "--family", "AZ", "--n", "3"],
@@ -1022,10 +1098,17 @@ class TestParser:
          "--interval", "3,36/11"],
         ["verify", "--surface", "4,5,7", "--surface", "4,7,13", "--n-m", "3"],
         ["calibrate-delta", "--beta-max", "10", "--inst"],
+        pytest.param(["h0", "--surface", "4,5,7", "--family", "B", "--n", "5", "--n", "7"],
+                     id="h0 --n 5 --n 7"),
+        pytest.param(["h0", "--surface", "4,5,7", "--family", "B", "--n=5"], id="h0 --n=5"),
     ], ids=lambda argv: argv[0])
     def test_lazy_namespace_matches_full(self, argv):
         argv = cli._shield_negatives(argv)
         assert cli._parse_args(argv) == cli._build_parser().parse_args(argv)
+
+    def test_repeated_flag_keeps_the_last_value(self):
+        argv = ["h0", "--surface", "4,5,7", "--family", "B", "--n", "5", "--n", "7"]
+        assert cli._parse_args(argv).n == 7
 
 
 def cli_outcome(capsys, argv):

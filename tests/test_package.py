@@ -1,10 +1,12 @@
 """The package re-exports exactly the public names of its library modules,
 whose doctests pass and whose source holds no ``assert`` statement and no
-unused import."""
+unused import; importing the CLI builds no argument parser."""
 
+import argparse
 import ast
 import doctest
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,3 +84,24 @@ def test_library_has_no_unused_import():
                 unused.update(f"{path.stem}.{name}" for name in bound
                               if name != "*" and name not in read)
     assert unused == BENCH_PINNED_IMPORTS
+
+
+def test_importing_the_cli_builds_no_parser(monkeypatch):
+    # Every call pays for its import: a parser built there would only move the
+    # parsing cost of a call into its start-up.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    imported = importlib.import_module("effcone.cli")
+    for name in [name for name in sys.modules if name.split(".")[0] == "effcone"]:
+        monkeypatch.delitem(sys.modules, name)  # put back when the test ends
+    cli = importlib.import_module("effcone.cli")
+    assert cli is not imported
+    assert built == []
+    cli._build_parser()
+    assert built[0] == "effcone"

@@ -8,24 +8,26 @@ well-formed call is read straight from its command's option table and builds
 no parser; argparse's full tree, built from the same tables, parses any other
 call and prints every help text and usage error.
 
-Every list of flat records (margin rows, disagreement records, gamma tables,
-witnesses, failures, classifications, reduction steps), whether a
-:class:`~effcone.verify.Records` or a plain list of dicts, is rendered a block
-at a time by one block writer, for JSON and CSV alike: the block's shared
-values join the cached literal text of a record once, and its records
-follow, one ``%`` each or, in a one-field block, as value texts between a
-head and a tail.
+The JSON writer has three paths: the text of an exact scalar, a list of flat
+records, and recursion over any other container.  Every list of flat records
+(margin rows, disagreement records, gamma tables, witnesses, failures,
+classifications, reduction steps), whether a :class:`~effcone.verify.Records`
+or a plain list of dicts, is rendered a block at a time by one block writer,
+for JSON and CSV alike: the block's shared values join the cached literal text
+of a record once, and its records follow, one ``%`` each or, in a one-field
+block, as value texts between a head and a tail.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from . import __version__
@@ -52,14 +54,17 @@ def _shield_negatives(argv: list[str]) -> list[str]:
 
 # Value parsers raise ArgumentTypeError, whose message argparse prints as is:
 # a ValueError it reports by the parser's name, a ZeroDivisionError not at all.
+_DIGIT_LIMIT = ("an integer has more than %d digits, the most that Python converts between "
+                "integers and text")
+
+
 def _error_text(exc: Exception, text: str | None = None) -> str:
     """``text`` (by default ``exc``'s message); Python's int/str digit-limit
     error advises a call that a CLI user cannot make, so it gets a message
     naming the limit instead."""
     if not str(exc).startswith("Exceeds the limit ("):
         return str(exc) if text is None else text
-    return (f"an integer has more than {sys.get_int_max_str_digits()} digits, the most "
-            "that Python converts between integers and text")
+    return _DIGIT_LIMIT % sys.get_int_max_str_digits()
 
 
 def _parse_int(token: str) -> int:
@@ -70,9 +75,24 @@ def _parse_int(token: str) -> int:
         raise argparse.ArgumentTypeError(text) from None
 
 
+# A decimal exponent, for which Fraction builds 10**exponent before anything can refuse it.
+_EXPONENT = re.compile(r"(.*)e([-+]?\d+(?:_\d+)*)", re.IGNORECASE)
+
+
 def _parse_rational(token: str) -> Fraction:
     token = token.strip()
     try:
+        power = _EXPONENT.fullmatch(token)
+        # Past this exponent, a non-zero mantissa of at most len(mantissa)
+        # digits leaves a numerator or denominator longer than the digit limit.
+        if power and abs(int(power[2])) > sys.get_int_max_str_digits() + len(power[1]):
+            try:
+                mantissa = Fraction(power[1] + "e0")
+            except ValueError:  # so is the token, which Fraction refuses at once
+                return Fraction(token)
+            if mantissa:
+                raise argparse.ArgumentTypeError(_DIGIT_LIMIT % sys.get_int_max_str_digits())
+            return mantissa
         return Fraction(token)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(_error_text(exc)) from None
@@ -110,22 +130,12 @@ def _json_default(obj) -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-@lru_cache(maxsize=None)
-def _json_encoder(depth: int):
-    """C encoder for a scalar, or a container of scalars whose items sit at
-    ``depth``; no cycle markers, as such a container cannot hold itself.
-    Record lists take their literal row texts instead (``_row_texts``)."""
-    return c_make_encoder(None, _json_default, encode_basestring_ascii, None,
-                          ": ", ",\n" + "  " * depth, True, False, True)
-
-
-# The C encoder's text for each scalar type it renders (Fraction by ``_json_default``):
+# The text json.dumps gives each scalar type (Fraction by ``_json_default``):
 # str() of a Fraction is "num/den" or "num", with nothing to escape.
 _SCALAR_TEXT = {
     str: encode_basestring_ascii, int: int.__repr__, type(None): {None: "null"}.__getitem__,
     bool: {True: "true", False: "false"}.__getitem__, Fraction: '"%s"'.__mod__,
 }
-_SCALARS = frozenset(_SCALAR_TEXT)
 
 
 @lru_cache(maxsize=64)
@@ -140,23 +150,6 @@ def _row_texts(keys: tuple[str, ...], depth: int | None) -> tuple[tuple[str, ...
     befores = [f",{close}  {encode_basestring_ascii(key)}: " for key in keys]
     befores[0] = "," + close + "{" + befores[0][1:]
     return tuple(befores), close + "}"
-
-
-def _template_rows(records, depth: int, out: list[str]) -> bool:
-    """Append the non-empty plain dicts ``records`` as ``_block_rows``
-    appends a block that shares no value; False, appending nothing, if they
-    differ in key set, if a key is not a str, or if ``_block_rows`` refuses
-    a column (its values are of two types, or of a non-scalar type)."""
-    first = records[0]
-    if (len(set(map(len, records))) != 1 or set(map(type, first)) != {str}
-            or not _SCALARS.issuperset(map(type, first.values()))):
-        return False
-    keys = tuple(sorted(first))
-    try:
-        columns = {key: list(map(itemgetter(key), records)) for key in keys}
-    except KeyError:  # a key set differs
-        return False
-    return _block_rows(keys, {}, columns, depth, out)
 
 
 def _block_rows(keys: tuple[str, ...], shared: dict, columns: dict, depth: int | None,
@@ -209,20 +202,20 @@ def _block_rows(keys: tuple[str, ...], shared: dict, columns: dict, depth: int |
     return True
 
 
-def _write_records(records: Records, depth: int, out: list[str]) -> None:
-    """Append ``records`` as the list of its dicts, a block at a time: through
+def _write_records(keys: tuple, blocks, depth: int, out: list[str]) -> None:
+    """Append the list of flat dicts that ``blocks`` hold under ``keys``, as
+    :class:`~effcone.verify.Records` holds them, a block at a time: through
     ``_block_rows``, or else record by record through ``_write_json``."""
-    if not records:
-        out.append("[]")
-        return
-    start, keys = len(out), records.keys
-    sorted_keys = tuple(sorted(keys)) if set(map(type, keys)) == {str} else None
+    start, sorted_keys = len(out), tuple(sorted(keys))
     separator = ",\n" + "  " * (depth + 1)
-    for shared, columns in records.blocks:
-        if sorted_keys is None or not _block_rows(sorted_keys, shared, columns, depth + 1, out):
+    for shared, columns in blocks:
+        if not _block_rows(sorted_keys, shared, columns, depth + 1, out):
             for record in Records(keys, [(shared, columns)]):
                 out.append(separator)
                 _write_json(record, depth + 1, out)
+    if len(out) == start:  # no record
+        out.append("[]")
+        return
     out[start] = "[" + out[start][1:]  # the first record has no comma before it
     out.append("\n" + "  " * depth + "]")
 
@@ -232,54 +225,44 @@ def _write_json(obj, depth: int, out: list[str]) -> None:
     it, with every ``Fraction`` as its "num/den" string and a
     :class:`~effcone.verify.Records` as the list of its dicts.
 
-    A scalar of exactly a ``_SCALAR_TEXT`` type is written as the encoder's
-    text for it, any other leaf (a float, an int or str subclass) and any
-    container of scalars by one C-encoder call.  A ``Records``
-    (``_write_records``) and a list or tuple of non-empty plain dicts with one
-    key set (``_template_rows``) go a block at a time through ``_block_rows``,
-    whose rows are appended to ``out`` one by one.  Python recurses over any
-    other container, and over a block or record list that ``_block_rows``
-    refuses; dict keys must then be str.
+    A scalar of exactly a ``_SCALAR_TEXT`` type is written as its text.  A
+    ``Records``, and a list or tuple of non-empty plain dicts with one key set
+    whose first holds only such scalars, go to ``_write_records``.  Python
+    recurses over any other container; dict keys must be str.  Any other leaf
+    (a float, an int or str subclass) is written by ``json.dumps``.
     """
     text = _SCALAR_TEXT.get(type(obj))
     if text is not None:
         out.append(text(obj))
         return
     if isinstance(obj, Records):
-        _write_records(obj, depth, out)
+        _write_records(obj.keys, obj.blocks, depth, out)
         return
     if not isinstance(obj, (dict, list, tuple)):
-        out.append("".join(_json_encoder(0)(obj, 0)))
+        out.append(json.dumps(obj, default=_json_default))
         return
     if not obj:
         out.append("{}" if isinstance(obj, dict) else "[]")
         return
     is_dict = isinstance(obj, dict)
-    inner = "\n" + "  " * (depth + 1)
-    close = "\n" + "  " * depth + ("}" if is_dict else "]")
-    if _SCALARS.issuperset(map(type, obj.values() if is_dict else obj)):
-        text = "".join(_json_encoder(depth + 1)(obj, 0))
-        out += (text[0], inner, text[1:-1], close)
-        return
     if not is_dict and set(map(type, obj)) == {dict} and all(obj):
-        start = len(out)
-        if _template_rows(obj, depth + 1, out):
-            out[start] = "[" + out[start][1:]  # the first record has no comma before it
-            out.append(close)
+        first = obj[0]
+        if (_SCALAR_TEXT.keys() >= set(map(type, first.values()))
+                and all(map(first.keys().__eq__, map(dict.keys, obj)))):
+            columns = {key: list(map(itemgetter(key), obj)) for key in first}
+            _write_records(tuple(first), [({}, columns)], depth, out)
             return
-    out.append("{" if is_dict else "[")
-    sep, comma = inner, "," + inner
+    start, separator = len(out), ",\n" + "  " * (depth + 1)
     if is_dict:
         for key, value in sorted(obj.items()):
-            out += (sep, encode_basestring_ascii(key), ": ")
+            out += (separator, encode_basestring_ascii(key), ": ")
             _write_json(value, depth + 1, out)
-            sep = comma
     else:
         for value in obj:
-            out.append(sep)
+            out.append(separator)
             _write_json(value, depth + 1, out)
-            sep = comma
-    out.append(close)
+    out[start] = ("{" if is_dict else "[") + out[start][1:]  # no comma before the first item
+    out.append("\n" + "  " * depth + ("}" if is_dict else "]"))
 
 
 def _render_json(payload) -> str:

@@ -13,6 +13,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from enum import IntEnum
 from fractions import Fraction
@@ -442,12 +443,13 @@ class TestHarness:
         assert captured.err.startswith("effcone: error: ") and target in captured.err
 
     @pytest.mark.parametrize("argv", [
-        ("count", "--tri", "0,0", "1,0", "1e5000,1"),
+        ("count", "--tri", "0,0", "1e3000,0", "0,1e3000"),
         ("h0", "--surface", "4,5,7", "--family", "B", "--n", "1" + "0" * 2200),
     ], ids=["count", "h0"])
     def test_integer_past_the_digit_limit_is_a_usage_error(self, capsys, argv):
-        # Rendering these counts passes Python's int-to-str digit limit.  The
-        # message names the limit, not Python's advice to raise it.
+        # Rendering these counts passes Python's int-to-str digit limit, though
+        # every argument fits under it.  The message names the limit, not
+        # Python's advice to raise it.
         assert main(list(argv)) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -460,14 +462,24 @@ class TestHarness:
 
     @pytest.mark.parametrize("argv", [
         ("count", "--tri", "0,0", "1,0", "1" * 5000 + ",1"),
+        ("count", "--tri", "0,0", "1,0", "1e5000,1"),
+        ("count", "--tri", "0,0", "1e999999999,0", "0,1"),
+        ("count", "--tri", "0,0", "-1e999999999,0", "0,1"),
+        ("count", "--tri", "0,0", "1e-999999999,0", "0,1"),
+        ("family", "--alpha", "1", "--beta", "3", "--tau", "1", "--count", "2",
+         "--interval", "1e-999999999,3"),
         ("h0", "--surface", "4,5,7", "--family", "B", "--n", "1" * 5000),
         ("h0", "--surface", "4,5," + "1" * 5000, "--family", "B", "--n", "1"),
-    ], ids=["rational", "int", "surface"])
+    ], ids=["rational", "exponent", "huge-exponent", "negative-huge-exponent",
+            "huge-negative-exponent", "interval", "int", "surface"])
     def test_argument_past_the_digit_limit_is_a_usage_error(self, capsys, argv):
-        # Parsing these values passes the limit the other way, str to int;
-        # the message names the limit and does not echo the 5000 digits.
+        # Parsing these values passes the limit the other way, str to int, or
+        # would build a power of ten past it; the message names the limit and
+        # does not echo the 5000 digits.  None builds that power.
+        start = time.perf_counter()
         with pytest.raises(SystemExit) as excinfo:
             main(list(argv))
+        assert time.perf_counter() - start < 1
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         limit = sys.get_int_max_str_digits()
@@ -519,9 +531,9 @@ PAYLOADS = st.recursive(
     ),
     max_leaves=30,
 )
-# Record lists: lists and tuples of flat dicts, which the writer renders with
-# one encoder call unless an item is empty or not flat.  Keys and strings hold
-# the characters of the joins it re-indents.
+# Record lists: lists and tuples of flat dicts, which the writer renders as
+# one block of records unless an item is empty or not flat.  Keys and strings
+# hold the characters of the literal texts around each value.
 RECORD_TEXT = st.text(alphabet='}{,"\\\n: a', max_size=6)
 RECORD_SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-10**20, 10**20),
@@ -594,8 +606,8 @@ def reference_json(payload) -> str:
     return json.dumps(jsonable(payload), indent=2, sort_keys=True)
 
 
-# Scalars the writer renders without the encoder (exact str, int, bool, None
-# and Fraction), and ones it leaves to the encoder (an IntEnum member, floats).
+# Scalars the writer renders as their text (exact str, int, bool, None and
+# Fraction), and ones it leaves to json.dumps (an IntEnum member, floats).
 SCALAR_LEAVES = (
     True, False, 1, 0, None, "", '"', "\\", "\x00\x1f\n\t\x7f", "\xe9\u2028\U0001f600",
     Fraction(-7, 3), Fraction(5), Fraction(-4), Level.HIGH,
@@ -663,35 +675,38 @@ class DictSubclass(dict):
 
 
 def test_record_list_of_dict_subclasses_matches_indented_dumps():
-    # The one-call record path takes exact dicts only; a subclass takes the
+    # The record path takes exact dicts only; a subclass takes the
     # general path, which must render it the same.
     payload = [DictSubclass(b=1, a=2), {"c": Fraction(1, 3)}]
     assert cli._render_json(payload) == reference_json(payload)
 
 
-def count_encoders(monkeypatch) -> list:
-    """Record the depth of every ``cli._json_encoder`` lookup from now on."""
+def count_writes(monkeypatch) -> list:
+    """Record the depth of every ``cli._write_json`` call from now on."""
     depths = []
-    encoder = cli._json_encoder
+    write = cli._write_json
 
-    def counting_encoder(depth):
+    def counting_write(obj, depth, out):
         depths.append(depth)
-        return encoder(depth)
+        write(obj, depth, out)
 
-    monkeypatch.setattr(cli, "_json_encoder", counting_encoder)
+    monkeypatch.setattr(cli, "_write_json", counting_write)
     return depths
 
 
 def test_scalar_column_records_take_the_template(monkeypatch):
-    # A silent fallback to the encoder would render the same bytes.
+    # A silent record-by-record fallback would render the same bytes, with a
+    # call per record and per value.
     records = [{"n": n, "s": str(n), "q": Fraction(n, 7), "odd": n % 2 == 1, "none": None}
                for n in range(1000)]
-    depths = count_encoders(monkeypatch)
+    depths = count_writes(monkeypatch)
     assert cli._render_json({"records": records}) == reference_json({"records": records})
-    assert depths == []
+    assert depths == [0, 1]
     records = [{"n": n, "sq": n * n} for n in range(1000)]
     records[500] = dict(records[500], sq=Fraction(1, 3))  # a mixed column
+    depths.clear()
     assert cli._render_json({"records": records}) == reference_json({"records": records})
+    assert len(depths) == 2 + 1000 * 3
 
 
 # Records: column blocks of flat dicts, which the writer renders a block at a
@@ -830,9 +845,9 @@ class TestRecordsWriter:
 
     def test_records_take_the_template(self, monkeypatch):
         records = Records(("u", "s", "f"), [({"s": "%x", "f": Fraction(2, 3)}, {"u": range(500)})])
-        depths = count_encoders(monkeypatch)
+        depths = count_writes(monkeypatch)
         assert cli._render_json({"r": records}) == reference_json({"r": list(records)})
-        assert depths == []
+        assert depths == [0, 1]
 
     @settings(max_examples=300)
     @given(one_field_records())
@@ -1134,6 +1149,10 @@ VALUE_ERRORS = [
      "argument --head: expected integers 'alpha,beta', got '1/2,5'"),
     (["count", "--tri", "0,0", "1,x", "2,2"],
      "argument --tri: Invalid literal for Fraction: 'x'"),
+    (["count", "--tri", "0,0", "1/2e999999999,0", "0,1"],
+     "argument --tri: Invalid literal for Fraction: '1/2e999999999'"),
+    (["count", "--tri", "0,0", "0.0.0e999999999,0", "0,1"],
+     "argument --tri: Invalid literal for Fraction: '0.0.0e999999999'"),
     (["classify", "--b", "5", "--p", "-3/2"],
      "argument --p: invalid int value: '-3/2'"),
     (["-5"], "invalid choice: '-5'"),
@@ -1149,6 +1168,14 @@ class TestValueParsing:
         code, payload = run_json(capsys, *argv)
         assert code == 0
         assert vertex in payload["vertices"]
+
+    @pytest.mark.parametrize("zero", ["0e999999999", "-0.00E-999999999", "+.0e+9_999_999_999"])
+    def test_zero_with_a_huge_exponent_is_zero(self, capsys, zero):
+        start = time.perf_counter()
+        code, payload = run_json(capsys, "count", "--tri", "0,0", "1,0", f"{zero},1")
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert payload["vertices"][2] == ["0", "1"] and payload["count"] == 3
 
     def test_negative_decimal_interval(self, capsys):
         code, payload = run_json(

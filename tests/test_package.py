@@ -1,11 +1,13 @@
 """The package re-exports exactly the public names of its library modules,
 whose doctests pass and whose source holds no ``assert`` statement and no
-unused import; importing the CLI builds no argument parser."""
+unused import; importing the CLI builds no argument parser, and the CLI
+prints the same bytes without json's C accelerator."""
 
 import argparse
 import ast
 import doctest
 import importlib
+import json.encoder
 import sys
 from pathlib import Path
 
@@ -98,10 +100,32 @@ def test_importing_the_cli_builds_no_parser(monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     imported = importlib.import_module("effcone.cli")
-    for name in [name for name in sys.modules if name.split(".")[0] == "effcone"]:
-        monkeypatch.delitem(sys.modules, name)  # put back when the test ends
-    cli = importlib.import_module("effcone.cli")
+    cli = fresh_cli(monkeypatch)
     assert cli is not imported
     assert built == []
     cli._build_parser()
     assert built[0] == "effcone"
+
+
+def fresh_cli(monkeypatch):
+    """``effcone.cli`` imported afresh; every effcone module is put back when
+    the test ends."""
+    for name in [name for name in sys.modules if name.split(".")[0] == "effcone"]:
+        monkeypatch.delitem(sys.modules, name)
+    return importlib.import_module("effcone.cli")
+
+
+def test_the_cli_runs_without_the_c_encoder(monkeypatch, capsys):
+    # Where the _json accelerator is missing, json.encoder.c_make_encoder is None.
+    calls = (
+        ["ehrhart", "--surface", "4,13,23", "--family", "B", "--n", "5"],
+        ["reduce", "--entry", "2", "--k", "3", "--u0", "50"],
+        ["verify", "--surface", "4,13,23", "--n-max", "20"],
+    )
+    cli = importlib.import_module("effcone.cli")
+    expected = [(cli.main(argv), capsys.readouterr().out) for argv in calls]
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    bare = fresh_cli(monkeypatch)
+    assert bare is not cli
+    assert [(bare.main(argv), capsys.readouterr().out) for argv in calls] == expected
+    assert [code for code, _ in expected] == [0, 0, 0]

@@ -9,19 +9,19 @@ no parser; argparse's full tree, built from the same tables, parses any other
 call and prints every help text and usage error.
 
 The JSON writer has three paths: the text of an exact scalar, a list of flat
-records, and recursion over any other container.  Every list of flat records
-(margin rows, disagreement records, gamma tables, witnesses, failures,
-classifications, reduction steps), whether a :class:`~effcone.verify.Records`
-or a plain list of dicts, is rendered a block at a time by one block writer,
-for JSON and CSV alike: the block's shared values join the cached literal text
-of a record once, and its records follow, one ``%`` each or, in a one-field
-block, as value texts between a head and a tail.
+records, and recursion over any other dict, list or tuple; any other leaf
+raises TypeError.  Every list of flat records (margin rows, disagreement
+records, gamma tables, witnesses, failures, classifications, reduction steps),
+whether a :class:`~effcone.verify.Records` or a plain list of dicts, is
+rendered a block at a time by one block writer, for JSON and CSV alike: the
+block's shared values join the cached literal text of a record once, and its
+records follow, one ``%`` each or, in a one-field block, as value texts between
+a head and a tail.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -124,14 +124,8 @@ def _parse_surface(token: str) -> WeightedSurface:
         raise argparse.ArgumentTypeError(_error_text(exc)) from None
 
 
-def _json_default(obj) -> str:
-    if isinstance(obj, Fraction):
-        return Fraction.__str__(obj)  # "num/den", or "num" for an integer
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-# The text json.dumps gives each scalar type (Fraction by ``_json_default``):
-# str() of a Fraction is "num/den" or "num", with nothing to escape.
+# The text of each exact scalar type, as json.dumps gives it and, for a
+# Fraction, its str() "num/den" or "num" in quotes, with nothing to escape.
 _SCALAR_TEXT = {
     str: encode_basestring_ascii, int: int.__repr__, type(None): {None: "null"}.__getitem__,
     bool: {True: "true", False: "false"}.__getitem__, Fraction: '"%s"'.__mod__,
@@ -228,8 +222,8 @@ def _write_json(obj, depth: int, out: list[str]) -> None:
     A scalar of exactly a ``_SCALAR_TEXT`` type is written as its text.  A
     ``Records``, and a list or tuple of non-empty plain dicts with one key set
     whose first holds only such scalars, go to ``_write_records``.  Python
-    recurses over any other container; dict keys must be str.  Any other leaf
-    (a float, an int or str subclass) is written by ``json.dumps``.
+    recurses over any other dict, list or tuple; dict keys must be str.  Any
+    other leaf (a float, an int or str subclass) raises ``TypeError``.
     """
     text = _SCALAR_TEXT.get(type(obj))
     if text is not None:
@@ -239,8 +233,7 @@ def _write_json(obj, depth: int, out: list[str]) -> None:
         _write_records(obj.keys, obj.blocks, depth, out)
         return
     if not isinstance(obj, (dict, list, tuple)):
-        out.append(json.dumps(obj, default=_json_default))
-        return
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     if not obj:
         out.append("{}" if isinstance(obj, dict) else "[]")
         return
@@ -397,16 +390,14 @@ def _cmd_reduce(args) -> tuple[dict, int]:
     if (args.entry is None) != (args.k is None):
         raise ValueError("--entry and --k must be given together")
     if args.entry is None:
-        # Bare mode: the two-pair chain (alpha, beta) -> (1, 2), legal
-        # exactly when beta - 2*alpha = +-1.
+        # Bare mode: the two-pair chain (alpha, beta) -> (1, 2).
         if args.head is None:
             raise ValueError("give --entry/--k for a standard chain, or a bare --head")
         if args.surface is not None:
             raise ValueError("--surface prepends onto a standard chain; add --entry/--k")
         if args.c_case:
             raise ValueError("--c-case applies to standard chains only")
-        alpha, beta = args.head
-        chain = ReductionChain(pairs=((alpha, beta), (1, 2)), sigmas=(beta - 2 * alpha,))
+        chain = ReductionChain(pairs=(args.head, (1, 2)))
     else:
         chain = standard_chain(args.entry, args.k, c_case=args.c_case)
         if args.surface is not None:

@@ -285,11 +285,13 @@ def step_error_bounds(sigma: int, beta0: int, beta1: int) -> StepErrorBounds:
 class ReductionChain:
     """A decreasing sequence of coprime pairs linked by +-1 determinants.
 
-    ``pairs[0]`` is the head (alpha_0, beta_0); ``sigmas[i]`` is the
-    determinant alpha_{i+1}*beta_i - beta_{i+1}*alpha_i of the link from
-    pairs[i] to pairs[i+1].  ``lead_sigma``, if set, is the determinant a
-    future :meth:`prepend` head must realize (used by the standard chains,
-    which are published without their surface-dependent head).
+    A chain is given by its pairs: ``pairs[0]`` is the head (alpha_0,
+    beta_0), and ``sigmas[i]``, worked out from them, is the determinant
+    alpha_{i+1}*beta_i - beta_{i+1}*alpha_i of the link from pairs[i] to
+    pairs[i+1], which must be +-1.  ``lead_sigma``, if set, is the
+    determinant a future :meth:`prepend` head must realize (used by the
+    standard chains, which are published without their surface-dependent
+    head).
 
     The betas must strictly decrease on every link (each step's Euclidean
     division needs it) and the alphas on every link but the last, where a
@@ -299,23 +301,19 @@ class ReductionChain:
     """
 
     pairs: tuple[tuple[int, int], ...]
-    sigmas: tuple[int, ...] = field(default=())
     lead_sigma: int | None = None
+    sigmas: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.pairs:
             raise ValueError("chain needs at least one (alpha, beta) pair")
-        if len(self.sigmas) != len(self.pairs) - 1:
-            raise ValueError(
-                f"{len(self.pairs)} pairs need {len(self.pairs) - 1} sigmas, "
-                f"got {len(self.sigmas)}"
-            )
         for alpha, beta in self.pairs:
             if alpha < 1 or beta < 1:
                 raise ValueError(f"pairs must be positive, got ({alpha}, {beta})")
         a0, b0 = self.pairs[0]
         if gcd(a0, b0) != 1:
             raise ValueError(f"head pair ({a0}, {b0}) is not coprime")
+        sigmas = []
         last = len(self.pairs) - 1
         for i in range(1, len(self.pairs)):
             ap, bp = self.pairs[i - 1]
@@ -325,12 +323,10 @@ class ReductionChain:
                     f"pairs must strictly decrease, got ({ap}, {bp}) -> ({ai}, {bi})"
                 )
             det = ai * bp - bi * ap
-            if det != self.sigmas[i - 1]:
-                raise ValueError(
-                    f"link {i} determinant {det} != declared sigma {self.sigmas[i - 1]}"
-                )
             if det not in (-1, 1):
                 raise ValueError(f"link {i} determinant {det} is not +-1")
+            sigmas.append(det)
+        object.__setattr__(self, "sigmas", tuple(sigmas))
         if self.lead_sigma is not None and self.lead_sigma not in (-1, 1):
             raise ValueError(f"lead_sigma must be +-1 or None, got {self.lead_sigma}")
 
@@ -338,11 +334,12 @@ class ReductionChain:
         """Attach a new head; its link must realize the declared lead_sigma."""
         if self.lead_sigma is None:
             raise ValueError("chain declares no lead_sigma; nothing to prepend against")
-        return ReductionChain(
-            pairs=((alpha0, beta0),) + self.pairs,
-            sigmas=(self.lead_sigma,) + self.sigmas,
-            lead_sigma=None,
-        )
+        chain = ReductionChain(pairs=((alpha0, beta0),) + self.pairs)
+        if chain.sigmas[0] != self.lead_sigma:
+            raise ValueError(
+                f"link 1 determinant {chain.sigmas[0]} != declared sigma {self.lead_sigma}"
+            )
+        return chain
 
 
 @dataclass(frozen=True)
@@ -393,13 +390,14 @@ def reduce_chain(chain: ReductionChain, u0: int, delta: str = "calibrated") -> R
 
 
 def standard_chain(entry: int, k: int, c_case: bool = False) -> ReductionChain:
-    """The four published reduction chains, parametrized by k.
+    """The four published reduction chains, parametrized by k, as their
+    (alpha, beta) pairs; the link signs are the pairs' determinants.
 
     Entry 1 requires k >= 2 (its tail pair (k-1, 2k-1) degenerates at
     k = 1).  Entry 3 at k = 1 produces (1, 4) -> (1, 3) -> (1, 2), whose
     repeated alpha on a non-final link fails chain validation; it is
-    rejected loudly rather than silently repaired.  ``c_case`` flips the
-    lead sigma from +1 to -1 (the variant used when the head comes from a
+    rejected loudly rather than silently repaired.  The lead sigma is +1,
+    or -1 under ``c_case`` (the variant used when the head comes from a
     family-C bound).
     """
     if k < 1:
@@ -407,37 +405,25 @@ def standard_chain(entry: int, k: int, c_case: bool = False) -> ReductionChain:
     if entry == 1:
         if k < 2:
             raise ValueError("entry 1 requires k >= 2")
-        rows = [
-            (8 * k * k - 4 * k - 1, 16 * k * k, 1),
-            (4 * k * k - 4 * k + 1, 8 * k * k - 4 * k + 1, 1),
-            (4 * k - 3, 8 * k - 2, -1),
-            (k - 1, 2 * k - 1, -1),
-            (1, 2, 1),
-        ]
+        pairs = (
+            (8 * k * k - 4 * k - 1, 16 * k * k),
+            (4 * k * k - 4 * k + 1, 8 * k * k - 4 * k + 1),
+            (4 * k - 3, 8 * k - 2),
+            (k - 1, 2 * k - 1),
+            (1, 2),
+        )
     elif entry == 2:
-        rows = [
-            (8 * k * k + 4 * k - 1, 4 * (2 * k + 1) ** 2, 1),
-            (4 * k * k, 8 * k * k + 4 * k + 1, 1),
-            (4 * k - 1, 8 * k + 2, -1),
-            (k, 2 * k + 1, 1),
-            (1, 2, 1),
-        ]
+        pairs = (
+            (8 * k * k + 4 * k - 1, 4 * (2 * k + 1) ** 2),
+            (4 * k * k, 8 * k * k + 4 * k + 1),
+            (4 * k - 1, 8 * k + 2),
+            (k, 2 * k + 1),
+            (1, 2),
+        )
     elif entry == 3:
-        rows = [
-            (2 * k - 1, 4 * k, 1),
-            (k, 2 * k + 1, 1),
-            (1, 2, 1),
-        ]
+        pairs = ((2 * k - 1, 4 * k), (k, 2 * k + 1), (1, 2))
     elif entry == 4:
-        rows = [
-            (k, 2 * k + 1, 1),
-            (1, 2, 1),
-        ]
+        pairs = ((k, 2 * k + 1), (1, 2))
     else:
         raise ValueError(f"entry must be in 1..4, got {entry}")
-    lead = -rows[0][2] if c_case else rows[0][2]
-    return ReductionChain(
-        pairs=tuple((alpha, beta) for alpha, beta, _ in rows),
-        sigmas=tuple(sigma for _, _, sigma in rows[1:]),
-        lead_sigma=lead,
-    )
+    return ReductionChain(pairs=pairs, lead_sigma=-1 if c_case else 1)

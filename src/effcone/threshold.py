@@ -229,7 +229,7 @@ def gamma_search(surface: WeightedSurface, n_max: int) -> GammaSearchResult:
     best, witnesses = _best(rows, dict(scales))
     prediction: Fraction | None = None
     matches: bool | None = None
-    if surface.a == 4 and surface.p < 0 and surface.bp_ratio < outer_bound(1):
+    if surface.a == 4 and surface.p < 0 and 3 * surface.b < -16 * surface.p:
         prediction = classify_surface(surface)[0].gamma_pred
         matches = best == prediction
     return GammaSearchResult(

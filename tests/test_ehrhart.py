@@ -14,6 +14,7 @@ from effcone import (
     coefficients,
     h0,
     make_surface,
+    section_counts,
 )
 
 from conftest import (
@@ -90,6 +91,24 @@ class TestExactness:
                     assert coefficients(surface, family, n).value() == h0(
                         surface, DivisorSpec(family, n)
                     ), (surface, family, n)
+
+
+class TestPeriodicity:
+    """c0 has period sigma (c for B, b for C), so a whole period adds to the
+    count exactly what c2*n^2 + c1*n adds: the step that lets one period of
+    counts bound c0 for every n."""
+
+    def test_count_steps_by_a_whole_period(self, pool, named_surfaces):
+        cells = 0
+        for surface in dict.fromkeys(named_surfaces + [surface for surface, _, _ in pool]):
+            for family, sigma in (("B", surface.c), ("C", surface.b)):
+                counts = section_counts(surface, family, 3 * sigma)
+                coeffs = coefficients(surface, family, 1)
+                for n in range(1, 2 * sigma + 1):
+                    step = coeffs.c2 * (2 * sigma * n + sigma**2) + coeffs.c1 * sigma
+                    assert counts[n + sigma - 1] - counts[n - 1] == step, (surface, family, n)
+                cells += 2 * sigma
+        assert cells == 34176  # every distinct pool and named surface
 
 
 class TestHypothesisGates:

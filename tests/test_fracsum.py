@@ -1,6 +1,7 @@
 """Fractional-part sums, one-step reduction errors, and reduction chains."""
 
 import re
+from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -398,75 +399,94 @@ class TestBounds:
 
 class TestReductionChain:
     def test_final_link_may_repeat_alpha(self):
-        chain = ReductionChain(pairs=((1, 3), (1, 2)), sigmas=(1,))
+        chain = ReductionChain(pairs=((1, 3), (1, 2)))
         assert chain.pairs[-1] == (1, 2)
 
     def test_non_final_alpha_repeat_rejected(self):
         with pytest.raises(ValueError, match="strictly decrease"):
-            ReductionChain(pairs=((1, 4), (1, 3), (1, 2)), sigmas=(1, 1))
+            ReductionChain(pairs=((1, 4), (1, 3), (1, 2)))
 
     def test_beta_must_strictly_decrease(self):
         with pytest.raises(ValueError, match="strictly decrease"):
-            ReductionChain(pairs=((3, 5), (2, 5)), sigmas=(-5,))
+            ReductionChain(pairs=((3, 5), (2, 5)))
 
     def test_determinants_checked(self):
-        with pytest.raises(ValueError, match="determinant"):
-            ReductionChain(pairs=((3, 5), (1, 2)), sigmas=(1,))
-        with pytest.raises(ValueError, match="determinant"):
-            ReductionChain(pairs=((3, 7), (1, 2)), sigmas=(-1,))  # true det is +1
+        with pytest.raises(ValueError, match="link 1 determinant 3 is not"):
+            ReductionChain(pairs=((5, 13), (1, 2)))
+        with pytest.raises(ValueError, match="link 2 determinant -3 is not"):
+            ReductionChain(pairs=((7, 24), (2, 7), (1, 5)))
+
+    def test_sigmas_are_the_link_determinants(self):
+        assert [f.name for f in fields(ReductionChain) if f.init] == ["pairs", "lead_sigma"]
+        assert ReductionChain(pairs=((2, 5),)).sigmas == ()
+        assert ReductionChain(pairs=((3, 5), (1, 2))).sigmas == (-1,)
+        assert ReductionChain(pairs=((3, 7), (1, 2))).sigmas == (1,)
+        assert ReductionChain(pairs=((7, 24), (2, 7), (1, 3))).sigmas == (-1, 1)
 
     def test_head_must_be_coprime(self):
         with pytest.raises(ValueError, match="coprime"):
-            ReductionChain(pairs=((2, 4),), sigmas=())
-
-    def test_sigma_count(self):
-        with pytest.raises(ValueError):
-            ReductionChain(pairs=((3, 5), (1, 2)), sigmas=())
+            ReductionChain(pairs=((2, 4),))
 
     def test_prepend_needs_declared_lead(self):
-        chain = ReductionChain(pairs=((3, 5), (1, 2)), sigmas=(-1,))
+        chain = ReductionChain(pairs=((3, 5), (1, 2)))
         with pytest.raises(ValueError, match="lead_sigma"):
             chain.prepend(7, 12)
 
     def test_prepend_consumes_lead(self):
-        chain = ReductionChain(pairs=((3, 5), (1, 2)), sigmas=(-1,), lead_sigma=1)
+        chain = ReductionChain(pairs=((3, 5), (1, 2)), lead_sigma=1)
         longer = chain.prepend(4, 7)  # 3*7 - 5*4 = 1
         assert longer.pairs == ((4, 7), (3, 5), (1, 2))
         assert longer.sigmas == (1, -1)
         assert longer.lead_sigma is None
 
+    def test_prepend_checks_the_lead_sign(self):
+        chain = ReductionChain(pairs=((3, 5), (1, 2)), lead_sigma=-1)
+        with pytest.raises(ValueError, match="link 1 determinant 1 != declared sigma -1"):
+            chain.prepend(4, 7)
+        with pytest.raises(ValueError, match="link 1 determinant 2 is not"):
+            chain.prepend(5, 9)
+
 
 class TestReduceChain:
     def test_frozen_trace_negative_link(self):
-        chain = ReductionChain(pairs=((3, 5), (1, 2)), sigmas=(-1,))
+        chain = ReductionChain(pairs=((3, 5), (1, 2)))
         trace = reduce_chain(chain, 1)
         assert trace.total == Fraction(1, 5) == deficit(5, 1, 3)
         assert trace.terminal == 0
         assert trace.steps[0].t == 0 and trace.steps[0].u == 1
 
     def test_frozen_trace_positive_link(self):
-        chain = ReductionChain(pairs=((2, 5), (1, 2)), sigmas=(1,))
+        chain = ReductionChain(pairs=((2, 5), (1, 2)))
         trace = reduce_chain(chain, 0)
         assert trace.steps[0].error == Fraction(3, 20)
         assert trace.terminal == Fraction(1, 4)
         assert trace.total == Fraction(2, 5) == deficit(5, 0, 2)
 
     def test_paper_policy_can_drift(self):
-        chain = ReductionChain(pairs=((3, 5), (1, 2)), sigmas=(-1,))
+        chain = ReductionChain(pairs=((3, 5), (1, 2)))
         assert reduce_chain(chain, 4, delta="paper").total == 1
         assert reduce_chain(chain, 4, delta="calibrated").total == 0 == deficit(5, 4, 3)
 
     def test_u0_validation(self):
-        chain = ReductionChain(pairs=((3, 5), (1, 2)), sigmas=(-1,))
+        chain = ReductionChain(pairs=((3, 5), (1, 2)))
         with pytest.raises(ValueError):
             reduce_chain(chain, 5)
         with pytest.raises(ValueError):
             reduce_chain(chain, -1)
 
     def test_telescoping_multi_link(self):
-        chain = ReductionChain(pairs=((7, 24), (2, 7), (1, 3)), sigmas=(-1, 1))
+        chain = ReductionChain(pairs=((7, 24), (2, 7), (1, 3)))
         for u0 in range(24):
             assert reduce_chain(chain, u0).total == deficit(24, u0, 7)
+
+
+# The link signs of the four published chains, the same for every k.
+PUBLISHED_SIGNS = {1: (1, -1, -1, 1), 2: (1, -1, 1, 1), 3: (1, 1), 4: (1,)}
+
+
+def link_determinants(chain):
+    return tuple(ai * bp - bi * ap
+                 for (ap, bp), (ai, bi) in zip(chain.pairs, chain.pairs[1:]))
 
 
 class TestStandardChains:
@@ -498,9 +518,15 @@ class TestStandardChains:
             with pytest.raises(ValueError, match="strictly decrease"):
                 standard_chain(entry, k)
             return
-        chain = standard_chain(entry, k)
-        for (ap, bp), (ai, bi), sigma in zip(chain.pairs, chain.pairs[1:], chain.sigmas):
-            assert ai * bp - bi * ap == sigma
+        assert standard_chain(entry, k).sigmas == PUBLISHED_SIGNS[entry]
+
+    @pytest.mark.parametrize("entry", [1, 2, 3, 4])
+    def test_published_signs_up_to_k_60(self, entry):
+        for k in range(1 if entry in (2, 4) else 2, 61):
+            for c_case in (False, True):
+                chain = standard_chain(entry, k, c_case=c_case)
+                assert chain.sigmas == PUBLISHED_SIGNS[entry] == link_determinants(chain)
+                assert chain.lead_sigma == (-1 if c_case else 1)
 
     def test_bad_entry_or_k(self):
         with pytest.raises(ValueError):

@@ -308,6 +308,23 @@ class TestGammaSearch:
             assert result.best == best, surface
             assert result.witnesses == tuple(w for value, w in values if value == best), surface
 
+    def test_prediction_exactly_where_classify_accepts(self):
+        # The search predicts when 3b < 16(-p); classify accepts (2, 16/3).
+        predicted = 0
+        for b in range(5, 120):
+            for m in range(1, (3 * b + 3) // 4):
+                try:
+                    surface = make_surface(4, b, 3 * b - 4 * m)
+                except ValueError:
+                    continue
+                try:
+                    expected = classify_surface(surface)[0].gamma_pred
+                except ValueError:
+                    expected = None
+                assert gamma_search(surface, 1).prediction == expected, surface
+                predicted += expected is not None
+        assert predicted == 910
+
     def test_positive_p_has_no_prediction(self):
         result = gamma_search(make_surface(4, 5, 19), 5)
         assert result.prediction is None and result.matches is None

@@ -8,15 +8,14 @@ well-formed call is read straight from its command's option table and builds
 no parser; argparse's full tree, built from the same tables, parses any other
 call and prints every help text and usage error.
 
-The JSON writer has three paths: the text of an exact scalar, a list of flat
-records, and recursion over any other dict, list or tuple; any other leaf
-raises TypeError.  Every list of flat records (margin rows, disagreement
-records, gamma tables, witnesses, failures, classifications, reduction steps),
-whether a :class:`~effcone.verify.Records` or a plain list of dicts, is
-rendered a block at a time by one block writer, for JSON and CSV alike: the
-block's shared values join the cached literal text of a record once, and its
-records follow, one ``%`` each or, in a one-field block, as value texts between
-a head and a tail.
+The JSON writer has three paths: the text of an exact scalar, a
+:class:`~effcone.verify.Records`, and recursion over any other dict, list or
+tuple; any other leaf raises TypeError.  The code that knows a list is a
+table (margin rows, disagreement records, gamma tables, family surfaces) builds
+it as a ``Records``, and one block writer renders it a block at a time, for JSON
+and CSV alike: the block's shared values join the cached literal text of a
+record once, and its records follow, one ``%`` each or, in a one-field block,
+as value texts between a head and a tail.  A plain list is always walked.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 from . import __version__
 from .ehrhart import coefficients
@@ -146,72 +144,57 @@ def _row_texts(keys: tuple[str, ...], depth: int | None) -> tuple[tuple[str, ...
     return tuple(befores), close + "}"
 
 
+def _scalar_text(value) -> str:
+    """The text of ``value`` if it is exactly of a ``_SCALAR_TEXT`` type; else TypeError."""
+    text = _SCALAR_TEXT.get(type(value))
+    if text is None:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return text(value)
+
+
 def _block_rows(keys: tuple[str, ...], shared: dict, columns: dict, depth: int | None,
-                out: list[str], cell=None) -> bool:
+                out: list[str], cell=None) -> None:
     """Append each record of one block, as :class:`~effcone.verify.Records`
     holds it, with the str ``keys`` (sorted for JSON), rendered at ``depth``
-    and led by its list separator; False, appending nothing, if a shared
-    value is not exactly of a ``_SCALAR_TEXT`` type or a column's values are
-    not all of one such type.  Given ``cell``, the CSV text of any value, the
-    records are CSV lines (``depth`` None), none refused.
+    and led by its list separator.  Each value is written as the
+    ``_SCALAR_TEXT`` text of its type, and any other value raises TypeError;
+    given ``cell``, the CSV text of any value, the records are CSV lines
+    (``depth`` None).
 
     Each shared value's text joins the literal text around it, so a record is
     a literal piece before each column's value and one after the last.  A
     one-field block goes in as the head, each value's text with one
     ``tail + head`` between, and the tail.  Any other block takes one ``%``
     per record, its pieces joined by "%s": a ``range`` or int column's values
-    as they are, any other column's as their texts.  A string per block would
-    cost peak RSS: freed, it stays on the heap."""
+    as they are, any other column's as their texts, looked up once for a
+    column of one type and per value for a mixed one.  A string per block
+    would cost peak RSS: freed, it stays on the heap."""
     befores, after = _row_texts(keys, depth)
     pieces, fields, literal = [], [], ""
     for key, before in zip(keys, befores):
         literal += before
         if key in shared:
-            text = cell or _SCALAR_TEXT.get(type(shared[key]))
-            if text is None:
-                return False
-            literal += text(shared[key])
+            literal += (cell or _scalar_text)(shared[key])
             continue
         column = columns[key]
         types = set(map(type, column)) if type(column) is not range else {int}
         if types <= {int}:
             fields.append(column)
         else:
-            text = cell or (_SCALAR_TEXT.get(*types) if len(types) == 1 else None)
-            if text is None:
-                return False
+            text = cell or (len(types) == 1 and _SCALAR_TEXT.get(*types)) or _scalar_text
             fields.append(map(text, column))
         pieces.append(literal)
         literal = ""
     pieces.append(literal + after)
     if len(fields) != 1:
         out += map("%s".join(piece.replace("%", "%%") for piece in pieces).__mod__, zip(*fields))
-        return True
+        return
     head, tail = pieces
     values = list(map(str, fields[0]))
     if values:
         rows = [tail + head] * (2 * len(values) + 1)
         rows[0], rows[1::2], rows[-1] = head, values, tail
         out += rows
-    return True
-
-
-def _write_records(keys: tuple, blocks, depth: int, out: list[str]) -> None:
-    """Append the list of flat dicts that ``blocks`` hold under ``keys``, as
-    :class:`~effcone.verify.Records` holds them, a block at a time: through
-    ``_block_rows``, or else record by record through ``_write_json``."""
-    start, sorted_keys = len(out), tuple(sorted(keys))
-    separator = ",\n" + "  " * (depth + 1)
-    for shared, columns in blocks:
-        if not _block_rows(sorted_keys, shared, columns, depth + 1, out):
-            for record in Records(keys, [(shared, columns)]):
-                out.append(separator)
-                _write_json(record, depth + 1, out)
-    if len(out) == start:  # no record
-        out.append("[]")
-        return
-    out[start] = "[" + out[start][1:]  # the first record has no comma before it
-    out.append("\n" + "  " * depth + "]")
 
 
 def _write_json(obj, depth: int, out: list[str]) -> None:
@@ -219,37 +202,31 @@ def _write_json(obj, depth: int, out: list[str]) -> None:
     it, with every ``Fraction`` as its "num/den" string and a
     :class:`~effcone.verify.Records` as the list of its dicts.
 
-    A scalar of exactly a ``_SCALAR_TEXT`` type is written as its text.  A
-    ``Records``, and a list or tuple of non-empty plain dicts with one key set
-    whose first holds only such scalars, go to ``_write_records``.  Python
-    recurses over any other dict, list or tuple; dict keys must be str.  Any
-    other leaf (a float, an int or str subclass) raises ``TypeError``.
+    A scalar of exactly a ``_SCALAR_TEXT`` type is written as its text, and a
+    ``Records`` a block at a time through ``_block_rows``.  Python recurses
+    over any other dict, list or tuple, a plain list of records included;
+    dict keys must be str.  Any other leaf (a float, an int or str subclass)
+    raises ``TypeError``.
     """
     text = _SCALAR_TEXT.get(type(obj))
     if text is not None:
         out.append(text(obj))
         return
-    if isinstance(obj, Records):
-        _write_records(obj.keys, obj.blocks, depth, out)
-        return
-    if not isinstance(obj, (dict, list, tuple)):
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not isinstance(obj, (dict, list, tuple, Records)):
+        _scalar_text(obj)  # not a scalar either: raises TypeError
     if not obj:
         out.append("{}" if isinstance(obj, dict) else "[]")
         return
     is_dict = isinstance(obj, dict)
-    if not is_dict and set(map(type, obj)) == {dict} and all(obj):
-        first = obj[0]
-        if (_SCALAR_TEXT.keys() >= set(map(type, first.values()))
-                and all(map(first.keys().__eq__, map(dict.keys, obj)))):
-            columns = {key: list(map(itemgetter(key), obj)) for key in first}
-            _write_records(tuple(first), [({}, columns)], depth, out)
-            return
     start, separator = len(out), ",\n" + "  " * (depth + 1)
     if is_dict:
         for key, value in sorted(obj.items()):
             out += (separator, encode_basestring_ascii(key), ": ")
             _write_json(value, depth + 1, out)
+    elif isinstance(obj, Records):  # _block_rows leads each record with the separator
+        keys = tuple(sorted(obj.keys))
+        for shared, columns in obj.blocks:
+            _block_rows(keys, shared, columns, depth + 1, out)
     else:
         for value in obj:
             out.append(separator)
@@ -430,12 +407,10 @@ def _cmd_family(args) -> tuple[dict, int]:
         alpha=args.alpha, beta=args.beta, tau=args.tau,
         count=args.count, interval=args.interval,
     )
-    return {
-        "request": dict(vars(request)),
-        "surfaces": [
-            dict(vars(surface), x=surface.bp_ratio) for surface in solve_family(request)
-        ],
-    }, 0
+    surfaces = solve_family(request)
+    columns = {key: [getattr(surface, key) for surface in surfaces] for key in "abcpq"}
+    columns["x"] = [surface.bp_ratio for surface in surfaces]
+    return {"request": dict(vars(request)), "surfaces": Records(columns, [({}, columns)])}, 0
 
 
 def _cmd_verify(args) -> tuple[dict | Records, int]:

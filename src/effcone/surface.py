@@ -214,6 +214,20 @@ def section_counts(surface: WeightedSurface, family: str, n_max: int) -> list[in
     of F and P for every family at once, so every count is a lookup.  Entry
     n - 1 equals ``h0(surface, DivisorSpec(family, n))``; raises its errors.
 
+    Periodicity: count(n + sigma) - count(n) = c2*(2*sigma*n + sigma^2) +
+    c1*sigma for every n, with sigma = c for B and b for C and c2, c1 those of
+    :func:`~effcone.ehrhart.coefficients`.  Proof: T(n + sigma) = T(n) + a*b.
+    For gcd(g, a) = 1, g*j mod a runs over 0..a-1 on any a consecutive j, so
+    the a*b rows after W, b runs of a, add sum floor(g*j/a) = b*(S_g + g*W) +
+    a*b*g*(b-1)/2 with S_g = (g-1)(a-1)/2 + g; so for floor(s*j/b) with a, b
+    swapped, as gcd(q, a) = gcd(p, b) = 1.  The difference is thus b*S_g +
+    a*S_s + a*b*(g*(b-1) + s*(a-1))/2 + a*b*(k*n + 1) + k*sigma*(a*b + 1) +
+    (b*g + a*s + k*sigma)*T(n).  T(n)'s coefficient is -q*b - p*a + c = 0 for
+    B, and T(n) = a*n for C; with a = 4, q = 3 and c = 4p + 3b, what is left
+    is the claim as a polynomial in b, p and n.  ``TestPeriodicity`` in
+    ``tests/test_ehrhart.py`` checks the run sum exhaustively and the last
+    step with sympy.
+
     >>> section_counts(make_surface(1, 2, 3), "AZ", 3)
     [3, 7, 12]
     """

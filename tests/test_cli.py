@@ -545,7 +545,7 @@ FLAT_DICTS = st.dictionaries(RECORD_TEXT, RECORD_SCALARS, min_size=1, max_size=4
 @st.composite
 def record_lists(draw):
     records = draw(st.lists(FLAT_DICTS, min_size=1, max_size=5))
-    if draw(st.booleans()):  # an empty dict sends the list down the general path
+    if draw(st.booleans()):  # an empty record among them
         records.insert(draw(st.integers(0, len(records))), {})
     return tuple(records) if draw(st.booleans()) else records
 
@@ -566,17 +566,19 @@ def nested_record_lists(draw):
 
 
 # Uniform record lists: plain dicts sharing one key set, each in its own
-# insertion order, holding ints, strings, Fractions, bools and None; the writer
-# puts their values between the literal texts of a record, one "%" per record.
-# Keys and strings hold "%" and its format letters, which that "%" must not
-# read.
+# insertion order, holding ints, strings, Fractions, bools and None.  The
+# writer walks the plain list; as a one-block Records of the same columns, the
+# block writer puts their values between the literal texts of a record, one
+# "%" per record.  Keys and strings hold "%" and its format letters, which
+# that "%" must not read.
 UNIFORM_TEXT = st.text(alphabet='%sd{}"\\\n\xe9', max_size=6)
 UNIFORM_INTS = st.integers(-10**30, 10**30)
 UNIFORM_SCALARS = st.sampled_from((
     UNIFORM_INTS, UNIFORM_TEXT, st.builds(Fraction, UNIFORM_INTS, st.integers(1, 10**6)),
     st.booleans(), st.none(),
 ))
-# Mostly one type per column; a mixed column takes the fallback.
+# Mostly one type per column; the block writer writes a mixed column's values
+# one at a time, each by its own type's text.
 MIXED_COLUMNS = st.lists(UNIFORM_SCALARS, min_size=2, max_size=3).map(st.one_of)
 UNIFORM_COLUMNS = UNIFORM_SCALARS | MIXED_COLUMNS
 
@@ -606,6 +608,20 @@ class Tag(str):
 
 def reference_json(payload) -> str:
     return json.dumps(jsonable(payload), indent=2, sort_keys=True)
+
+
+def as_records(payload):
+    """``payload``, a record list nested in dicts, with the list replaced by a
+    one-block Records of its columns; None if its records' key sets differ."""
+    if isinstance(payload, dict):
+        (key, value), = payload.items()
+        table = as_records(value)
+        return None if table is None else {key: table}
+    keys = tuple(payload[0])
+    if any(record.keys() != set(keys) for record in payload):
+        return None
+    columns = {key: [record[key] for record in payload] for key in keys}
+    return Records(keys, [({}, columns)])
 
 
 # Scalars the writer renders as their text: exact str, int, bool, None and
@@ -662,10 +678,16 @@ class TestJsonWriter:
     @example([{"x": None, "%s": Fraction(1, 2)}, {"x": Fraction(1, 2), "%s": None}])
     def test_uniform_record_lists_match_indented_dumps(self, payload):
         assert cli._render_json(payload) == reference_json(payload)
+        table = as_records(payload)
+        if table is not None:
+            assert cli._render_json(table) == reference_json(payload)
 
     @pytest.mark.parametrize("bad", [
         object(), {1, 2}, 1j, b"bytes", Decimal("1.5"),
         {"a": [1, {"b": object()}]}, [{"c": {2}}], ({"d": b"x"},),
+        # Nested values in a Records, which no command builds.
+        Records(("n", "x"), [({"x": [1, 2]}, {"n": range(2)})]),
+        Records(("n", "x"), [({"x": 0}, {"n": [1, {"y": 2}]})]),
     ])
     def test_unsupported_type_raises(self, bad):
         with pytest.raises(TypeError):
@@ -692,8 +714,8 @@ class DictSubclass(dict):
 
 
 def test_record_list_of_dict_subclasses_matches_indented_dumps():
-    # The record path takes exact dicts only; a subclass takes the
-    # general path, which must render it the same.
+    # A plain list of records is walked, and a dict subclass in it is written
+    # as a dict.
     payload = [DictSubclass(b=1, a=2), {"c": Fraction(1, 3)}]
     assert cli._render_json(payload) == reference_json(payload)
 
@@ -712,18 +734,21 @@ def count_writes(monkeypatch) -> list:
 
 
 def test_scalar_column_records_take_the_template(monkeypatch):
-    # A silent record-by-record fallback would render the same bytes, with a
-    # call per record and per value.
-    records = [{"n": n, "s": str(n), "q": Fraction(n, 7), "odd": n % 2 == 1, "none": None}
-               for n in range(1000)]
+    # Writing record by record would render the same bytes, with a call per
+    # record and per value.
+    columns = {"n": range(1000), "s": [str(n) for n in range(1000)],
+               "q": [Fraction(n, 7) for n in range(1000)],
+               "odd": [n % 2 == 1 for n in range(1000)], "none": [None] * 1000}
+    records = Records(columns, [({}, columns)])
     depths = count_writes(monkeypatch)
-    assert cli._render_json({"records": records}) == reference_json({"records": records})
+    assert cli._render_json({"records": records}) == reference_json({"records": list(records)})
     assert depths == [0, 1]
-    records = [{"n": n, "sq": n * n} for n in range(1000)]
-    records[500] = dict(records[500], sq=Fraction(1, 3))  # a mixed column
+    squares = [n * n for n in range(1000)]
+    squares[500] = Fraction(1, 3)  # a mixed column
+    records = Records(("n", "sq"), [({}, {"n": range(1000), "sq": squares})])
     depths.clear()
-    assert cli._render_json({"records": records}) == reference_json({"records": records})
-    assert len(depths) == 2 + 1000 * 3
+    assert cli._render_json({"records": records}) == reference_json({"records": list(records)})
+    assert depths == [0, 1]
 
 
 # Records: column blocks of flat dicts, which the writer renders a block at a
@@ -753,8 +778,8 @@ def records_values(draw):
         length = draw(st.integers(0, 5))
         columns = {}
         for key in column_keys:
-            # A mixed column the block writer cannot take: its block is
-            # rendered record by record.
+            # A mixed column, whose values the block writer writes one at
+            # a time.
             column = draw(BLOCK_COLUMNS | st.lists(SHARED_VALUES, max_size=5))
             columns[key] = (list(column) + [0] * length)[:length]
         if draw(st.booleans()):  # a column as the producers build it, a range
@@ -844,25 +869,29 @@ class TestRecordsWriter:
     def test_scalar_columns_take_the_template(self, column):
         shared = {"s": "%s"}
         out = []
-        assert cli._block_rows(("n", "s"), shared, {"n": column}, 1, out)
+        cli._block_rows(("n", "s"), shared, {"n": column}, 1, out)
         payload = {"rows": Records(("s", "n"), [(shared, {"n": column})])}
+        assert "[" + "".join(out)[1:] + "\n]" == reference_json(list(payload["rows"]))
         assert cli._render_json(payload) == reference_json(expanded(payload))
 
     @pytest.mark.parametrize("column", [
         [1, True], [None, Fraction(1, 2)], [1, Fraction(5, 2)], ["a", 1],
     ])
-    def test_other_column_types_take_the_generic_path(self, column):
+    def test_mixed_columns_are_written_in_the_block(self, column, monkeypatch):
         shared = {"s": "%s"}
+        records = Records(("s", "n"), [(shared, {"n": column})])
         out = []
-        assert not cli._block_rows(("n", "s"), shared, {"n": column}, 1, out)
-        assert out == []
-        payload = {"rows": Records(("s", "n"), [(shared, {"n": column})])}
+        cli._block_rows(("n", "s"), shared, {"n": column}, 1, out)
+        # The block's rows are the records' list, bar its brackets.
+        assert "[" + "".join(out)[1:] + "\n]" == reference_json(list(records))
+        depths = count_writes(monkeypatch)
+        payload = {"rows": records}
         assert cli._render_json(payload) == reference_json(expanded(payload))
+        assert depths == [0, 1]
 
-    def test_unsupported_shared_value_takes_the_generic_path(self):
-        out = []
-        assert not cli._block_rows(("n", "x"), {"x": 0.5}, {"n": range(2)}, 1, out)
-        assert out == []
+    def test_unsupported_shared_value_raises(self):
+        with pytest.raises(TypeError, match="type float is not"):
+            cli._block_rows(("n", "x"), {"x": 0.5}, {"n": range(2)}, 1, [])
 
     def test_records_take_the_template(self, monkeypatch):
         records = Records(("u", "s", "f"), [({"s": "%x", "f": Fraction(2, 3)}, {"u": range(500)})])
@@ -883,12 +912,13 @@ class TestRecordsWriter:
         # No row is formatted: the head, then each value's text with one
         # shared string between them, then the tail.
         out = []
-        assert cli._block_rows(("n", "s"), {"s": "%d"}, {"n": range(3)}, 1, out)
+        cli._block_rows(("n", "s"), {"s": "%d"}, {"n": range(3)}, 1, out)
         head, first, joint, second, joint2, third, tail = out
         assert (first, second, third) == ("0", "1", "2") and joint is joint2
         assert head == ',\n  {\n    "n": ' and tail == ',\n    "s": "%d"\n  }'
         assert joint == tail + head
-        assert cli._block_rows(("n",), {}, {"n": []}, 1, out) and len(out) == 7
+        cli._block_rows(("n",), {}, {"n": []}, 1, out)
+        assert len(out) == 7
 
 
 # Records as CSV: str cells hold the characters a cell is quoted for, "%", NUL

@@ -1,6 +1,7 @@
 """Closed-form Ehrhart coefficients against the direct lattice counter."""
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 import pytest
@@ -109,6 +110,47 @@ class TestPeriodicity:
                     assert counts[n + sigma - 1] - counts[n - 1] == step, (surface, family, n)
                 cells += 2 * sigma
         assert cells == 34176  # every distinct pool and named surface
+
+    def test_run_sum_over_a_b_rows(self):
+        # section_counts' proof: for gcd(g, a) = 1, the a*b rows after W add
+        # b*(S + g*W) + a*b*g*(b-1)/2 with S = (g-1)(a-1)/2 + g; doubled here.
+        cases = 0
+        for a in range(1, 13):
+            for b in range(1, 13):
+                for g in range(-15, 16):
+                    if gcd(g, a) != 1:
+                        continue
+                    sums = [0, *accumulate(g * j // a for j in range(3 * a * b + 1))]
+                    for w in range(2 * a * b + 1):
+                        rows = sums[w + a * b + 1] - sums[w + 1]  # j = w+1..w+a*b
+                        twice = b * ((g - 1) * (a - 1) + 2 * g + 2 * g * w) + a * b * g * (b - 1)
+                        assert 2 * rows == twice, (a, b, g, w)
+                    cases += 2 * a * b + 1
+        assert cases == 221928
+
+    def test_period_step_is_the_claim(self, pool):
+        # The proof's last step: the difference minus the claim is the zero
+        # polynomial in b, p, n and T for both families.
+        sympy = pytest.importorskip("sympy")
+        b, p, n, t = sympy.symbols("b p n T")
+        a, q, c = 4, 3, 4 * p + 3 * b
+        half = sympy.Rational(1, 2)
+
+        def run_sum(g, a, b, w):  # sum_{j=w+1}^{w+a*b} floor(g*j/a)
+            return b * (half * (g - 1) * (a - 1) + g + g * w) + half * a * b * g * (b - 1)
+
+        surface = pool[0][0]
+        for family, g, s, k, sigma, top, c2, c1 in (
+            ("B", -q, -p, 1, c, t, 2 * b / c, (b + c + 4) / (2 * c)),
+            ("C", -q, p, q, b, a * n, 2 * c / b, (b + c + 4) / (2 * b)),
+        ):
+            step = (run_sum(g, a, b, top) + run_sum(s, b, a, top)
+                    + (k * (n + sigma) + 1) * (top + a * b + 1) - (k * n + 1) * (top + 1))
+            claim = c2 * (2 * sigma * n + sigma**2) + c1 * sigma
+            assert sympy.simplify(step - claim) == 0, family
+            coeffs = coefficients(surface, family, 1)  # c2 and c1 are the library's
+            at = {b: surface.b, p: surface.p}
+            assert (c2.subs(at), c1.subs(at)) == (coeffs.c2, coeffs.c1), family
 
 
 class TestHypothesisGates:

@@ -322,11 +322,12 @@ def _cmd_ehrhart(args) -> tuple[dict, int]:
 
 def _cmd_gamma(args) -> tuple[dict | Records, int]:
     result = gamma_search(args.surface, args.n_max)
-    scales = dict(result.scales)
-    families, ns, counts, nus = zip(*result.table)
-    values = [Fraction(scales[family] * d, n) for family, n, _, d in result.table]
-    columns = {"family": families, "n": ns, "h0": counts, "nu": nus, "value": values}
-    table = Records(columns, [({}, columns)])
+    ns = range(1, args.n_max + 1)
+    table = Records(("family", "n", "h0", "nu", "value"), [
+        ({"family": family}, {"n": ns, "h0": h0s, "nu": nus,
+                              "value": [Fraction(scale * d, n) for n, d in zip(ns, nus)]})
+        for family, scale, h0s, nus in result.columns
+    ])
     code = 0 if result.matches is not False else 1
     if args.format == "csv":
         return table, code

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from math import isqrt
 
 from .lattice import RationalTriangle, triangle
@@ -173,10 +172,12 @@ def classify_surface(surface: WeightedSurface) -> list[Classification]:
 
 @dataclass(frozen=True)
 class GammaSearchResult:
+    """The best value scale*nu/n with its (family, n, nu) witnesses, and one
+    (family, scale, h0s, nus) column per family, h0s[n-1] and nus[n-1] at n."""
+
     best: Fraction
-    witnesses: tuple[tuple[str, int, int], ...]  # (family, n, nu) attaining best
-    table: tuple[tuple[str, int, int, int], ...]  # (family, n, h0, nu)
-    scales: tuple[tuple[str, int], ...]  # (family, scale): a row's value is scale*nu/n
+    witnesses: tuple[tuple[str, int, int], ...]
+    columns: tuple[tuple[str, int, tuple[int, ...], tuple[int, ...]], ...]
     prediction: Fraction | None
     matches: bool | None
 
@@ -190,25 +191,17 @@ def _search_families(surface: WeightedSurface) -> tuple[tuple[str, int], ...]:
     return ((FAMILY_AZ, surface.b),)
 
 
-def _family_rows(surface: WeightedSurface, families: tuple[str, ...], n_max: int) -> list[tuple]:
-    """Integer (family, n, h0, nu) rows of each of ``families`` in turn, for
-    n = 1..n_max, all counted in one pass."""
-    rows: list[tuple] = []
-    for family, counts in zip(families, _family_counts(surface, families, n_max)):
-        rows += zip(repeat(family), range(1, n_max + 1), counts, map(nu_from_h0, counts))
-    return rows
-
-
-def _best(rows: list, scales: dict[str, int]) -> tuple[Fraction, tuple]:
-    """The largest value scale*nu/n over ``rows`` and its (family, n, nu)
-    witnesses in row order, comparing values by cross-multiplying."""
-    top, bottom, witnesses = 0, 1, []  # values are >= 0: the first row ties or beats 0/1
-    for family, n, _, d in rows:
-        value = scales[family] * d
-        if value * bottom > top * n:
-            top, bottom, witnesses = value, n, [(family, n, d)]
-        elif value * bottom == top * n:
-            witnesses.append((family, n, d))
+def _best(columns: tuple) -> tuple[Fraction, tuple]:
+    """The largest value scale*nu/n over ``columns`` and its (family, n, nu)
+    witnesses in column order, comparing values by cross-multiplying."""
+    top, bottom, witnesses = 0, 1, []  # values are >= 0: the first cell ties or beats 0/1
+    for family, scale, _, nus in columns:
+        for n, d in enumerate(nus, 1):
+            value = scale * d
+            if value * bottom > top * n:
+                top, bottom, witnesses = value, n, [(family, n, d)]
+            elif value * bottom == top * n:
+                witnesses.append((family, n, d))
     return Fraction(top, bottom), tuple(witnesses)
 
 
@@ -218,23 +211,25 @@ def gamma_search(surface: WeightedSurface, n_max: int) -> GammaSearchResult:
     Family B contributes c*nu(n*b*D_x)/n, family C contributes
     b*nu(n*c*D_x)/n (for a <= 3, AZ contributes b*nu(n*a*D_z)/n).  Returns
     the best value, every attaining (family, n, nu) witness in (family, n)
-    order, the full table of integer rows with the family scales, and --
-    when the surface classifies (a = 4, p < 0 and b/(-p) < 16/3) -- whether
-    the best value matches the predicted threshold.  Every family's counts
-    come from one shared pair of running sums (as in
+    order, one column per family (B then C, or AZ alone) holding its scale
+    and its integer h0 and nu for n = 1..n_max, and -- when the surface
+    classifies (a = 4, p < 0 and b/(-p) < 16/3) -- whether the best value
+    matches the predicted threshold.  Every family's counts come from one
+    shared pair of running sums (as in
     :func:`~effcone.surface.section_counts`), not from h0.
     """
     scales = _search_families(surface)
-    rows = _family_rows(surface, tuple(family for family, _ in scales), n_max)
-    best, witnesses = _best(rows, dict(scales))
+    counts = _family_counts(surface, tuple(family for family, _ in scales), n_max)
+    columns = tuple((family, scale, tuple(h0s), tuple(map(nu_from_h0, h0s)))
+                    for (family, scale), h0s in zip(scales, counts))
+    best, witnesses = _best(columns)
     prediction: Fraction | None = None
     matches: bool | None = None
     if surface.a == 4 and surface.p < 0 and 3 * surface.b < -16 * surface.p:
         prediction = classify_surface(surface)[0].gamma_pred
         matches = best == prediction
     return GammaSearchResult(
-        best=best, witnesses=witnesses, table=tuple(rows), scales=scales,
-        prediction=prediction, matches=matches,
+        best=best, witnesses=witnesses, columns=columns, prediction=prediction, matches=matches,
     )
 
 
@@ -243,7 +238,8 @@ def family_supremum(surface: WeightedSurface, family: str, n_max: int) -> Fracti
     scales = dict(_search_families(surface))
     if family not in scales:
         raise ValueError(f"family {family!r} not available on {surface}")
-    return _best(_family_rows(surface, (family,), n_max), scales)[0]
+    (h0s,) = _family_counts(surface, (family,), n_max)
+    return _best(((family, scales[family], h0s, map(nu_from_h0, h0s)),))[0]
 
 
 def lower_bound_small_a(surface: WeightedSurface) -> int:

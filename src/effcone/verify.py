@@ -25,11 +25,12 @@ others to :func:`margin_general`, so each cell makes one margin call.
 
 Both checks take the cell's count h0 and return margin = rhs - h0;
 margin >= 1 certifies the strict inequality, margin < 1 is a
-counterexample.  :func:`sweep_one` takes every count from the table of
-:func:`~effcone.threshold.gamma_search`, so each cell is counted once, from
-one pair of running sums per surface (see
-:func:`~effcone.surface.section_counts`); :func:`sweep` runs every cell for
-a list of surfaces and aggregates.
+counterexample.  :func:`sweep_one` reads each family's counts from its
+column of :func:`~effcone.threshold.gamma_search`, so each cell is counted
+once, from one pair of running sums per surface (see
+:func:`~effcone.surface.section_counts`), and keeps each family's best
+margins over the classifications as one list, in n order; :func:`sweep`
+runs every cell for a list of surfaces and aggregates.
 
 :func:`calibrate_delta` compares the published step-error jump condition
 with the value forced by the reduction identity (see the fracsum module).
@@ -57,7 +58,7 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from itertools import accumulate, repeat
 from math import comb, gcd
-from operator import add, floordiv, index as as_index, itemgetter, sub
+from operator import add, floordiv, index as as_index, sub
 
 # h0 is not called here; it stays bound because bench/test_bench.py checks
 # that the tracer rebinds and restores verify.h0.
@@ -210,7 +211,7 @@ def margin_at_multiple(cls: Classification, t: int, count: int) -> int:
 def sweep_one(surface: WeightedSurface, n_max: int) -> dict:
     """Margin report for one surface: every (classification, family, n) cell.
 
-    The cells and their counts are the rows of :func:`gamma_search`'s table
+    The cells and their counts are the columns of :func:`gamma_search`
     (family B, then family C, n = 1..n_max), so each count is computed once.
     Cells whose divisor lies on the attainment ray (degree a multiple of
     m0*delta, in either family) get the attainment-type bound; all others
@@ -221,24 +222,23 @@ def sweep_one(surface: WeightedSurface, n_max: int) -> dict:
     """
     classifications = classify_surface(surface)
     search = gamma_search(surface, n_max)
-    delta = {FAMILY_B: surface.b, FAMILY_C: surface.c}  # in the table's order
-    counts = list(map(itemgetter(2), search.table))
-    columns, ns = (counts[:n_max], counts[n_max:]), range(1, n_max + 1)
+    delta, ns = {FAMILY_B: surface.b, FAMILY_C: surface.c}, range(1, n_max + 1)
     blocks = []  # one per (classification, family) column of cells
-    best: list[int] | None = None  # each cell's best margin, in (family, n) order
+    best: list[list[int]] | None = None  # each cell's best margin, one list per family
     for cls in classifications:
         base, margins = cls.m0 * delta[cls.family], []
-        for (family, degree), column in zip(delta.items(), columns):
-            block = _margin_column(cls, base, degree, column)
+        for family, _, counts, _ in search.columns:
+            column = _margin_column(cls, base, delta[family], counts)
             blocks.append((
                 {"branch": cls.branch, "family": family},
-                {"n": ns, "h0": column, "rhs": list(map(add, block, column)), "margin": block},
+                {"n": ns, "h0": counts, "rhs": list(map(add, column, counts)), "margin": column},
             ))
-            margins += block
-        best = margins if best is None else list(map(max, best, margins))
+            margins.append(column)
+        best = margins if best is None else [list(map(max, *pair)) for pair in zip(best, margins)]
     failures = [
-        {"family": (FAMILY_B, FAMILY_C)[i // n_max], "n": i % n_max + 1, "margin": margin}
-        for i, margin in enumerate(best)
+        {"family": family, "n": n, "margin": margin}
+        for (family, *_), column in zip(search.columns, best)
+        for n, margin in zip(ns, column)
         if margin < 1
     ]
     return {
@@ -246,7 +246,7 @@ def sweep_one(surface: WeightedSurface, n_max: int) -> dict:
         "classifications": [dict(vars(cls)) for cls in classifications],
         "n_max": n_max,
         "rows": Records(_ROW_KEYS, blocks),
-        "min_margin": min(best),
+        "min_margin": min(map(min, best)),
         "failures": failures,
         "gamma_best": search.best,
         "gamma_pred": search.prediction,
@@ -254,7 +254,7 @@ def sweep_one(surface: WeightedSurface, n_max: int) -> dict:
     }
 
 
-def _margin_column(cls: Classification, base: int, delta: int, counts: list[int]) -> list[int]:
+def _margin_column(cls: Classification, base: int, delta: int, counts: Sequence[int]) -> list[int]:
     """Margins under ``cls`` of the cells n = 1..len(counts) of degree
     n*delta, routed as the module docstring says: one margin call each."""
     g = gcd(base, delta)

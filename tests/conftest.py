@@ -227,10 +227,10 @@ def verify_csv(reports: list[dict]) -> str:
 def gamma_table(result) -> list[dict]:
     """The rows of a :func:`~effcone.threshold.gamma_search` result as plain
     dicts, each with its candidate value scale*nu/n."""
-    scales = dict(result.scales)
     return [
-        {"family": family, "n": n, "h0": count, "nu": d, "value": Fraction(scales[family] * d, n)}
-        for family, n, count, d in result.table
+        {"family": family, "n": n, "h0": count, "nu": d, "value": Fraction(scale * d, n)}
+        for family, scale, h0s, nus in result.columns
+        for n, (count, d) in enumerate(zip(h0s, nus), 1)
     ]
 
 
@@ -403,11 +403,13 @@ def sweep_cells(surface, n_max: int) -> dict:
     classifications = classify_surface(surface)
     search = gamma_search(surface, n_max)
     delta = {FAMILY_B: surface.b, FAMILY_C: surface.c}
+    cells = [(family, n, count) for family, _, h0s, _ in search.columns
+             for n, count in enumerate(h0s, 1)]
     rows = []
     cell_best: dict[tuple[str, int], int] = {}
     for cls in classifications:
         base = cls.m0 * delta[cls.family]
-        for family, n, count, _ in search.table:
+        for family, n, count in cells:
             # A cell is on the attainment ray iff base divides its degree.
             degree = n * delta[family]
             step, rest = divmod(degree, base)

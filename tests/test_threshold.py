@@ -26,8 +26,9 @@ from effcone import (
     outer_bound,
     polytope,
     reference_triangle,
+    section_counts,
 )
-from effcone.threshold import BRANCHES
+from effcone.threshold import BRANCHES, _level
 
 from conftest import classify_by_fractions, contains_point, level_by_descent
 
@@ -119,6 +120,82 @@ class TestLevelTable:
             )
             c = 3 * b + 4 * p
             assert cls.gamma_pred == Fraction(nu0 * (c if family == "B" else b), m0)
+
+
+class TestLevelAlgebra:
+    """The level table's algebra for every k, proved with sympy: the order of
+    its endpoints, classify's integer test against L(j), and equal predictions
+    at every shared endpoint.  Each symbolic table is tied to the library's
+    at k <= 50."""
+
+    @staticmethod
+    def endpoints(k):
+        """L(k+1), (2k+1)/k, 4(2k+1)^2/(8k^2+4k-1), 4k/(2k-1) and L(k) for a
+        sympy ``k``: level k's row endpoints, left to right."""
+        def outer(j):
+            return 16 * j**2 / (8 * j**2 - 4 * j - 1)
+
+        return (outer(k + 1), (2 * k + 1) / k, 4 * (2 * k + 1) ** 2 / (8 * k**2 + 4 * k - 1),
+                4 * k / (2 * k - 1), outer(k))
+
+    @staticmethod
+    def rows(k):
+        """(m0, family, nu0) of level k's rows I'-, I'+, I''- and I''+."""
+        return ((2 * k + 3, "B", 4 * (k + 1)), (2 * k + 1, "C", 4 * (k + 1)),
+                (k + 1, "B", 2 * k + 1), (k, "C", 2 * k + 1))
+
+    @staticmethod
+    def gamma(x, m0, family, nu0):
+        """gamma_pred/m at abscissa x = b/m, where c = 3b + 4p = 3b - 4m:
+        nu0*c/m0 for family B and nu0*b/m0 for C, both linear in (b, m)."""
+        return nu0 * (3 * x - 4 if family == "B" else x) / m0
+
+    def test_tables_are_the_library_level_table(self):
+        sympy = pytest.importorskip("sympy")
+        for k in range(1, 51):
+            ends = [Fraction(int(e.p), int(e.q)) for e in self.endpoints(sympy.Integer(k))]
+            level = _level(k)
+            assert ends == [Fraction(*row[1]) for row in level] + [Fraction(*level[-1][2])], k
+            assert [row[3:] for row in level] == list(self.rows(k)), k
+            assert ends[-1] == outer_bound(k)
+            for lo, hi, row in zip(ends, ends[1:], self.rows(k)):
+                mid = (lo + hi) / 2
+                (cls,) = classify(mid.numerator, -mid.denominator)
+                assert cls.gamma_pred == self.gamma(mid, *row) * mid.denominator, (k, row)
+
+    def test_endpoints_increase_for_every_k(self):
+        # With k = 1 + t, each gap is a ratio of polynomials in t whose
+        # coefficients are >= 0 with a positive constant: positive for t >= 0.
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        ends = self.endpoints(1 + t)
+        for lo, hi in zip(ends, ends[1:]):
+            for part in sympy.fraction(sympy.cancel(hi - lo)):
+                coeffs = sympy.Poly(part, t).all_coeffs()
+                assert all(coeff >= 0 for coeff in coeffs) and coeffs[-1] > 0, (lo, hi, part)
+
+    def test_classify_integer_test_is_the_comparison_with_l(self):
+        # b/m - L(j) = gap/(m*(8j^2 - 4j - 1)) with gap classify's integer
+        # test, and 8j^2 - 4j - 1 > 0 for j = 1 + s >= 1: so with m > 0,
+        # L(j) <= b/m exactly when gap >= 0.
+        sympy = pytest.importorskip("sympy")
+        b, m, j, s = sympy.symbols("b m j s")
+        gap = (8 * b - 16 * m) * j**2 - 4 * b * j - b
+        denominator = 8 * j**2 - 4 * j - 1
+        assert sympy.cancel((b / m - self.endpoints(j)[-1]) * m * denominator - gap) == 0
+        assert all(coeff > 0 for coeff in sympy.Poly(denominator.subs(j, 1 + s), s).all_coeffs())
+
+    def test_predictions_agree_at_shared_endpoints(self):
+        # Within level k each row's hi is the next row's lo; level k's lo
+        # L(k+1) is level k+1's hi, where level k's I'- meets k+1's I''+.
+        sympy = pytest.importorskip("sympy")
+        k = sympy.Symbol("k")
+        ends, rows = self.endpoints(k), self.rows(k)
+        for end, left, right in zip(ends[1:4], rows, rows[1:]):
+            assert sympy.cancel(self.gamma(end, *left) - self.gamma(end, *right)) == 0, end
+        assert sympy.cancel(ends[0] - self.endpoints(k + 1)[-1]) == 0
+        edge = self.gamma(ends[0], *rows[0]) - self.gamma(ends[0], *self.rows(k + 1)[-1])
+        assert sympy.cancel(edge) == 0
 
 
 class TestClassify:
@@ -262,7 +339,9 @@ class TestGammaSearch:
         assert full.best == 12 == full.prediction
         assert full.witnesses == (("B", 7, 12), ("C", 5, 12))
         assert full.matches is True
-        assert len(full.table) == 24
+        assert [(family, len(h0s), len(nus)) for family, _, h0s, nus in full.columns] == [
+            ("B", 12, 12), ("C", 12, 12)
+        ]
 
     def test_frozen_search_41323(self):
         result = gamma_search(make_surface(4, 13, 23), 10)
@@ -277,7 +356,7 @@ class TestGammaSearch:
 
     def test_small_a_uses_z_family_only(self):
         result = gamma_search(make_surface(3, 5, 7), 5)
-        assert {row[0] for row in result.table} == {"AZ"}
+        assert [column[:2] for column in result.columns] == [("AZ", 5)]
         assert result.best == 10
         assert result.prediction is None and result.matches is None
 
@@ -290,20 +369,32 @@ class TestGammaSearch:
             classify_surface(surface)
         result = gamma_search(surface, 8)
         assert result.prediction is None and result.matches is None
-        assert [row[:2] for row in result.table] == [
-            (family, n) for family in ("B", "C") for n in range(1, 9)
+        assert [(family, len(h0s), len(nus)) for family, _, h0s, nus in result.columns] == [
+            ("B", 8, 8), ("C", 8, 8)
         ]
-        scales = dict(result.scales)
-        assert result.best == max(Fraction(scales[f] * d, n) for f, n, _, d in result.table)
+        assert result.best == max(
+            Fraction(scale * d, n)
+            for _, scale, _, nus in result.columns for n, d in enumerate(nus, 1)
+        )
 
     def test_best_and_witnesses_match_fraction_values(self, pool):
         # The search compares the values scale*nu/n by cross-multiplying;
         # here each value is a Fraction, and the max and its attainers are
-        # taken from those.
+        # taken from those.  Each column holds its family's scale and the
+        # section_counts of n = 1..200 with their nu.
         for surface in [entry[0] for entry in pool] + [make_surface(3, 5, 7)]:
             result = gamma_search(surface, 200)
-            scales = dict(result.scales)
-            values = [(Fraction(scales[f] * d, n), (f, n, d)) for f, n, _, d in result.table]
+            families = [(family, scale) for family, scale, _, _ in result.columns]
+            assert families == (
+                [("B", surface.c), ("C", surface.b)] if surface.a == 4 else [("AZ", surface.b)]
+            ), surface
+            for family, _, h0s, nus in result.columns:
+                assert list(h0s) == section_counts(surface, family, 200), (surface, family)
+                assert list(nus) == list(map(nu_from_h0, h0s)), (surface, family)
+            values = [
+                (Fraction(scale * d, n), (family, n, d))
+                for family, scale, _, nus in result.columns for n, d in enumerate(nus, 1)
+            ]
             best = max(value for value, _ in values)
             assert result.best == best, surface
             assert result.witnesses == tuple(w for value, w in values if value == best), surface
@@ -360,19 +451,19 @@ class TestGammaSearch:
         for surface in surfaces + [pool[0][0]]:
             h0.cache_clear()
             result = gamma_search(surface, 40)
-            for family, _ in result.scales:
+            for family, *_ in result.columns:
                 family_supremum(surface, family, 40)
             info = h0.cache_info()
             assert (info.hits, info.misses) == (0, 0), surface
 
-    def test_family_supremum_is_max_of_search_rows(self, pool):
+    def test_family_supremum_is_max_of_search_column(self, pool):
         surfaces = [entry[0] for entry in pool[::6]]
         surfaces += [make_surface(4, 7, 17), make_surface(3, 5, 7)]
         for surface in surfaces:
             result = gamma_search(surface, 40)
-            for family, scale in result.scales:
+            for family, scale, _, nus in result.columns:
                 assert family_supremum(surface, family, 40) == max(
-                    Fraction(scale * d, n) for fam, n, _, d in result.table if fam == family
+                    Fraction(scale * d, n) for n, d in enumerate(nus, 1)
                 ), (surface, family)
 
 

@@ -56,7 +56,7 @@ def _require_hypotheses(surface: WeightedSurface) -> None:
             f"Ehrhart closed forms require a = 4 and p < 0, got {surface} with p = {surface.p}"
         )
     # The closed forms assume q = 3, which a = 4 and p < 0 force: q = 0 gives c = 4p < 0,
-    # WeightedSurface refuses q = 1 with p < 0, and q = 2 makes c = 4p + 2b even.
+    # q = 1 gives c = 4p + b < b, and q = 2 makes c = 4p + 2b even.
 
 
 def coefficients(surface: WeightedSurface, family: str, n: int) -> EhrhartCoeffs:

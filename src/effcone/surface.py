@@ -1,8 +1,8 @@
 """Validated weighted projective plane surfaces P(a,b,c) and their divisor
 polytopes.
 
-A surface P(a,b,c) with pairwise-coprime weights a < b < c is stored together
-with the decomposition c = p*a + q*b, where q is the unique residue of
+A surface P(a,b,c) with pairwise-coprime weights a < b < c works out the
+decomposition c = p*a + q*b from them, where q is the unique residue of
 c*b^(-1) mod a in [0, a) and p = (c - q*b) / a (an integer, possibly
 negative).  Three one-parameter divisor families drive everything downstream:
 
@@ -26,7 +26,7 @@ each other, the monomial count of the graded ring and the row-by-row loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
@@ -59,41 +59,30 @@ _ORIGIN = RationalPoint(_ZERO, _ZERO)
 
 @dataclass(frozen=True)
 class WeightedSurface:
-    """P(a,b,c) with the derived decomposition c = p*a + q*b.
+    """P(a,b,c), with the decomposition c = p*a + q*b worked out from the
+    weights: q is the residue of c*b^(-1) mod a and p = (c - q*b)/a.
 
-    Construct via :func:`make_surface`, which computes p and q; the
-    ``__post_init__`` re-checks every invariant so that hand-built instances
-    cannot be inconsistent.
+    Only the weights are given; :func:`make_surface` is the same call.
     """
 
     a: int
     b: int
     c: int
-    p: int
-    q: int
+    p: int = field(init=False)
+    q: int = field(init=False)
 
     def __post_init__(self) -> None:
-        # Checked first, so that its own message names the fault: with q = 1
-        # a negative p makes c = p*a + b < b, so no valid weights have it.
-        if self.p < 0 and self.q == 1:
-            raise ValueError(
-                f"p = {self.p} < 0 with q = 1 gives c = p*a + b < b, "
-                f"got ({self.a}, {self.b}, {self.c})"
-            )
-        if not (0 < self.a < self.b < self.c):
-            raise ValueError(f"require 0 < a < b < c, got ({self.a}, {self.b}, {self.c})")
-        if (
-            gcd(self.a, self.b) != 1
-            or gcd(self.a, self.c) != 1
-            or gcd(self.b, self.c) != 1
-        ):
-            raise ValueError(f"weights ({self.a}, {self.b}, {self.c}) are not pairwise coprime")
-        if not 0 <= self.q < self.a:
-            raise ValueError(f"q = {self.q} outside [0, {self.a})")
-        if self.p * self.a + self.q * self.b != self.c:
-            raise ValueError(
-                f"inconsistent decomposition: {self.p}*{self.a} + {self.q}*{self.b} != {self.c}"
-            )
+        a, b, c = self.a, self.b, self.c
+        for name, w in (("a", a), ("b", b), ("c", c)):
+            if not isinstance(w, int) or w < 1:
+                raise ValueError(f"weight {name} must be a positive integer, got {w!r}")
+        if not a < b < c:
+            raise ValueError(f"require a < b < c, got ({a}, {b}, {c})")
+        if gcd(a, b) != 1 or gcd(a, c) != 1 or gcd(b, c) != 1:
+            raise ValueError(f"weights ({a}, {b}, {c}) are not pairwise coprime")
+        q = c * pow(b, -1, a) % a  # pow handles a = 1 (inverse 0)
+        object.__setattr__(self, "p", (c - q * b) // a)  # p first: vars() keeps field order
+        object.__setattr__(self, "q", q)
 
     @property
     def bp_ratio(self) -> Fraction:
@@ -128,17 +117,7 @@ def make_surface(a: int, b: int, c: int) -> WeightedSurface:
     >>> make_surface(4, 5, 7).p, make_surface(4, 5, 7).q
     (-2, 3)
     """
-    for name, w in (("a", a), ("b", b), ("c", c)):
-        if not isinstance(w, int) or w < 1:
-            raise ValueError(f"weight {name} must be a positive integer, got {w!r}")
-    if not a < b < c:
-        raise ValueError(f"require a < b < c, got ({a}, {b}, {c})")
-    if gcd(a, b) != 1 or gcd(a, c) != 1 or gcd(b, c) != 1:
-        raise ValueError(f"weights ({a}, {b}, {c}) are not pairwise coprime")
-    # q is the residue of c * b^(-1) mod a; pow handles a = 1 (inverse 0).
-    q = (c * pow(b, -1, a)) % a
-    p = (c - q * b) // a
-    return WeightedSurface(a=a, b=b, c=c, p=p, q=q)
+    return WeightedSurface(a, b, c)
 
 
 def polytope(surface: WeightedSurface, div: DivisorSpec) -> RationalTriangle:

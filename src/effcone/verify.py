@@ -45,20 +45,18 @@ Both record lists are :class:`Records`, flat dicts stored as column blocks:
 column, with ``branch`` and ``family`` shared and ``n`` (a ``range``), ``h0``,
 ``rhs`` and ``margin`` as columns, and :func:`calibrate_delta`'s
 disagreements one block per (alpha0, beta0), with ``u0`` (a ``range``) the
-only column.  They read and compare as lists of dicts; the CLI's JSON writer
+only column.  They iterate and compare as lists of dicts; the CLI's JSON writer
 renders them a block at a time without building the dicts, and a worker
 process sends them to its parent as their blocks.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from itertools import accumulate, repeat
+from itertools import repeat
 from math import comb, gcd
-from operator import add, floordiv, index as as_index, sub
+from operator import add, floordiv, sub
 
 # h0 is not called here; it stays bound because bench/test_bench.py checks
 # that the tracer rebinds and restores verify.h0.
@@ -83,26 +81,26 @@ class CalibrationError(Exception):
     a data failure, not an input error."""
 
 
-class Records(Sequence):
-    """An immutable sequence of flat dicts, stored as blocks of records.
+class Records:
+    """Immutable flat dicts, stored as blocks of records.
 
     ``keys`` fixes every record's key order.  Each block is a pair
     (``shared``, ``columns``): ``shared`` maps some keys to the value every
     record of the block holds, and ``columns`` maps the other keys (at least
     one) to equal-length sequences, such as a ``range``, whose i-th items
-    belong to the block's i-th record.  Iterating or indexing builds the
-    dicts (a slice is a list of them); ``==`` against a list or another
-    ``Records`` compares the records.  It pickles as its blocks, and the JSON
-    writer renders a block, its shared values joined to a record's literal
-    texts once, without building its dicts.
+    belong to the block's i-th record.  Iterating builds the dicts, and
+    ``==`` against a list or another ``Records`` compares the records.  It
+    pickles as its blocks, and the JSON writer renders a block, its shared
+    values joined to a record's literal texts once, without building its
+    dicts.
     """
 
-    __slots__ = ("_keys", "_blocks", "_starts")
+    __slots__ = ("_keys", "_blocks", "_len")
 
     def __init__(self, keys, blocks=()):
         self._keys = tuple(keys)
         self._blocks = tuple((dict(shared), dict(columns)) for shared, columns in blocks)
-        names, sizes = set(self._keys), []
+        names, self._len = set(self._keys), 0
         if len(names) != len(self._keys):
             raise ValueError(f"repeated key in {self._keys}")
         for shared, columns in self._blocks:
@@ -113,8 +111,7 @@ class Records(Sequence):
             if len(lengths) != 1:
                 raise ValueError(f"a block needs one or more columns of one length, "
                                  f"got lengths {sorted(lengths)}")
-            sizes += lengths
-        self._starts = (0, *accumulate(sizes))  # block i holds records starts[i]..starts[i+1]-1
+            self._len += lengths.pop()
 
     @property
     def keys(self) -> tuple:
@@ -126,26 +123,13 @@ class Records(Sequence):
         return self._blocks
 
     def __len__(self) -> int:
-        return self._starts[-1]
+        return self._len
 
     def __iter__(self):
         keys = self._keys
         for shared, columns in self._blocks:
             values = zip(*(columns[k] if k in columns else repeat(shared[k]) for k in keys))
             yield from map(dict, map(zip, repeat(keys), values))
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        i = as_index(i)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("Records index out of range")
-        block = bisect_right(self._starts, i) - 1
-        shared, columns = self._blocks[block]
-        i -= self._starts[block]
-        return {k: columns[k][i] if k in columns else shared[k] for k in self._keys}
 
     def __eq__(self, other):
         if not isinstance(other, (Records, list)):
@@ -254,7 +238,7 @@ def sweep_one(surface: WeightedSurface, n_max: int) -> dict:
     }
 
 
-def _margin_column(cls: Classification, base: int, delta: int, counts: Sequence[int]) -> list[int]:
+def _margin_column(cls: Classification, base: int, delta: int, counts: tuple) -> list[int]:
     """Margins under ``cls`` of the cells n = 1..len(counts) of degree
     n*delta, routed as the module docstring says: one margin call each."""
     g = gcd(base, delta)

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd
+from math import ceil, comb, gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -12,9 +12,12 @@ from effcone import (
     DivisorSpec,
     c0_middle_terms,
     c0_upper_bound,
+    classify_surface,
     coefficients,
     h0,
     make_surface,
+    margin_general,
+    polytope,
     section_counts,
 )
 
@@ -151,6 +154,68 @@ class TestPeriodicity:
             coeffs = coefficients(surface, family, 1)  # c2 and c1 are the library's
             at = {b: surface.b, p: surface.p}
             assert (c2.subs(at), c1.subs(at)) == (coeffs.c2, coeffs.c1), family
+
+
+class TestMarginReductionAlgebra:
+    """The leading coefficient c2 and the margin bound's reduction, proved
+    with sympy: c2 is the area of the n = 1 polytope, and with
+    kappa = gamma/sigma_F and A = 4*kappa^2 - 8*c2 each margin's lower bound
+    minus h0's upper bound c2*n^2 + c1*n + C0 is a quadratic in n."""
+
+    @staticmethod
+    def vertices(b, c, family):
+        """The n = 1 polytope of family B or C, as ``polytope`` builds it."""
+        if family == "B":
+            return ((0, 0), (-1, 0), (-3 * b / c, 4 * b / c))
+        return ((0, 0), (-c / b, 0), (-3, 4))
+
+    def test_c2_is_the_area_of_the_first_polytope(self, pool):
+        sympy = pytest.importorskip("sympy")
+        b, c = sympy.symbols("b c", positive=True)
+        for family, c2 in (("B", 2 * b / c), ("C", 2 * c / b)):
+            points = self.vertices(b, c, family)
+            twice_area = sum(x0 * y1 - x1 * y0
+                             for (x0, y0), (x1, y1) in zip(points, points[1:] + points[:1]))
+            assert sympy.cancel(sympy.Abs(twice_area) / 2 - c2) == 0, family
+            for surface, *_ in pool:
+                at = {b: surface.b, c: surface.c}
+                tri = polytope(surface, DivisorSpec(family, 1))
+                assert [(v.x, v.y) for v in tri.vertices] == [
+                    (sympy.sympify(x).subs(at), sympy.sympify(y).subs(at)) for x, y in points]
+            surface = pool[0][0]
+            assert c2.subs({b: surface.b, c: surface.c}) == coefficients(surface, family, 1).c2
+
+    def test_margin_bounds_reduce_to_a_quadratic(self, pool):
+        sympy = pytest.importorskip("sympy")
+        b, c, n, nu0, m0, c1, c0 = sympy.symbols("b c n nu0 m0 c1 C0", positive=True)
+        sigma, delta = {"B": c, "C": b}, {"B": b, "C": c}
+        c2 = {"B": 2 * b / c, "C": 2 * c / b}
+        bound = {family: c2[family] * n**2 + c1 * n + c0 for family in c2}
+        for cls_family in ("B", "C"):
+            gamma = nu0 * sigma[cls_family] / m0
+            for family in ("B", "C"):
+                assert sigma[family] * delta[family] == b * c
+                kappa = gamma / sigma[family]
+                big_a = 4 * kappa**2 - 8 * c2[family]
+                # The off-ray level ceil(nu0*n*delta_F/(m0*delta_cls)) is at least kappa*n.
+                level = nu0 * n * delta[family] / (m0 * delta[cls_family])
+                assert sympy.cancel(level - kappa * n) == 0
+                off_ray = (kappa * n) ** 2 / 2 + kappa * n / 2 + 1 - bound[family] - 1
+                assert sympy.cancel(off_ray - (big_a / 8 * n**2 + (kappa / 2 - c1) * n - c0)) == 0
+                on_ray = sympy.binomial(kappa * n + 2, 2).expand(func=True) - bound[family] - 1
+                on_ray_claim = big_a / 8 * n**2 + (3 * kappa / 2 - c1) * n - c0
+                assert sympy.cancel(on_ray - on_ray_claim) == 0
+        # The library's off-ray rhs is C(ceil(kappa*n) + 1, 2) + 1 with that kappa.
+        surface = pool[0][0]
+        degree = {"B": surface.b, "C": surface.c}
+        for cls in classify_surface(surface):
+            base = cls.m0 * degree[cls.family]
+            for family in ("B", "C"):
+                kappa = cls.gamma_pred / {"B": surface.c, "C": surface.b}[family]
+                for m in range(1, 60):
+                    if m * degree[family] % base:
+                        rhs = margin_general(cls, m * degree[family], base, 0)
+                        assert rhs == comb(ceil(kappa * m) + 1, 2) + 1, (cls.branch, family, m)
 
 
 class TestHypothesisGates:

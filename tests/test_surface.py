@@ -1,5 +1,7 @@
 """Weighted surfaces, their section polytopes, and h^0 against the monomial oracle."""
 
+import pickle
+from dataclasses import fields
 from fractions import Fraction
 from math import gcd
 
@@ -27,6 +29,19 @@ def degree(surface, spec):
     if spec.family == "C":
         return spec.n * surface.a * surface.c
     return spec.n * surface.a * surface.c  # AZ: n*a*D_z has degree n*a*c
+
+
+INVALID_WEIGHTS = [(4, 6, 7), (4, 5, 10), (2, 4, 7), (5, 4, 7), (4, 7, 7), (4, 7, 5), (0, 1, 2)]
+
+
+@st.composite
+def coprime_weights(draw):
+    """Pairwise-coprime a < b < c with a <= 12 and c <= 10**6."""
+    a = draw(st.integers(1, 12))
+    b = draw(st.integers(a + 1, 10**6 - 1))
+    c = draw(st.integers(b + 1, 10**6))
+    assume(gcd(a, b) == gcd(a, c) == gcd(b, c) == 1)
+    return a, b, c
 
 
 @st.composite
@@ -63,21 +78,49 @@ class TestMakeSurface:
         assert (surface.p, surface.q) == (p, q)
         assert surface.p * surface.a + surface.q * surface.b == surface.c
 
-    @pytest.mark.parametrize(
-        "weights",
-        [(4, 6, 7), (4, 5, 10), (2, 4, 7), (5, 4, 7), (4, 7, 7), (4, 7, 5), (0, 1, 2)],
-    )
+    @pytest.mark.parametrize("weights", INVALID_WEIGHTS)
     def test_invalid_weights(self, weights):
         with pytest.raises(ValueError):
             make_surface(*weights)
 
     def test_direct_construction_validates(self):
-        with pytest.raises(ValueError):
-            WeightedSurface(a=4, b=5, c=7, p=1, q=3)  # 4 + 15 != 7
-        with pytest.raises(ValueError):
-            WeightedSurface(a=4, b=5, c=7, p=-2, q=5)  # q out of range
-        with pytest.raises(ValueError, match="p = -2 < 0 with q = 1"):
-            WeightedSurface(a=4, b=5, c=-3, p=-2, q=1)  # c = p*a + b < b
+        # Only the weights are inputs; p and q are worked out from them.
+        assert [f.name for f in fields(WeightedSurface) if f.init] == ["a", "b", "c"]
+        assert list(vars(WeightedSurface(4, 5, 7))) == ["a", "b", "c", "p", "q"]
+        with pytest.raises(TypeError):
+            WeightedSurface(4, 5, 7, p=-2, q=3)
+        for weights in INVALID_WEIGHTS:
+            with pytest.raises(ValueError) as made:
+                make_surface(*weights)
+            with pytest.raises(ValueError) as direct:
+                WeightedSurface(*weights)
+            assert str(direct.value) == str(made.value), weights
+        # The checks run in order: each weight, then a < b < c, then coprimality.
+        for weights, message in [
+            ((0, 1, 2), "weight a must be a positive integer, got 0"),
+            ((4, 5.0, 7), "weight b must be a positive integer, got 5.0"),
+            ((5, 4, 6), "require a < b < c, got (5, 4, 6)"),
+            ((4, 6, 7), "weights (4, 6, 7) are not pairwise coprime"),
+        ]:
+            with pytest.raises(ValueError) as made:
+                make_surface(*weights)
+            assert str(made.value) == message
+
+    @given(coprime_weights())
+    @settings(max_examples=300)
+    @example((1, 2, 3))
+    @example((4, 5, 7))
+    @example((4, 5, 9))
+    @example((12, 999_983, 999_997))
+    def test_decomposition_from_the_weights(self, weights):
+        a, b, c = weights
+        surface = WeightedSurface(a, b, c)
+        assert 0 <= surface.q < a and surface.p * a + surface.q * b == c
+        made = make_surface(a, b, c)
+        assert surface == made and hash(surface) == hash(made)  # h0's cache keys on both
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(surface, protocol))
+            assert copy == surface and (copy.p, copy.q) == (surface.p, surface.q)
 
     def test_ratio_and_repr(self):
         surface = make_surface(4, 5, 7)

@@ -198,6 +198,67 @@ class TestLevelAlgebra:
         assert sympy.cancel(edge) == 0
 
 
+class TestReferenceTriangleAlgebra:
+    """Pick's count of both reference triangles for every k, proved with
+    sympy: each edge's lattice length by one symbolic Euclid step, then
+    (|2*area| + boundary)/2 + 1 reduces to the closed forms.  The symbolic
+    vertices are tied to the library's at k <= 50."""
+
+    @staticmethod
+    def vertices(k, which):
+        if which == "large":
+            return ((0, 0), (-(2 * k + 3), 0), (-3 * (2 * k + 1), 4 * (2 * k + 1)))
+        return ((0, 0), (-(k + 1), 0), (-3 * k, 4 * k))
+
+    @staticmethod
+    def nonnegative(sympy, k, z):
+        """z or -z, whichever is >= 0 for every k >= 1: the one whose
+        coefficients in t = k - 1 are all >= 0."""
+        t = sympy.Symbol("t")
+        for candidate in (sympy.sympify(z), -sympy.sympify(z)):
+            if all(coeff >= 0 for coeff in sympy.Poly(candidate.subs(k, 1 + t), t).all_coeffs()):
+                return sympy.expand(candidate)
+        raise AssertionError(f"{z} changes sign for k >= 1")
+
+    def edge_gcd(self, sympy, k, dx, dy):
+        """gcd(|dx|, |dy|) for every k >= 1 by one Euclid step: with u <= v
+        the two lengths by leading coefficient and r = v - floor(lc(v)/lc(u))*u,
+        gcd(u, v) = gcd(u, r).  That is r when r divides u as polynomials,
+        and gcd(u0, r) when r is an integer dividing every other coefficient
+        of u = ... + u0."""
+        def lc(z):
+            return sympy.Poly(z, k).LC()
+
+        u, v = sorted((self.nonnegative(sympy, k, dx), self.nonnegative(sympy, k, dy)), key=lc)
+        r = self.nonnegative(sympy, k, v - (lc(v) // lc(u) if u else 0) * u)
+        if r.is_Integer:
+            *head, u0 = sympy.Poly(u, k).all_coeffs()
+            assert all(coeff % r == 0 for coeff in head), (u, r)
+            return sympy.gcd(u0, r)
+        ratio = sympy.cancel(u / r)
+        assert all(coeff.is_Integer for coeff in sympy.Poly(ratio, k).all_coeffs()), (u, r)
+        return r
+
+    @pytest.mark.parametrize("which", ["large", "small"])
+    def test_pick_count_is_the_closed_form(self, which):
+        sympy = pytest.importorskip("sympy")
+        k = sympy.Symbol("k")
+        gcds, expected = {
+            "large": ((2 * k + 3, 4, 2 * k + 1), expected_count_large),
+            "small": ((k + 1, 1, k), expected_count_small),
+        }[which]
+        points = self.vertices(k, which)
+        edges = list(zip(points, points[1:] + points[:1]))
+        lengths = [self.edge_gcd(sympy, k, x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in edges]
+        assert [sympy.expand(g - want) for g, want in zip(lengths, gcds)] == [0, 0, 0]
+        twice_area = self.nonnegative(sympy, k, sum(x0 * y1 - x1 * y0
+                                                    for (x0, y0), (x1, y1) in edges))
+        assert sympy.expand((twice_area + sum(lengths)) / 2 + 1 - expected(k)) == 0
+        for n in range(1, 51):
+            tri = reference_triangle(n, which)
+            assert [(v.x, v.y) for v in tri.vertices] == list(self.vertices(n, which)), n
+
+
 class TestClassify:
     def test_interior_single_match(self):
         (cls,) = classify(13, -4)  # abscissa 13/4

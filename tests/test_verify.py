@@ -60,20 +60,6 @@ class TestRecords:
         assert len(records) == 5
         assert list(records) == THREE_BLOCKS
         assert [list(record) for record in records] == [["b", "a", "n"]] * 5  # key order
-        assert list(reversed(records)) == THREE_BLOCKS[::-1]
-
-    def test_indexing(self):
-        records = three_blocks()
-        for i in range(-5, 5):
-            assert records[i] == THREE_BLOCKS[i] and list(records[i]) == ["b", "a", "n"]
-        for i in (5, -6, 10**20):
-            with pytest.raises(IndexError):
-                records[i]
-        with pytest.raises(TypeError):
-            records["n"]
-        for sl in (slice(None), slice(1, 4), slice(None, None, -2), slice(3, 1, -1),
-                   slice(-3, None), slice(10, 20), slice(4, 0)):
-            assert records[sl] == THREE_BLOCKS[sl], sl
 
     def test_equality_in_both_directions(self):
         records = three_blocks()
@@ -110,9 +96,6 @@ class TestRecords:
         for records in (Records(("k",)), Records(("k", "j"), [({"j": 1}, {"k": range(0)})])):
             assert len(records) == 0 and not records
             assert list(records) == [] and records == [] and [] == records
-            assert records[:] == []
-            with pytest.raises(IndexError):
-                records[0]
 
     @pytest.mark.parametrize("keys, blocks", [
         (("a", "a"), []),

@@ -5,11 +5,18 @@ Fixing a coprime target fraction beta/alpha and a sign tau, the solutions of
     alpha*b - beta*m = tau          (m = -p > 0)
 
 form an arithmetic progression b = b0 + beta*t, m = m0 + alpha*t whose
-abscissa b/m approaches beta/alpha monotonically from the tau side.  Sieving
-for valid weights (b odd and > 4, c = 3b - 4m > b; the remaining coprimality
+abscissa b/m approaches beta/alpha monotonically from the tau side.  Keeping
+the valid weights (b odd and > 4, c = 3b - 4m > b; the remaining coprimality
 is automatic, since gcd(b, m) divides tau) yields arbitrarily many surfaces
 whose abscissas converge to any prescribed sub-interval endpoint -- the fuel
 for every sweep in this package.
+
+The indices t are not tested one by one.  Cross-multiplied in integers, each
+condition (m >= 1, b - 2m >= 1, and lo <= b/m <= hi for an interval filter)
+is A + B*t >= 0, which bounds t from one side (or keeps all t or none when
+B = 0), and "b odd" keeps every other t, or every t when beta is even; so the
+valid indices form one ``range``, and :func:`solve_family` builds only the
+members it returns.
 """
 
 from __future__ import annotations
@@ -22,7 +29,9 @@ from .surface import WeightedSurface, make_surface
 
 __all__ = ["FamilyRequest", "solve_family", "SCAN_LIMIT"]
 
-#: Number of progression steps scanned before giving up with a diagnostic.
+#: Number of progression indices after the first one with b >= 5 that
+#: :func:`solve_family` draws its members from before giving up with a
+#: diagnostic.
 SCAN_LIMIT = 10**6
 
 
@@ -58,33 +67,55 @@ class FamilyRequest:
 def solve_family(req: FamilyRequest) -> list[WeightedSurface]:
     """First ``req.count`` surfaces with alpha*b - beta*(-p) = tau, by increasing b.
 
-    Raises :class:`ValueError` if the scan bound is exhausted first (the
-    progression is infinite, so this only happens for filters that exclude
-    the convergent tail, or for counts beyond the filtered range).
+    Members are taken from the progression indices t_start ..
+    t_start + SCAN_LIMIT - 1, t_start being the first with b >= 5.  The valid
+    indices of that window are worked out as one ``range`` (see the module
+    docstring), so the work is O(count) whatever the window, and
+    :func:`~effcone.surface.make_surface` validates each member.
+
+    Raises :class:`ValueError` if the window holds fewer than ``req.count``
+    valid indices (the progression is infinite, so this only happens for
+    filters that exclude the convergent tail, or for counts beyond the
+    filtered range).
     """
+    alpha, beta = req.alpha, req.beta
     # Particular solution of alpha*b - beta*m = tau; shift to the smallest
-    # progression index with b > 4 and walk upward (b increases with t).
-    b0 = pow(req.alpha, -1, req.beta) * req.tau
-    m0 = (req.alpha * b0 - req.tau) // req.beta
-    t_start = -((b0 - 5) // req.beta)  # smallest t with b0 + beta*t >= 5
-    out: list[WeightedSurface] = []
-    for t in range(t_start, t_start + SCAN_LIMIT):
-        b = b0 + req.beta * t
-        m = m0 + req.alpha * t
-        if m < 1 or b % 2 == 0:
-            continue
-        c = 3 * b - 4 * m
-        if c <= b:
-            continue
-        if req.interval is not None:
-            lo, hi = req.interval
-            if not lo <= Fraction(b, m) <= hi:
-                continue
-        out.append(make_surface(4, b, c))
-        if len(out) == req.count:
-            return out
-    raise ValueError(
-        f"scan bound {SCAN_LIMIT} exhausted with {len(out)}/{req.count} surfaces "
-        f"for alpha={req.alpha}, beta={req.beta}, tau={req.tau}, "
-        f"interval={req.interval}"
-    )
+    # progression index with b > 4 (b increases with t).
+    b0 = pow(alpha, -1, beta) * req.tau
+    m0 = (alpha * b0 - req.tau) // beta
+    t_lo = -((b0 - 5) // beta)  # smallest t with b0 + beta*t >= 5
+    t_hi = t_lo + SCAN_LIMIT - 1
+    # Each valid t has A + B*t >= 0 for every row (A, B): m >= 1, b - 2m >= 1,
+    # and, as m > 0, lo.den*b - lo.num*m >= 0 and hi.num*m - hi.den*b >= 0.
+    rows = [(m0 - 1, alpha), (b0 - 2 * m0 - 1, beta - 2 * alpha)]
+    if req.interval is not None:
+        lo, hi = map(Fraction, req.interval)
+        rows.append((lo.denominator * b0 - lo.numerator * m0,
+                     lo.denominator * beta - lo.numerator * alpha))
+        rows.append((hi.numerator * m0 - hi.denominator * b0,
+                     hi.numerator * alpha - hi.denominator * beta))
+    for const, slope in rows:
+        if slope > 0:
+            t_lo = max(t_lo, -(const // slope))
+        elif slope < 0:
+            t_hi = min(t_hi, const // -slope)
+        elif const < 0:
+            t_hi = t_lo - 1
+    # b = b0 + beta*t is odd for every other t if beta is odd; if beta is
+    # even, alpha*b = tau + beta*m makes every b odd.
+    step = 1
+    if beta % 2:
+        step = 2
+        t_lo += (b0 + t_lo + 1) % 2
+    valid = range(t_lo, t_hi + 1, step)
+    if len(valid) < req.count:
+        raise ValueError(
+            f"scan bound {SCAN_LIMIT} exhausted with {len(valid)}/{req.count} surfaces "
+            f"for alpha={alpha}, beta={beta}, tau={req.tau}, "
+            f"interval={req.interval}"
+        )
+    members = []
+    for t in valid[:req.count]:
+        b, m = b0 + beta * t, m0 + alpha * t
+        members.append(make_surface(4, b, 3 * b - 4 * m))
+    return members

@@ -74,7 +74,7 @@ class WeightedSurface:
     def __post_init__(self) -> None:
         a, b, c = self.a, self.b, self.c
         for name, w in (("a", a), ("b", b), ("c", c)):
-            if not isinstance(w, int) or w < 1:
+            if type(w) is not int or w < 1:
                 raise ValueError(f"weight {name} must be a positive integer, got {w!r}")
         if not a < b < c:
             raise ValueError(f"require a < b < c, got ({a}, {b}, {c})")

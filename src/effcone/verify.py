@@ -47,12 +47,13 @@ column, with ``branch`` and ``family`` shared and ``n`` (a ``range``), ``h0``,
 disagreements one block per (alpha0, beta0), with ``u0`` (a ``range``) the
 only column.  They iterate and compare as lists of dicts; the CLI's JSON writer
 renders them a block at a time without building the dicts, and a worker
-process sends them to its parent as their blocks.
+process sends them to its parent as their blocks.  The process pool (and so
+``multiprocessing``) is imported only inside :func:`sweep`, when it spreads
+the surfaces over more than one worker; no other call loads it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from itertools import repeat
 from math import comb, gcd
@@ -260,6 +261,8 @@ def sweep(surfaces: list[WeightedSurface], n_max: int, jobs: int | None = None) 
     if n_max < 1:
         raise ValueError(f"require n_max >= 1, got {n_max}")
     if jobs is not None and jobs > 1 and len(surfaces) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(surfaces))) as executor:
             return list(executor.map(partial(_sweep_named, n_max=n_max), surfaces))
     return [_sweep_named(surface, n_max) for surface in surfaces]

@@ -34,6 +34,8 @@ divisor polytopes.
 family-C count that ``surface.section_counts`` replaced by a running sum.
 :func:`sweep_cells` is the per-cell margin loop that ``verify.sweep_one``
 replaced by routing a column of cells at a time.
+:func:`scan_family` is the per-index scan that ``families.solve_family``
+replaced by working out the range of valid progression indices.
 :func:`verify_csv` is the dict per margin row that ``verify --format csv``
 built and ``csv.DictWriter`` wrote before the CLI wrote the rows' blocks, and
 :func:`gamma_table` the dict per row that ``gamma`` built before its table
@@ -547,6 +549,36 @@ def fraction_c0_tail(surface, n: int) -> Fraction:
 def fraction_value(c2: Fraction, c1: Fraction, c0: Fraction, n: int) -> Fraction:
     """c2*n^2 + c1*n + c0, one Fraction operation at a time."""
     return c2 * n * n + c1 * n + c0
+
+
+def scan_family(req, limit: int) -> list:
+    """``families.solve_family`` as the scan it replaced: test each of the
+    ``limit`` progression indices from the first with b >= 5, comparing
+    ``Fraction(b, m)`` with the interval filter."""
+    b0 = pow(req.alpha, -1, req.beta) * req.tau
+    m0 = (req.alpha * b0 - req.tau) // req.beta
+    t_start = -((b0 - 5) // req.beta)
+    out = []
+    for t in range(t_start, t_start + limit):
+        b = b0 + req.beta * t
+        m = m0 + req.alpha * t
+        if m < 1 or b % 2 == 0:
+            continue
+        c = 3 * b - 4 * m
+        if c <= b:
+            continue
+        if req.interval is not None:
+            lo, hi = req.interval
+            if not lo <= Fraction(b, m) <= hi:
+                continue
+        out.append(make_surface(4, b, c))
+        if len(out) == req.count:
+            return out
+    raise ValueError(
+        f"scan bound {limit} exhausted with {len(out)}/{req.count} surfaces "
+        f"for alpha={req.alpha}, beta={req.beta}, tau={req.tau}, "
+        f"interval={req.interval}"
+    )
 
 
 def build_pool():

@@ -3,6 +3,7 @@ writer against its oracle, the option-table parser against the full argparse
 tree, and golden digests of captured outputs."""
 
 import argparse
+import concurrent.futures
 import csv
 import hashlib
 import io
@@ -301,7 +302,7 @@ class TestVerify:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(effcone.verify, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         code = main([
             "verify", "--surface", "4,5,7", "--surface", "4,7,13",
             "--n-max", "0", "--jobs", jobs,
@@ -321,7 +322,7 @@ class TestVerify:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(effcone.verify, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert cli._jobs(None) == 1
         code, out = run(capsys, "verify", "--surface", "4,5,7", "--surface", "4,13,23",
                         "--n-max", "40")
@@ -375,10 +376,21 @@ class TestVerify:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(effcone.verify, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         argv = ["verify", "--surface", "4,5,7", "--surface", "4,13,23", "--n-max", "4"]
         assert run(capsys, *argv, "--jobs", "64") == run(capsys, *argv, "--jobs", "1")
         assert sizes == [2]
+
+    def test_cli_import_loads_no_process_pool(self):
+        # Only verify --jobs N > 1 imports the pool, inside verify.sweep.
+        env = dict(os.environ, PYTHONPATH=str(Path(effcone.__file__).parents[1]))
+        code = (
+            "import sys, effcone.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 class TestCalibrate:

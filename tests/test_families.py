@@ -4,11 +4,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import effcone.families
-from effcone import FamilyRequest, branch_interval, solve_family
+from conftest import scan_family
+from effcone import BRANCHES, FamilyRequest, branch_interval, solve_family
 
 
 def bc_pairs(req):
@@ -131,3 +132,75 @@ class TestExhaustion:
         req = FamilyRequest(1, 3, 1, 1, interval=(Fraction(100), Fraction(101)))
         with pytest.raises(ValueError, match="scan bound 500 exhausted"):
             solve_family(req)
+
+
+def outcome(call):
+    """The (b, c) pairs a solver returns, or the text of its ValueError."""
+    try:
+        return [(s.b, s.c) for s in call()]
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def filtered_requests(draw):
+    alpha = draw(st.integers(1, 30))
+    beta = draw(st.integers(1, 80))
+    assume(gcd(alpha, beta) == 1)
+    tau = draw(st.sampled_from((1, -1)))
+    kind = draw(st.sampled_from(("none", "branch", "point", "target", "low", "unreachable")))
+    interval = None
+    if kind == "branch":
+        interval = branch_interval(draw(st.integers(1, 7)), draw(st.sampled_from(BRANCHES)))
+    elif kind == "point":
+        # One progression member's abscissa (if its m is positive), so the
+        # degenerate filter can keep a member.
+        b0 = pow(alpha, -1, beta) * tau
+        m0 = (alpha * b0 - tau) // beta
+        t = draw(st.integers(0, 40))
+        m = m0 + alpha * t
+        point = Fraction(b0 + beta * t, m) if m > 0 else Fraction(5, 2)
+        interval = (point, point)
+    elif kind == "target":
+        # beta/alpha as one endpoint: a filter row is then the same at every
+        # index, alpha*b - beta*m = tau, which keeps all of them or none.
+        width = draw(st.fractions(0, 2, max_denominator=12))
+        target = Fraction(beta, alpha)
+        interval = draw(st.sampled_from(((target, target + width), (target - width, target))))
+    elif kind == "low":
+        lo = draw(st.fractions(-3, 2, max_denominator=12).filter(lambda x: x < 2))
+        interval = (lo, lo + draw(st.fractions(0, 4, max_denominator=12)))
+    elif kind == "unreachable":
+        lo = Fraction(beta, alpha) + draw(st.fractions(0, 2, max_denominator=12).filter(bool))
+        interval = (lo, lo + draw(st.fractions(0, 2, max_denominator=12)))
+    return FamilyRequest(alpha, beta, tau, draw(st.integers(1, 40)), interval=interval)
+
+
+class TestAgainstScan:
+    """``solve_family`` works out the valid progression indices; the scan
+    over every index it replaced must give the same members and errors."""
+
+    @given(filtered_requests(), st.sampled_from((1, 7, 60, 3000)))
+    @settings(max_examples=400, deadline=None)
+    @example(FamilyRequest(1, 3, 1, 5, interval=(Fraction(5, 2), Fraction(11, 4))), 3000)
+    # beta = 2*alpha: b - 2m = tau is the same at every index (all or none).
+    @example(FamilyRequest(1, 2, 1, 3), 60)
+    @example(FamilyRequest(1, 2, -1, 3), 60)
+    # An endpoint at the target 3 on the side the members never reach.
+    @example(FamilyRequest(1, 3, -1, 2, interval=branch_interval(1, "I'+")), 60)
+    @example(FamilyRequest(1, 3, 1, 2, interval=branch_interval(1, "I'-")), 60)
+    def test_matches_the_scan(self, req, limit):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(effcone.families, "SCAN_LIMIT", limit)
+            assert outcome(lambda: solve_family(req)) == outcome(lambda: scan_family(req, limit))
+
+    def test_unreachable_filter_at_the_default_bound(self):
+        # Every member of 3 + 1/m lies above 11/4: the window of SCAN_LIMIT
+        # indices holds none, which is known without visiting them.
+        req = FamilyRequest(1, 3, 1, 5, interval=(Fraction(5, 2), Fraction(11, 4)))
+        with pytest.raises(ValueError) as excinfo:
+            solve_family(req)
+        assert str(excinfo.value) == (
+            "scan bound 1000000 exhausted with 0/5 surfaces for alpha=1, beta=3, "
+            "tau=1, interval=(Fraction(5, 2), Fraction(11, 4))"
+        )

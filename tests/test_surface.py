@@ -31,7 +31,9 @@ def degree(surface, spec):
     return spec.n * surface.a * surface.c  # AZ: n*a*D_z has degree n*a*c
 
 
-INVALID_WEIGHTS = [(4, 6, 7), (4, 5, 10), (2, 4, 7), (5, 4, 7), (4, 7, 7), (4, 7, 5), (0, 1, 2)]
+# bool is an int subclass, but True is not a weight.
+INVALID_WEIGHTS = [(4, 6, 7), (4, 5, 10), (2, 4, 7), (5, 4, 7), (4, 7, 7), (4, 7, 5), (0, 1, 2),
+                   (True, 2, 3), (4, True, 7), (4, 5, True)]
 
 
 @st.composite
@@ -99,6 +101,7 @@ class TestMakeSurface:
         for weights, message in [
             ((0, 1, 2), "weight a must be a positive integer, got 0"),
             ((4, 5.0, 7), "weight b must be a positive integer, got 5.0"),
+            ((True, 2, 3), "weight a must be a positive integer, got True"),
             ((5, 4, 6), "require a < b < c, got (5, 4, 6)"),
             ((4, 6, 7), "weights (4, 6, 7) are not pairwise coprime"),
         ]:

@@ -198,6 +198,99 @@ class TestLevelAlgebra:
         assert sympy.cancel(edge) == 0
 
 
+class TestGammaSquareAlgebra:
+    """gamma_pred^2 > 4bc on every classified surface (the lemma that makes the
+    leading coefficient of the all-n gamma bound positive), for every k,
+    proved with sympy: with x = b/m and
+    c = m(3x - 4), gamma_pred^2 - 4bc is m^2 times a quadratic in x whose
+    zeros are 4/3 (family B) or 0 (family C) and one endpoint e of the
+    branch.  It is positive inside each branch, and e has an even numerator
+    over an odd denominator, so b/(-p) = e forces b even.  Tied to the
+    library's level table and classify at k <= 50."""
+
+    # Index into TestLevelAlgebra.endpoints(k) of the zero e of each row
+    # I'-, I'+, I''-, I''+: L(k+1), then 4(2k+1)^2/(8k^2+4k-1) twice, then L(k).
+    ZEROS = (0, 2, 2, 4)
+
+    @staticmethod
+    def excess(x, m0, family, nu0):
+        """(gamma_pred^2 - 4bc)/m^2 as a polynomial in x; r = nu0^2/m0^2."""
+        r = nu0**2 / m0**2
+        if family == "B":
+            return (3 * x - 4) * ((3 * r - 4) * x - 4 * r)
+        return x * ((r - 12) * x + 16)
+
+    @staticmethod
+    def positive(sympy, t, z):
+        """z, a ratio of polynomials in t, has numerator and denominator with
+        coefficients >= 0 and a positive constant: z > 0 for every t >= 0."""
+        return all(
+            all(coeff >= 0 for coeff in coeffs) and coeffs[-1] > 0
+            for coeffs in (sympy.Poly(part, t).all_coeffs()
+                           for part in sympy.fraction(sympy.cancel(z)))
+        )
+
+    def test_excess_is_gamma_squared_minus_4bc(self):
+        sympy = pytest.importorskip("sympy")
+        b, m, k = sympy.symbols("b m k")
+        for row in TestLevelAlgebra.rows(k):
+            gamma = TestLevelAlgebra.gamma(b / m, *row) * m
+            assert sympy.cancel(gamma**2 - 4 * b * (3 * b - 4 * m)
+                                - m**2 * self.excess(b / m, *row)) == 0, row
+
+    def test_zeros_are_endpoints_and_the_sign_is_positive_inside(self):
+        # excess = lead*(x - z0)*(x - e), with e the branch's lo or hi.  Inside
+        # the branch x > lo > z0, and lead has the sign of x - e there.
+        sympy = pytest.importorskip("sympy")
+        x, k, t = sympy.symbols("x k t")
+        ends = TestLevelAlgebra.endpoints(k)
+        for i, (row, zero) in enumerate(zip(TestLevelAlgebra.rows(k), self.ZEROS)):
+            excess = sympy.expand(self.excess(x, *row))
+            lead = sympy.Poly(excess, x).LC()
+            z0 = sympy.Rational(4, 3) if row[1] == "B" else 0
+            e = ends[zero]
+            assert sympy.cancel(excess - lead * (x - z0) * (x - e)) == 0, row
+            assert zero in (i, i + 1)
+            side = 1 if zero == i else -1  # e = lo: x - e > 0; e = hi: x - e < 0
+            assert self.positive(sympy, t, (ends[i] - z0).subs(k, 1 + t)), row
+            assert self.positive(sympy, t, (side * lead).subs(k, 1 + t)), row
+
+    def test_zeros_have_even_numerators_over_odd_denominators(self):
+        # Every coefficient of the numerator is even, and the denominator's are
+        # even but for an odd constant: so the numerator is even and the
+        # denominator odd for every k, and cancelling a common factor, odd as
+        # it divides the denominator, keeps both so.  b/m = e in lowest terms
+        # then makes b a multiple of an even number.
+        sympy = pytest.importorskip("sympy")
+        k = sympy.Symbol("k")
+        ends = TestLevelAlgebra.endpoints(k)
+        for zero in sorted(set(self.ZEROS)):
+            num, den = (sympy.Poly(part, k).all_coeffs()
+                        for part in sympy.fraction(sympy.cancel(ends[zero])))
+            assert all(coeff.is_Integer for coeff in num + den), ends[zero]
+            assert all(coeff % 2 == 0 for coeff in num), ends[zero]
+            assert den[-1] % 2 == 1 and all(coeff % 2 == 0 for coeff in den[:-1]), ends[zero]
+
+    def test_tied_to_the_library_for_k_up_to_50(self):
+        sympy = pytest.importorskip("sympy")
+        for k in range(1, 51):
+            ends = TestLevelAlgebra.endpoints(sympy.Integer(k))
+            for i, (branch, lo, hi, *row) in enumerate(_level(k)):
+                assert tuple(row) == TestLevelAlgebra.rows(k)[i]
+                zero = self.ZEROS[i]
+                e = Fraction(*(lo if zero == i else hi))
+                assert e == Fraction(int(ends[zero].p), int(ends[zero].q)), (k, branch)
+                assert e.numerator % 2 == 0 and e.denominator % 2 == 1, (k, branch)
+                inside = (Fraction(*lo) + Fraction(*hi)) / 2
+                for x, sign in ((inside, 1), (e, 0)):
+                    if not 2 < x < Fraction(16, 3):
+                        continue  # L(1) = 16/3 is no surface's abscissa
+                    b, m = x.numerator, x.denominator
+                    (cls,) = [c for c in classify(b, -m) if (c.k, c.branch) == (k, branch)]
+                    excess = cls.gamma_pred**2 - 4 * b * (3 * b - 4 * m)
+                    assert (excess > 0) - (excess < 0) == sign, (k, branch, x)
+
+
 class TestReferenceTriangleAlgebra:
     """Pick's count of both reference triangles for every k, proved with
     sympy: each edge's lattice length by one symbolic Euclid step, then

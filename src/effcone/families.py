@@ -12,11 +12,11 @@ whose abscissas converge to any prescribed sub-interval endpoint -- the fuel
 for every sweep in this package.
 
 The indices t are not tested one by one.  Cross-multiplied in integers, each
-condition (m >= 1, b - 2m >= 1, and lo <= b/m <= hi for an interval filter)
-is A + B*t >= 0, which bounds t from one side (or keeps all t or none when
-B = 0), and "b odd" keeps every other t, or every t when beta is even; so the
-valid indices form one ``range``, and :func:`solve_family` builds only the
-members it returns.
+condition (b >= 5, m >= 1, b - 2m >= 1, and lo <= b/m <= hi for an interval
+filter) is a row A + B*t >= 0 that bounds t from below (B > 0) or above
+(B < 0), or keeps all t or none (B = 0), and "b odd" keeps every other t, or
+every t when beta is even; so the members are one ``range``, unbounded above
+unless a row bounds it, and :func:`solve_family` builds only those it returns.
 """
 
 from __future__ import annotations
@@ -27,12 +27,7 @@ from math import gcd
 
 from .surface import WeightedSurface, make_surface
 
-__all__ = ["FamilyRequest", "solve_family", "SCAN_LIMIT"]
-
-#: Number of progression indices after the first one with b >= 5 that
-#: :func:`solve_family` draws its members from before giving up with a
-#: diagnostic.
-SCAN_LIMIT = 10**6
+__all__ = ["FamilyRequest", "solve_family"]
 
 
 @dataclass(frozen=True)
@@ -40,7 +35,8 @@ class FamilyRequest:
     """Parameters of one surface sequence.
 
     ``interval``, if given, keeps only surfaces whose abscissa b/(-p) lies
-    in the closed interval [lo, hi].
+    in the closed interval [lo, hi]; its endpoints (ints, Fractions or
+    strings such as ``"5/2"``, never floats) are stored as Fractions.
     """
 
     alpha: int
@@ -50,6 +46,10 @@ class FamilyRequest:
     interval: tuple[Fraction, Fraction] | None = None
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "beta", "tau", "count"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if self.alpha < 1 or self.beta < 1:
             raise ValueError(f"require positive alpha, beta; got ({self.alpha}, {self.beta})")
         if gcd(self.alpha, self.beta) != 1:
@@ -60,62 +60,62 @@ class FamilyRequest:
             raise ValueError(f"require count >= 1, got {self.count}")
         if self.interval is not None:
             lo, hi = self.interval
+            if isinstance(lo, float) or isinstance(hi, float):
+                raise TypeError("refusing a float interval endpoint; pass an int, Fraction or string")
+            lo, hi = Fraction(lo), Fraction(hi)
             if not lo <= hi:
                 raise ValueError(f"empty interval filter [{lo}, {hi}]")
+            object.__setattr__(self, "interval", (lo, hi))
 
 
 def solve_family(req: FamilyRequest) -> list[WeightedSurface]:
     """First ``req.count`` surfaces with alpha*b - beta*(-p) = tau, by increasing b.
 
-    Members are taken from the progression indices t_start ..
-    t_start + SCAN_LIMIT - 1, t_start being the first with b >= 5.  The valid
-    indices of that window are worked out as one ``range`` (see the module
-    docstring), so the work is O(count) whatever the window, and
+    The valid progression indices are worked out as one ``range`` (see the
+    module docstring), so the work is O(count), and
     :func:`~effcone.surface.make_surface` validates each member.
 
-    Raises :class:`ValueError` if the window holds fewer than ``req.count``
-    valid indices (the progression is infinite, so this only happens for
-    filters that exclude the convergent tail, or for counts beyond the
-    filtered range).
+    Raises :class:`ValueError`, naming how many members the rows admit, if
+    they admit fewer than ``req.count``: the progression is infinite, so this
+    only happens when a row keeps the convergent tail out (an interval filter,
+    or b - 2m = tau = -1 for beta/alpha = 2/1).
     """
     alpha, beta = req.alpha, req.beta
-    # Particular solution of alpha*b - beta*m = tau; shift to the smallest
-    # progression index with b > 4 (b increases with t).
+    # Particular solution of alpha*b - beta*m = tau.
     b0 = pow(alpha, -1, beta) * req.tau
     m0 = (alpha * b0 - req.tau) // beta
-    t_lo = -((b0 - 5) // beta)  # smallest t with b0 + beta*t >= 5
-    t_hi = t_lo + SCAN_LIMIT - 1
-    # Each valid t has A + B*t >= 0 for every row (A, B): m >= 1, b - 2m >= 1,
-    # and, as m > 0, lo.den*b - lo.num*m >= 0 and hi.num*m - hi.den*b >= 0.
-    rows = [(m0 - 1, alpha), (b0 - 2 * m0 - 1, beta - 2 * alpha)]
+    # Each valid t has A + B*t >= 0 for every row (A, B): b >= 5, m >= 1,
+    # b - 2m >= 1, and, as m > 0, lo.den*b - lo.num*m >= 0 and
+    # hi.num*m - hi.den*b >= 0.
+    rows = [(b0 - 5, beta), (m0 - 1, alpha), (b0 - 2 * m0 - 1, beta - 2 * alpha)]
     if req.interval is not None:
-        lo, hi = map(Fraction, req.interval)
+        lo, hi = req.interval
         rows.append((lo.denominator * b0 - lo.numerator * m0,
                      lo.denominator * beta - lo.numerator * alpha))
         rows.append((hi.numerator * m0 - hi.denominator * b0,
                      hi.numerator * alpha - hi.denominator * beta))
-    for const, slope in rows:
-        if slope > 0:
-            t_lo = max(t_lo, -(const // slope))
-        elif slope < 0:
-            t_hi = min(t_hi, const // -slope)
-        elif const < 0:
-            t_hi = t_lo - 1
+    t_lo = max(-(const // slope) for const, slope in rows if slope > 0)
     # b = b0 + beta*t is odd for every other t if beta is odd; if beta is
     # even, alpha*b = tau + beta*m makes every b odd.
     step = 1
     if beta % 2:
         step = 2
         t_lo += (b0 + t_lo + 1) % 2
-    valid = range(t_lo, t_hi + 1, step)
+    stop = t_lo + step * req.count  # count members, unless a row bounds t above
+    for const, slope in rows:
+        if slope < 0:
+            stop = min(stop, const // -slope + 1)
+        elif slope == 0 and const < 0:
+            stop = t_lo
+    valid = range(t_lo, stop, step)
     if len(valid) < req.count:
         raise ValueError(
-            f"scan bound {SCAN_LIMIT} exhausted with {len(valid)}/{req.count} surfaces "
+            f"only {len(valid)}/{req.count} surfaces "
             f"for alpha={alpha}, beta={beta}, tau={req.tau}, "
             f"interval={req.interval}"
         )
     members = []
-    for t in valid[:req.count]:
+    for t in valid:
         b, m = b0 + beta * t, m0 + alpha * t
         members.append(make_surface(4, b, 3 * b - 4 * m))
     return members

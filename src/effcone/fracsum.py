@@ -129,11 +129,7 @@ def ceil_sum(alpha: int, beta: int) -> int:
 
     Differs from :func:`floor_sum` by beta - 1: every k != 0 rounds up.
     """
-    if alpha < 1 or beta < 1:
-        raise ValueError(f"require positive inputs, got ({alpha}, {beta})")
-    if gcd(alpha, beta) != 1:
-        raise ValueError(f"require gcd(alpha, beta) = 1, got ({alpha}, {beta})")
-    return (alpha + 1) * (beta - 1) // 2
+    return floor_sum(alpha, beta) + beta - 1
 
 
 def full_sum(alpha0: int, beta0: int, beta1: int, sigma: int) -> Fraction:

@@ -34,8 +34,8 @@ divisor polytopes.
 family-C count that ``surface.section_counts`` replaced by a running sum.
 :func:`sweep_cells` is the per-cell margin loop that ``verify.sweep_one``
 replaced by routing a column of cells at a time.
-:func:`scan_family` is the per-index scan that ``families.solve_family``
-replaced by working out the range of valid progression indices.
+:func:`scan_family` is the per-index scan over a window of indices that
+``families.solve_family`` replaced by working out the valid indices.
 :func:`verify_csv` is the dict per margin row that ``verify --format csv``
 built and ``csv.DictWriter`` wrote before the CLI wrote the rows' blocks, and
 :func:`gamma_table` the dict per row that ``gamma`` built before its table
@@ -554,7 +554,8 @@ def fraction_value(c2: Fraction, c1: Fraction, c0: Fraction, n: int) -> Fraction
 def scan_family(req, limit: int) -> list:
     """``families.solve_family`` as the scan it replaced: test each of the
     ``limit`` progression indices from the first with b >= 5, comparing
-    ``Fraction(b, m)`` with the interval filter."""
+    ``Fraction(b, m)`` with the interval filter, and return the first
+    ``req.count`` members found, or all of them if the window holds fewer."""
     b0 = pow(req.alpha, -1, req.beta) * req.tau
     m0 = (req.alpha * b0 - req.tau) // req.beta
     t_start = -((b0 - 5) // req.beta)
@@ -573,12 +574,8 @@ def scan_family(req, limit: int) -> list:
                 continue
         out.append(make_surface(4, b, c))
         if len(out) == req.count:
-            return out
-    raise ValueError(
-        f"scan bound {limit} exhausted with {len(out)}/{req.count} surfaces "
-        f"for alpha={req.alpha}, beta={req.beta}, tau={req.tau}, "
-        f"interval={req.interval}"
-    )
+            break
+    return out
 
 
 def build_pool():

@@ -1,5 +1,6 @@
 """One-parameter surface sequences solving alpha*b - beta*(-p) = tau."""
 
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -7,7 +8,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import effcone.families
 from conftest import scan_family
 from effcone import BRANCHES, FamilyRequest, branch_interval, solve_family
 
@@ -55,6 +55,33 @@ class TestRequestValidation:
             FamilyRequest(1, 3, 1, 0)
         with pytest.raises(ValueError):
             FamilyRequest(1, 3, 1, 1, interval=(Fraction(3), Fraction(2)))
+
+    @pytest.mark.parametrize("fields, message", [
+        ((True, 3, 1, 1), "alpha must be an int, got True"),
+        ((1, 3.0, 1, 1), "beta must be an int, got 3.0"),
+        ((1, 3, True, 1), "tau must be an int, got True"),
+        ((1, 3, 1, True), "count must be an int, got True"),
+        ((1, 3, 1, 2.0), "count must be an int, got 2.0"),
+        ((True, 3, 1, True), "alpha must be an int, got True"),
+    ])
+    def test_fields_must_be_ints(self, fields, message):
+        with pytest.raises(TypeError) as excinfo:
+            FamilyRequest(*fields)
+        assert str(excinfo.value) == message
+
+    def test_endpoints_are_stored_as_fractions(self):
+        req = FamilyRequest(1, 3, 1, 2, interval=("5/2", 3))
+        assert req.interval == (Fraction(5, 2), Fraction(3))
+        assert all(type(end) is Fraction for end in req.interval)
+        # Compared as numbers, not as text ("5/2" > "11/4").
+        assert FamilyRequest(1, 3, 1, 1, interval=("5/2", "11/4")).interval == (
+            Fraction(5, 2), Fraction(11, 4))
+        assert bc_pairs(FamilyRequest(1, 3, 1, 2, interval=("3", "36/11"))) == [(13, 23), (19, 33)]
+
+    @pytest.mark.parametrize("interval", [(2.5, 3), (Fraction(5, 2), 3.0)])
+    def test_float_endpoint_refused(self, interval):
+        with pytest.raises(TypeError, match="refusing a float interval endpoint"):
+            FamilyRequest(1, 3, 1, 1, interval=interval)
 
 
 class TestSequenceProperties:
@@ -127,19 +154,39 @@ class TestAgainstEnumeration:
 
 
 class TestExhaustion:
-    def test_unreachable_filter_raises(self, monkeypatch):
-        monkeypatch.setattr(effcone.families, "SCAN_LIMIT", 500)
+    def test_unreachable_filter_raises(self):
         req = FamilyRequest(1, 3, 1, 1, interval=(Fraction(100), Fraction(101)))
-        with pytest.raises(ValueError, match="scan bound 500 exhausted"):
+        with pytest.raises(ValueError) as excinfo:
             solve_family(req)
+        assert str(excinfo.value) == (
+            "only 0/1 surfaces for alpha=1, beta=3, tau=1, "
+            "interval=(Fraction(100, 1), Fraction(101, 1))"
+        )
+
+    def test_finite_filter_names_its_members(self):
+        # 3 + 1/m lies in [13/4, 10/3] for m = 3 and 4 only, and b = 3m + 1
+        # is odd for m = 4 alone: the filter admits P(4,13,23).
+        req = FamilyRequest(1, 3, 1, 5, interval=(Fraction(13, 4), Fraction(10, 3)))
+        with pytest.raises(ValueError) as excinfo:
+            solve_family(req)
+        assert str(excinfo.value) == (
+            "only 1/5 surfaces for alpha=1, beta=3, tau=1, "
+            "interval=(Fraction(13, 4), Fraction(10, 3))"
+        )
 
 
-def outcome(call):
-    """The (b, c) pairs a solver returns, or the text of its ValueError."""
-    try:
-        return [(s.b, s.c) for s in call()]
-    except ValueError as exc:
-        return str(exc)
+class TestNoWindow:
+    """The members are not drawn from a window of indices: the progression
+    has no end, and a filter may keep only members far along it."""
+
+    def test_narrow_endpoint_filter(self):
+        # 3 - 1/m >= 3 - 1/10^7 needs m >= 10^7, an index past 3*10^6.
+        req = FamilyRequest(1, 3, -1, 2, interval=(Fraction(29999999, 10**7), Fraction(3)))
+        start = time.perf_counter()
+        members = solve_family(req)
+        elapsed = time.perf_counter() - start
+        assert [(s.b, s.c) for s in members] == [(29999999, 49999997), (30000005, 50000007)]
+        assert elapsed < 0.01
 
 
 @st.composite
@@ -180,27 +227,37 @@ class TestAgainstScan:
     """``solve_family`` works out the valid progression indices; the scan
     over every index it replaced must give the same members and errors."""
 
-    @given(filtered_requests(), st.sampled_from((1, 7, 60, 3000)))
+    # Every finite set the strategy draws lies within this many indices: a
+    # member is 1/(alpha*m) from beta/alpha, so a filter that keeps beta/alpha's
+    # tail out admits only m up to its nearer endpoint's denominator (at most
+    # 479 for the branch intervals with k <= 7).
+    SCAN_BOUND = 3000
+
+    @given(filtered_requests())
     @settings(max_examples=400, deadline=None)
-    @example(FamilyRequest(1, 3, 1, 5, interval=(Fraction(5, 2), Fraction(11, 4))), 3000)
+    @example(FamilyRequest(1, 3, 1, 5, interval=(Fraction(5, 2), Fraction(11, 4))))
     # beta = 2*alpha: b - 2m = tau is the same at every index (all or none).
-    @example(FamilyRequest(1, 2, 1, 3), 60)
-    @example(FamilyRequest(1, 2, -1, 3), 60)
+    @example(FamilyRequest(1, 2, 1, 3))
+    @example(FamilyRequest(1, 2, -1, 3))
     # An endpoint at the target 3 on the side the members never reach.
-    @example(FamilyRequest(1, 3, -1, 2, interval=branch_interval(1, "I'+")), 60)
-    @example(FamilyRequest(1, 3, 1, 2, interval=branch_interval(1, "I'-")), 60)
-    def test_matches_the_scan(self, req, limit):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(effcone.families, "SCAN_LIMIT", limit)
-            assert outcome(lambda: solve_family(req)) == outcome(lambda: scan_family(req, limit))
+    @example(FamilyRequest(1, 3, -1, 2, interval=branch_interval(1, "I'+")))
+    @example(FamilyRequest(1, 3, 1, 2, interval=branch_interval(1, "I'-")))
+    def test_matches_the_scan(self, req):
+        scanned = [(s.b, s.c) for s in scan_family(req, self.SCAN_BOUND)]
+        if len(scanned) == req.count:
+            assert bc_pairs(req) == scanned
+        else:
+            with pytest.raises(ValueError) as excinfo:
+                solve_family(req)
+            assert str(excinfo.value).startswith(f"only {len(scanned)}/{req.count} surfaces ")
 
     def test_unreachable_filter_at_the_default_bound(self):
-        # Every member of 3 + 1/m lies above 11/4: the window of SCAN_LIMIT
-        # indices holds none, which is known without visiting them.
+        # Every member of 3 + 1/m lies above 11/4, which is known without
+        # visiting any index.
         req = FamilyRequest(1, 3, 1, 5, interval=(Fraction(5, 2), Fraction(11, 4)))
         with pytest.raises(ValueError) as excinfo:
             solve_family(req)
         assert str(excinfo.value) == (
-            "scan bound 1000000 exhausted with 0/5 surfaces for alpha=1, beta=3, "
+            "only 0/5 surfaces for alpha=1, beta=3, "
             "tau=1, interval=(Fraction(5, 2), Fraction(11, 4))"
         )

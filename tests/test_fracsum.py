@@ -26,7 +26,7 @@ from effcone import (
     step_error_bounds,
 )
 
-from effcone.fracsum import _residue_sum
+from effcone.fracsum import _residue_sum, _step_error_base
 
 from conftest import forced_jump, frac_sum_direct
 
@@ -395,6 +395,99 @@ class TestBounds:
         # Both sit inside the claimed regime u + beta1*t < beta0 - beta1.
         for t, u, beta0, beta1 in ((0, 0, 3, 2), (0, 1, 5, 2)):
             assert u + beta1 * t < beta0 - beta1
+
+
+class TestStepErrorAlgebra:
+    """The step error's algebra for every (t, u, beta0, beta1), proved with
+    sympy: the last step of the ``fracsum`` theorem, and the sigma = -1
+    small-regime form, excess and sharp constant that ``step_error_bounds``
+    states.  Each symbolic form is tied to the library at beta0 <= 30."""
+
+    @staticmethod
+    def error(sigma, t, u, beta0, beta1):
+        """The Delta-free step error as ``_step_error_base`` writes it, for
+        sympy symbols or Fractions."""
+        return ((u + 1) * (sigma * u + beta0 - beta1) / (2 * beta0 * beta1)
+                + sigma * t * (beta1 * (t - sigma) + 2 * u + 1 - beta0) / (2 * beta0))
+
+    @staticmethod
+    def proof_form(sigma, t, u, beta0, beta1):
+        """2*beta0*beta1 times the deficit difference, as the theorem's proof
+        sums it."""
+        return ((u + 1) * (sigma * u + beta0 - beta1)
+                + t * beta1 * (sigma * beta1 * t + sigma * (2 * u + 1) - beta1 + beta0
+                               - 2 * beta0 * int(sigma == 1)))
+
+    @staticmethod
+    def steps(max_beta0):
+        """(beta0, beta1, t, u) of every step with 2 <= beta1 < beta0 <= max_beta0."""
+        for beta0 in range(3, max_beta0 + 1):
+            for beta1 in range(2, beta0):
+                if gcd(beta0, beta1) == 1:
+                    for v in range(beta0):
+                        yield (beta0, beta1, *divmod(v, beta1))
+
+    def test_last_step_of_the_theorem(self):
+        sympy = pytest.importorskip("sympy")
+        t, u, beta0, beta1 = sympy.symbols("t u beta0 beta1")
+        for sigma in (1, -1):
+            twice = 2 * beta0 * beta1 * self.error(sigma, t, u, beta0, beta1)
+            assert sympy.expand(sympy.cancel(twice) - self.proof_form(sigma, t, u, beta0, beta1)) == 0
+
+    def test_last_step_is_the_library_step_error(self):
+        for beta0, beta1, t, u in self.steps(30):
+            for sigma in (1, -1):
+                error = step_error(sigma, t, u, beta0, beta1, delta="calibrated")
+                assert error == _step_error_base(sigma, t, u, beta0, beta1)
+                assert error == self.error(sigma, *map(Fraction, (t, u, beta0, beta1)))
+                assert error * 2 * beta0 * beta1 == self.proof_form(sigma, t, u, beta0, beta1)
+
+    def test_small_regime_form_and_excess(self):
+        # With d = beta0 - beta1 and v = u + beta1*t, the sigma = -1 error is
+        # a function of v alone, and its excess over the published constant
+        # (d+3)(d-1)/(8*beta0*beta1) is (4 - (d-1-2v)^2)/(8*beta0*beta1).
+        sympy = pytest.importorskip("sympy")
+        t, v, beta0, beta1, x = sympy.symbols("t v beta0 beta1 x")
+        d = beta0 - beta1
+        error = self.error(-1, t, v - beta1 * t, beta0, beta1)
+        form = (v + 1) * (d - v) / (2 * beta0 * beta1)
+        assert sympy.cancel(error - form) == 0
+        excess = form - (d + 3) * (d - 1) / (8 * beta0 * beta1)
+        assert sympy.cancel(excess - (4 - (d - 1 - 2 * v) ** 2) / (8 * beta0 * beta1)) == 0
+        # d - 1 - 2v is an integer x, and 4 - x^2 > 0 exactly for |x| <= 1.
+        positive = sympy.solveset(4 - x**2 > 0, x, sympy.S.Reals)
+        assert sympy.Intersection(positive, sympy.S.Integers) == sympy.Range(-1, 2)
+
+    def test_small_regime_sharp_constant(self):
+        # 4(v+1)(d-v) = (d+1)^2 - (d-1-2v)^2, so (v+1)(d-v) <= (d+1)^2/4, and
+        # being an integer, <= floor((d+1)^2/4).  At v = floor((d-1)/2) it is
+        # ((d+1)^2 - r)/4 with r = 0 for d = 2s+1 and r = 1 for d = 2s: an
+        # integer polynomial in s that is floor((d+1)^2/4), as 0 <= r < 4.
+        sympy = pytest.importorskip("sympy")
+        d, v, s = sympy.symbols("d v s")
+        assert sympy.expand(4 * (v + 1) * (d - v) - ((d + 1) ** 2 - (d - 1 - 2 * v) ** 2)) == 0
+        for d_s, v_s, r in ((2 * s + 1, s, 0), (2 * s, s - 1, 1)):
+            peak = ((d_s + 1) ** 2 - r) / 4
+            assert sympy.expand((v_s + 1) * (d_s - v_s) - peak) == 0
+            assert all(coeff.is_Integer for coeff in sympy.Poly(peak, s).all_coeffs())
+
+    def test_small_regime_is_the_library_bound(self):
+        by_pair = {}
+        for beta0, beta1, t, u in self.steps(30):
+            d, v = beta0 - beta1, u + beta1 * t
+            if v >= d:
+                continue
+            error = step_error(-1, t, u, beta0, beta1, delta="paper")
+            scale = 2 * beta0 * beta1
+            assert error == Fraction((v + 1) * (d - v), scale)
+            published = step_error_bounds(-1, beta0, beta1).upper_small
+            assert published == Fraction((d + 3) * (d - 1), 4 * scale)
+            assert error - published == Fraction(4 - (d - 1 - 2 * v) ** 2, 4 * scale)
+            by_pair.setdefault((beta0, beta1), {})[v] = error
+        for (beta0, beta1), errors in by_pair.items():
+            d = beta0 - beta1
+            sharp = Fraction((d + 1) ** 2 // 4, 2 * beta0 * beta1)
+            assert max(errors.values()) == sharp == errors[(d - 1) // 2], (beta0, beta1)
 
 
 class TestReductionChain:

@@ -275,15 +275,6 @@ def _render_csv(records: Records) -> str:
     return "".join(out)
 
 
-def _jobs(flag: int | None) -> int:
-    """Worker processes: ``--jobs``, else one (faster at ``--n-max 200``)."""
-    if flag is None:
-        return 1
-    if flag < 1:
-        raise ValueError(f"--jobs must be at least 1, got {flag}")
-    return flag
-
-
 def _cmd_count(args) -> tuple[dict, int]:
     tri = triangle(*args.tri)
     counter = count_points_pick if args.method == "pick" else count_points_rowscan
@@ -367,17 +358,15 @@ def _cmd_lower_bound(args) -> tuple[dict, int]:
 def _cmd_reduce(args) -> tuple[dict, int]:
     if (args.entry is None) != (args.k is None):
         raise ValueError("--entry and --k must be given together")
+    if args.surface is not None and args.head is not None:
+        raise ValueError("--surface and --head both name the head; give one of them")
     if args.entry is None:
         # Bare mode: the two-pair chain (alpha, beta) -> (1, 2).
         if args.head is None:
             raise ValueError("give --entry/--k for a standard chain, or a bare --head")
-        if args.surface is not None:
-            raise ValueError("--surface prepends onto a standard chain; add --entry/--k")
-        if args.c_case:
-            raise ValueError("--c-case applies to standard chains only")
         chain = ReductionChain(pairs=(args.head, (1, 2)))
     else:
-        chain = standard_chain(args.entry, args.k, c_case=args.c_case)
+        chain = standard_chain(args.entry, args.k)
         if args.surface is not None:
             surface = args.surface
             if surface.p >= 0:
@@ -415,7 +404,7 @@ def _cmd_family(args) -> tuple[dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict | Records, int]:
-    reports = sweep(args.surface, args.n_max, jobs=_jobs(args.jobs))
+    reports = sweep(args.surface, args.n_max, jobs=args.jobs)
     aggregate = aggregate_sweep(reports)
     ok = aggregate["min_margin"] >= 1 and aggregate["all_gamma_match"]
     if args.format == "csv":  # the margin rows' blocks, each led by its surface's a, b, c
@@ -433,8 +422,7 @@ def _cmd_calibrate(args) -> tuple[dict, int]:
 
 
 # Each command's options in help order, as (flag, kwargs) pairs that the full
-# tree passes to ``add_argument`` and the table path of ``_parse_args`` reads;
-# a tuple of such pairs is one mutually exclusive group.
+# tree passes to ``add_argument`` and the table path of ``_parse_args`` reads.
 def _output(formats=("json",)) -> tuple:
     return (("--format", {"choices": formats, "default": "json"}),
             ("--output", {"help": "write the payload to this path instead of stdout"}))
@@ -474,15 +462,13 @@ _COMMANDS = {
         ("--entry", {"type": _parse_int, "choices": (1, 2, 3, 4),
                      "help": "standard chain entry (with --k)"}),
         ("--k", {"type": _parse_int, "help": "standard chain parameter"}),
-        ("--c-case", {"action": "store_true",
-                      "help": "flip the lead sigma (family-C head variant)"}),
         ("--u0", {"type": _parse_int, "required": True}),
         ("--delta", {"choices": DELTA_POLICIES, "default": "calibrated"}),
-        (("--surface", {"type": _parse_surface, "metavar": "A,B,C",
-                        "help": "prepend the head (-p, b) of this surface"}),
-         ("--head", {"type": _parse_head, "metavar": "ALPHA,BETA",
-                     "help": "head pair: prepended, or with no --entry the chain "
-                             "(alpha,beta) -> (1,2)"})),
+        ("--surface", {"type": _parse_surface, "metavar": "A,B,C",
+                       "help": "prepend the head (-p, b) of this surface"}),
+        ("--head", {"type": _parse_head, "metavar": "ALPHA,BETA",
+                    "help": "head pair: prepended, or with no --entry the chain "
+                            "(alpha,beta) -> (1,2)"}),
         *_output(),
     ), _cmd_reduce),
     "family": ("generate surfaces with alpha*b - beta*(-p) = tau", (
@@ -498,7 +484,7 @@ _COMMANDS = {
         ("--surface", {"type": _parse_surface, "action": "append", "required": True,
                        "metavar": "A,B,C", "help": "repeatable"}),
         ("--n-max", {"type": _parse_int, "required": True}),
-        ("--jobs", {"type": _parse_int, "help": "worker processes (default: 1)"}),
+        ("--jobs", {"type": _parse_int, "default": 1, "help": "worker processes (default: 1)"}),
         *_output(("json", "csv")),
     ), _cmd_verify),
     "calibrate-delta": ("exhaustive step-error jump calibration", (
@@ -521,11 +507,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, options, handler) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for entry in options:
-            group, pairs = ((p, [entry]) if isinstance(entry[0], str)
-                            else (p.add_mutually_exclusive_group(), entry))
-            for flag, kwargs in pairs:
-                group.add_argument(flag, **kwargs)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
         p.set_defaults(func=handler)
     return parser
 
@@ -535,16 +518,10 @@ def _read_options(argv: list[str]) -> argparse.Namespace | None:
     table of its command argv[0]; None unless every later token is an exact
     flag of that command followed by exactly its values, none of them starting
     with "-", each flag is given once (an "append" one any number of times),
-    each value converts by the option's type and is one of its choices, every
-    required flag is given, and at most one of an exclusive group."""
+    each value converts by the option's type and is one of its choices, and
+    every required flag is given."""
     _, options, handler = _COMMANDS[argv[0]]
-    table, exclusive = {}, ()
-    for entry in options:
-        if isinstance(entry[0], str):
-            table[entry[0]] = entry[1]
-        else:
-            table.update(entry)
-            exclusive = [flag for flag, _ in entry]
+    table = dict(options)
     values, i = {}, 1
     while i < len(argv):
         flag = argv[i]
@@ -571,8 +548,6 @@ def _read_options(argv: list[str]) -> argparse.Namespace | None:
             values.setdefault(flag, []).append(value)
         else:
             values[flag] = value
-    if sum(flag in values for flag in exclusive) > 1:
-        return None
     args = argparse.Namespace(command=argv[0], func=handler)
     for flag, kwargs in table.items():
         if flag not in values and kwargs.get("required"):

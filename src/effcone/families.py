@@ -109,10 +109,10 @@ def solve_family(req: FamilyRequest) -> list[WeightedSurface]:
             stop = t_lo
     valid = range(t_lo, stop, step)
     if len(valid) < req.count:
+        interval = "None" if req.interval is None else "[%s, %s]" % req.interval
         raise ValueError(
             f"only {len(valid)}/{req.count} surfaces "
-            f"for alpha={alpha}, beta={beta}, tau={req.tau}, "
-            f"interval={req.interval}"
+            f"for alpha={alpha}, beta={beta}, tau={req.tau}, interval={interval}"
         )
     members = []
     for t in valid:

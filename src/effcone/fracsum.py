@@ -281,13 +281,11 @@ def step_error_bounds(sigma: int, beta0: int, beta1: int) -> StepErrorBounds:
 class ReductionChain:
     """A decreasing sequence of coprime pairs linked by +-1 determinants.
 
-    A chain is given by its pairs: ``pairs[0]`` is the head (alpha_0,
+    A chain is nothing but its pairs: ``pairs[0]`` is the head (alpha_0,
     beta_0), and ``sigmas[i]``, worked out from them, is the determinant
     alpha_{i+1}*beta_i - beta_{i+1}*alpha_i of the link from pairs[i] to
-    pairs[i+1], which must be +-1.  ``lead_sigma``, if set, is the
-    determinant a future :meth:`prepend` head must realize (used by the
-    standard chains, which are published without their surface-dependent
-    head).
+    pairs[i+1], which must be +-1.  A head put in front by :meth:`prepend`
+    gets its link sign the same way.
 
     The betas must strictly decrease on every link (each step's Euclidean
     division needs it) and the alphas on every link but the last, where a
@@ -297,7 +295,6 @@ class ReductionChain:
     """
 
     pairs: tuple[tuple[int, int], ...]
-    lead_sigma: int | None = None
     sigmas: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -323,19 +320,11 @@ class ReductionChain:
                 raise ValueError(f"link {i} determinant {det} is not +-1")
             sigmas.append(det)
         object.__setattr__(self, "sigmas", tuple(sigmas))
-        if self.lead_sigma is not None and self.lead_sigma not in (-1, 1):
-            raise ValueError(f"lead_sigma must be +-1 or None, got {self.lead_sigma}")
 
     def prepend(self, alpha0: int, beta0: int) -> "ReductionChain":
-        """Attach a new head; its link must realize the declared lead_sigma."""
-        if self.lead_sigma is None:
-            raise ValueError("chain declares no lead_sigma; nothing to prepend against")
-        chain = ReductionChain(pairs=((alpha0, beta0),) + self.pairs)
-        if chain.sigmas[0] != self.lead_sigma:
-            raise ValueError(
-                f"link 1 determinant {chain.sigmas[0]} != declared sigma {self.lead_sigma}"
-            )
-        return chain
+        """The chain with (alpha0, beta0) in front: its link sign is worked
+        out like every other, alpha_1*beta0 - beta_1*alpha0."""
+        return ReductionChain(pairs=((alpha0, beta0),) + self.pairs)
 
 
 @dataclass(frozen=True)
@@ -385,16 +374,19 @@ def reduce_chain(chain: ReductionChain, u0: int, delta: str = "calibrated") -> R
     return ReductionTrace(steps=tuple(steps), terminal=terminal, total=terminal + total_error)
 
 
-def standard_chain(entry: int, k: int, c_case: bool = False) -> ReductionChain:
+def standard_chain(entry: int, k: int) -> ReductionChain:
     """The four published reduction chains, parametrized by k, as their
     (alpha, beta) pairs; the link signs are the pairs' determinants.
+
+    They are published without the surface-dependent head.  A surface
+    P(4, b, c) with m = -p goes in front by ``prepend(m, b)``, and the new
+    link's sign alpha*b - beta*m, for the chain's head (alpha, beta), is the
+    side tau from which b/m approaches beta/alpha.
 
     Entry 1 requires k >= 2 (its tail pair (k-1, 2k-1) degenerates at
     k = 1).  Entry 3 at k = 1 produces (1, 4) -> (1, 3) -> (1, 2), whose
     repeated alpha on a non-final link fails chain validation; it is
-    rejected loudly rather than silently repaired.  The lead sigma is +1,
-    or -1 under ``c_case`` (the variant used when the head comes from a
-    family-C bound).
+    rejected loudly rather than silently repaired.
     """
     if k < 1:
         raise ValueError(f"require k >= 1, got {k}")
@@ -422,4 +414,4 @@ def standard_chain(entry: int, k: int, c_case: bool = False) -> ReductionChain:
         pairs = ((k, 2 * k + 1), (1, 2))
     else:
         raise ValueError(f"entry must be in 1..4, got {entry}")
-    return ReductionChain(pairs=pairs, lead_sigma=-1 if c_case else 1)
+    return ReductionChain(pairs=pairs)

@@ -249,18 +249,20 @@ def _margin_column(cls: Classification, base: int, delta: int, counts: tuple) ->
             for n, count in enumerate(counts, 1)]
 
 
-def sweep(surfaces: list[WeightedSurface], n_max: int, jobs: int | None = None) -> list[dict]:
+def sweep(surfaces: list[WeightedSurface], n_max: int, jobs: int = 1) -> list[dict]:
     """Margin reports for each surface, in input order.
 
     ``jobs > 1`` spreads the surfaces over min(jobs, len(surfaces)) worker
     processes; the output is deterministic either way.  A ``ValueError``
     from one surface (e.g. one outside every classification interval) is
     raised again with the surface in front of its message; a bad ``n_max``
-    is refused first, naming no surface.
+    is refused first, naming no surface, and then a ``jobs`` below 1.
     """
     if n_max < 1:
         raise ValueError(f"require n_max >= 1, got {n_max}")
-    if jobs is not None and jobs > 1 and len(surfaces) > 1:
+    if jobs < 1:
+        raise ValueError(f"require jobs >= 1, got {jobs}")
+    if jobs > 1 and len(surfaces) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(jobs, len(surfaces))) as executor:

@@ -223,20 +223,39 @@ class TestReduce:
         assert payload["identity_exact"] is True
 
     def test_c_case_flips_lead(self, capsys):
+        # 11*49 - 36*15 = -1: the head's link sign is worked out, not declared.
         code, payload = run_json(
-            capsys, "reduce", "--entry", "2", "--k", "1", "--c-case",
+            capsys, "reduce", "--entry", "2", "--k", "1",
             "--surface", "4,49,87", "--u0", "11",
         )
         assert code == 0
         assert payload["sigmas"][0] == -1
         assert payload["identity_exact"] is True
 
+    @pytest.mark.parametrize("argv", [
+        ["reduce", "--surface", "4,13,23", "--head", "3,5", "--u0", "0"],
+        ["reduce", "--entry", "4", "--k", "1", "--head", "3,5", "--surface", "4,13,23",
+         "--u0", "5"],
+    ], ids=["bare", "standard"])
+    def test_surface_and_head_are_one_head(self, capsys, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "effcone: error: --surface and --head both name the head; give one of them\n"
+        )
+
+    def test_c_case_is_an_unknown_argument(self, capsys):
+        argv = ["reduce", "--entry", "2", "--k", "1", "--c-case", "--u0", "0"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --c-case" in capsys.readouterr().err
+
     def test_entry_and_k_must_pair(self, capsys):
         assert main(["reduce", "--k", "1", "--u0", "0"]) == 2
         assert main(["reduce", "--entry", "4", "--u0", "0"]) == 2
 
     def test_bare_mode_rejects_chain_flags(self, capsys):
-        assert main(["reduce", "--head", "3,5", "--u0", "0", "--c-case"]) == 2
+        assert main(["reduce", "--surface", "4,13,23", "--u0", "0"]) == 2
 
     def test_surface_head_needs_negative_p(self, capsys):
         assert main(
@@ -261,6 +280,15 @@ class TestFamily:
         )
         assert code == 0
         assert [(s["b"], s["c"]) for s in payload["surfaces"]] == [(13, 23), (19, 33)]
+
+    def test_exhausted_filter_prints_rationals(self, capsys):
+        argv = ["family", "--alpha", "1", "--beta", "3", "--tau", "1", "--count", "5",
+                "--interval", "5/2,11/4"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", (
+            "effcone: error: only 0/5 surfaces for alpha=1, beta=3, tau=1, "
+            "interval=[5/2, 11/4]\n"
+        ))
 
 
 class TestVerify:
@@ -313,9 +341,7 @@ class TestVerify:
     @pytest.mark.parametrize("jobs", ["0", "-4"])
     def test_jobs_below_one_is_a_usage_error(self, capsys, jobs):
         assert main(["verify", "--surface", "4,5,7", "--n-max", "2", "--jobs", jobs]) == 2
-        assert capsys.readouterr().err == (
-            f"effcone: error: --jobs must be at least 1, got {jobs}\n"
-        )
+        assert capsys.readouterr().err == f"effcone: error: require jobs >= 1, got {jobs}\n"
 
     def test_one_worker_by_default(self, capsys, monkeypatch):
         # Without --jobs, no worker pool is started.
@@ -323,7 +349,7 @@ class TestVerify:
             raise AssertionError("a worker pool was started")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        assert cli._jobs(None) == 1
+        assert cli._parse_args(["verify", "--surface", "4,5,7", "--n-max", "40"]).jobs == 1
         code, out = run(capsys, "verify", "--surface", "4,5,7", "--surface", "4,13,23",
                         "--n-max", "40")
         assert code == 0 and json.loads(out)["aggregate"]["surfaces"] == 2
@@ -1014,7 +1040,6 @@ PARSE_EXITS = [
     ["gamma", "--surface", "4,5,7", "--n-max", "x"],
     ["classify", "--b", "5", "--p", "-2", "--format", "csv"],
     ["reduce", "--entry", "5", "--u0", "0"],
-    ["reduce", "--surface", "4,13,23", "--head", "3,5", "--u0", "0"],
     ["family", "--alpha", "1", "--beta", "3", "--tau", "2", "--count", "1"],
     ["count"], ["h0", "--surface", "4,5,7", "--n", "1"], ["verify", "--n-max", "2"],
     ["calibrate-delta"],
@@ -1024,12 +1049,10 @@ PARSE_EXITS = [
     ["count", "--version"],
     ["count", "--tri", "0,0", "1,0", "0,1", "--=x"],
     # Each a well-formed call but for its last tokens: values that start with
-    # "-", a help flag, both options of the exclusive group, a missing value.
+    # "-", a help flag, a missing value.
     ["classify", "--b", "5", "--p", "-x"],
     ["classify", "--b", "5", "--p", "-2", "--output", "-x"],
     ["gamma", "--surface", "4,5,7", "--n-max", "5", "-h"],
-    ["reduce", "--entry", "4", "--k", "1", "--head", "3,5", "--surface", "4,13,23",
-     "--u0", "5"],
     ["verify", "--surface", "4,5,7", "--n-max"],
     ["count", "--tri", "0,0", "1,0"],
 ]
@@ -1064,16 +1087,11 @@ VALUE_TEXTS = {
 @st.composite
 def well_formed_argv(draw) -> list[str]:
     """A valid call of any command, drawn from its option table: every required
-    option, a random subset of the others and at most one of an exclusive
-    group, in random order, with an "append" option given one to three times."""
+    option and a random subset of the others, in random order, with an
+    "append" option given one to three times."""
     name = draw(st.sampled_from(list(cli._COMMANDS)))
     options = []
-    for entry in cli._COMMANDS[name][1]:
-        if not isinstance(entry[0], str):
-            entry = draw(st.sampled_from([None, *entry]))
-            if entry is None:
-                continue
-        flag, kwargs = entry
+    for flag, kwargs in cli._COMMANDS[name][1]:
         if not (kwargs.get("required") or draw(st.booleans())):
             continue
         values = (st.sampled_from(kwargs["choices"]).map(str) if "choices" in kwargs

@@ -160,8 +160,14 @@ class TestExhaustion:
             solve_family(req)
         assert str(excinfo.value) == (
             "only 0/1 surfaces for alpha=1, beta=3, tau=1, "
-            "interval=(Fraction(100, 1), Fraction(101, 1))"
+            "interval=[100, 101]"
         )
+
+    def test_unfiltered_exhaustion_names_no_interval(self):
+        # beta/alpha = 2/1 with tau = -1 gives b - 2m = -1 < 1 at every index.
+        with pytest.raises(ValueError) as excinfo:
+            solve_family(FamilyRequest(1, 2, -1, 1))
+        assert str(excinfo.value) == "only 0/1 surfaces for alpha=1, beta=2, tau=-1, interval=None"
 
     def test_finite_filter_names_its_members(self):
         # 3 + 1/m lies in [13/4, 10/3] for m = 3 and 4 only, and b = 3m + 1
@@ -171,7 +177,7 @@ class TestExhaustion:
             solve_family(req)
         assert str(excinfo.value) == (
             "only 1/5 surfaces for alpha=1, beta=3, tau=1, "
-            "interval=(Fraction(13, 4), Fraction(10, 3))"
+            "interval=[13/4, 10/3]"
         )
 
 
@@ -259,5 +265,5 @@ class TestAgainstScan:
             solve_family(req)
         assert str(excinfo.value) == (
             "only 0/5 surfaces for alpha=1, beta=3, "
-            "tau=1, interval=(Fraction(5, 2), Fraction(11, 4))"
+            "tau=1, interval=[5/2, 11/4]"
         )

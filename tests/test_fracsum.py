@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from effcone import (
+    FamilyRequest,
     ReductionChain,
     calibrated_delta,
     ceil_sum,
@@ -21,6 +22,7 @@ from effcone import (
     make_surface,
     paper_delta,
     reduce_chain,
+    solve_family,
     standard_chain,
     step_error,
     step_error_bounds,
@@ -510,7 +512,7 @@ class TestReductionChain:
             ReductionChain(pairs=((7, 24), (2, 7), (1, 5)))
 
     def test_sigmas_are_the_link_determinants(self):
-        assert [f.name for f in fields(ReductionChain) if f.init] == ["pairs", "lead_sigma"]
+        assert [f.name for f in fields(ReductionChain) if f.init] == ["pairs"]
         assert ReductionChain(pairs=((2, 5),)).sigmas == ()
         assert ReductionChain(pairs=((3, 5), (1, 2))).sigmas == (-1,)
         assert ReductionChain(pairs=((3, 7), (1, 2))).sigmas == (1,)
@@ -520,22 +522,14 @@ class TestReductionChain:
         with pytest.raises(ValueError, match="coprime"):
             ReductionChain(pairs=((2, 4),))
 
-    def test_prepend_needs_declared_lead(self):
-        chain = ReductionChain(pairs=((3, 5), (1, 2)))
-        with pytest.raises(ValueError, match="lead_sigma"):
-            chain.prepend(7, 12)
-
     def test_prepend_consumes_lead(self):
-        chain = ReductionChain(pairs=((3, 5), (1, 2)), lead_sigma=1)
+        chain = ReductionChain(pairs=((3, 5), (1, 2)))
         longer = chain.prepend(4, 7)  # 3*7 - 5*4 = 1
         assert longer.pairs == ((4, 7), (3, 5), (1, 2))
         assert longer.sigmas == (1, -1)
-        assert longer.lead_sigma is None
 
     def test_prepend_checks_the_lead_sign(self):
-        chain = ReductionChain(pairs=((3, 5), (1, 2)), lead_sigma=-1)
-        with pytest.raises(ValueError, match="link 1 determinant 1 != declared sigma -1"):
-            chain.prepend(4, 7)
+        chain = ReductionChain(pairs=((3, 5), (1, 2)))
         with pytest.raises(ValueError, match="link 1 determinant 2 is not"):
             chain.prepend(5, 9)
 
@@ -587,8 +581,6 @@ class TestStandardChains:
         chain = standard_chain(2, 1)
         assert chain.pairs == ((11, 36), (4, 13), (3, 10), (1, 3), (1, 2))
         assert chain.sigmas == (1, -1, 1, 1)
-        assert chain.lead_sigma == 1
-        assert standard_chain(2, 1, c_case=True).lead_sigma == -1
 
     def test_frozen_entry_one_k_two(self):
         chain = standard_chain(1, 2)
@@ -616,10 +608,8 @@ class TestStandardChains:
     @pytest.mark.parametrize("entry", [1, 2, 3, 4])
     def test_published_signs_up_to_k_60(self, entry):
         for k in range(1 if entry in (2, 4) else 2, 61):
-            for c_case in (False, True):
-                chain = standard_chain(entry, k, c_case=c_case)
-                assert chain.sigmas == PUBLISHED_SIGNS[entry] == link_determinants(chain)
-                assert chain.lead_sigma == (-1 if c_case else 1)
+            chain = standard_chain(entry, k)
+            assert chain.sigmas == PUBLISHED_SIGNS[entry] == link_determinants(chain)
 
     def test_bad_entry_or_k(self):
         with pytest.raises(ValueError):
@@ -630,7 +620,7 @@ class TestStandardChains:
     def test_prepend_surface_heads(self):
         cases = [
             (make_surface(4, 103, 161), standard_chain(1, 2)),
-            (make_surface(4, 49, 87), standard_chain(2, 1, c_case=True)),
+            (make_surface(4, 49, 87), standard_chain(2, 1)),
             (make_surface(4, 13, 23), standard_chain(4, 1)),
         ]
         for surface, chain in cases:
@@ -640,9 +630,29 @@ class TestStandardChains:
                     surface.b, u0, -surface.p
                 )
 
+    @pytest.mark.parametrize("entry", [1, 2, 3, 4])
+    def test_prepended_surface_link_sign_is_its_side(self, entry):
+        # A surface with alpha*b - beta*m = tau in front of a chain with head
+        # (alpha, beta) gets the link sign tau, worked out from the pairs.
+        heads = 0
+        for k in range(1 if entry in (2, 4) else 2, 7):
+            chain = standard_chain(entry, k)
+            alpha, beta = chain.pairs[0]
+            for tau in (1, -1):
+                for surface in solve_family(FamilyRequest(alpha, beta, tau, 6)):
+                    if surface.b <= beta:
+                        continue
+                    m = -surface.p
+                    full = chain.prepend(m, surface.b)
+                    assert full.sigmas[0] == tau
+                    for u0 in range(0, surface.b, max(1, surface.b // 20)):
+                        assert reduce_chain(full, u0).total == deficit(surface.b, u0, m)
+                    heads += 1
+        assert heads >= 50
+
     def test_prepend_rejects_small_b(self):
         # P(4,13,23) has b = 13 < 36, so it cannot head the entry-2 chain.
         with pytest.raises(ValueError, match="strictly decrease"):
-            standard_chain(2, 1, c_case=True).prepend(4, 13)
+            standard_chain(2, 1).prepend(4, 13)
         with pytest.raises(ValueError, match="strictly decrease"):
             standard_chain(1, 2).prepend(14, 39)  # b = 39 < 64

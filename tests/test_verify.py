@@ -452,6 +452,13 @@ class TestSweepAggregation:
         surfaces = [s457, s41323, make_surface(4, 7, 13)]
         assert sweep(surfaces, 8, jobs=2) == sweep(surfaces, 8)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_refused(self, s457, jobs):
+        with pytest.raises(ValueError, match=f"^require jobs >= 1, got {jobs}$"):
+            sweep([s457], 5, jobs=jobs)
+        with pytest.raises(ValueError, match="^require n_max >= 1, got 0$"):
+            sweep([s457], 0, jobs=jobs)
+
 
 class TestCalibration:
     def test_frozen_small_run(self):

@@ -16,11 +16,11 @@ The module also exposes the two c0 ingredients with published range bounds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 # frac_sum is unused; bench/test_bench.py checks the tracer rebinds ehrhart.frac_sum.
 from .fracsum import _residue_sum, frac_sum  # noqa: F401
+from .numerics import Frozen
 from .surface import FAMILY_B, FAMILY_C, WeightedSurface
 
 __all__ = [
@@ -31,15 +31,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EhrhartCoeffs:
+class EhrhartCoeffs(Frozen):
     """Exact quadratic coefficients at one dilation level n."""
 
-    c2: Fraction
-    c1: Fraction
-    c0: Fraction
-    n: int
-    family: str
+    def __init__(self, c2: Fraction, c1: Fraction, c0: Fraction, n: int, family: str) -> None:
+        self.__dict__.update(c2=c2, c1=c1, c0=c0, n=n, family=family)
 
     def value(self) -> Fraction:
         """c2*n^2 + c1*n + c0 as one numerator over d2*d1*d0; the lattice count when correct."""
@@ -73,6 +69,8 @@ def coefficients(surface: WeightedSurface, family: str, n: int) -> EhrhartCoeffs
         c0 = 1 - {4n/b} - ((b-1)/2){4n/b} + sum_{j=0}^{4n mod b} {-pj/b}.
     """
     _require_hypotheses(surface)
+    if type(n) is not int:
+        raise TypeError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ValueError(f"require n >= 1, got {n}")
     b, c, p = surface.b, surface.c, surface.p

@@ -21,17 +21,16 @@ unless a row bounds it, and :func:`solve_family` builds only those it returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .numerics import Frozen
 from .surface import WeightedSurface, make_surface
 
 __all__ = ["FamilyRequest", "solve_family"]
 
 
-@dataclass(frozen=True)
-class FamilyRequest:
+class FamilyRequest(Frozen):
     """Parameters of one surface sequence.
 
     ``interval``, if given, keeps only surfaces whose abscissa b/(-p) lies
@@ -39,33 +38,28 @@ class FamilyRequest:
     strings such as ``"5/2"``, never floats) are stored as Fractions.
     """
 
-    alpha: int
-    beta: int
-    tau: int
-    count: int
-    interval: tuple[Fraction, Fraction] | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "tau", "count"):
-            value = getattr(self, name)
+    def __init__(self, alpha: int, beta: int, tau: int, count: int,
+                 interval: tuple[Fraction, Fraction] | None = None) -> None:
+        for name, value in (("alpha", alpha), ("beta", beta), ("tau", tau), ("count", count)):
             if type(value) is not int:
                 raise TypeError(f"{name} must be an int, got {value!r}")
-        if self.alpha < 1 or self.beta < 1:
-            raise ValueError(f"require positive alpha, beta; got ({self.alpha}, {self.beta})")
-        if gcd(self.alpha, self.beta) != 1:
-            raise ValueError(f"require gcd(alpha, beta) = 1, got ({self.alpha}, {self.beta})")
-        if self.tau not in (-1, 1):
-            raise ValueError(f"tau must be +-1, got {self.tau}")
-        if self.count < 1:
-            raise ValueError(f"require count >= 1, got {self.count}")
-        if self.interval is not None:
-            lo, hi = self.interval
+        if alpha < 1 or beta < 1:
+            raise ValueError(f"require positive alpha, beta; got ({alpha}, {beta})")
+        if gcd(alpha, beta) != 1:
+            raise ValueError(f"require gcd(alpha, beta) = 1, got ({alpha}, {beta})")
+        if tau not in (-1, 1):
+            raise ValueError(f"tau must be +-1, got {tau}")
+        if count < 1:
+            raise ValueError(f"require count >= 1, got {count}")
+        if interval is not None:
+            lo, hi = interval
             if isinstance(lo, float) or isinstance(hi, float):
                 raise TypeError("refusing a float interval endpoint; pass an int, Fraction or string")
             lo, hi = Fraction(lo), Fraction(hi)
             if not lo <= hi:
                 raise ValueError(f"empty interval filter [{lo}, {hi}]")
-            object.__setattr__(self, "interval", (lo, hi))
+            interval = (lo, hi)
+        self.__dict__.update(alpha=alpha, beta=beta, tau=tau, count=count, interval=interval)
 
 
 def solve_family(req: FamilyRequest) -> list[WeightedSurface]:

@@ -45,11 +45,10 @@ and by the per-instance residue-sum loop that calibration replaced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .numerics import floor_sum_linear
+from .numerics import Frozen, floor_sum_linear
 
 __all__ = [
     "frac_sum",
@@ -233,8 +232,7 @@ def step_error(
     return _step_error_base(sigma, t, u, beta0, beta1) + jump
 
 
-@dataclass(frozen=True)
-class StepErrorBounds:
+class StepErrorBounds(Frozen):
     """Published range bounds for the one-step error at fixed (sigma, beta0, beta1).
 
     ``upper_small`` for sigma = -1 is the published constant, which is not an
@@ -242,9 +240,9 @@ class StepErrorBounds:
     sharp constant that replaces it.
     """
 
-    lower: Fraction
-    upper_small: Fraction  # regime u + beta1*t < beta0 - beta1 (sigma = -1 only)
-    upper_large: Fraction
+    def __init__(self, lower: Fraction, upper_small: Fraction, upper_large: Fraction) -> None:
+        # upper_small: regime u + beta1*t < beta0 - beta1 (sigma = -1 only)
+        self.__dict__.update(lower=lower, upper_small=upper_small, upper_large=upper_large)
 
 
 def step_error_bounds(sigma: int, beta0: int, beta1: int) -> StepErrorBounds:
@@ -277,8 +275,7 @@ def step_error_bounds(sigma: int, beta0: int, beta1: int) -> StepErrorBounds:
     return StepErrorBounds(lower=lower, upper_small=upper_small, upper_large=Fraction(1))
 
 
-@dataclass(frozen=True)
-class ReductionChain:
+class ReductionChain(Frozen):
     """A decreasing sequence of coprime pairs linked by +-1 determinants.
 
     A chain is nothing but its pairs: ``pairs[0]`` is the head (alpha_0,
@@ -294,23 +291,20 @@ class ReductionChain:
     pair plays no further role in any division.
     """
 
-    pairs: tuple[tuple[int, int], ...]
-    sigmas: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not self.pairs:
+    def __init__(self, pairs: tuple[tuple[int, int], ...]) -> None:
+        if not pairs:
             raise ValueError("chain needs at least one (alpha, beta) pair")
-        for alpha, beta in self.pairs:
+        for alpha, beta in pairs:
             if alpha < 1 or beta < 1:
                 raise ValueError(f"pairs must be positive, got ({alpha}, {beta})")
-        a0, b0 = self.pairs[0]
+        a0, b0 = pairs[0]
         if gcd(a0, b0) != 1:
             raise ValueError(f"head pair ({a0}, {b0}) is not coprime")
         sigmas = []
-        last = len(self.pairs) - 1
-        for i in range(1, len(self.pairs)):
-            ap, bp = self.pairs[i - 1]
-            ai, bi = self.pairs[i]
+        last = len(pairs) - 1
+        for i in range(1, len(pairs)):
+            ap, bp = pairs[i - 1]
+            ai, bi = pairs[i]
             if not (bi < bp and (ai < ap or (i == last and ai <= ap))):
                 raise ValueError(
                     f"pairs must strictly decrease, got ({ap}, {bp}) -> ({ai}, {bi})"
@@ -319,7 +313,7 @@ class ReductionChain:
             if det not in (-1, 1):
                 raise ValueError(f"link {i} determinant {det} is not +-1")
             sigmas.append(det)
-        object.__setattr__(self, "sigmas", tuple(sigmas))
+        self.__dict__.update(pairs=pairs, sigmas=tuple(sigmas))
 
     def prepend(self, alpha0: int, beta0: int) -> "ReductionChain":
         """The chain with (alpha0, beta0) in front: its link sign is worked
@@ -327,24 +321,22 @@ class ReductionChain:
         return ReductionChain(pairs=((alpha0, beta0),) + self.pairs)
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(Frozen):
     """One executed link: the target pair, its sigma, the Euclidean split
     u_prev = beta*t + u, and the incurred error."""
 
-    alpha: int
-    beta: int
-    sigma: int
-    t: int
-    u: int
-    error: Fraction
+    def __init__(self, alpha: int, beta: int, sigma: int, t: int, u: int, error: Fraction) -> None:
+        self.__dict__.update(alpha=alpha, beta=beta, sigma=sigma, t=t, u=u, error=error)
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
-    steps: tuple[ReductionStep, ...]
-    terminal: Fraction
-    total: Fraction
+class ReductionTrace(Frozen):
+    """One run of a chain: its executed steps in order, the deficit of the
+    terminal pair, and ``total``, the terminal deficit plus every step error
+    (the head's deficit when the identity is exact)."""
+
+    def __init__(self, steps: tuple[ReductionStep, ...], terminal: Fraction,
+                 total: Fraction) -> None:
+        self.__dict__.update(steps=steps, terminal=terminal, total=total)
 
 
 def reduce_chain(chain: ReductionChain, u0: int, delta: str = "calibrated") -> ReductionTrace:

@@ -20,11 +20,10 @@ loop (``rowscan_loop`` in ``tests/conftest.py``) and a bounding-box count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .numerics import floor_sum_linear
+from .numerics import Frozen, floor_sum_linear
 
 __all__ = [
     "RationalPoint",
@@ -35,19 +34,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RationalPoint:
+class RationalPoint(Frozen):
     """A point in the plane with exact rational coordinates."""
 
-    x: Fraction
-    y: Fraction
+    def __init__(self, x: Fraction, y: Fraction) -> None:
+        self.__dict__.update(x=x, y=y)
 
 
-@dataclass(frozen=True)
-class RationalTriangle:
+class RationalTriangle(Frozen):
     """A (possibly degenerate) triangle given by three rational vertices."""
 
-    vertices: tuple[RationalPoint, RationalPoint, RationalPoint]
+    def __init__(self, vertices: tuple[RationalPoint, RationalPoint, RationalPoint]) -> None:
+        self.__dict__.update(vertices=vertices)
 
     @property
     def is_integral(self) -> bool:

@@ -1,5 +1,6 @@
 """The floor-sum kernel: :func:`floor_sum_linear`, the Euclid-like sum of
-floors behind both the lattice-point counter and the fractional-part sums.
+floors behind both the lattice-point counter and the fractional-part sums,
+and ``Frozen``, the base of the package's immutable value classes.
 
 Everything in the package is exact: rationals are always
 :class:`fractions.Fraction` or pairs of integers, never floats.
@@ -45,3 +46,28 @@ def floor_sum_linear(n: int, m: int, a: int, b: int) -> int:
         n, b = divmod(top, m)
         m, a = a, m
 
+
+class Frozen:
+    """Base of the package's immutable value classes.  Each subclass's
+    ``__init__`` validates its arguments and fills ``self.__dict__`` once, in
+    field order; equality, the hash, the ``repr`` and pickling read it as a
+    frozen dataclass reads its fields, and no attribute can be set or deleted.
+    """
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

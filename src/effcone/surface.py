@@ -26,7 +26,6 @@ each other, the monomial count of the graded ring and the row-by-row loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
@@ -34,6 +33,7 @@ from math import gcd
 from operator import add, floordiv
 
 from .lattice import RationalPoint, RationalTriangle, count_points_rowscan
+from .numerics import Frozen
 
 __all__ = [
     "FAMILY_B",
@@ -57,22 +57,14 @@ _ZERO = Fraction(0)
 _ORIGIN = RationalPoint(_ZERO, _ZERO)
 
 
-@dataclass(frozen=True)
-class WeightedSurface:
+class WeightedSurface(Frozen):
     """P(a,b,c), with the decomposition c = p*a + q*b worked out from the
     weights: q is the residue of c*b^(-1) mod a and p = (c - q*b)/a.
 
     Only the weights are given; :func:`make_surface` is the same call.
     """
 
-    a: int
-    b: int
-    c: int
-    p: int = field(init=False)
-    q: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        a, b, c = self.a, self.b, self.c
+    def __init__(self, a: int, b: int, c: int) -> None:
         for name, w in (("a", a), ("b", b), ("c", c)):
             if type(w) is not int or w < 1:
                 raise ValueError(f"weight {name} must be a positive integer, got {w!r}")
@@ -81,8 +73,7 @@ class WeightedSurface:
         if gcd(a, b) != 1 or gcd(a, c) != 1 or gcd(b, c) != 1:
             raise ValueError(f"weights ({a}, {b}, {c}) are not pairwise coprime")
         q = c * pow(b, -1, a) % a  # pow handles a = 1 (inverse 0)
-        object.__setattr__(self, "p", (c - q * b) // a)  # p first: vars() keeps field order
-        object.__setattr__(self, "q", q)
+        self.__dict__.update(a=a, b=b, c=c, p=(c - q * b) // a, q=q)
 
     @property
     def bp_ratio(self) -> Fraction:
@@ -95,18 +86,17 @@ class WeightedSurface:
         return f"P({self.a},{self.b},{self.c})"
 
 
-@dataclass(frozen=True)
-class DivisorSpec:
+class DivisorSpec(Frozen):
     """The n-th member of one of the three divisor families."""
 
-    family: str
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if self.n < 1:
-            raise ValueError(f"require n >= 1, got {self.n}")
+    def __init__(self, family: str, n: int) -> None:
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        if type(n) is not int:
+            raise TypeError(f"n must be an int, got {n!r}")
+        if n < 1:
+            raise ValueError(f"require n >= 1, got {n}")
+        self.__dict__.update(family=family, n=n)
 
 
 def make_surface(a: int, b: int, c: int) -> WeightedSurface:
@@ -217,6 +207,8 @@ def _family_counts(surface: WeightedSurface, families: tuple, n_max: int) -> lis
     """:func:`section_counts` of each of ``families``, from one F and one P."""
     for family in families:
         DivisorSpec(family, 1)  # refuses an unknown family
+    if type(n_max) is not int:
+        raise TypeError(f"n_max must be an int, got {n_max!r}")
     if n_max < 1:
         raise ValueError(f"require n_max >= 1, got {n_max}")
     for family in families:

@@ -20,11 +20,11 @@ The predicted threshold is gamma = nu0*c/m0 for family B (divisor m0*b*D_x
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 from .lattice import RationalTriangle, triangle
+from .numerics import Frozen
 from .surface import (
     FAMILY_AZ,
     FAMILY_B,
@@ -56,17 +56,14 @@ __all__ = [
 BRANCHES = ("I'-", "I'+", "I''-", "I''+")
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Frozen):
     """One matched sub-interval: its level k, branch label, and the
     predicted optimal divisor data (multiple m0, family, nu0, threshold)."""
 
-    k: int
-    branch: str
-    m0: int
-    family: str
-    nu0: int
-    gamma_pred: Fraction
+    def __init__(self, k: int, branch: str, m0: int, family: str, nu0: int,
+                 gamma_pred: Fraction) -> None:
+        self.__dict__.update(k=k, branch=branch, m0=m0, family=family, nu0=nu0,
+                             gamma_pred=gamma_pred)
 
 
 def nu_from_h0(h: int) -> int:
@@ -170,16 +167,14 @@ def classify_surface(surface: WeightedSurface) -> list[Classification]:
     return classify(surface.b, surface.p)
 
 
-@dataclass(frozen=True)
-class GammaSearchResult:
+class GammaSearchResult(Frozen):
     """The best value scale*nu/n with its (family, n, nu) witnesses, and one
     (family, scale, h0s, nus) column per family, h0s[n-1] and nus[n-1] at n."""
 
-    best: Fraction
-    witnesses: tuple[tuple[str, int, int], ...]
-    columns: tuple[tuple[str, int, tuple[int, ...], tuple[int, ...]], ...]
-    prediction: Fraction | None
-    matches: bool | None
+    def __init__(self, best: Fraction, witnesses: tuple, columns: tuple,
+                 prediction: Fraction | None, matches: bool | None) -> None:
+        self.__dict__.update(best=best, witnesses=witnesses, columns=columns,
+                             prediction=prediction, matches=matches)
 
 
 def _search_families(surface: WeightedSurface) -> tuple[tuple[str, int], ...]:

@@ -418,6 +418,15 @@ class TestVerify:
                               env=env, timeout=120)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
+    def test_cli_import_loads_no_dataclasses(self):
+        # The value classes are built by hand: dataclasses, with the inspect it
+        # imports, added about 20 ms to the start-up of every CLI call.
+        env = dict(os.environ, PYTHONPATH=str(Path(effcone.__file__).parents[1]))
+        code = "import sys, effcone.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
 
 class TestCalibrate:
     def test_summary_omits_instances(self, capsys):

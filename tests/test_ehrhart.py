@@ -250,6 +250,10 @@ class TestHypothesisGates:
             coefficients(s457, "AZ", 1)
         with pytest.raises(ValueError):
             coefficients(s457, "B", 0)
+        for bad in (2.5, True, Fraction(2)):  # True used to give an EhrhartCoeffs with n=True
+            with pytest.raises(TypeError) as caught:
+                coefficients(s457, "B", bad)
+            assert str(caught.value) == f"n must be an int, got {bad!r}"
         with pytest.raises(ValueError):
             c0_middle_terms(s457, -1)
         with pytest.raises(ValueError):

@@ -1,5 +1,9 @@
-"""The floor-sum kernel against direct sums and the full-period closed form."""
+"""The floor-sum kernel against direct sums and the full-period closed form,
+and the value semantics that the package's classes take from ``Frozen``."""
 
+import copy
+import pickle
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -7,9 +11,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from effcone import (
+    DivisorSpec,
+    FamilyRequest,
+    RationalPoint,
+    ReductionChain,
+    classify,
+    coefficients,
     floor_sum,
     floor_sum_linear,
+    gamma_search,
+    make_surface,
+    reduce_chain,
+    step_error_bounds,
+    triangle,
 )
+from effcone.numerics import Frozen
 
 
 small_or_huge = st.one_of(st.integers(-50, 50), st.integers(-10**30, 10**30))
@@ -44,3 +60,80 @@ class TestFloorSumLinear:
             floor_sum_linear(-1, 3, 1, 0)
         with pytest.raises(ValueError, match="m >= 1"):
             floor_sum_linear(3, 0, 1, 0)
+
+
+VALUE_CLASSES = (
+    "RationalPoint", "RationalTriangle", "WeightedSurface", "DivisorSpec", "EhrhartCoeffs",
+    "Classification", "GammaSearchResult", "StepErrorBounds", "ReductionChain", "ReductionStep",
+    "ReductionTrace", "FamilyRequest",
+)
+
+
+def value_instances():
+    """One instance of each of the package's twelve value classes, built
+    afresh on every call, with its ``repr`` as a frozen dataclass wrote it."""
+    chain = ReductionChain(pairs=((3, 7), (1, 2)))
+    surface = make_surface(4, 5, 7)
+    step = "ReductionStep(alpha=1, beta=2, sigma=1, t=2, u=0, error=Fraction(-11, 28))"
+    return [
+        (RationalPoint(Fraction(1, 2), Fraction(-3)),
+         "RationalPoint(x=Fraction(1, 2), y=Fraction(-3, 1))"),
+        (triangle((0, 0), (1, 0), ("1/3", 2)),
+         "RationalTriangle(vertices=(RationalPoint(x=Fraction(0, 1), y=Fraction(0, 1)), "
+         "RationalPoint(x=Fraction(1, 1), y=Fraction(0, 1)), "
+         "RationalPoint(x=Fraction(1, 3), y=Fraction(2, 1))))"),
+        (surface, "P(4,5,7)"),
+        (DivisorSpec("B", 3), "DivisorSpec(family='B', n=3)"),
+        (coefficients(surface, "B", 1),
+         "EhrhartCoeffs(c2=Fraction(10, 7), c1=Fraction(8, 7), c0=Fraction(3, 7), n=1, "
+         "family='B')"),
+        (classify(5, -2)[0],
+         "Classification(k=2, branch=\"I'-\", m0=7, family='B', nu0=12, "
+         "gamma_pred=Fraction(12, 1))"),
+        (gamma_search(surface, 2),
+         "GammaSearchResult(best=Fraction(21, 2), witnesses=(('B', 2, 3),), "
+         "columns=(('B', 7, (3, 9), (1, 3)), ('C', 5, (5, 15), (2, 4))), "
+         "prediction=Fraction(12, 1), matches=False)"),
+        (step_error_bounds(-1, 5, 3),
+         "StepErrorBounds(lower=Fraction(1, 15), upper_small=Fraction(1, 24), "
+         "upper_large=Fraction(1, 1))"),
+        (chain, "ReductionChain(pairs=((3, 7), (1, 2)), sigmas=(1,))"),
+        (reduce_chain(chain, 4).steps[0], step),
+        (reduce_chain(chain, 4),
+         f"ReductionTrace(steps=({step},), terminal=Fraction(1, 4), total=Fraction(-1, 7))"),
+        (FamilyRequest(1, 3, 1, 2, interval=("5/2", 3)),
+         "FamilyRequest(alpha=1, beta=3, tau=1, count=2, "
+         "interval=(Fraction(5, 2), Fraction(3, 1)))"),
+    ]
+
+
+class TestValueClasses:
+    def test_the_twelve_classes(self):
+        assert tuple(type(value).__name__ for value, _ in value_instances()) == VALUE_CLASSES
+        for value, _ in value_instances():
+            cls = type(value)
+            # A docstring of its own, not one made up from the signature.
+            assert isinstance(value, Frozen) and not cls.__doc__.startswith(f"{cls.__name__}(")
+
+    @pytest.mark.parametrize("index", range(len(VALUE_CLASSES)), ids=VALUE_CLASSES)
+    def test_value_semantics(self, index):
+        value, text = value_instances()[index]
+        twin, _ = value_instances()[index]
+        other, _ = value_instances()[index - 1]
+        assert twin is not value and twin == value and not twin != value
+        assert value.__eq__(other) is NotImplemented and value != other
+        assert hash(value) == hash(twin) == hash(tuple(vars(value).values()))
+        assert repr(value) == text
+        name = next(iter(vars(value)))
+        for attribute in (name, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, attribute, 1)
+            with pytest.raises(AttributeError):
+                delattr(value, attribute)
+        assert repr(value) == text and "extra" not in vars(value)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            loaded = pickle.loads(pickle.dumps(value, protocol))
+            assert type(loaded) is type(value) and loaded == value, protocol
+            assert list(vars(loaded).items()) == list(vars(value).items()), protocol
+        deep = copy.deepcopy(value)
+        assert deep is not value and deep == value and repr(deep) == text

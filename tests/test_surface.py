@@ -1,7 +1,7 @@
 """Weighted surfaces, their section polytopes, and h^0 against the monomial oracle."""
 
+import inspect
 import pickle
-from dataclasses import fields
 from fractions import Fraction
 from math import gcd
 
@@ -87,7 +87,7 @@ class TestMakeSurface:
 
     def test_direct_construction_validates(self):
         # Only the weights are inputs; p and q are worked out from them.
-        assert [f.name for f in fields(WeightedSurface) if f.init] == ["a", "b", "c"]
+        assert list(inspect.signature(WeightedSurface).parameters) == ["a", "b", "c"]
         assert list(vars(WeightedSurface(4, 5, 7))) == ["a", "b", "c", "p", "q"]
         with pytest.raises(TypeError):
             WeightedSurface(4, 5, 7, p=-2, q=3)
@@ -179,6 +179,15 @@ class TestPolytopes:
             DivisorSpec("X", 1)
         with pytest.raises(ValueError):
             DivisorSpec("B", 0)
+        # n must be exactly an int: 2.5 reached Fraction, and True read as n = 1.
+        surface = make_surface(4, 5, 7)
+        for bad in (2.5, True, Fraction(2), "2"):
+            with pytest.raises(TypeError) as caught:
+                DivisorSpec("B", bad)
+            assert str(caught.value) == f"n must be an int, got {bad!r}"
+            with pytest.raises(TypeError) as caught:
+                section_counts(surface, "B", bad)
+            assert str(caught.value) == f"n_max must be an int, got {bad!r}"
 
 
 class TestH0:

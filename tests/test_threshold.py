@@ -579,6 +579,10 @@ class TestGammaSearch:
             gamma_search(make_surface(4, 5, 9), 5)  # reduced type 1
         with pytest.raises(ValueError):
             gamma_search(make_surface(4, 5, 7), 0)
+        for bad in (2.5, True, Fraction(2)):  # True used to run a one-row search
+            with pytest.raises(TypeError) as caught:
+                gamma_search(make_surface(4, 5, 7), bad)
+            assert str(caught.value) == f"n_max must be an int, got {bad!r}"
 
     def test_b_and_c_shapes_are_refused_by_polytope(self):
         surface = make_surface(4, 5, 9)  # reduced type 1

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 # frac_sum is unused; bench/test_bench.py checks the tracer rebinds ehrhart.frac_sum.
 from .fracsum import _residue_sum, frac_sum  # noqa: F401
-from .numerics import Frozen
+from .numerics import Frozen, require_int
 from .surface import FAMILY_B, FAMILY_C, WeightedSurface
 
 __all__ = [
@@ -69,10 +69,7 @@ def coefficients(surface: WeightedSurface, family: str, n: int) -> EhrhartCoeffs
         c0 = 1 - {4n/b} - ((b-1)/2){4n/b} + sum_{j=0}^{4n mod b} {-pj/b}.
     """
     _require_hypotheses(surface)
-    if type(n) is not int:
-        raise TypeError(f"n must be an int, got {n!r}")
-    if n < 1:
-        raise ValueError(f"require n >= 1, got {n}")
+    require_int("n", n, 1)
     b, c, p = surface.b, surface.c, surface.p
     if family == FAMILY_B:
         # With {4sn} = rest/c, the second term of c0 is -(rest^2 - rest*c)/(8bc).
@@ -110,8 +107,7 @@ def c0_middle_terms(surface: WeightedSurface, n: int) -> Fraction:
     value above -1/(32s) forces {sn} < 1/2 + 1/(80s).
     """
     _require_hypotheses(surface)
-    if n < 0:
-        raise ValueError(f"require n >= 0, got {n}")
+    require_int("n", n, 0)
     b, c = surface.b, surface.c
     return Fraction(_middle(b, c, n, 4 * b * n // c), 4 * c)
 
@@ -123,8 +119,7 @@ def c0_upper_bound(surface: WeightedSurface, n: int) -> Fraction:
     When {sn} >= 1/2 + 1/(80s) the leading 9/8 + 1/(32s) improves to 1.
     """
     _require_hypotheses(surface)
-    if n < 1:
-        raise ValueError(f"require n >= 1, got {n}")
+    require_int("n", n, 1)
     b, c = surface.b, surface.c
     # Over 32bc: {sn} >= 1/2 + c/(80b) iff 80b*(bn mod c) >= c(40b + c), and
     # the lead is then 1 = 32bc/32bc, else 9/8 + c/(32b) = c(36b + c)/32bc.

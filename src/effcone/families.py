@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .numerics import Frozen
+from .numerics import Frozen, require_int
 from .surface import WeightedSurface, make_surface
 
 __all__ = ["FamilyRequest", "solve_family"]
@@ -33,24 +33,24 @@ __all__ = ["FamilyRequest", "solve_family"]
 class FamilyRequest(Frozen):
     """Parameters of one surface sequence.
 
-    ``interval``, if given, keeps only surfaces whose abscissa b/(-p) lies
-    in the closed interval [lo, hi]; its endpoints (ints, Fractions or
-    strings such as ``"5/2"``, never floats) are stored as Fractions.
+    ``alpha``, ``beta``, ``tau`` and ``count`` must be ints: anything else,
+    ``bool`` included, raises ``TypeError``.  ``interval``, if given, keeps
+    only surfaces whose abscissa b/(-p) lies in the closed interval [lo, hi];
+    its endpoints (ints, Fractions or strings such as ``"5/2"``, never
+    floats) are stored as Fractions.
     """
 
     def __init__(self, alpha: int, beta: int, tau: int, count: int,
                  interval: tuple[Fraction, Fraction] | None = None) -> None:
         for name, value in (("alpha", alpha), ("beta", beta), ("tau", tau), ("count", count)):
-            if type(value) is not int:
-                raise TypeError(f"{name} must be an int, got {value!r}")
+            require_int(name, value)
         if alpha < 1 or beta < 1:
             raise ValueError(f"require positive alpha, beta; got ({alpha}, {beta})")
         if gcd(alpha, beta) != 1:
             raise ValueError(f"require gcd(alpha, beta) = 1, got ({alpha}, {beta})")
         if tau not in (-1, 1):
             raise ValueError(f"tau must be +-1, got {tau}")
-        if count < 1:
-            raise ValueError(f"require count >= 1, got {count}")
+        require_int("count", count, 1)
         if interval is not None:
             lo, hi = interval
             if isinstance(lo, float) or isinstance(hi, float):

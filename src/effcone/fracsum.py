@@ -48,7 +48,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .numerics import Frozen, floor_sum_linear
+from .numerics import Frozen, floor_sum_linear, require_int
 
 __all__ = [
     "frac_sum",
@@ -82,10 +82,8 @@ def frac_sum(alpha: int, beta: int, u: int) -> Fraction:
     The closed forms of this module are tested against it, and it against
     the term-by-term sum kept in the test suite's ``frac_sum_direct``.
     """
-    if beta < 1:
-        raise ValueError(f"require beta >= 1, got {beta}")
-    if u < 0:
-        raise ValueError(f"require u >= 0, got {u}")
+    require_int("beta", beta, 1)
+    require_int("u", u, 0)
     return Fraction(_residue_sum(alpha, beta, u), beta)
 
 
@@ -105,8 +103,7 @@ def deficit(beta: int, u: int, alpha: int) -> Fraction:
     >>> deficit(5, 1, 2)
     Fraction(2, 5)
     """
-    if beta < 1:
-        raise ValueError(f"require beta >= 1, got {beta}")
+    require_int("beta", beta, 1)
     if gcd(alpha, beta) != 1:
         raise ValueError(f"require gcd(alpha, beta) = 1, got ({alpha}, {beta})")
     if not 0 <= u < beta:
@@ -177,8 +174,7 @@ def _check_step(sigma: int, t: int, u: int, beta0: int, beta1: int) -> None:
         raise ValueError(
             f"require 0 <= u < beta1 < beta0, got u = {u}, beta1 = {beta1}, beta0 = {beta0}"
         )
-    if t < 0:
-        raise ValueError(f"require t >= 0, got {t}")
+    require_int("t", t, 0)
 
 
 def paper_delta(sigma: int, t: int, u: int, beta0: int, beta1: int) -> int:
@@ -348,6 +344,7 @@ def reduce_chain(chain: ReductionChain, u0: int, delta: str = "calibrated") -> R
     ends at (1, 2) the terminal deficit is 1/4 (if u_N = 0) or 0 (if u_N = 1).
     """
     a0, b0 = chain.pairs[0]
+    require_int("u0", u0)
     if not 0 <= u0 < b0:
         raise ValueError(f"require 0 <= u0 < beta_0 = {b0}, got {u0}")
     steps = []
@@ -380,8 +377,7 @@ def standard_chain(entry: int, k: int) -> ReductionChain:
     repeated alpha on a non-final link fails chain validation; it is
     rejected loudly rather than silently repaired.
     """
-    if k < 1:
-        raise ValueError(f"require k >= 1, got {k}")
+    require_int("k", k, 1)
     if entry == 1:
         if k < 2:
             raise ValueError("entry 1 requires k >= 2")

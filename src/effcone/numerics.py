@@ -1,6 +1,7 @@
 """The floor-sum kernel: :func:`floor_sum_linear`, the Euclid-like sum of
-floors behind both the lattice-point counter and the fractional-part sums,
-and ``Frozen``, the base of the package's immutable value classes.
+floors behind both the lattice-point counter and the fractional-part sums;
+``require_int``, the package's one check of an integer argument; and
+``Frozen``, the base of the package's immutable value classes.
 
 Everything in the package is exact: rationals are always
 :class:`fractions.Fraction` or pairs of integers, never floats.
@@ -16,7 +17,8 @@ __all__ = [
 def floor_sum_linear(n: int, m: int, a: int, b: int) -> int:
     """``sum_{i=0}^{n-1} floor((a*i + b) / m)``, exactly, in O(log m) steps.
 
-    ``n >= 0`` and ``m >= 1``; ``a`` and ``b`` are arbitrary integers.  The
+    ``n >= 0`` and ``m >= 1`` are ints (anything else, ``bool`` included,
+    raises ``TypeError``); ``a`` and ``b`` are arbitrary integers.  The
     quotients ``a // m`` and ``b // m`` are peeled off in closed form, and the
     remaining sum with ``0 <= a, b < m`` is traded for one with the roles of
     ``a`` and ``m`` swapped: counting the lattice points under the line
@@ -26,10 +28,8 @@ def floor_sum_linear(n: int, m: int, a: int, b: int) -> int:
     >>> floor_sum_linear(4, 3, 2, 1)  # floor(1/3) + floor(3/3) + floor(5/3) + floor(7/3)
     4
     """
-    if n < 0:
-        raise ValueError(f"require n >= 0, got {n}")
-    if m < 1:
-        raise ValueError(f"require m >= 1, got {m}")
+    require_int("n", n, 0)
+    require_int("m", m, 1)
     total = 0
     while True:
         if not 0 <= a < m:
@@ -45,6 +45,19 @@ def floor_sum_linear(n: int, m: int, a: int, b: int) -> int:
         # transposed line y = (m*x + top mod m) / a.
         n, b = divmod(top, m)
         m, a = a, m
+
+
+def require_int(name: str, value, least: int | None = None) -> None:
+    """Refuse ``value`` unless it is an int, and, given ``least``, at least it.
+
+    Counts, levels and bounds must be exact integers: a ``bool``, float or
+    Fraction raises ``TypeError`` naming ``name``, and a value below
+    ``least`` raises ``ValueError``.
+    """
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"require {name} >= {least}, got {value}")
 
 
 class Frozen:

@@ -33,7 +33,7 @@ from math import gcd
 from operator import add, floordiv
 
 from .lattice import RationalPoint, RationalTriangle, count_points_rowscan
-from .numerics import Frozen
+from .numerics import Frozen, require_int
 
 __all__ = [
     "FAMILY_B",
@@ -92,10 +92,7 @@ class DivisorSpec(Frozen):
     def __init__(self, family: str, n: int) -> None:
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-        if type(n) is not int:
-            raise TypeError(f"n must be an int, got {n!r}")
-        if n < 1:
-            raise ValueError(f"require n >= 1, got {n}")
+        require_int("n", n, 1)
         self.__dict__.update(family=family, n=n)
 
 
@@ -207,10 +204,7 @@ def _family_counts(surface: WeightedSurface, families: tuple, n_max: int) -> lis
     """:func:`section_counts` of each of ``families``, from one F and one P."""
     for family in families:
         DivisorSpec(family, 1)  # refuses an unknown family
-    if type(n_max) is not int:
-        raise TypeError(f"n_max must be an int, got {n_max!r}")
-    if n_max < 1:
-        raise ValueError(f"require n_max >= 1, got {n_max}")
+    require_int("n_max", n_max, 1)
     for family in families:
         if family != FAMILY_AZ:
             _require_bc_shape(surface, family)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .lattice import RationalTriangle, triangle
-from .numerics import Frozen
+from .numerics import Frozen, require_int
 from .surface import (
     FAMILY_AZ,
     FAMILY_B,
@@ -90,8 +90,7 @@ def nu(surface: WeightedSurface, div: DivisorSpec) -> int:
 
 def outer_bound(k: int) -> Fraction:
     """L(k) = 16k^2/(8k^2 - 4k - 1), the decreasing sequence of level edges."""
-    if k < 1:
-        raise ValueError(f"require k >= 1, got {k}")
+    require_int("k", k, 1)
     return Fraction(*_edge(k))
 
 
@@ -103,8 +102,7 @@ def _edge(k: int) -> tuple[int, int]:
 def _level(k: int) -> tuple[tuple[str, tuple, tuple, int, str, int], ...]:
     """The four rows (branch, lo, hi, m0, family, nu0) of level k, in the order
     of the module docstring's table, each endpoint an integer pair (num, den > 0)."""
-    if k < 1:
-        raise ValueError(f"require k >= 1, got {k}")
+    require_int("k", k, 1)
     mid_left = (2 * k + 1, k)
     mid_right = (4 * (2 * k + 1) ** 2, 8 * k * k + 4 * k - 1)
     three_quarter = (4 * k, 2 * k - 1)
@@ -132,8 +130,7 @@ def classify(b: int, p: int) -> list[Classification]:
     """
     if p >= 0:
         raise ValueError(f"classification requires p < 0, got {p}")
-    if b < 1:
-        raise ValueError(f"require b >= 1, got {b}")
+    require_int("b", b, 1)
     m = -p  # b/m is compared with each bound lo/hi by cross-multiplying integers
     if not (2 * m < b and 3 * b < 16 * m):
         x = Fraction(b, m)
@@ -266,8 +263,7 @@ def reference_triangle(k: int, which: str) -> RationalTriangle:
     2k^2 + 3k + 2 = C(2k+2, 2) + 1 lattice points; contained on the I''
     branches.
     """
-    if k < 1:
-        raise ValueError(f"require k >= 1, got {k}")
+    require_int("k", k, 1)
     if which == "large":
         return triangle((0, 0), (-(2 * k + 3), 0), (-3 * (2 * k + 1), 4 * (2 * k + 1)))
     if which == "small":

@@ -59,6 +59,8 @@ from itertools import repeat
 from math import comb, gcd
 from operator import add, floordiv, sub
 
+from .numerics import require_int
+
 # h0 is not called here; it stays bound because bench/test_bench.py checks
 # that the tracer rebinds and restores verify.h0.
 from .surface import FAMILY_B, FAMILY_C, WeightedSurface, h0  # noqa: F401
@@ -256,12 +258,11 @@ def sweep(surfaces: list[WeightedSurface], n_max: int, jobs: int = 1) -> list[di
     processes; the output is deterministic either way.  A ``ValueError``
     from one surface (e.g. one outside every classification interval) is
     raised again with the surface in front of its message; a bad ``n_max``
-    is refused first, naming no surface, and then a ``jobs`` below 1.
+    is refused first, naming no surface, and then a ``jobs`` below 1; a
+    non-int ``n_max`` or ``jobs`` (``bool`` included) raises ``TypeError``.
     """
-    if n_max < 1:
-        raise ValueError(f"require n_max >= 1, got {n_max}")
-    if jobs < 1:
-        raise ValueError(f"require jobs >= 1, got {jobs}")
+    require_int("n_max", n_max, 1)
+    require_int("jobs", jobs, 1)
     if jobs > 1 and len(surfaces) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -348,8 +349,7 @@ def calibrate_delta(beta_max: int, instances: bool = True) -> dict:
     u0; ``instances=False`` builds no list and reports None in its place.
     The tests compare this report with the per-instance loop it replaced.
     """
-    if beta_max < 3:
-        raise ValueError(f"require beta_max >= 3, got {beta_max}")
+    require_int("beta_max", beta_max, 3)
     total = over = 0
     blocks = []  # one per (alpha0, beta0) with instances
     for beta0 in range(2, beta_max + 1):

@@ -561,6 +561,15 @@ class TestReduceChain:
         with pytest.raises(ValueError):
             reduce_chain(chain, -1)
 
+    @pytest.mark.parametrize("bad", [1.0, True, Fraction(1)], ids=["float", "bool", "Fraction"])
+    def test_non_int_u0_is_named(self, bad):
+        # 1.0 passes the range check; the refusal must name u0 before the
+        # Euclidean split hands the first step t = 0.0.
+        chain = ReductionChain(pairs=((3, 5), (1, 2)))
+        with pytest.raises(TypeError) as caught:
+            reduce_chain(chain, bad)
+        assert str(caught.value) == f"u0 must be an int, got {bad!r}"
+
     def test_telescoping_multi_link(self):
         chain = ReductionChain(pairs=((7, 24), (2, 7), (1, 3)))
         for u0 in range(24):

@@ -1,5 +1,6 @@
 """The floor-sum kernel against direct sums and the full-period closed form,
-and the value semantics that the package's classes take from ``Frozen``."""
+the integer-argument check that every entry point shares, and the value
+semantics that the package's classes take from ``Frozen``."""
 
 import copy
 import pickle
@@ -15,17 +16,29 @@ from effcone import (
     FamilyRequest,
     RationalPoint,
     ReductionChain,
+    branch_interval,
+    c0_middle_terms,
+    c0_upper_bound,
+    calibrate_delta,
     classify,
     coefficients,
+    deficit,
     floor_sum,
     floor_sum_linear,
+    frac_sum,
     gamma_search,
     make_surface,
+    outer_bound,
     reduce_chain,
+    reference_triangle,
+    section_counts,
+    standard_chain,
+    step_error,
     step_error_bounds,
+    sweep,
     triangle,
 )
-from effcone.numerics import Frozen
+from effcone.numerics import Frozen, require_int
 
 
 small_or_huge = st.one_of(st.integers(-50, 50), st.integers(-10**30, 10**30))
@@ -60,6 +73,81 @@ class TestFloorSumLinear:
             floor_sum_linear(-1, 3, 1, 0)
         with pytest.raises(ValueError, match="m >= 1"):
             floor_sum_linear(3, 0, 1, 0)
+
+
+P457 = make_surface(4, 5, 7)
+CHAIN = ReductionChain(pairs=((3, 7), (1, 2)))
+
+# One row per checked argument: (id, call taking the argument, its name, its
+# least value or None, a value the call accepts).
+INT_ARGUMENTS = [
+    ("floor_sum_linear-n", lambda v: floor_sum_linear(v, 3, 1, 0), "n", 0, 4),
+    ("floor_sum_linear-m", lambda v: floor_sum_linear(3, v, 1, 0), "m", 1, 2),
+    ("DivisorSpec-n", lambda v: DivisorSpec("B", v), "n", 1, 3),
+    ("coefficients-n", lambda v: coefficients(P457, "B", v), "n", 1, 2),
+    ("c0_middle_terms-n", lambda v: c0_middle_terms(P457, v), "n", 0, 0),
+    ("c0_upper_bound-n", lambda v: c0_upper_bound(P457, v), "n", 1, 1),
+    ("section_counts-n_max", lambda v: section_counts(P457, "B", v), "n_max", 1, 2),
+    ("FamilyRequest-alpha", lambda v: FamilyRequest(v, 3, 1, 2), "alpha", None, 1),
+    ("FamilyRequest-beta", lambda v: FamilyRequest(1, v, 1, 2), "beta", None, 3),
+    ("FamilyRequest-tau", lambda v: FamilyRequest(1, 3, v, 2), "tau", None, -1),
+    ("FamilyRequest-count", lambda v: FamilyRequest(1, 3, 1, v), "count", 1, 2),
+    ("frac_sum-beta", lambda v: frac_sum(1, v, 0), "beta", 1, 5),
+    ("frac_sum-u", lambda v: frac_sum(2, 5, v), "u", 0, 7),
+    ("deficit-beta", lambda v: deficit(v, 0, 1), "beta", 1, 2),
+    ("step_error-t", lambda v: step_error(1, v, 0, 5, 2), "t", 0, 1),
+    ("reduce_chain-u0", lambda v: reduce_chain(CHAIN, v), "u0", None, 4),
+    ("standard_chain-k", lambda v: standard_chain(2, v), "k", 1, 1),
+    ("outer_bound-k", outer_bound, "k", 1, 1),
+    ("branch_interval-k", lambda v: branch_interval(v, "I'-"), "k", 1, 1),
+    ("reference_triangle-k", lambda v: reference_triangle(v, "large"), "k", 1, 1),
+    ("classify-b", lambda v: classify(v, -2), "b", 1, 5),
+    ("sweep-n_max", lambda v: sweep([P457], v), "n_max", 1, 2),
+    ("sweep-jobs", lambda v: sweep([P457], 2, jobs=v), "jobs", 1, 1),
+    ("calibrate_delta-beta_max", lambda v: calibrate_delta(v, instances=False), "beta_max", 3, 3),
+]
+
+
+class TestRequireInt:
+    def test_the_rule(self):
+        require_int("n", 0)
+        require_int("n", -5)
+        require_int("n", 10**30, 1)
+        for bad in (True, False, 2.5, 2.0, Fraction(2), "2", None):
+            with pytest.raises(TypeError) as caught:
+                require_int("n", bad, 0)
+            assert str(caught.value) == f"n must be an int, got {bad!r}"
+        with pytest.raises(ValueError) as caught:
+            require_int("n_max", 0, 1)
+        assert str(caught.value) == "require n_max >= 1, got 0"
+
+    @pytest.mark.parametrize("call, name, least, good",
+                             [row[1:] for row in INT_ARGUMENTS],
+                             ids=[row[0] for row in INT_ARGUMENTS])
+    def test_every_entry_point_refuses(self, call, name, least, good):
+        call(good)
+        for bad in (True, 2.5, Fraction(2)):
+            with pytest.raises(TypeError) as caught:
+                call(bad)
+            assert str(caught.value) == f"{name} must be an int, got {bad!r}"
+        if least is not None:
+            with pytest.raises(ValueError) as caught:
+                call(least - 1)
+            assert str(caught.value) == f"require {name} >= {least}, got {least - 1}"
+
+    @pytest.mark.parametrize("call, bad", [
+        (lambda v: c0_upper_bound(P457, v), True),  # returned 33/35, as n = 1
+        (lambda v: c0_middle_terms(P457, v), 2.5),  # died inside Fraction
+        (lambda v: standard_chain(2, v), True),  # built pairs holding True
+        (lambda v: floor_sum_linear(v, 2, 1, 0), 3.0),  # returned 1.0
+        (lambda v: frac_sum(2, 5, v), True),
+        (outer_bound, True),
+        (calibrate_delta, True),
+    ], ids=["c0_upper_bound", "c0_middle_terms", "standard_chain", "floor_sum_linear",
+            "frac_sum", "outer_bound", "calibrate_delta"])
+    def test_what_once_slipped_through(self, call, bad):
+        with pytest.raises(TypeError, match="must be an int"):
+            call(bad)
 
 
 VALUE_CLASSES = (

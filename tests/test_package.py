@@ -1,7 +1,8 @@
 """The package re-exports exactly the public names of its library modules,
-whose doctests pass and whose source holds no ``assert`` statement and no
-unused import; importing the CLI builds no argument parser, and the CLI
-prints the same bytes without json's C accelerator."""
+whose doctests pass and whose source holds no ``assert`` statement, no
+unused import and no integer check outside ``numerics``; importing the CLI
+builds no argument parser, and the CLI prints the same bytes without json's
+C accelerator."""
 
 import argparse
 import ast
@@ -67,6 +68,17 @@ def test_library_has_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_only_numerics_checks_for_an_int():
+    # Every integer argument goes through numerics.require_int, so no entry
+    # point grows a copy of the check that disagrees with the rest.
+    found = [
+        path.name
+        for path in sorted(Path(effcone.__file__).parent.rglob("*.py"))
+        if "must be an int" in path.read_text(encoding="utf-8")
+    ]
+    assert found == ["numerics.py"]
 
 
 # Bound but never read: bench/test_bench.py checks that its tracer rebinds and

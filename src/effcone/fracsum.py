@@ -38,9 +38,12 @@ every u' is 0.)
 ``verify.calibrate_delta`` checks the per-term identity above, the floor
 form floor(alpha1*j/beta1) - floor(alpha0*j/beta0) = [sigma = 1, beta1 | j,
 j > 0] for 0 <= j < beta0, for every partner pair of its grid, and finds the
-published jump wrong on a documented set of sigma = -1 steps.  The tests
-check the theorem independently, by back-solving the jump from two deficits
-and by the per-instance residue-sum loop that calibration replaced.
+published jump wrong on a documented set of sigma = -1 steps.  It compares
+the positions below beta0 at which the two sides step, about alpha0 of them,
+not the sides' beta0 values (the proof is in ``verify._check_partners``).
+The tests check the theorem independently, by back-solving the jump from
+two deficits and by the per-instance residue-sum loop that calibration
+replaced, and the position check against the value check it replaced.
 """
 
 from __future__ import annotations
@@ -82,6 +85,7 @@ def frac_sum(alpha: int, beta: int, u: int) -> Fraction:
     The closed forms of this module are tested against it, and it against
     the term-by-term sum kept in the test suite's ``frac_sum_direct``.
     """
+    require_int("alpha", alpha)
     require_int("beta", beta, 1)
     require_int("u", u, 0)
     return Fraction(_residue_sum(alpha, beta, u), beta)
@@ -104,6 +108,8 @@ def deficit(beta: int, u: int, alpha: int) -> Fraction:
     Fraction(2, 5)
     """
     require_int("beta", beta, 1)
+    require_int("u", u)
+    require_int("alpha", alpha)
     if gcd(alpha, beta) != 1:
         raise ValueError(f"require gcd(alpha, beta) = 1, got ({alpha}, {beta})")
     if not 0 <= u < beta:
@@ -113,6 +119,8 @@ def deficit(beta: int, u: int, alpha: int) -> Fraction:
 
 def floor_sum(alpha: int, beta: int) -> int:
     """sum_{k=0}^{beta-1} floor(alpha*k/beta) = (alpha-1)(beta-1)/2 for coprime inputs."""
+    require_int("alpha", alpha)
+    require_int("beta", beta)
     if alpha < 1 or beta < 1:
         raise ValueError(f"require positive inputs, got ({alpha}, {beta})")
     if gcd(alpha, beta) != 1:
@@ -140,6 +148,10 @@ def full_sum(alpha0: int, beta0: int, beta1: int, sigma: int) -> Fraction:
     >>> full_sum(2, 5, 2, 1)
     Fraction(6, 5)
     """
+    require_int("alpha0", alpha0)
+    require_int("beta0", beta0)
+    require_int("beta1", beta1)
+    require_int("sigma", sigma)
     if sigma not in (-1, 1):
         raise ValueError(f"sigma must be +-1, got {sigma}")
     if not 1 <= beta1 < beta0:
@@ -168,6 +180,10 @@ def _step_error_base(sigma: int, t: int, u: int, beta0: int, beta1: int) -> Frac
 
 def _check_step(sigma: int, t: int, u: int, beta0: int, beta1: int) -> None:
     """The range of one reduction step: sigma = +-1, t >= 0, 0 <= u < beta1 < beta0."""
+    require_int("sigma", sigma)
+    require_int("u", u)
+    require_int("beta0", beta0)
+    require_int("beta1", beta1)
     if sigma not in (-1, 1):
         raise ValueError(f"sigma must be +-1, got {sigma}")
     if not 0 <= u < beta1 < beta0:
@@ -218,13 +234,13 @@ def step_error(
     >>> step_error(-1, 0, 1, 5, 2)
     Fraction(1, 5)
     """
-    _check_step(sigma, t, u, beta0, beta1)
-    if delta == "paper":
-        jump = paper_delta(sigma, t, u, beta0, beta1)
-    elif delta == "calibrated":
-        jump = calibrated_delta(sigma, t, u, beta0, beta1)
+    if delta == "calibrated":
+        jump = calibrated_delta(sigma, t, u, beta0, beta1)  # checks the range first
     else:
-        raise ValueError(f"unknown delta policy {delta!r}; expected one of {DELTA_POLICIES}")
+        _check_step(sigma, t, u, beta0, beta1)
+        if delta != "paper":
+            raise ValueError(f"unknown delta policy {delta!r}; expected one of {DELTA_POLICIES}")
+        jump = paper_delta(sigma, t, u, beta0, beta1)
     return _step_error_base(sigma, t, u, beta0, beta1) + jump
 
 
@@ -256,6 +272,9 @@ def step_error_bounds(sigma: int, beta0: int, beta1: int) -> StepErrorBounds:
     d is even.  The sharp upper is floor((d+1)^2/4)/(2*beta0*beta1), attained
     at every (beta0, beta1).  The published value is returned unchanged.
     """
+    require_int("sigma", sigma)
+    require_int("beta0", beta0)
+    require_int("beta1", beta1)
     if sigma not in (-1, 1):
         raise ValueError(f"sigma must be +-1, got {sigma}")
     if not 2 <= beta1 < beta0:
@@ -291,6 +310,8 @@ class ReductionChain(Frozen):
         if not pairs:
             raise ValueError("chain needs at least one (alpha, beta) pair")
         for alpha, beta in pairs:
+            require_int("alpha", alpha)
+            require_int("beta", beta)
             if alpha < 1 or beta < 1:
                 raise ValueError(f"pairs must be positive, got ({alpha}, {beta})")
         a0, b0 = pairs[0]
@@ -377,6 +398,7 @@ def standard_chain(entry: int, k: int) -> ReductionChain:
     repeated alpha on a non-final link fails chain validation; it is
     rejected loudly rather than silently repaired.
     """
+    require_int("entry", entry)
     require_int("k", k, 1)
     if entry == 1:
         if k < 2:

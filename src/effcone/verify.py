@@ -37,8 +37,10 @@ with the value forced by the reduction identity (see the fracsum module).
 At run time it checks, for every partner pair of its grid, the per-term
 floor identity from which the fracsum theorem sums to a jump of 0 at every
 u0, so every instance is still checked; its report then follows in closed
-form.  The tests compare that report with the per-instance residue-sum loop
-it replaced, and check that the per-term check rejects perturbed pairs.
+form.  The check compares where the identity's two floor sequences step,
+about alpha0 positions per side, instead of their beta0 values.  The tests
+compare the report with the per-instance residue-sum loop it replaced, and
+the check with the value comparison it replaced, on perturbed pairs too.
 
 Both record lists are :class:`Records`, flat dicts stored as column blocks:
 :func:`sweep_one`'s margin rows hold one block per (classification, family)
@@ -57,7 +59,7 @@ from __future__ import annotations
 from functools import partial
 from itertools import repeat
 from math import comb, gcd
-from operator import add, floordiv, sub
+from operator import add, floordiv
 
 from .numerics import require_int
 
@@ -108,7 +110,9 @@ class Records:
             raise ValueError(f"repeated key in {self._keys}")
         for shared, columns in self._blocks:
             lengths = set(map(len, columns.values()))
-            if shared.keys() | columns.keys() != names or shared.keys() & columns.keys():
+            # Disjoint subsets of names whose sizes add up to len(names) split it.
+            if (len(shared) + len(columns) != len(names) or not names.issuperset(shared)
+                    or not names.issuperset(columns) or not shared.keys().isdisjoint(columns)):
                 raise ValueError(f"a block's shared keys {list(shared)} and column keys "
                                  f"{list(columns)} do not split {self._keys}")
             if len(lengths) != 1:
@@ -314,17 +318,39 @@ def _check_partners(alpha0: int, beta0: int, *partners: tuple[int, int, int]) ->
     otherwise.  ``alpha1`` is the true partner (sigma + beta1*alpha0)/beta0.
 
     Summed over j <= u0, the identity is the step identity with jump 0 at
-    that u0, so one check covers the pair's beta0 instances.  Each side is
-    one C-level ``map`` over the multiples of alpha; the sigma-free side is
-    built once for all partners."""
-    lower = list(map(floordiv, range(0, alpha0 * beta0, alpha0), repeat(beta0)))
+    that u0, so one check covers the pair's beta0 instances.
+
+    Each side is compared by where it steps, not by its values, in about
+    alpha0 entries instead of beta0.  Proof: for alpha >= 1 and beta >= 1,
+    floor(alpha*j/beta) = #{k >= 1 : k*beta <= alpha*j} = #{k >= 1 :
+    ceil(k*beta/alpha) <= j}, the number of its jump positions ceil(k*beta/
+    alpha), counted with repeats, up to j.  Two sequences that count their
+    jumps from 0 at j = 0 agree on 0 <= j < beta0 exactly when their sorted
+    lists of jump positions below beta0 agree, as the count at j is the
+    number of list entries <= j and each entry is the count's step there.
+    Position p = (k*beta + alpha - 1 + s) // alpha, with shift s = 0 for the
+    ceiling, lies below beta0 exactly when k*beta + alpha - 1 + s <
+    alpha*beta0, so the list is one C-level ``map`` over a ``range``, and
+    alpha = 0, which never steps, gives an empty one.  The sigma = -1 side
+    floor(alpha1*j/beta1) (alpha1 >= 0) thus lists with s = 0, like
+    floor(alpha0*j/beta0); alpha1 < 0 steps below 0 at j = 1 and is
+    refused.  On the sigma = +1 side, for gcd(alpha1, beta1) = 1 and alpha1
+    >= 1, beta1 | j exactly when beta1 | alpha1*j, so floor(alpha1*j/beta1)
+    - [beta1 | j] = floor((alpha1*j - 1)/beta1) for every j >= 1, and that
+    is #{k >= 1 : k*beta1 < alpha1*j} = #{k >= 1 : floor(k*beta1/alpha1) +
+    1 <= j}, which also reads 0 at j = 0: shift s = 1.  A sigma = +1 partner
+    with alpha1 < 1 or gcd(alpha1, beta1) != 1, which no +-1 determinant
+    allows, is refused, as is any beta1 < 1.  The sigma-free side is built
+    once for all partners."""
+    def jumps(alpha, beta, shift):
+        return list(map(floordiv, range(beta + alpha - 1 + shift, alpha * beta0, beta),
+                        repeat(alpha)))
+
+    lower = jumps(alpha0, beta0, 0)
     for alpha1, beta1, sigma in partners:
-        multiples = range(0, alpha1 * beta0, alpha1) if alpha1 else repeat(0, beta0)  # no step 0
-        upper = list(map(floordiv, multiples, repeat(beta1)))
-        if sigma == 1:
-            # The bracket: one more at every multiple j > 0 of beta1.
-            upper[beta1::beta1] = map(sub, upper[beta1::beta1], repeat(1))
-        if upper != lower:
+        shift = 1 if sigma == 1 else 0
+        if (beta1 < 1 or alpha1 < shift or (shift and gcd(alpha1, beta1) != 1)
+                or jumps(alpha1, beta1, shift) != lower):
             raise CalibrationError(
                 f"per-term identity fails at (alpha0={alpha0}, beta0={beta0}, sigma={sigma}) "
                 f"with partner (alpha1={alpha1}, beta1={beta1}): the forced jump is not 0"
@@ -338,8 +364,10 @@ def calibrate_delta(beta_max: int, instances: bool = True) -> dict:
     u0 < beta0.
 
     Checked at run time, for every (alpha0, beta0, sigma): the per-term
-    identity of the fracsum proof (:func:`_check_partners`), which makes the
-    forced jump 0 at every u0; a failure raises :class:`CalibrationError`.
+    identity of the fracsum proof (:func:`_check_partners`, by the jump
+    positions of its two floor sequences, about alpha0 per side), which
+    makes the forced jump 0 at every u0; a failure raises
+    :class:`CalibrationError`.
     The report then follows in closed form.  Each (alpha0, sigma) adds beta0
     instances.  The published condition fires exactly on the sigma = -1
     instances with u0 >= beta0 - beta1, beta1 of them per pair; as alpha0

@@ -19,6 +19,9 @@ made before the jump was proved to be 0; it is that proof's oracle.
 :func:`calibration_loop` is the per-instance loop that
 ``verify.calibrate_delta`` replaced by a per-term identity check and a
 closed-form report; it recomputes every forced jump from residue sums.
+:func:`check_partners_by_values` is the per-term check that
+``verify._check_partners`` replaced by comparing jump positions: it builds
+both floor sequences over every j < beta0 and compares their values.
 :func:`level_by_descent` is the level search ``threshold.classify`` made
 before it solved for the level directly, and :func:`classify_by_fractions`
 the ``Fraction`` comparisons it made before it cross-multiplied integers.
@@ -47,7 +50,9 @@ from __future__ import annotations
 import csv
 import io
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, isqrt, lcm
+from operator import floordiv, sub
 
 import pytest
 
@@ -184,6 +189,26 @@ def calibration_loop(beta_max: int) -> dict:
         "disagreement_count": len(disagreements),
         "disagreements": disagreements,
     }
+
+
+def check_partners_by_values(alpha0: int, beta0: int, *partners) -> None:
+    """``verify._check_partners`` as the value comparison it replaced: for
+    each partner (alpha1, beta1, sigma), floor(alpha1*j/beta1) - [sigma = 1,
+    beta1 | j, j > 0] must equal floor(alpha0*j/beta0) for every
+    0 <= j < beta0, or :class:`CalibrationError` is raised, with the same
+    message.  Each side is one list of beta0 floors."""
+    lower = list(map(floordiv, range(0, alpha0 * beta0, alpha0), repeat(beta0)))
+    for alpha1, beta1, sigma in partners:
+        multiples = range(0, alpha1 * beta0, alpha1) if alpha1 else repeat(0, beta0)  # no step 0
+        upper = list(map(floordiv, multiples, repeat(beta1)))
+        if sigma == 1:
+            # The bracket: one more at every multiple j > 0 of beta1.
+            upper[beta1::beta1] = map(sub, upper[beta1::beta1], repeat(1))
+        if upper != lower:
+            raise CalibrationError(
+                f"per-term identity fails at (alpha0={alpha0}, beta0={beta0}, sigma={sigma}) "
+                f"with partner (alpha1={alpha1}, beta1={beta1}): the forced jump is not 0"
+            )
 
 
 def polytope_fraction(surface, family: str, n: int):

@@ -26,6 +26,7 @@ from effcone import (
     floor_sum,
     floor_sum_linear,
     frac_sum,
+    full_sum,
     gamma_search,
     make_surface,
     outer_bound,
@@ -94,9 +95,28 @@ INT_ARGUMENTS = [
     ("FamilyRequest-count", lambda v: FamilyRequest(1, 3, 1, v), "count", 1, 2),
     ("frac_sum-beta", lambda v: frac_sum(1, v, 0), "beta", 1, 5),
     ("frac_sum-u", lambda v: frac_sum(2, 5, v), "u", 0, 7),
+    ("frac_sum-alpha", lambda v: frac_sum(v, 5, 3), "alpha", None, 2),
     ("deficit-beta", lambda v: deficit(v, 0, 1), "beta", 1, 2),
+    ("deficit-u", lambda v: deficit(5, v, 2), "u", None, 1),
+    ("deficit-alpha", lambda v: deficit(5, 1, v), "alpha", None, 2),
+    ("floor_sum-alpha", lambda v: floor_sum(v, 5), "alpha", None, 2),
+    ("floor_sum-beta", lambda v: floor_sum(2, v), "beta", None, 5),
+    ("full_sum-alpha0", lambda v: full_sum(v, 5, 2, -1), "alpha0", None, 3),
+    ("full_sum-beta0", lambda v: full_sum(3, v, 2, -1), "beta0", None, 5),
+    ("full_sum-beta1", lambda v: full_sum(3, 5, v, -1), "beta1", None, 2),
+    ("full_sum-sigma", lambda v: full_sum(2, 5, 2, v), "sigma", None, 1),
+    ("step_error-sigma", lambda v: step_error(v, 0, 1, 5, 2), "sigma", None, 1),
     ("step_error-t", lambda v: step_error(1, v, 0, 5, 2), "t", 0, 1),
+    ("step_error-u", lambda v: step_error(1, 0, v, 5, 2), "u", None, 1),
+    ("step_error-beta0", lambda v: step_error(1, 0, 1, v, 2), "beta0", None, 5),
+    ("step_error-beta1", lambda v: step_error(1, 0, 1, 5, v), "beta1", None, 2),
+    ("step_error_bounds-sigma", lambda v: step_error_bounds(v, 5, 3), "sigma", None, -1),
+    ("step_error_bounds-beta0", lambda v: step_error_bounds(-1, v, 3), "beta0", None, 5),
+    ("step_error_bounds-beta1", lambda v: step_error_bounds(-1, 5, v), "beta1", None, 3),
+    ("ReductionChain-alpha", lambda v: ReductionChain(pairs=((v, 7), (1, 2))), "alpha", None, 3),
+    ("ReductionChain-beta", lambda v: ReductionChain(pairs=((3, v), (1, 2))), "beta", None, 7),
     ("reduce_chain-u0", lambda v: reduce_chain(CHAIN, v), "u0", None, 4),
+    ("standard_chain-entry", lambda v: standard_chain(v, 2), "entry", None, 2),
     ("standard_chain-k", lambda v: standard_chain(2, v), "k", 1, 1),
     ("outer_bound-k", outer_bound, "k", 1, 1),
     ("branch_interval-k", lambda v: branch_interval(v, "I'-"), "k", 1, 1),
@@ -143,8 +163,18 @@ class TestRequireInt:
         (lambda v: frac_sum(2, 5, v), True),
         (outer_bound, True),
         (calibrate_delta, True),
+        (lambda v: frac_sum(v, 5, 3), True),  # returned 6/5, as alpha = 1
+        (lambda v: deficit(5, 1, v), True),  # returned 3/5
+        (lambda v: ReductionChain(pairs=((v, 2),)), True),  # stored True
+        (lambda v: step_error(v, 0, 1, 5, 2), True),  # read as sigma = 1
+        (lambda v: standard_chain(v, 2), True),  # read as entry 1
+        (lambda v: frac_sum(v, 5, 3), 2.5),  # died inside Fraction
+        (lambda v: step_error(1, 0, v, 5, 2), 1.0),  # died inside Fraction
+        (lambda v: step_error_bounds(-1, v, 3), 5.0),  # died inside Fraction
     ], ids=["c0_upper_bound", "c0_middle_terms", "standard_chain", "floor_sum_linear",
-            "frac_sum", "outer_bound", "calibrate_delta"])
+            "frac_sum", "outer_bound", "calibrate_delta", "frac_sum-alpha", "deficit-alpha",
+            "ReductionChain-pair", "step_error-sigma", "standard_chain-entry",
+            "frac_sum-alpha-float", "step_error-u-float", "step_error_bounds-beta0-float"])
     def test_what_once_slipped_through(self, call, bad):
         with pytest.raises(TypeError, match="must be an int"):
             call(bad)

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import conftest
-from conftest import calibration_loop, sweep_cells
+from conftest import calibration_loop, check_partners_by_values, sweep_cells
 from effcone import DivisorSpec, classify_surface, h0, make_surface, threshold, verify
 from effcone.surface import _family_counts
 from effcone.verify import (
@@ -104,10 +104,21 @@ class TestRecords:
         (("a", "b"), [({"a": 1}, {"a": [1], "b": [2]})]),  # a key both shared and a column
         (("a", "b"), [({}, {"b": [1]})]),  # a key missing
         (("a", "b"), [({}, {"a": [1, 2], "b": range(3)})]),  # columns of two lengths
+        (("a", "b"), [({"a": 1}, {"a": [1]})]),  # sizes add up, but a is in both and b in neither
     ])
     def test_malformed_blocks_are_refused(self, keys, blocks):
         with pytest.raises(ValueError):
             Records(keys, blocks)
+
+    def test_refusals_name_the_block(self):
+        with pytest.raises(ValueError) as caught:
+            Records(("a", "b"), [({"a": 1}, {"a": [1]})])
+        assert str(caught.value) == (
+            "a block's shared keys ['a'] and column keys ['a'] do not split ('a', 'b')")
+        with pytest.raises(ValueError) as caught:
+            Records(("a", "b"), [({}, {"a": [1, 2], "b": range(3)})])
+        assert str(caught.value) == (
+            "a block needs one or more columns of one length, got lengths [2, 3]")
 
     def test_producers_keep_their_key_order(self, s457):
         rows = sweep_one(s457, 6)["rows"]
@@ -608,3 +619,88 @@ class TestPartnerCheck:
             for wrong in (alpha1 - 1, alpha1 + 1):
                 with pytest.raises(CalibrationError):
                     _check_partners(alpha0, beta0, (wrong, beta1, sigma))
+
+
+def refuses(check, alpha0, beta0, *partners) -> bool:
+    """Whether ``check`` raises :class:`CalibrationError` on the partners."""
+    try:
+        check(alpha0, beta0, *partners)
+    except CalibrationError:
+        return True
+    return False
+
+
+def perturbed_partners(beta_limit: int):
+    """For every coprime 1 <= alpha0 < beta0 <= beta_limit, the two true
+    partners, as calibrate_delta passes them and swapped, and each partner
+    with alpha1 +- 1 (down to 0 and -1), beta1 +- 1 (down to 1), the sigma
+    flipped, and the two partners' pairs exchanged between the sigmas."""
+    for beta0 in range(2, beta_limit + 1):
+        for alpha0 in range(1, beta0):
+            if math.gcd(alpha0, beta0) != 1:
+                continue
+            beta1 = pow(alpha0, -1, beta0)
+            alpha1 = (beta1 * alpha0 - 1) // beta0
+            plus, minus = (alpha0 - alpha1, beta0 - beta1, 1), (alpha1, beta1, -1)
+            yield alpha0, beta0, (plus, minus)
+            yield alpha0, beta0, (minus, plus)
+            yield alpha0, beta0, ((plus[0], plus[1], -1), (minus[0], minus[1], 1))
+            for a1, b1, sigma in (plus, minus):
+                yield alpha0, beta0, ((a1, b1, -sigma),)
+                for wrong in (a1 - 1, a1 + 1):
+                    yield alpha0, beta0, ((wrong, b1, sigma),)
+                for wrong in (b1 - 1, b1 + 1):
+                    if wrong >= 1:
+                        yield alpha0, beta0, ((a1, wrong, sigma),)
+
+
+class TestJumpPositionCheck:
+    """``_check_partners`` compares jump positions; the value comparison it
+    replaced, kept as ``check_partners_by_values``, is its oracle.  The jump
+    check must refuse whatever the oracle refuses.  It may refuse more only
+    on a sigma = +1 partner with gcd(alpha1, beta1) = g != 1, which no +-1
+    determinant allows, and then only with beta1 >= beta0: for beta1 < beta0
+    the oracle refuses too, as at j = beta1 the partner's side reads
+    alpha1 - 1 while floor(alpha0*j/beta0) >= alpha1 (it equals alpha1/g at
+    j = beta1/g, if alpha1 >= 1) or >= 0 (if alpha1 <= 0)."""
+
+    def test_matches_the_value_check_on_perturbed_partners(self):
+        # No perturbed partner is such an extra refusal, so the list of
+        # extras for beta0 <= 30 is empty: a perturbed sigma = +1 partner
+        # reaches beta1 = beta0 only from (1, beta0 - 1) at alpha0 = 1, and
+        # (1, beta0) is coprime.
+        extra, checked, accepted = [], 0, 0
+        for alpha0, beta0, partners in perturbed_partners(60):
+            by_values = refuses(check_partners_by_values, alpha0, beta0, *partners)
+            by_jumps = refuses(_check_partners, alpha0, beta0, *partners)
+            assert by_jumps or not by_values, (alpha0, beta0, partners)
+            if by_jumps and not by_values:
+                extra.append((alpha0, beta0, partners))
+            checked += 1
+            accepted += not by_jumps
+        assert extra == []
+        assert checked > 14000 and 2000 < accepted < checked // 2
+
+    @settings(max_examples=400, deadline=None)
+    @given(beta0=st.integers(2, 150), alpha0=st.integers(1, 300),
+           beta1=st.integers(1, 300), offset=st.integers(-2, 2), sigma=st.sampled_from((1, -1)))
+    @example(beta0=5, alpha0=1, beta1=5, offset=-1, sigma=1)  # alpha1 = 0: gcd(0, 5) = 5
+    @example(beta0=5, alpha0=2, beta1=6, offset=0, sigma=1)  # (2, 6): gcd 2
+    @example(beta0=7, alpha0=3, beta1=5, offset=0, sigma=-1)  # a true partner, (2, 5)
+    def test_never_weaker_than_the_value_check(self, beta0, alpha0, beta1, offset, sigma):
+        # alpha1 near alpha0*beta1/beta0, so that both checks often accept.
+        alpha1 = alpha0 * beta1 // beta0 + offset
+        partner = (alpha1, beta1, sigma)
+        by_values = refuses(check_partners_by_values, alpha0, beta0, partner)
+        by_jumps = refuses(_check_partners, alpha0, beta0, partner)
+        assert by_jumps or not by_values
+        if by_jumps and not by_values:
+            assert sigma == 1 and math.gcd(alpha1, beta1) != 1 and beta1 >= beta0
+
+    def test_refuses_a_denominator_below_1(self):
+        # A negative beta1 gives an empty range of jump positions, as does
+        # alpha0 = 1 below beta0; only the guard refuses it.
+        assert refuses(check_partners_by_values, 1, 5, (1, -1, -1))
+        for partner in ((1, -1, -1), (0, 0, -1), (1, 0, 1)):
+            with pytest.raises(CalibrationError, match="beta0=5"):
+                _check_partners(1, 5, partner)

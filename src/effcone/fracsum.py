@@ -35,15 +35,16 @@ beta1*t + sigma*(2u+1) - beta1 + beta0 - 2*beta0*[sigma = 1]).  As beta0 -
 2*beta0*[sigma = 1] = -sigma*beta0, that is 2*beta0*beta1*E.  (For beta1 = 1
 every u' is 0.)
 
-``verify.calibrate_delta`` checks the per-term identity above, the floor
+``verify.calibrate_delta`` certifies the per-term identity above, the floor
 form floor(alpha1*j/beta1) - floor(alpha0*j/beta0) = [sigma = 1, beta1 | j,
 j > 0] for 0 <= j < beta0, for every partner pair of its grid, and finds the
-published jump wrong on a documented set of sigma = -1 steps.  It compares
-the positions below beta0 at which the two sides step, about alpha0 of them,
-not the sides' beta0 values (the proof is in ``verify._check_partners``).
-The tests check the theorem independently, by back-solving the jump from
-two deficits and by the per-instance residue-sum loop that calibration
-replaced, and the position check against the value check it replaced.
+published jump wrong on a documented set of sigma = -1 steps.  It checks
+each pair's +-1 determinant, one multiplication, from which the identity
+follows for any beta1 >= 1 (the lemma and its proof are in
+``verify._check_partners``).  The tests check the theorem independently, by
+back-solving the jump from two deficits and by the per-instance residue-sum
+loop that calibration replaced, and the determinant check against the value
+check that came before it.
 """
 
 from __future__ import annotations
@@ -195,7 +196,10 @@ def _check_step(sigma: int, t: int, u: int, beta0: int, beta1: int) -> None:
 
 def paper_delta(sigma: int, t: int, u: int, beta0: int, beta1: int) -> int:
     """The literal published jump condition: 1 iff sigma = -1 and
-    beta0 - beta1 <= beta1*t + u."""
+    beta0 - beta1 <= beta1*t + u.  Takes the inputs of :func:`step_error`
+    and refuses the same ones; unlike :func:`calibrated_delta`, it allows
+    u0 = beta1*t + u >= beta0."""
+    _check_step(sigma, t, u, beta0, beta1)
     return 1 if sigma == -1 and beta0 - beta1 <= beta1 * t + u else 0
 
 
@@ -234,13 +238,15 @@ def step_error(
     >>> step_error(-1, 0, 1, 5, 2)
     Fraction(1, 5)
     """
+    # Each policy checks the range itself, and a bad range is refused before
+    # an unknown policy.
     if delta == "calibrated":
-        jump = calibrated_delta(sigma, t, u, beta0, beta1)  # checks the range first
+        jump = calibrated_delta(sigma, t, u, beta0, beta1)
+    elif delta == "paper":
+        jump = paper_delta(sigma, t, u, beta0, beta1)
     else:
         _check_step(sigma, t, u, beta0, beta1)
-        if delta != "paper":
-            raise ValueError(f"unknown delta policy {delta!r}; expected one of {DELTA_POLICIES}")
-        jump = paper_delta(sigma, t, u, beta0, beta1)
+        raise ValueError(f"unknown delta policy {delta!r}; expected one of {DELTA_POLICIES}")
     return _step_error_base(sigma, t, u, beta0, beta1) + jump
 
 

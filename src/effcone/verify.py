@@ -34,13 +34,14 @@ runs every cell for a list of surfaces and aggregates.
 
 :func:`calibrate_delta` compares the published step-error jump condition
 with the value forced by the reduction identity (see the fracsum module).
-At run time it checks, for every partner pair of its grid, the per-term
-floor identity from which the fracsum theorem sums to a jump of 0 at every
-u0, so every instance is still checked; its report then follows in closed
-form.  The check compares where the identity's two floor sequences step,
-about alpha0 positions per side, instead of their beta0 values.  The tests
-compare the report with the per-instance residue-sum loop it replaced, and
-the check with the value comparison it replaced, on perturbed pairs too.
+At run time it checks the +-1 determinant of every partner pair of its
+grid, one multiplication per partner.  By the lemma in
+:func:`_check_partners`, the determinant gives the per-term floor identity
+from which the fracsum theorem sums to a jump of 0 at every u0, so every
+instance is still covered; its report then follows in closed form.  The
+tests compare the report with the per-instance residue-sum loop it
+replaced, and the check with the value comparison that came before it, on
+perturbed pairs too.
 
 Both record lists are :class:`Records`, flat dicts stored as column blocks:
 :func:`sweep_one`'s margin rows hold one block per (classification, family)
@@ -59,7 +60,7 @@ from __future__ import annotations
 from functools import partial
 from itertools import repeat
 from math import comb, gcd
-from operator import add, floordiv
+from operator import add
 
 from .numerics import require_int
 
@@ -81,9 +82,9 @@ __all__ = [
 
 
 class CalibrationError(Exception):
-    """:func:`calibrate_delta` found a partner pair whose per-term identity
-    fails, so its forced jump is not 0, which the fracsum theorem rules out:
-    a data failure, not an input error."""
+    """:func:`calibrate_delta` built a partner pair whose +-1 determinant
+    fails, so the per-term identity that makes its forced jump 0 is not
+    certified: a data failure, not an input error."""
 
 
 class Records:
@@ -194,8 +195,7 @@ def margin_at_multiple(cls: Classification, t: int, count: int) -> int:
     Covers the classified family's cells n = m0*t and the other family's
     cells naming the same divisor.
     """
-    if t < 1:
-        raise ValueError(f"require t >= 1, got {t}")
+    require_int("t", t, 1)
     return comb(cls.nu0 * t + 2, 2) - count
 
 
@@ -311,46 +311,26 @@ def aggregate_sweep(reports: list[dict]) -> dict:
 
 
 def _check_partners(alpha0: int, beta0: int, *partners: tuple[int, int, int]) -> None:
-    """Check the fracsum proof's per-term identity for each partner
-    (alpha1, beta1, sigma) of (alpha0, beta0):
-    floor(alpha1*j/beta1) - floor(alpha0*j/beta0) = [sigma = 1, beta1 | j,
-    j > 0] for every 0 <= j < beta0; raise :class:`CalibrationError`
-    otherwise.  ``alpha1`` is the true partner (sigma + beta1*alpha0)/beta0.
+    """Check that each (alpha1, beta1, sigma) is a partner of (alpha0, beta0):
+    beta1 >= 1 and alpha1*beta0 - beta1*alpha0 = sigma = +-1; raise
+    :class:`CalibrationError` otherwise.
 
-    Summed over j <= u0, the identity is the step identity with jump 0 at
-    that u0, so one check covers the pair's beta0 instances.
+    Lemma.  For beta0, beta1 >= 1 and alpha1*beta0 - beta1*alpha0 = sigma =
+    +-1, floor(alpha1*j/beta1) - floor(alpha0*j/beta0) = [sigma = 1, beta1 |
+    j, j > 0] for every 0 <= j < beta0.  That is the fracsum proof's per-term
+    identity; summed over j <= u0, it is the step identity with jump 0 at that
+    u0, so one determinant test covers the pair's beta0 instances.
 
-    Each side is compared by where it steps, not by its values, in about
-    alpha0 entries instead of beta0.  Proof: for alpha >= 1 and beta >= 1,
-    floor(alpha*j/beta) = #{k >= 1 : k*beta <= alpha*j} = #{k >= 1 :
-    ceil(k*beta/alpha) <= j}, the number of its jump positions ceil(k*beta/
-    alpha), counted with repeats, up to j.  Two sequences that count their
-    jumps from 0 at j = 0 agree on 0 <= j < beta0 exactly when their sorted
-    lists of jump positions below beta0 agree, as the count at j is the
-    number of list entries <= j and each entry is the count's step there.
-    Position p = (k*beta + alpha - 1 + s) // alpha, with shift s = 0 for the
-    ceiling, lies below beta0 exactly when k*beta + alpha - 1 + s <
-    alpha*beta0, so the list is one C-level ``map`` over a ``range``, and
-    alpha = 0, which never steps, gives an empty one.  The sigma = -1 side
-    floor(alpha1*j/beta1) (alpha1 >= 0) thus lists with s = 0, like
-    floor(alpha0*j/beta0); alpha1 < 0 steps below 0 at j = 1 and is
-    refused.  On the sigma = +1 side, for gcd(alpha1, beta1) = 1 and alpha1
-    >= 1, beta1 | j exactly when beta1 | alpha1*j, so floor(alpha1*j/beta1)
-    - [beta1 | j] = floor((alpha1*j - 1)/beta1) for every j >= 1, and that
-    is #{k >= 1 : k*beta1 < alpha1*j} = #{k >= 1 : floor(k*beta1/alpha1) +
-    1 <= j}, which also reads 0 at j = 0: shift s = 1.  A sigma = +1 partner
-    with alpha1 < 1 or gcd(alpha1, beta1) != 1, which no +-1 determinant
-    allows, is refused, as is any beta1 < 1.  The sigma-free side is built
-    once for all partners."""
-    def jumps(alpha, beta, shift):
-        return list(map(floordiv, range(beta + alpha - 1 + shift, alpha * beta0, beta),
-                        repeat(alpha)))
-
-    lower = jumps(alpha0, beta0, 0)
+    Proof.  The floor difference is sigma times the number of integers N
+    between the two quotients.  Such an N gives j = sigma*(beta0*A +
+    beta1*B) with A = alpha1*j - N*beta1 and B = N*beta0 - alpha0*j.  For
+    sigma = -1, N in (alpha1*j/beta1, alpha0*j/beta0] has A <= -1 and B <= 0,
+    so j >= beta0.  For sigma = +1, N in (alpha0*j/beta0, alpha1*j/beta1] has
+    A >= 0 and B >= 1; j < beta0 forces A = 0, so beta1 | alpha1*j and j =
+    beta1*B is a multiple j > 0 of beta1.  Each such j gives exactly one N,
+    alpha1*j/beta1, because the interval is shorter than 1/beta1."""
     for alpha1, beta1, sigma in partners:
-        shift = 1 if sigma == 1 else 0
-        if (beta1 < 1 or alpha1 < shift or (shift and gcd(alpha1, beta1) != 1)
-                or jumps(alpha1, beta1, shift) != lower):
+        if beta1 < 1 or sigma not in (1, -1) or alpha1 * beta0 - beta1 * alpha0 != sigma:
             raise CalibrationError(
                 f"per-term identity fails at (alpha0={alpha0}, beta0={beta0}, sigma={sigma}) "
                 f"with partner (alpha1={alpha1}, beta1={beta1}): the forced jump is not 0"
@@ -363,11 +343,10 @@ def calibrate_delta(beta_max: int, instances: bool = True) -> dict:
     the partner pair (alpha1, beta1) determined by the +-1 relation) and
     u0 < beta0.
 
-    Checked at run time, for every (alpha0, beta0, sigma): the per-term
-    identity of the fracsum proof (:func:`_check_partners`, by the jump
-    positions of its two floor sequences, about alpha0 per side), which
-    makes the forced jump 0 at every u0; a failure raises
-    :class:`CalibrationError`.
+    Checked at run time, for every (alpha0, beta0, sigma): the partner's
+    +-1 determinant (:func:`_check_partners`), from which the per-term
+    identity of the fracsum proof follows, and with it a forced jump of 0 at
+    every u0; a failure raises :class:`CalibrationError`.
     The report then follows in closed form.  Each (alpha0, sigma) adds beta0
     instances.  The published condition fires exactly on the sigma = -1
     instances with u0 >= beta0 - beta1, beta1 of them per pair; as alpha0

@@ -20,8 +20,9 @@ made before the jump was proved to be 0; it is that proof's oracle.
 ``verify.calibrate_delta`` replaced by a per-term identity check and a
 closed-form report; it recomputes every forced jump from residue sums.
 :func:`check_partners_by_values` is the per-term check that
-``verify._check_partners`` replaced by comparing jump positions: it builds
-both floor sequences over every j < beta0 and compares their values.
+``verify._check_partners`` replaced by the +-1 determinant the identity
+follows from: it builds both floor sequences over every j < beta0 and
+compares their values.
 :func:`level_by_descent` is the level search ``threshold.classify`` made
 before it solved for the level directly, and :func:`classify_by_fractions`
 the ``Fraction`` comparisons it made before it cross-multiplied integers.
@@ -192,11 +193,14 @@ def calibration_loop(beta_max: int) -> dict:
 
 
 def check_partners_by_values(alpha0: int, beta0: int, *partners) -> None:
-    """``verify._check_partners`` as the value comparison it replaced: for
-    each partner (alpha1, beta1, sigma), floor(alpha1*j/beta1) - [sigma = 1,
-    beta1 | j, j > 0] must equal floor(alpha0*j/beta0) for every
-    0 <= j < beta0, or :class:`CalibrationError` is raised, with the same
-    message.  Each side is one list of beta0 floors."""
+    """``verify._check_partners`` as the value comparison that came before
+    the determinant test: for each partner (alpha1, beta1, sigma),
+    floor(alpha1*j/beta1) - [sigma = 1, beta1 | j, j > 0] must equal
+    floor(alpha0*j/beta0) for every 0 <= j < beta0, or
+    :class:`CalibrationError` is raised, with the same message.  Each side
+    is one list of beta0 floors.  It checks the per-term identity itself, so
+    it also accepts non-partners that satisfy it, such as (0, beta1, -1) for
+    any beta1 >= 1 when alpha0 = 1."""
     lower = list(map(floordiv, range(0, alpha0 * beta0, alpha0), repeat(beta0)))
     for alpha1, beta1, sigma in partners:
         multiples = range(0, alpha1 * beta0, alpha1) if alpha1 else repeat(0, beta0)  # no step 0

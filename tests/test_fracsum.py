@@ -28,7 +28,8 @@ from effcone import (
     step_error_bounds,
 )
 
-from effcone.fracsum import _residue_sum, _step_error_base
+from effcone import fracsum
+from effcone.fracsum import DELTA_POLICIES, _residue_sum, _step_error_base
 
 from conftest import forced_jump, frac_sum_direct
 
@@ -183,6 +184,34 @@ class TestStepError:
             step_error(1, -1, 0, 5, 2)
         with pytest.raises(ValueError):
             step_error(1, 0, 0, 5, 2, delta="guess")
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0, 0, 0, 5, 2), "sigma must be +-1, got 0"),
+            ((1, 0, 0, 2, 3), "got u = 0, beta1 = 3, beta0 = 2"),  # beta1 > beta0
+            ((-1, 0, 2, 5, 2), "got u = 2, beta1 = 2, beta0 = 5"),  # u >= beta1
+            ((-1, 0, 0, 5, 0), "got u = 0, beta1 = 0, beta0 = 5"),
+        ],
+    )
+    def test_paper_rejects_out_of_range(self, args, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            paper_delta(*args)
+
+    def test_each_policy_checks_the_range_once(self, monkeypatch):
+        calls, check = [], fracsum._check_step
+        monkeypatch.setattr(fracsum, "_check_step", lambda *args: calls.append(args) or check(*args))
+        for policy in DELTA_POLICIES:
+            calls.clear()
+            step_error(-1, 0, 1, 5, 2, delta=policy)
+            assert calls == [(-1, 0, 1, 5, 2)], policy
+        # A bad range is refused before an unknown policy.
+        with pytest.raises(ValueError, match=re.escape("got u = 2, beta1 = 2")):
+            step_error(1, 0, 2, 5, 2, delta="guess")
+        with pytest.raises(TypeError, match="sigma must be an int"):
+            step_error(True, 0, 1, 5, 2, delta="guess")
+        with pytest.raises(ValueError, match="unknown delta policy 'guess'"):
+            step_error(1, 0, 1, 5, 2, delta="guess")
 
     def test_calibrated_requires_in_range_start(self):
         with pytest.raises(ValueError):

@@ -30,6 +30,7 @@ from effcone import (
     gamma_search,
     make_surface,
     outer_bound,
+    paper_delta,
     reduce_chain,
     reference_triangle,
     section_counts,
@@ -40,6 +41,7 @@ from effcone import (
     triangle,
 )
 from effcone.numerics import Frozen, require_int
+from effcone.verify import margin_at_multiple
 
 
 small_or_huge = st.one_of(st.integers(-50, 50), st.integers(-10**30, 10**30))
@@ -77,6 +79,7 @@ class TestFloorSumLinear:
 
 
 P457 = make_surface(4, 5, 7)
+CLS457 = classify(5, -2)[0]
 CHAIN = ReductionChain(pairs=((3, 7), (1, 2)))
 
 # One row per checked argument: (id, call taking the argument, its name, its
@@ -110,6 +113,8 @@ INT_ARGUMENTS = [
     ("step_error-u", lambda v: step_error(1, 0, v, 5, 2), "u", None, 1),
     ("step_error-beta0", lambda v: step_error(1, 0, 1, v, 2), "beta0", None, 5),
     ("step_error-beta1", lambda v: step_error(1, 0, 1, 5, v), "beta1", None, 2),
+    ("paper_delta-sigma", lambda v: paper_delta(v, 0, 1, 5, 2), "sigma", None, -1),
+    ("paper_delta-t", lambda v: paper_delta(-1, v, 1, 5, 2), "t", 0, 3),
     ("step_error_bounds-sigma", lambda v: step_error_bounds(v, 5, 3), "sigma", None, -1),
     ("step_error_bounds-beta0", lambda v: step_error_bounds(-1, v, 3), "beta0", None, 5),
     ("step_error_bounds-beta1", lambda v: step_error_bounds(-1, 5, v), "beta1", None, 3),
@@ -124,6 +129,7 @@ INT_ARGUMENTS = [
     ("classify-b", lambda v: classify(v, -2), "b", 1, 5),
     ("sweep-n_max", lambda v: sweep([P457], v), "n_max", 1, 2),
     ("sweep-jobs", lambda v: sweep([P457], 2, jobs=v), "jobs", 1, 1),
+    ("margin_at_multiple-t", lambda v: margin_at_multiple(CLS457, v, 3), "t", 1, 2),
     ("calibrate_delta-beta_max", lambda v: calibrate_delta(v, instances=False), "beta_max", 3, 3),
 ]
 

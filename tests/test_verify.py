@@ -583,16 +583,16 @@ class TestPartnerCheck:
             _check_partners(alpha0, beta0, (alpha1, beta1, sigma))
 
     def test_rejects_a_beta1_off_by_one(self):
+        # Every wrong beta1 >= 1 changes the determinant by alpha0 != 0: 554
+        # partners, two neighbours each, less the 58 with beta1 = 1.
         rejected = 0
         for alpha0, beta0, alpha1, beta1, sigma in true_partners(30):
-            if alpha1 == 0:
-                continue  # floor(0*j/beta1) = 0 whatever beta1 is
             for wrong in (beta1 - 1, beta1 + 1):
-                if wrong >= 1 and math.gcd(wrong, beta0) == 1:
+                if wrong >= 1:
                     with pytest.raises(CalibrationError, match=f"beta0={beta0}, sigma={sigma}"):
                         _check_partners(alpha0, beta0, (alpha1, wrong, sigma))
                     rejected += 1
-        assert rejected > 500
+        assert rejected == 1050
 
     def test_rejects_the_wrong_sigma(self):
         for alpha0, beta0, alpha1, beta1, sigma in true_partners(30):
@@ -600,9 +600,8 @@ class TestPartnerCheck:
                 _check_partners(alpha0, beta0, (alpha1, beta1, -sigma))
 
     def test_both_partners_share_one_lower_side(self):
-        # Checking sigma = +1 first must leave the shared side as it was for
-        # sigma = -1, as calibrate_delta checks them; a wrong second partner
-        # is still caught and named.
+        # Both partners in one call, sigma = +1 first, as calibrate_delta
+        # checks them; a wrong second partner is still caught and named.
         for beta0 in range(2, 31):
             for alpha0 in range(1, beta0):
                 if math.gcd(alpha0, beta0) != 1:
@@ -654,53 +653,94 @@ def perturbed_partners(beta_limit: int):
                         yield alpha0, beta0, ((a1, wrong, sigma),)
 
 
-class TestJumpPositionCheck:
-    """``_check_partners`` compares jump positions; the value comparison it
-    replaced, kept as ``check_partners_by_values``, is its oracle.  The jump
-    check must refuse whatever the oracle refuses.  It may refuse more only
-    on a sigma = +1 partner with gcd(alpha1, beta1) = g != 1, which no +-1
-    determinant allows, and then only with beta1 >= beta0: for beta1 < beta0
-    the oracle refuses too, as at j = beta1 the partner's side reads
-    alpha1 - 1 while floor(alpha0*j/beta0) >= alpha1 (it equals alpha1/g at
-    j = beta1/g, if alpha1 >= 1) or >= 0 (if alpha1 <= 0)."""
+def is_partner(alpha0, beta0, partner) -> bool:
+    """Whether ``partner`` = (alpha1, beta1, sigma) has the +-1 determinant
+    alpha1*beta0 - beta1*alpha0 = sigma."""
+    alpha1, beta1, sigma = partner
+    return alpha1 * beta0 - beta1 * alpha0 == sigma
+
+
+class TestDeterminantCheck:
+    """``_check_partners`` tests each partner's +-1 determinant; the value
+    comparison that came before it, kept as ``check_partners_by_values``, is
+    its oracle.  By the lemma in its docstring, the determinant check must
+    refuse whatever the oracle refuses.  It may refuse more, but only
+    non-partners: a triple whose determinant is not its sigma, which can
+    still satisfy the per-term identity, such as (0, beta1, -1) for any
+    beta1 when alpha0 = 1."""
 
     def test_matches_the_value_check_on_perturbed_partners(self):
-        # No perturbed partner is such an extra refusal, so the list of
-        # extras for beta0 <= 30 is empty: a perturbed sigma = +1 partner
-        # reaches beta1 = beta0 only from (1, beta0 - 1) at alpha0 = 1, and
-        # (1, beta0) is coprime.
         extra, checked, accepted = [], 0, 0
         for alpha0, beta0, partners in perturbed_partners(60):
             by_values = refuses(check_partners_by_values, alpha0, beta0, *partners)
-            by_jumps = refuses(_check_partners, alpha0, beta0, *partners)
-            assert by_jumps or not by_values, (alpha0, beta0, partners)
-            if by_jumps and not by_values:
+            by_determinant = refuses(_check_partners, alpha0, beta0, *partners)
+            assert by_determinant or not by_values, (alpha0, beta0, partners)
+            if by_determinant and not by_values:
                 extra.append((alpha0, beta0, partners))
             checked += 1
-            accepted += not by_jumps
-        assert extra == []
+            accepted += not by_determinant
+        assert all(
+            not all(is_partner(alpha0, beta0, partner) for partner in partners)
+            for alpha0, beta0, partners in extra
+        )
+        assert len(extra) == 118
         assert checked > 14000 and 2000 < accepted < checked // 2
 
     @settings(max_examples=400, deadline=None)
     @given(beta0=st.integers(2, 150), alpha0=st.integers(1, 300),
            beta1=st.integers(1, 300), offset=st.integers(-2, 2), sigma=st.sampled_from((1, -1)))
-    @example(beta0=5, alpha0=1, beta1=5, offset=-1, sigma=1)  # alpha1 = 0: gcd(0, 5) = 5
-    @example(beta0=5, alpha0=2, beta1=6, offset=0, sigma=1)  # (2, 6): gcd 2
+    @example(beta0=5, alpha0=1, beta1=5, offset=-1, sigma=1)  # (0, 5): determinant -5
+    @example(beta0=5, alpha0=2, beta1=6, offset=0, sigma=1)  # (2, 6): determinant -2
     @example(beta0=7, alpha0=3, beta1=5, offset=0, sigma=-1)  # a true partner, (2, 5)
     def test_never_weaker_than_the_value_check(self, beta0, alpha0, beta1, offset, sigma):
         # alpha1 near alpha0*beta1/beta0, so that both checks often accept.
         alpha1 = alpha0 * beta1 // beta0 + offset
         partner = (alpha1, beta1, sigma)
         by_values = refuses(check_partners_by_values, alpha0, beta0, partner)
-        by_jumps = refuses(_check_partners, alpha0, beta0, partner)
-        assert by_jumps or not by_values
-        if by_jumps and not by_values:
-            assert sigma == 1 and math.gcd(alpha1, beta1) != 1 and beta1 >= beta0
+        by_determinant = refuses(_check_partners, alpha0, beta0, partner)
+        assert by_determinant or not by_values
+        if by_determinant and not by_values:
+            assert not is_partner(alpha0, beta0, partner)
+
+    def test_lemma_every_partner_satisfies_the_identity(self):
+        # The docstring's lemma, for beta1 >= beta0 too: every (alpha1,
+        # beta1, sigma) with the +-1 determinant and 1 <= beta1 <= 3*beta0
+        # passes the value oracle, and the determinant check.
+        checked = 0
+        for beta0 in range(2, 61):
+            for alpha0 in range(1, beta0):
+                if math.gcd(alpha0, beta0) != 1:
+                    continue
+                for sigma in (1, -1):
+                    for beta1 in range(1, 3 * beta0 + 1):
+                        if (sigma + beta1 * alpha0) % beta0 == 0:
+                            partner = ((sigma + beta1 * alpha0) // beta0, beta1, sigma)
+                            check_partners_by_values(alpha0, beta0, partner)
+                            _check_partners(alpha0, beta0, partner)
+                            checked += 1
+        assert checked == 6606
+
+    def test_refuses_the_non_partners_the_value_check_accepts(self):
+        # Both satisfy the per-term identity, but neither has the determinant:
+        # 0*5 - 7*1 = -7, not -1, and 1*2 - 2*1 = 0, not 1.
+        for alpha0, beta0, partner in ((1, 5, (0, 7, -1)), (1, 2, (1, 2, 1))):
+            check_partners_by_values(alpha0, beta0, partner)
+            with pytest.raises(CalibrationError, match=f"beta0={beta0}"):
+                _check_partners(alpha0, beta0, partner)
 
     def test_refuses_a_denominator_below_1(self):
-        # A negative beta1 gives an empty range of jump positions, as does
-        # alpha0 = 1 below beta0; only the guard refuses it.
+        # The lemma needs beta1 >= 1.  The first three fail the determinant as
+        # well; the last three have it, and only the guard refuses them.
         assert refuses(check_partners_by_values, 1, 5, (1, -1, -1))
-        for partner in ((1, -1, -1), (0, 0, -1), (1, 0, 1)):
-            with pytest.raises(CalibrationError, match="beta0=5"):
-                _check_partners(1, 5, partner)
+        for alpha0, beta0, partner in (
+            (1, 5, (1, -1, -1)), (1, 5, (0, 0, -1)), (1, 5, (1, 0, 1)),
+            (1, 5, (0, -1, 1)), (2, 5, (-1, -2, -1)), (0, 1, (1, 0, 1)),
+        ):
+            with pytest.raises(CalibrationError, match=f"beta0={beta0}"):
+                _check_partners(alpha0, beta0, partner)
+
+    def test_refuses_a_sigma_other_than_1_or_minus_1(self):
+        # Determinant 2 = sigma: the guard refuses it, as the lemma needs +-1.
+        assert is_partner(1, 5, (1, 3, 2))
+        with pytest.raises(CalibrationError, match="sigma=2"):
+            _check_partners(1, 5, (1, 3, 2))

@@ -15,7 +15,11 @@ table (margin rows, disagreement records, gamma tables, family surfaces) builds
 it as a ``Records``, and one block writer renders it a block at a time, for JSON
 and CSV alike: the block's shared values join the cached literal text of a
 record once, and its records follow, one ``%`` each or, in a one-field block,
-as value texts between a head and a tail.  A plain list is always walked.
+as value texts between a head and a tail.  A one-field block whose field is a
+non-empty step-1 ``range`` from 0 or above slices its texts from a digit
+table built once per ``Records``, and only when those ranges hold at least as
+many values as the table has texts.  No block is joined into one string, which
+would raise peak RSS.  A plain list is always walked.
 """
 
 from __future__ import annotations
@@ -152,29 +156,52 @@ def _scalar_text(value) -> str:
     return text(value)
 
 
+def _counts_up(column) -> bool:
+    """Whether ``column`` is a non-empty step-1 ``range`` from 0 or above."""
+    return type(column) is range and column.step == 1 and 0 <= column.start < column.stop
+
+
+def _digit_table(blocks) -> list[str]:
+    """The texts of 0, 1, ... up to the largest stop of the counting
+    (``_counts_up``) columns of ``blocks``' one-column blocks, which slice
+    their value texts from it; empty, no table, if those columns hold fewer
+    values than that, so it never makes more texts than it replaces."""
+    stop = held = 0
+    for _, columns in blocks:
+        column, *others = columns.values()
+        if not others and _counts_up(column):
+            stop, held = max(stop, column.stop), held + len(column)
+    return list(map(str, range(stop))) if stop <= held else []
+
+
 def _block_rows(keys: tuple[str, ...], shared: dict, columns: dict, depth: int | None,
-                out: list[str], cell=None) -> None:
+                out: list[str], cell=None, texts=()) -> None:
     """Append each record of one block, as :class:`~effcone.verify.Records`
     holds it, with the str ``keys`` (sorted for JSON), rendered at ``depth``
     and led by its list separator.  Each value is written as the
     ``_SCALAR_TEXT`` text of its type, and any other value raises TypeError;
     given ``cell``, the CSV text of any value, the records are CSV lines
-    (``depth`` None).
+    (``depth`` None).  ``texts`` is the block's ``Records``' digit table
+    (``_digit_table``), by default none.
 
     Each shared value's text joins the literal text around it, so a record is
     a literal piece before each column's value and one after the last.  A
     one-field block goes in as the head, each value's text with one
-    ``tail + head`` between, and the tail.  Any other block takes one ``%``
-    per record, its pieces joined by "%s": a ``range`` or int column's values
-    as they are, any other column's as their texts, looked up once for a
-    column of one type and per value for a mixed one.  A string per block
-    would cost peak RSS: freed, it stays on the heap."""
+    ``tail + head`` between, and the tail.  A counting column that the table
+    covers slices its texts from it, so equal values share one text object
+    and no more texts are made than the ``Records``' counting columns hold
+    values; any other column takes one ``str`` per value.  Any other block
+    takes one ``%`` per record, its pieces joined by "%s": a ``range`` or int
+    column's values as they are, any other column's as their texts, looked up
+    once for a column of one type and per value for a mixed one.  A string
+    per block would cost peak RSS: freed, it stays on the heap."""
     befores, after = _row_texts(keys, depth)
     pieces, fields, literal = [], [], ""
     for key, before in zip(keys, befores):
         literal += before
         if key in shared:
-            literal += (cell or _scalar_text)(shared[key])
+            value = shared[key]
+            literal += (cell or _SCALAR_TEXT.get(type(value), _scalar_text))(value)
             continue
         column = columns[key]
         types = set(map(type, column)) if type(column) is not range else {int}
@@ -190,7 +217,11 @@ def _block_rows(keys: tuple[str, ...], shared: dict, columns: dict, depth: int |
         out += map("%s".join(piece.replace("%", "%%") for piece in pieces).__mod__, zip(*fields))
         return
     head, tail = pieces
-    values = list(map(str, fields[0]))
+    column = fields[0]
+    if _counts_up(column) and column.stop <= len(texts):
+        values = texts[column.start:column.stop]
+    else:
+        values = list(map(str, column))
     if values:
         rows = [tail + head] * (2 * len(values) + 1)
         rows[0], rows[1::2], rows[-1] = head, values, tail
@@ -224,9 +255,9 @@ def _write_json(obj, depth: int, out: list[str]) -> None:
             out += (separator, encode_basestring_ascii(key), ": ")
             _write_json(value, depth + 1, out)
     elif isinstance(obj, Records):  # _block_rows leads each record with the separator
-        keys = tuple(sorted(obj.keys))
+        keys, texts = tuple(sorted(obj.keys)), _digit_table(obj.blocks)
         for shared, columns in obj.blocks:
-            _block_rows(keys, shared, columns, depth + 1, out)
+            _block_rows(keys, shared, columns, depth + 1, out, None, texts)
     else:
         for value in obj:
             out.append(separator)
@@ -268,9 +299,9 @@ def _render_csv(records: Records) -> str:
     every record back."""
     # As csv.writer does, the one cell of a row is quoted when it is empty.
     cell = _csv_cell if len(records.keys) > 1 else lambda value: _csv_cell(value) or '""'
-    out = [",".join(map(cell, records.keys))]
+    out, texts = [",".join(map(cell, records.keys))], _digit_table(records.blocks)
     for shared, columns in records.blocks:
-        _block_rows(records.keys, shared, columns, None, out, cell)
+        _block_rows(records.keys, shared, columns, None, out, cell, texts)
     out.append("\n")
     return "".join(out)
 

@@ -160,7 +160,8 @@ def classify(b: int, p: int) -> list[Classification]:
 def classify_surface(surface: WeightedSurface) -> list[Classification]:
     """Classify a validated surface; requires a = 4 and p < 0."""
     if surface.a != 4 or surface.p >= 0:
-        raise ValueError(f"classification requires a = 4 and p < 0, got {surface}")
+        raise ValueError("classification requires a = 4 and p < 0, "
+                         f"got a = {surface.a} and p = {surface.p}")
     return classify(surface.b, surface.p)
 
 

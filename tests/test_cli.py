@@ -292,6 +292,13 @@ class TestFamily:
 
 
 class TestVerify:
+    def test_refused_surface_is_named_once(self, capsys):
+        assert main(["verify", "--surface", "3,5,7", "--n-max", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("effcone: error: P(3,5,7): classification requires a = 4 "
+                                "and p < 0, got a = 3 and p = -1\n")
+
     def test_json_report(self, capsys):
         code, payload = run_json(
             capsys, "verify", "--surface", "4,5,7", "--n-max", "6", "--jobs", "1",
@@ -540,15 +547,15 @@ class TestHarness:
         # The payload (about 470 KB) overruns the pipe buffer, so the writer
         # is still writing when the reader goes away.
         env = dict(os.environ, PYTHONPATH=str(Path(effcone.__file__).parents[1]))
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "effcone.cli", "calibrate-delta", "--beta-max", "30",
              "--instances"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-        )
-        assert proc.stdout.read(64).startswith(b"{")
-        proc.stdout.close()
-        err = proc.stderr.read().decode()
-        assert proc.wait(timeout=120) == 0
+        ) as proc:
+            assert proc.stdout.read(64).startswith(b"{")
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=120) == 0
         assert "Traceback" not in err and "Error" not in err
 
     def test_version_exits_zero(self, capsys):
@@ -952,6 +959,10 @@ class TestRecordsWriter:
         ({"%%s": "%d"}, {"%d": range(0)}), ({"%%s": "%%s"}, {"%d": [10**80, -(10**80)]}),
         ({"%d": "%s"}, {"%%s": []}), ({"%d": None}, {"%%s": ["%", "%d", '"\\\0\u2028\xe9']}),
     ]))
+    # An empty range from 0 beside one the digit table covers: a slice up to
+    # its stop -1 would not be empty.
+    @example(Records(("n", "s"), [({"s": "a"}, {"n": range(0, -1)}),
+                                  ({"s": "b"}, {"n": range(3)})]))
     def test_one_field_blocks_match_indented_dumps(self, payload):
         assert cli._render_json(payload) == reference_json(expanded(payload))
 
@@ -966,6 +977,56 @@ class TestRecordsWriter:
         assert joint == tail + head
         cli._block_rows(("n",), {}, {"n": []}, 1, out)
         assert len(out) == 7
+
+    @pytest.mark.parametrize("ranges", [
+        [range(5)], [range(0, 4), range(2, 6)], [range(3, 7)], [range(-3, 2), range(4)],
+        [range(0, 10, 2), range(3)], [range(0), range(2)], [range(0, -1), range(3)],
+        [range(5, 2), range(0, -1)], [range(10**6, 10**6 + 2)],
+    ], ids=["from-0", "above-0", "above-0-alone", "negative-start", "step-2", "empty",
+            "reversed-empty", "both-empty", "far-from-0"])
+    @pytest.mark.parametrize("keys", [("n", "s"), ("n",)], ids=["shared", "one-key"])
+    def test_counting_columns_match_the_references(self, ranges, keys):
+        # Each block's column is a range; the digit table serves the step-1
+        # ones from 0 up whenever they hold at least as many values as it has.
+        records = Records(keys, [({"s": "%d"}, {"n": column}) if "s" in keys
+                                 else ({}, {"n": column}) for column in ranges])
+        assert cli._render_json(records) == reference_json(list(records))
+        assert cli._render_json({"r": [records]}) == reference_json({"r": [list(records)]})
+        assert cli._render_csv(records) == dict_writer_csv(records.keys, records)
+
+    @pytest.mark.parametrize("render", [cli._render_json, cli._render_csv], ids=["json", "csv"])
+    def test_blocks_share_the_table_texts(self, render, monkeypatch):
+        # Both blocks slice "10", "11" and "12" from one table: the same objects.
+        records = Records(("n", "s"), [({"s": "a"}, {"n": range(13)}),
+                                       ({"s": "b"}, {"n": range(10, 13)})])
+        block_rows, appended = cli._block_rows, []
+
+        def recording(*args):
+            out = args[4]
+            start = len(out)
+            block_rows(*args)
+            appended.append([piece for piece in out[start:] if piece.isdigit()])
+
+        monkeypatch.setattr(cli, "_block_rows", recording)
+        render(records)
+        first, second = appended
+        assert first == list(map(str, range(13))) and second == ["10", "11", "12"]
+        assert all(map(lambda a, b: a is b, first[10:], second))
+
+    @pytest.mark.parametrize("ranges, table", [
+        ([range(10**6, 10**6 + 2)], 0), ([range(3, 7)], 0), ([range(0, 4), range(2, 6)], 6),
+        ([range(0, 3), range(0, -1), range(-5, 0)], 3), ([range(0, 10, 2)], 0),
+    ])
+    def test_table_makes_no_more_texts_than_it_replaces(self, ranges, table):
+        blocks = [({"s": "x"}, {"n": column}) for column in ranges]
+        texts = cli._digit_table(Records(("n", "s"), blocks).blocks)
+        assert texts == list(map(str, range(table)))
+        assert len(texts) <= sum(map(len, ranges))
+
+    def test_table_reads_only_one_column_blocks(self):
+        # A two-column block keeps its one % per record and adds nothing to the table.
+        records = Records(("n", "m"), [({}, {"n": range(50), "m": range(50)})])
+        assert cli._digit_table(records.blocks) == []
 
 
 # Records as CSV: str cells hold the characters a cell is quoted for, "%", NUL

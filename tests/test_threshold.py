@@ -399,9 +399,12 @@ class TestClassify:
             classify(5, 2)    # p >= 0
 
     def test_classify_surface_gates(self):
-        with pytest.raises(ValueError):
+        # The message names the values it refuses, not the surface, which
+        # the callers that sweep surfaces name themselves.
+        with pytest.raises(ValueError, match=r"^classification requires a = 4 and p < 0, "
+                                             r"got a = 3 and p = -1$"):
             classify_surface(make_surface(3, 5, 7))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"got a = 4 and p = 1$"):
             classify_surface(make_surface(4, 5, 19))  # p > 0
 
     def test_pool_surfaces_classify_as_built(self, pool):

@@ -12,14 +12,15 @@ The JSON writer has three paths: the text of an exact scalar, a
 :class:`~effcone.verify.Records`, and recursion over any other dict, list or
 tuple; any other leaf raises TypeError.  The code that knows a list is a
 table (margin rows, disagreement records, gamma tables, family surfaces) builds
-it as a ``Records``, and one block writer renders it a block at a time, for JSON
-and CSV alike: the block's shared values join the cached literal text of a
-record once, and its records follow, one ``%`` each or, in a one-field block,
-as value texts between a head and a tail.  A one-field block whose field is a
-non-empty step-1 ``range`` from 0 or above slices its texts from a digit
-table built once per ``Records``, and only when those ranges hold at least as
-many values as the table has texts.  No block is joined into one string, which
-would raise peak RSS.  A plain list is always walked.
+it as a ``Records``, and one block writer renders it a run of same-shaped
+blocks at a time, for JSON and CSV alike: one cached template of a record's
+literal text takes the run's shared values in one pass, as they are when all
+are ints, and each block's records follow, one ``%`` each or, in a one-field
+block, as value texts between a head and a tail.  A one-field block whose
+field is a non-empty step-1 ``range`` from 0 or above slices its texts from a
+digit table, one per ``Records``, that never holds more texts than those
+ranges hold values.  No block is joined into one string, which would raise
+peak RSS.  A plain list is always walked.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, repeat
+from operator import itemgetter
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
@@ -135,17 +138,31 @@ _SCALAR_TEXT = {
 
 
 @lru_cache(maxsize=64)
-def _row_texts(keys: tuple[str, ...], depth: int | None) -> tuple[tuple[str, ...], str]:
-    """The literal text before each of the sorted str ``keys``' values in one
-    record at ``depth``, the first led by the list separator
-    ",<newline><indent>" and "{", and the text after the last value; for ``depth``
-    None those of a CSV line: "<newline>", "," before each later key, and ""."""
+def _run_template(keys: tuple[str, ...], columns: frozenset, depth: int | None) -> tuple:
+    """For blocks with the column keys ``columns``, a record's literal text at
+    ``depth`` with the str ``keys``, led by ",<newline><indent>{" (for
+    ``depth`` None a CSV line: "<newline>", "," before each later key): the
+    pieces before each column and after the last, each a ``%``-template with
+    "%s" for its shared values and their getter (None, and the plain text,
+    for a piece with none), and the getter of the columns in ``keys`` order."""
     if depth is None:
-        return ("\n",) + (",",) * (len(keys) - 1), ""
-    close = "\n" + "  " * depth
-    befores = [f",{close}  {encode_basestring_ascii(key)}: " for key in keys]
-    befores[0] = "," + close + "{" + befores[0][1:]
-    return tuple(befores), close + "}"
+        befores, after = ["\n"] + [","] * (len(keys) - 1), ""
+    else:
+        close = "\n" + "  " * depth
+        befores = [f",{close}  {encode_basestring_ascii(key)}: " for key in keys]
+        befores[0], after = "," + close + "{" + befores[0][1:], close + "}"
+    pieces, template, names = [], "", []
+    for key, before in zip(keys, befores):
+        template += before.replace("%", "%%")
+        if key in columns:
+            pieces.append((template, names))
+            template, names = "", []
+        else:
+            template, names = template + "%s", names + [key]
+    pieces.append((template + after.replace("%", "%%"), names))
+    return (tuple((template, itemgetter(*names)) if names else (template % (), None)
+                  for template, names in pieces),
+            itemgetter(*(key for key in keys if key in columns)))
 
 
 def _scalar_text(value) -> str:
@@ -156,76 +173,69 @@ def _scalar_text(value) -> str:
     return text(value)
 
 
-def _counts_up(column) -> bool:
-    """Whether ``column`` is a non-empty step-1 ``range`` from 0 or above."""
-    return type(column) is range and column.step == 1 and 0 <= column.start < column.stop
+def _cells(column, cell=None):
+    """``column``'s values for "%s": exact ints as they are, any other value
+    as its text (``cell``, or its ``_SCALAR_TEXT`` text), looked up once for
+    a column of one type and per value for a mixed one."""
+    types = set(map(type, column)) if type(column) is not range else {int}
+    if types <= {int}:
+        return column
+    return map(cell or (len(types) == 1 and _SCALAR_TEXT.get(*types)) or _scalar_text, column)
 
 
-def _digit_table(blocks) -> list[str]:
-    """The texts of 0, 1, ... up to the largest stop of the counting
-    (``_counts_up``) columns of ``blocks``' one-column blocks, which slice
-    their value texts from it; empty, no table, if those columns hold fewer
-    values than that, so it never makes more texts than it replaces."""
-    stop = held = 0
-    for _, columns in blocks:
-        column, *others = columns.values()
-        if not others and _counts_up(column):
-            stop, held = max(stop, column.stop), held + len(column)
-    return list(map(str, range(stop))) if stop <= held else []
+def _block_rows(keys: tuple[str, ...], runs, depth: int | None, out: list[str],
+                cell=None) -> list[str]:
+    """Append each record of ``runs``, a :class:`~effcone.verify.Records`'
+    runs, with the str ``keys`` (sorted for JSON), rendered at ``depth`` and
+    led by its list separator, and return the digit table it built.  Each
+    value is written as the ``_SCALAR_TEXT`` text of its type, and any other
+    value raises TypeError; given ``cell``, the CSV text of any value, the
+    records are CSV lines (``depth`` None).
 
-
-def _block_rows(keys: tuple[str, ...], shared: dict, columns: dict, depth: int | None,
-                out: list[str], cell=None, texts=()) -> None:
-    """Append each record of one block, as :class:`~effcone.verify.Records`
-    holds it, with the str ``keys`` (sorted for JSON), rendered at ``depth``
-    and led by its list separator.  Each value is written as the
-    ``_SCALAR_TEXT`` text of its type, and any other value raises TypeError;
-    given ``cell``, the CSV text of any value, the records are CSV lines
-    (``depth`` None).  ``texts`` is the block's ``Records``' digit table
-    (``_digit_table``), by default none.
-
-    Each shared value's text joins the literal text around it, so a record is
-    a literal piece before each column's value and one after the last.  A
-    one-field block goes in as the head, each value's text with one
-    ``tail + head`` between, and the tail.  A counting column that the table
-    covers slices its texts from it, so equal values share one text object
-    and no more texts are made than the ``Records``' counting columns hold
-    values; any other column takes one ``str`` per value.  Any other block
-    takes one ``%`` per record, its pieces joined by "%s": a ``range`` or int
-    column's values as they are, any other column's as their texts, looked up
-    once for a column of one type and per value for a mixed one.  A string
-    per block would cost peak RSS: freed, it stays on the heap."""
-    befores, after = _row_texts(keys, depth)
-    pieces, fields, literal = [], [], ""
-    for key, before in zip(keys, befores):
-        literal += before
-        if key in shared:
-            value = shared[key]
-            literal += (cell or _SCALAR_TEXT.get(type(value), _scalar_text))(value)
+    A record is a literal piece before each column's value and one after the
+    last, holding the shared values.  Each run fills the pieces of all its
+    blocks in one pass, from one cached template (``_run_template``): an
+    itemgetter over its shared dicts, then ``%``.  The values go in as they
+    are when all of them are exact ints, whose text is their ``str`` in JSON
+    and CSV alike, and as their texts otherwise.  A one-field block goes in
+    as the head, each value's text with one ``tail + head`` between, and the
+    tail.  A non-empty step-1 ``range`` from 0 or above slices its texts from
+    the digit table of 0, 1, ..., which grows to its stop once such ranges
+    have held at least as many values, so equal values share one text object
+    and no more texts are made than they replace; any other column takes one
+    ``str`` per value.  Any other block takes one ``%`` per record on its
+    pieces joined by "%s", its columns as ``_cells``.  A string per block
+    would cost peak RSS: freed, it stays on the heap."""
+    texts, held = [], 0  # the digit table, and the counting values so far
+    for run in runs:
+        shareds, blocks = zip(*run)
+        pieces, getter = _run_template(keys, frozenset(blocks[0]), depth)
+        if not set(map(type, chain.from_iterable(map(dict.values, shareds)))) <= {int}:
+            text = cell or _scalar_text
+            shareds = [dict(zip(shared, map(text, shared.values()))) for shared in shareds]
+        filled = [map(template.__mod__, map(get, shareds)) if get else repeat(template)
+                  for template, get in pieces]
+        if len(pieces) != 2:
+            for block, columns in zip(zip(*filled), map(getter, blocks)):
+                template = "%s".join(piece.replace("%", "%%") for piece in block)
+                out += map(template.__mod__, zip(*(_cells(column, cell) for column in columns)))
             continue
-        column = columns[key]
-        types = set(map(type, column)) if type(column) is not range else {int}
-        if types <= {int}:
-            fields.append(column)
-        else:
-            text = cell or (len(types) == 1 and _SCALAR_TEXT.get(*types)) or _scalar_text
-            fields.append(map(text, column))
-        pieces.append(literal)
-        literal = ""
-    pieces.append(literal + after)
-    if len(fields) != 1:
-        out += map("%s".join(piece.replace("%", "%%") for piece in pieces).__mod__, zip(*fields))
-        return
-    head, tail = pieces
-    column = fields[0]
-    if _counts_up(column) and column.stop <= len(texts):
-        values = texts[column.start:column.stop]
-    else:
-        values = list(map(str, column))
-    if values:
-        rows = [tail + head] * (2 * len(values) + 1)
-        rows[0], rows[1::2], rows[-1] = head, values, tail
-        out += rows
+        for head, tail, column in zip(*filled, map(getter, blocks)):
+            counting = (type(column) is range and column.step == 1
+                        and 0 <= column.start < column.stop)
+            if counting:
+                held += len(column)
+                if len(texts) < column.stop <= held:
+                    texts += map(str, range(len(texts), column.stop))
+            if counting and column.stop <= len(texts):
+                values = texts[column.start:column.stop]
+            else:
+                values = list(map(str, _cells(column, cell)))
+            if values:
+                rows = [tail + head] * (2 * len(values) + 1)
+                rows[0], rows[1::2], rows[-1] = head, values, tail
+                out += rows
+    return texts
 
 
 def _write_json(obj, depth: int, out: list[str]) -> None:
@@ -234,7 +244,7 @@ def _write_json(obj, depth: int, out: list[str]) -> None:
     :class:`~effcone.verify.Records` as the list of its dicts.
 
     A scalar of exactly a ``_SCALAR_TEXT`` type is written as its text, and a
-    ``Records`` a block at a time through ``_block_rows``.  Python recurses
+    ``Records`` a run at a time through ``_block_rows``.  Python recurses
     over any other dict, list or tuple, a plain list of records included;
     dict keys must be str.  Any other leaf (a float, an int or str subclass)
     raises ``TypeError``.
@@ -255,9 +265,7 @@ def _write_json(obj, depth: int, out: list[str]) -> None:
             out += (separator, encode_basestring_ascii(key), ": ")
             _write_json(value, depth + 1, out)
     elif isinstance(obj, Records):  # _block_rows leads each record with the separator
-        keys, texts = tuple(sorted(obj.keys)), _digit_table(obj.blocks)
-        for shared, columns in obj.blocks:
-            _block_rows(keys, shared, columns, depth + 1, out, None, texts)
+        _block_rows(tuple(sorted(obj.keys)), obj.runs, depth + 1, out)
     else:
         for value in obj:
             out.append(separator)
@@ -293,15 +301,14 @@ def _csv_cell(value) -> str:
 
 
 def _render_csv(records: Records) -> str:
-    """``records`` under a header of their keys, a block at a time
+    """``records`` under a header of their keys, a run at a time
     (``_block_rows``), in the bytes ``csv.DictWriter`` writes with "\n" line
     ends, except that a cell holding "\\r" is quoted, so ``csv.reader`` reads
     every record back."""
     # As csv.writer does, the one cell of a row is quoted when it is empty.
     cell = _csv_cell if len(records.keys) > 1 else lambda value: _csv_cell(value) or '""'
-    out, texts = [",".join(map(cell, records.keys))], _digit_table(records.blocks)
-    for shared, columns in records.blocks:
-        _block_rows(records.keys, shared, columns, None, out, cell, texts)
+    out = [",".join(map(cell, records.keys))]
+    _block_rows(records.keys, records.runs, None, out, cell)
     out.append("\n")
     return "".join(out)
 

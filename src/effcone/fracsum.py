@@ -173,10 +173,10 @@ def full_sum(alpha0: int, beta0: int, beta1: int, sigma: int) -> Fraction:
 
 
 def _step_error_base(sigma: int, t: int, u: int, beta0: int, beta1: int) -> Fraction:
-    """The Delta-free part of the one-step reduction error."""
-    first = Fraction((u + 1) * (sigma * u + beta0 - beta1), 2 * beta0 * beta1)
-    second = Fraction(sigma * t * (beta1 * (t - sigma) + 2 * u + 1 - beta0), 2 * beta0)
-    return first + second
+    """The Delta-free part of the one-step reduction error, over 2*beta0*beta1."""
+    return Fraction((u + 1) * (sigma * u + beta0 - beta1)
+                    + sigma * t * beta1 * (beta1 * (t - sigma) + 2 * u + 1 - beta0),
+                    2 * beta0 * beta1)
 
 
 def _check_step(sigma: int, t: int, u: int, beta0: int, beta1: int) -> None:

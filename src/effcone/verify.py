@@ -48,11 +48,12 @@ Both record lists are :class:`Records`, flat dicts stored as column blocks:
 column, with ``branch`` and ``family`` shared and ``n`` (a ``range``), ``h0``,
 ``rhs`` and ``margin`` as columns, and :func:`calibrate_delta`'s
 disagreements one block per (alpha0, beta0), with ``u0`` (a ``range``) the
-only column.  They iterate and compare as lists of dicts; the CLI's JSON writer
-renders them a block at a time without building the dicts, and a worker
-process sends them to its parent as their blocks.  The process pool (and so
-``multiprocessing``) is imported only inside :func:`sweep`, when it spreads
-the surfaces over more than one worker; no other call loads it.
+only column, all in one run of same-shaped blocks.  They iterate and compare
+as lists of dicts; the CLI's writer renders them a run at a time without
+building the dicts, and a worker process sends them to its parent as their
+blocks.  The process pool (and so ``multiprocessing``) is imported only inside
+:func:`sweep`, when it spreads the surfaces over more than one worker; no
+other call loads it.
 """
 
 from __future__ import annotations
@@ -96,30 +97,35 @@ class Records:
     one) to equal-length sequences, such as a ``range``, whose i-th items
     belong to the block's i-th record.  Iterating builds the dicts, and
     ``==`` against a list or another ``Records`` compares the records.  It
-    pickles as its blocks, and the JSON writer renders a block, its shared
-    values joined to a record's literal texts once, without building its
-    dicts.
+    pickles as its blocks.  ``runs`` groups consecutive blocks with the same
+    column keys, found as the blocks are checked; the CLI's writer renders a
+    run in one pass over its shared values, without building its dicts.
     """
 
-    __slots__ = ("_keys", "_blocks", "_len")
+    __slots__ = ("_keys", "_blocks", "_len", "_runs")
 
     def __init__(self, keys, blocks=()):
         self._keys = tuple(keys)
         self._blocks = tuple((dict(shared), dict(columns)) for shared, columns in blocks)
-        names, self._len = set(self._keys), 0
+        names, self._len, starts, run = set(self._keys), 0, [], (None, None)
         if len(names) != len(self._keys):
             raise ValueError(f"repeated key in {self._keys}")
-        for shared, columns in self._blocks:
+        for i, (shared, columns) in enumerate(self._blocks):
+            # A block with the keys of the one before splits names as it does;
+            # else disjoint subsets of names whose sizes add up to len(names) do.
+            if columns.keys() != run[1] or shared.keys() != run[0]:
+                if (len(shared) + len(columns) != len(names) or not names.issuperset(shared)
+                        or not names.issuperset(columns) or not shared.keys().isdisjoint(columns)):
+                    raise ValueError(f"a block's shared keys {list(shared)} and column keys "
+                                     f"{list(columns)} do not split {self._keys}")
+                starts.append(i)
+                run = shared.keys(), columns.keys()
             lengths = set(map(len, columns.values()))
-            # Disjoint subsets of names whose sizes add up to len(names) split it.
-            if (len(shared) + len(columns) != len(names) or not names.issuperset(shared)
-                    or not names.issuperset(columns) or not shared.keys().isdisjoint(columns)):
-                raise ValueError(f"a block's shared keys {list(shared)} and column keys "
-                                 f"{list(columns)} do not split {self._keys}")
             if len(lengths) != 1:
                 raise ValueError(f"a block needs one or more columns of one length, "
                                  f"got lengths {sorted(lengths)}")
             self._len += lengths.pop()
+        self._runs = tuple(map(self._blocks.__getitem__, map(slice, starts, starts[1:] + [None])))
 
     @property
     def keys(self) -> tuple:
@@ -129,6 +135,11 @@ class Records:
     def blocks(self) -> tuple:
         """The (shared, columns) pairs, in record order."""
         return self._blocks
+
+    @property
+    def runs(self) -> tuple:
+        """The blocks, in order, as runs of consecutive blocks with the same keys."""
+        return self._runs
 
     def __len__(self) -> int:
         return self._len

@@ -10,6 +10,7 @@ import io
 import itertools
 import json
 import os
+import pickle
 import re
 import shlex
 import subprocess
@@ -900,6 +901,12 @@ def one_field_records(draw):
 
 
 
+def one_block_rows(keys, shared, columns, out):
+    """Append the JSON rows of the one block (``shared``, ``columns``) to
+    ``out`` at depth 1, its record keys ``keys`` in that order."""
+    return cli._block_rows(keys, Records(keys, [(shared, columns)]).runs, 1, out)
+
+
 class TestRecordsWriter:
     @settings(max_examples=300)
     @given(nested_records())
@@ -923,7 +930,7 @@ class TestRecordsWriter:
     def test_scalar_columns_take_the_template(self, column):
         shared = {"s": "%s"}
         out = []
-        cli._block_rows(("n", "s"), shared, {"n": column}, 1, out)
+        one_block_rows(("n", "s"), shared, {"n": column}, out)
         payload = {"rows": Records(("s", "n"), [(shared, {"n": column})])}
         assert "[" + "".join(out)[1:] + "\n]" == reference_json(list(payload["rows"]))
         assert cli._render_json(payload) == reference_json(expanded(payload))
@@ -935,7 +942,7 @@ class TestRecordsWriter:
         shared = {"s": "%s"}
         records = Records(("s", "n"), [(shared, {"n": column})])
         out = []
-        cli._block_rows(("n", "s"), shared, {"n": column}, 1, out)
+        one_block_rows(("n", "s"), shared, {"n": column}, out)
         # The block's rows are the records' list, bar its brackets.
         assert "[" + "".join(out)[1:] + "\n]" == reference_json(list(records))
         depths = count_writes(monkeypatch)
@@ -945,7 +952,7 @@ class TestRecordsWriter:
 
     def test_unsupported_shared_value_raises(self):
         with pytest.raises(TypeError, match="type float is not"):
-            cli._block_rows(("n", "x"), {"x": 0.5}, {"n": range(2)}, 1, [])
+            one_block_rows(("n", "x"), {"x": 0.5}, {"n": range(2)}, [])
 
     def test_records_take_the_template(self, monkeypatch):
         records = Records(("u", "s", "f"), [({"s": "%x", "f": Fraction(2, 3)}, {"u": range(500)})])
@@ -970,12 +977,12 @@ class TestRecordsWriter:
         # No row is formatted: the head, then each value's text with one
         # shared string between them, then the tail.
         out = []
-        cli._block_rows(("n", "s"), {"s": "%d"}, {"n": range(3)}, 1, out)
+        one_block_rows(("n", "s"), {"s": "%d"}, {"n": range(3)}, out)
         head, first, joint, second, joint2, third, tail = out
         assert (first, second, third) == ("0", "1", "2") and joint is joint2
         assert head == ',\n  {\n    "n": ' and tail == ',\n    "s": "%d"\n  }'
         assert joint == tail + head
-        cli._block_rows(("n",), {}, {"n": []}, 1, out)
+        one_block_rows(("n",), {}, {"n": []}, out)
         assert len(out) == 7
 
     @pytest.mark.parametrize("ranges", [
@@ -1002,14 +1009,14 @@ class TestRecordsWriter:
         block_rows, appended = cli._block_rows, []
 
         def recording(*args):
-            out = args[4]
+            out = args[3]
             start = len(out)
             block_rows(*args)
-            appended.append([piece for piece in out[start:] if piece.isdigit()])
+            appended.extend(piece for piece in out[start:] if piece.isdigit())
 
         monkeypatch.setattr(cli, "_block_rows", recording)
         render(records)
-        first, second = appended
+        first, second = appended[:13], appended[13:]
         assert first == list(map(str, range(13))) and second == ["10", "11", "12"]
         assert all(map(lambda a, b: a is b, first[10:], second))
 
@@ -1019,14 +1026,144 @@ class TestRecordsWriter:
     ])
     def test_table_makes_no_more_texts_than_it_replaces(self, ranges, table):
         blocks = [({"s": "x"}, {"n": column}) for column in ranges]
-        texts = cli._digit_table(Records(("n", "s"), blocks).blocks)
+        texts = cli._block_rows(("n", "s"), Records(("n", "s"), blocks).runs, 1, [])
         assert texts == list(map(str, range(table)))
         assert len(texts) <= sum(map(len, ranges))
 
     def test_table_reads_only_one_column_blocks(self):
         # A two-column block keeps its one % per record and adds nothing to the table.
         records = Records(("n", "m"), [({}, {"n": range(50), "m": range(50)})])
-        assert cli._digit_table(records.blocks) == []
+        assert cli._block_rows(("m", "n"), records.runs, 1, []) == []
+
+
+# Runs: consecutive blocks with the same column keys, whose shared values the
+# writer fills into one template in one pass, as they are when all are ints
+# and as their texts otherwise.  A run's shared values are all ints or mix
+# every exact scalar type: strs holding "%" and "%s", Fractions, None, bools
+# beside ints, and ints of up to 31 digits either side of 0.  Columns hold
+# ranges the digit table covers or not, empty ones included.
+RUN_INTS = st.integers(-10**30, 10**30)
+RUN_VALUES = st.one_of(RUN_INTS, st.sampled_from(("%", "%s", "%%s", "%d%")) | BLOCK_TEXT,
+                       st.fractions(max_denominator=10**6), st.booleans(), st.none())
+RUN_COLUMNS = st.one_of(
+    st.builds(range, st.integers(0, 12), st.integers(0, 12)),
+    st.builds(range, st.integers(10**6 - 3, 10**6 + 3), st.integers(10**6 - 3, 10**6 + 3)),
+    st.builds(range, st.integers(-5, 5), st.integers(-5, 5), st.sampled_from((1, 2, -1))),
+    st.lists(RUN_INTS, max_size=4),
+    st.lists(RUN_VALUES, max_size=4),
+)
+RUN_KEYS = st.sampled_from(("%", "%s", "a", "n", "z")) | BLOCK_TEXT
+
+
+@st.composite
+def run_records(draw):
+    """A Records value of 1 to 4 runs of 1 to 4 blocks each; a run may have
+    the column keys of the one before, and so join it."""
+    keys = tuple(draw(st.lists(RUN_KEYS, min_size=1, max_size=5, unique=True)))
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        column_keys = draw(st.lists(st.sampled_from(keys), min_size=1, unique=True))
+        values = draw(st.sampled_from((RUN_INTS, RUN_VALUES)))
+        for _ in range(draw(st.integers(1, 4))):
+            if len(column_keys) == 1:
+                columns = {column_keys[0]: draw(RUN_COLUMNS)}
+            else:
+                length = draw(st.integers(0, 4))
+                columns = {key: (list(draw(RUN_COLUMNS)) + [0] * length)[:length]
+                           for key in column_keys}
+            blocks.append(({key: draw(values) for key in keys if key not in columns}, columns))
+    return Records(keys, blocks)
+
+
+def runs_of(records) -> list[int]:
+    """The number of blocks in each of ``records``' runs, after checking that
+    the runs are its blocks, split exactly where the column keys change."""
+    runs = records.runs
+    assert [block for run in runs for block in run] == list(records.blocks)
+    for run in runs:
+        assert len({frozenset(columns) for _, columns in run}) == 1
+    for before, after in zip(runs, runs[1:]):
+        assert before[-1][1].keys() != after[0][1].keys()
+    return list(map(len, runs))
+
+
+class TestRunWriter:
+    @settings(max_examples=300)
+    @given(run_records())
+    # A changed column-key set breaks a run mid-list, and the old one comes
+    # back as a new run; a run's blocks hold an empty column.
+    @example(Records(("a", "n", "z"), [
+        ({"a": 1, "z": -(10**30)}, {"n": range(3)}),
+        ({"a": 2, "z": 10**30 - 1}, {"n": range(0)}),
+        ({"n": 5, "z": 0}, {"a": range(2)}),
+        ({"a": 3, "z": 7}, {"n": []}),
+        ({"a": 4, "z": 8}, {"n": range(2, 5)}),
+    ]))
+    # A changed shared-key set breaks a run of two-column blocks.
+    @example(Records(("a", "n", "z"), [
+        ({"a": 1}, {"n": [1, 2], "z": range(2)}),
+        ({"a": 2}, {"n": [], "z": []}),
+        ({"a": 1, "z": "%s"}, {"n": range(1)}),
+        ({"a": 2, "z": 3}, {"n": [4, -5]}),
+    ]))
+    # Every exact scalar type in one run, shared keys on both sides of its
+    # one column.
+    @example(Records(("a", "b", "n", "q", "t", "z"), [
+        ({"a": "%", "b": "%s", "q": Fraction(-1, 3), "t": True, "z": None}, {"n": range(2)}),
+        ({"a": 10**30, "b": -5, "q": Fraction(2), "t": 0, "z": -(10**29)}, {"n": range(1, 3)}),
+        ({"a": "%d", "b": None, "q": 1, "t": False, "z": "%%s"}, {"n": []}),
+        ({"a": -1, "b": 2, "q": 3, "t": 4, "z": 5}, {"n": [Fraction(1, 2), None, "%"]}),
+    ]))
+    # Counting ranges inside and outside the digit table: the table grows to
+    # 3, then 9 and 12, and never reaches 10**6 or serves a negative start,
+    # a step of 2 or an empty range.
+    @example(Records(("n", "s"), [
+        ({"s": 1}, {"n": range(0, 3)}), ({"s": 2}, {"n": range(10**6, 10**6 + 2)}),
+        ({"s": 3}, {"n": range(2, 9)}), ({"s": 4}, {"n": range(-2, 2)}),
+        ({"s": 5}, {"n": range(0, 10, 2)}), ({"s": 6}, {"n": range(5, 12)}),
+        ({"s": 7}, {"n": range(4, 4)}), ({"s": 8}, {"n": range(11, 12)}),
+    ]))
+    def test_matches_the_references(self, records):
+        runs_of(records)
+        assert cli._render_json(records) == reference_json(list(records))
+        assert cli._render_json({"r": [records]}) == reference_json({"r": [list(records)]})
+        assert cli._render_csv(records) == dict_writer_csv(records.keys, records)
+
+    def test_runs_split_where_the_keys_change(self):
+        records = Records(("a", "n", "z"), [
+            ({"a": 1, "z": 2}, {"n": range(1)}), ({"z": 3, "a": 4}, {"n": [5]}),
+            ({"a": 1}, {"n": [2], "z": [3]}),
+            ({"a": 1, "z": 2}, {"n": range(1)}),
+        ])
+        assert runs_of(records) == [2, 1, 1]
+        assert runs_of(Records(("a",))) == []
+        # One disagreement block per coprime (alpha0, beta0), all one run.
+        assert runs_of(effcone.verify.calibrate_delta(20)["disagreements"]) == [127]
+
+    def test_multi_run_records_pickle_round_trip(self):
+        records = Records(("a", "n", "z"), [
+            ({"a": 1, "z": "%s"}, {"n": range(3)}), ({"a": 2, "z": None}, {"n": range(1, 2)}),
+            ({"a": Fraction(1, 3)}, {"n": [4, 5], "z": [True, -(10**30)]}),
+            ({"a": 3, "z": 4}, {"n": []}),
+        ])
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(records, protocol))
+            assert runs_of(copy) == runs_of(records) == [2, 1, 1]
+            assert copy.runs == records.runs
+            assert cli._render_json(copy) == cli._render_json(records) == reference_json(list(records))
+            assert cli._render_csv(copy) == dict_writer_csv(records.keys, records)
+
+    def test_int_runs_take_no_text_calls(self, monkeypatch):
+        # Every shared value of the disagreement run is an int, so they go
+        # into the template as they are, with no text call per value.
+        report = effcone.verify.calibrate_delta(12)
+        expected = reference_json(expanded(report))
+
+        def refuse(value):
+            raise AssertionError(f"a text call for {value!r}")
+
+        monkeypatch.setattr(cli, "_scalar_text", refuse)
+        assert cli._render_json(report) == expected
 
 
 # Records as CSV: str cells hold the characters a cell is quoted for, "%", NUL

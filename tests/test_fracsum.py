@@ -473,6 +473,17 @@ class TestStepErrorAlgebra:
                 assert error == self.error(sigma, *map(Fraction, (t, u, beta0, beta1)))
                 assert error * 2 * beta0 * beta1 == self.proof_form(sigma, t, u, beta0, beta1)
 
+    def test_one_numerator_is_the_two_term_sum(self):
+        # _step_error_base builds one Fraction over 2*beta0*beta1; the oracle
+        # is the published two-term sum, one Fraction per term.
+        for beta0 in range(2, 40):
+            for beta1 in range(1, beta0):
+                for sigma, t, u in product((1, -1), range(5), range(beta1)):
+                    first = Fraction((u + 1) * (sigma * u + beta0 - beta1), 2 * beta0 * beta1)
+                    second = Fraction(sigma * t * (beta1 * (t - sigma) + 2 * u + 1 - beta0),
+                                      2 * beta0)
+                    assert _step_error_base(sigma, t, u, beta0, beta1) == first + second
+
     def test_small_regime_form_and_excess(self):
         # With d = beta0 - beta1 and v = u + beta1*t, the sigma = -1 error is
         # a function of v alone, and its excess over the published constant

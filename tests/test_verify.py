@@ -105,6 +105,9 @@ class TestRecords:
         (("a", "b"), [({}, {"b": [1]})]),  # a key missing
         (("a", "b"), [({}, {"a": [1, 2], "b": range(3)})]),  # columns of two lengths
         (("a", "b"), [({"a": 1}, {"a": [1]})]),  # sizes add up, but a is in both and b in neither
+        # A later block with the column keys of the one before, but not its shared keys.
+        (("a", "b"), [({"a": 1}, {"b": [1]}), ({"a": 1, "c": 2}, {"b": [2]})]),
+        (("a", "b", "c"), [({"a": 1, "c": 2}, {"b": [1]}), ({"a": 1}, {"b": [2]})]),
     ])
     def test_malformed_blocks_are_refused(self, keys, blocks):
         with pytest.raises(ValueError):

@@ -119,6 +119,12 @@ def _parse_head(token: str) -> tuple[int, int]:
     return int(alpha), int(beta)
 
 
+def _parse_path(token: str) -> str:
+    """The path as typed, without the space that ``_shield_negatives`` puts
+    before a "-<digit>" or "-." token (a path typed as " -5" loses it too)."""
+    return token[1:] if token[:1] == " " and _NEGATIVE_VALUE.match(token[1:]) else token
+
+
 def _parse_surface(token: str) -> WeightedSurface:
     parts = token.strip().split(",")
     if len(parts) != 3:
@@ -463,7 +469,8 @@ def _cmd_calibrate(args) -> tuple[dict, int]:
 # tree passes to ``add_argument`` and the table path of ``_parse_args`` reads.
 def _output(formats=("json",)) -> tuple:
     return (("--format", {"choices": formats, "default": "json"}),
-            ("--output", {"help": "write the payload to this path instead of stdout"}))
+            ("--output", {"type": _parse_path,
+                          "help": "write the payload to this path instead of stdout"}))
 
 
 _SURFACE = ("--surface", {"type": _parse_surface, "required": True, "metavar": "A,B,C"})

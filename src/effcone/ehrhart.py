@@ -9,9 +9,10 @@ entering as its integer residue sum.  c0 is computed from its own closed
 form, never back-solved from a count, so agreement with the rowscan counter
 is a genuine two-sided test.
 
-The module also exposes the two c0 ingredients with published range bounds:
-:func:`c0_middle_terms` (the -(5/2){sn} + partial-sum block) and
-:func:`c0_upper_bound` (an n-dependent upper bound for the family-B c0).
+Two c0 ingredients with published range bounds, the -(5/2){sn} +
+partial-sum block and an n-dependent upper bound for the family-B c0, are
+stated in the test suite (``c0_middle_terms`` and ``c0_upper_bound`` in
+``tests/conftest.py``), from :func:`_middle` and :func:`_tail` below.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from .surface import FAMILY_B, FAMILY_C, WeightedSurface
 __all__ = [
     "EhrhartCoeffs",
     "coefficients",
-    "c0_middle_terms",
-    "c0_upper_bound",
 ]
 
 
@@ -88,8 +87,9 @@ def coefficients(surface: WeightedSurface, family: str, n: int) -> EhrhartCoeffs
 
 
 def _middle(b: int, c: int, n: int, quotient: int) -> int:
-    """4c times :func:`c0_middle_terms`: c*sum_{j<=l} (3j mod 4) - 10*(bn mod c),
-    where ``quotient`` is floor(4bn/c) and l = quotient mod 4."""
+    """4c times -(5/2){sn} + sum_{j=0}^{l} {3j/4}, the oscillating block of the
+    family-B c0: c*sum_{j<=l} (3j mod 4) - 10*(bn mod c), where ``quotient``
+    is floor(4bn/c) and l = quotient mod 4."""
     return c * _residue_sum(3, 4, quotient % 4) - 10 * (b * n % c)
 
 
@@ -97,31 +97,3 @@ def _tail(b: int, c: int, p: int, n: int, quotient: int) -> int:
     """2bc times ((b-1)/2){4n/c} - sum_{j=0}^{r} {-pj/b}, the last two terms
     of the family-B c0, where ``quotient`` is floor(4bn/c) and r = quotient mod b."""
     return b * (b - 1) * (4 * n % c) - 2 * c * _residue_sum(-p, b, quotient % b)
-
-
-def c0_middle_terms(surface: WeightedSurface, n: int) -> Fraction:
-    """The oscillating block -(5/2){sn} + sum_{j=0}^{l} {3j/4} of the family-B c0.
-
-    Defined for n >= 0.  Published range facts (all tested exhaustively):
-    the value is at most 1/8; it is positive iff 1/4 < {sn} < 3/10; and a
-    value above -1/(32s) forces {sn} < 1/2 + 1/(80s).
-    """
-    _require_hypotheses(surface)
-    require_int("n", n, 0)
-    b, c = surface.b, surface.c
-    return Fraction(_middle(b, c, n, 4 * b * n // c), 4 * c)
-
-
-def c0_upper_bound(surface: WeightedSurface, n: int) -> Fraction:
-    """An upper bound for the family-B c0 at level n.
-
-    Base form: 9/8 + 1/(32s) + ((b-1)/2){4n/c} - sum_{j=0}^{r} {-pj/b}.
-    When {sn} >= 1/2 + 1/(80s) the leading 9/8 + 1/(32s) improves to 1.
-    """
-    _require_hypotheses(surface)
-    require_int("n", n, 1)
-    b, c = surface.b, surface.c
-    # Over 32bc: {sn} >= 1/2 + c/(80b) iff 80b*(bn mod c) >= c(40b + c), and
-    # the lead is then 1 = 32bc/32bc, else 9/8 + c/(32b) = c(36b + c)/32bc.
-    lead = 32 * b * c if 80 * b * (b * n % c) >= c * (40 * b + c) else c * (36 * b + c)
-    return Fraction(lead + 16 * _tail(b, c, surface.p, n, 4 * b * n // c), 32 * b * c)

@@ -57,9 +57,6 @@ from .numerics import Frozen, floor_sum_linear, require_int
 __all__ = [
     "frac_sum",
     "deficit",
-    "floor_sum",
-    "ceil_sum",
-    "full_sum",
     "step_error",
     "step_error_bounds",
     "StepErrorBounds",
@@ -116,60 +113,6 @@ def deficit(beta: int, u: int, alpha: int) -> Fraction:
     if not 0 <= u < beta:
         raise ValueError(f"require 0 <= u < beta, got u = {u}, beta = {beta}")
     return Fraction((u + 1) * (beta - 1), 2 * beta) - frac_sum(alpha, beta, u)
-
-
-def floor_sum(alpha: int, beta: int) -> int:
-    """sum_{k=0}^{beta-1} floor(alpha*k/beta) = (alpha-1)(beta-1)/2 for coprime inputs."""
-    require_int("alpha", alpha)
-    require_int("beta", beta)
-    if alpha < 1 or beta < 1:
-        raise ValueError(f"require positive inputs, got ({alpha}, {beta})")
-    if gcd(alpha, beta) != 1:
-        raise ValueError(f"require gcd(alpha, beta) = 1, got ({alpha}, {beta})")
-    return (alpha - 1) * (beta - 1) // 2
-
-
-def ceil_sum(alpha: int, beta: int) -> int:
-    """sum_{k=0}^{beta-1} ceil(alpha*k/beta) = (alpha+1)(beta-1)/2 for coprime inputs.
-
-    Differs from :func:`floor_sum` by beta - 1: every k != 0 rounds up.
-    """
-    return floor_sum(alpha, beta) + beta - 1
-
-
-def full_sum(alpha0: int, beta0: int, beta1: int, sigma: int) -> Fraction:
-    """Closed form for sum_{j=0}^{beta1} {alpha0*j/beta0}.
-
-    Requires a partner alpha1 >= 1 with alpha1*beta0 - beta1*alpha0 = sigma
-    (sigma = +-1) and 1 <= beta1 < beta0; the value is then
-    (1 - sigma + (beta1 + sigma)(beta0 - sigma)) / (2*beta0).
-
-    >>> full_sum(3, 5, 2, -1)
-    Fraction(4, 5)
-    >>> full_sum(2, 5, 2, 1)
-    Fraction(6, 5)
-    """
-    require_int("alpha0", alpha0)
-    require_int("beta0", beta0)
-    require_int("beta1", beta1)
-    require_int("sigma", sigma)
-    if sigma not in (-1, 1):
-        raise ValueError(f"sigma must be +-1, got {sigma}")
-    if not 1 <= beta1 < beta0:
-        raise ValueError(f"require 1 <= beta1 < beta0, got ({beta1}, {beta0})")
-    if gcd(alpha0, beta0) != 1:
-        raise ValueError(f"require gcd(alpha0, beta0) = 1, got ({alpha0}, {beta0})")
-    if (sigma + beta1 * alpha0) % beta0 != 0:
-        raise ValueError(
-            f"no integer alpha1 solves alpha1*{beta0} - {beta1}*{alpha0} = {sigma}"
-        )
-    alpha1 = (sigma + beta1 * alpha0) // beta0
-    if alpha1 < 1:
-        raise ValueError(
-            f"partner alpha1 = {alpha1} is not positive for "
-            f"({alpha0}, {beta0}, {beta1}, sigma={sigma})"
-        )
-    return Fraction(1 - sigma + (beta1 + sigma) * (beta0 - sigma), 2 * beta0)
 
 
 def _step_error_base(sigma: int, t: int, u: int, beta0: int, beta1: int) -> Fraction:

@@ -47,10 +47,6 @@ class RationalTriangle(Frozen):
     def __init__(self, vertices: tuple[RationalPoint, RationalPoint, RationalPoint]) -> None:
         self.__dict__.update(vertices=vertices)
 
-    @property
-    def is_integral(self) -> bool:
-        return all(v.x.denominator == 1 and v.y.denominator == 1 for v in self.vertices)
-
 
 def triangle(p0, p1, p2) -> RationalTriangle:
     """Build a :class:`RationalTriangle` from three points or ``(x, y)`` pairs.
@@ -163,17 +159,19 @@ def count_points_pick(tri: RationalTriangle) -> int:
     Only valid for non-degenerate triangles with integral vertices; raises
     :class:`ValueError` otherwise.  With ``2*Area = |cross|`` and ``B`` the
     number of boundary points, the total interior+boundary count is
-    ``(|cross| + B) / 2 + 1``.
+    ``(|cross| + B) / 2 + 1``.  Each refusal names the vertices at fault.
     """
-    if not tri.is_integral:
-        raise ValueError("Pick's theorem requires integral vertices")
+    for v in tri.vertices:
+        if v.x.denominator != 1 or v.y.denominator != 1:
+            raise ValueError(f"Pick's theorem requires integral vertices, got ({v.x}, {v.y})")
     v0, v1, v2 = tri.vertices
     x0, y0 = int(v0.x), int(v0.y)
     x1, y1 = int(v1.x), int(v1.y)
     x2, y2 = int(v2.x), int(v2.y)
     cross = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
     if cross == 0:
-        raise ValueError("Pick's theorem requires a non-degenerate triangle")
+        points = ", ".join(f"({v.x}, {v.y})" for v in tri.vertices)
+        raise ValueError(f"Pick's theorem requires a non-degenerate triangle, got {points}")
     boundary = (
         gcd(abs(x1 - x0), abs(y1 - y0))
         + gcd(abs(x2 - x1), abs(y2 - y1))

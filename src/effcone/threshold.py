@@ -1,5 +1,5 @@
 """Expected effective thresholds: nu invariants, the interval classification,
-gamma searches, small-a lower bounds, and the reference triangles.
+gamma searches and small-a lower bounds.
 
 For P(4,b,c) with p < 0 the abscissa x = b/(-p) lies in (2, 16/3) exactly
 when the classification machinery applies.  That range splits into levels
@@ -23,7 +23,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .lattice import RationalTriangle, triangle
 from .numerics import Frozen, require_int
 from .surface import (
     FAMILY_AZ,
@@ -40,17 +39,12 @@ __all__ = [
     "Classification",
     "nu_from_h0",
     "nu",
-    "outer_bound",
     "branch_interval",
     "classify",
     "classify_surface",
     "GammaSearchResult",
     "gamma_search",
-    "family_supremum",
     "lower_bound_small_a",
-    "reference_triangle",
-    "expected_count_large",
-    "expected_count_small",
 ]
 
 BRANCHES = ("I'-", "I'+", "I''-", "I''+")
@@ -86,12 +80,6 @@ def nu_from_h0(h: int) -> int:
 def nu(surface: WeightedSurface, div: DivisorSpec) -> int:
     """nu of a family divisor: nu_from_h0 of its section count."""
     return nu_from_h0(h0(surface, div))
-
-
-def outer_bound(k: int) -> Fraction:
-    """L(k) = 16k^2/(8k^2 - 4k - 1), the decreasing sequence of level edges."""
-    require_int("k", k, 1)
-    return Fraction(*_edge(k))
 
 
 def _edge(k: int) -> tuple[int, int]:
@@ -226,15 +214,6 @@ def gamma_search(surface: WeightedSurface, n_max: int) -> GammaSearchResult:
     )
 
 
-def family_supremum(surface: WeightedSurface, family: str, n_max: int) -> Fraction:
-    """Max over n <= n_max of the candidate values from a single family."""
-    scales = dict(_search_families(surface))
-    if family not in scales:
-        raise ValueError(f"family {family!r} not available on {surface}")
-    (h0s,) = _family_counts(surface, (family,), n_max)
-    return _best(((family, scales[family], h0s, map(nu_from_h0, h0s)),))[0]
-
-
 def lower_bound_small_a(surface: WeightedSurface) -> int:
     """Combinatorial threshold lower bound from the first AZ divisor.
 
@@ -252,31 +231,3 @@ def lower_bound_small_a(surface: WeightedSurface) -> int:
         f"lower bound hypotheses fail for {surface}: need p >= 0, or "
         f"q = a-1 with -p*a/b <= 1 (got q = {q}, -p*a/b = {Fraction(-p * a, b)})"
     )
-
-
-def reference_triangle(k: int, which: str) -> RationalTriangle:
-    """The two fixed integral triangles certifying nu at level k.
-
-    ``which = "large"``: Conv((0,0), (-(2k+3), 0), (-3(2k+1), 4(2k+1))),
-    with 8k^2 + 18k + 11 = C(4(k+1)+1, 2) + 1 lattice points; contained in
-    the predicted divisor's polytope on the I' branches.
-    ``which = "small"``: Conv((0,0), (-(k+1), 0), (-3k, 4k)), with
-    2k^2 + 3k + 2 = C(2k+2, 2) + 1 lattice points; contained on the I''
-    branches.
-    """
-    require_int("k", k, 1)
-    if which == "large":
-        return triangle((0, 0), (-(2 * k + 3), 0), (-3 * (2 * k + 1), 4 * (2 * k + 1)))
-    if which == "small":
-        return triangle((0, 0), (-(k + 1), 0), (-3 * k, 4 * k))
-    raise ValueError(f"which must be 'large' or 'small', got {which!r}")
-
-
-def expected_count_large(k: int) -> int:
-    """Closed-form lattice count of reference_triangle(k, "large")."""
-    return 8 * k * k + 18 * k + 11
-
-
-def expected_count_small(k: int) -> int:
-    """Closed-form lattice count of reference_triangle(k, "small")."""
-    return 2 * k * k + 3 * k + 2

@@ -28,8 +28,8 @@ before it solved for the level directly, and :func:`classify_by_fractions`
 the ``Fraction`` comparisons it made before it cross-multiplied integers.
 :func:`fraction_coefficients`, :func:`fraction_middle_terms`,
 :func:`fraction_c0_tail` and :func:`fraction_value` are the ``Fraction``
-expressions that ``ehrhart.coefficients``, ``c0_middle_terms``,
-``c0_upper_bound`` and ``EhrhartCoeffs.value`` evaluated before each
+expressions that ``ehrhart.coefficients``, :func:`c0_middle_terms`,
+:func:`c0_upper_bound` and ``EhrhartCoeffs.value`` evaluated before each
 coefficient became one numerator over one integer denominator.
 :func:`contains_point` is an exact membership test for a rational triangle,
 with which the tests check that the reference triangles sit inside the
@@ -44,6 +44,15 @@ replaced by routing a column of cells at a time.
 built and ``csv.DictWriter`` wrote before the CLI wrote the rows' blocks, and
 :func:`gamma_table` the dict per row that ``gamma`` built before its table
 became column blocks.
+
+Ten published statements that nothing in the package calls live here, as
+the package stated them, and the package no longer exports them: from
+``threshold``, the level edges :func:`outer_bound`, the one-family
+:func:`family_supremum`, the certifying :func:`reference_triangle` and its
+counts :func:`expected_count_large` and :func:`expected_count_small`; from
+``ehrhart``, the family-B c0 pieces :func:`c0_middle_terms` and
+:func:`c0_upper_bound`; from ``fracsum``, the full-period sums
+:func:`floor_sum`, :func:`ceil_sum` and :func:`full_sum`.
 """
 
 from __future__ import annotations
@@ -64,6 +73,8 @@ from effcone import (
     CalibrationError,
     Classification,
     FamilyRequest,
+    RationalTriangle,
+    WeightedSurface,
     branch_interval,
     classify_surface,
     deficit,
@@ -73,10 +84,15 @@ from effcone import (
     make_surface,
     margin_at_multiple,
     margin_general,
-    outer_bound,
+    nu_from_h0,
     paper_delta,
     solve_family,
+    triangle,
 )
+from effcone.ehrhart import _middle, _require_hypotheses, _tail
+from effcone.numerics import require_int
+from effcone.surface import _family_counts
+from effcone.threshold import _best, _edge, _search_families
 
 
 def monomial_count(a: int, b: int, c: int, degree: int) -> int:
@@ -477,6 +493,134 @@ def sweep_cells(surface, n_max: int) -> dict:
         "gamma_pred": search.prediction,
         "gamma_match": search.matches,
     }
+
+
+# Published statements that nothing in the package calls (see the module docstring).
+
+
+def outer_bound(k: int) -> Fraction:
+    """L(k) = 16k^2/(8k^2 - 4k - 1), the decreasing sequence of level edges."""
+    require_int("k", k, 1)
+    return Fraction(*_edge(k))
+
+
+def family_supremum(surface: WeightedSurface, family: str, n_max: int) -> Fraction:
+    """Max over n <= n_max of the candidate values from a single family."""
+    scales = dict(_search_families(surface))
+    if family not in scales:
+        raise ValueError(f"family {family!r} not available on {surface}")
+    (h0s,) = _family_counts(surface, (family,), n_max)
+    return _best(((family, scales[family], h0s, map(nu_from_h0, h0s)),))[0]
+
+
+def reference_triangle(k: int, which: str) -> RationalTriangle:
+    """The two fixed integral triangles certifying nu at level k.
+
+    ``which = "large"``: Conv((0,0), (-(2k+3), 0), (-3(2k+1), 4(2k+1))),
+    with 8k^2 + 18k + 11 = C(4(k+1)+1, 2) + 1 lattice points; contained in
+    the predicted divisor's polytope on the I' branches.
+    ``which = "small"``: Conv((0,0), (-(k+1), 0), (-3k, 4k)), with
+    2k^2 + 3k + 2 = C(2k+2, 2) + 1 lattice points; contained on the I''
+    branches.
+    """
+    require_int("k", k, 1)
+    if which == "large":
+        return triangle((0, 0), (-(2 * k + 3), 0), (-3 * (2 * k + 1), 4 * (2 * k + 1)))
+    if which == "small":
+        return triangle((0, 0), (-(k + 1), 0), (-3 * k, 4 * k))
+    raise ValueError(f"which must be 'large' or 'small', got {which!r}")
+
+
+def expected_count_large(k: int) -> int:
+    """Closed-form lattice count of reference_triangle(k, "large")."""
+    return 8 * k * k + 18 * k + 11
+
+
+def expected_count_small(k: int) -> int:
+    """Closed-form lattice count of reference_triangle(k, "small")."""
+    return 2 * k * k + 3 * k + 2
+
+
+def c0_middle_terms(surface: WeightedSurface, n: int) -> Fraction:
+    """The oscillating block -(5/2){sn} + sum_{j=0}^{l} {3j/4} of the family-B c0.
+
+    Defined for n >= 0.  Published range facts (all tested exhaustively):
+    the value is at most 1/8; it is positive iff 1/4 < {sn} < 3/10; and a
+    value above -1/(32s) forces {sn} < 1/2 + 1/(80s).
+    """
+    _require_hypotheses(surface)
+    require_int("n", n, 0)
+    b, c = surface.b, surface.c
+    return Fraction(_middle(b, c, n, 4 * b * n // c), 4 * c)
+
+
+def c0_upper_bound(surface: WeightedSurface, n: int) -> Fraction:
+    """An upper bound for the family-B c0 at level n.
+
+    Base form: 9/8 + 1/(32s) + ((b-1)/2){4n/c} - sum_{j=0}^{r} {-pj/b}.
+    When {sn} >= 1/2 + 1/(80s) the leading 9/8 + 1/(32s) improves to 1.
+    """
+    _require_hypotheses(surface)
+    require_int("n", n, 1)
+    b, c = surface.b, surface.c
+    # Over 32bc: {sn} >= 1/2 + c/(80b) iff 80b*(bn mod c) >= c(40b + c), and
+    # the lead is then 1 = 32bc/32bc, else 9/8 + c/(32b) = c(36b + c)/32bc.
+    lead = 32 * b * c if 80 * b * (b * n % c) >= c * (40 * b + c) else c * (36 * b + c)
+    return Fraction(lead + 16 * _tail(b, c, surface.p, n, 4 * b * n // c), 32 * b * c)
+
+
+def floor_sum(alpha: int, beta: int) -> int:
+    """sum_{k=0}^{beta-1} floor(alpha*k/beta) = (alpha-1)(beta-1)/2 for coprime inputs."""
+    require_int("alpha", alpha)
+    require_int("beta", beta)
+    if alpha < 1 or beta < 1:
+        raise ValueError(f"require positive inputs, got ({alpha}, {beta})")
+    if gcd(alpha, beta) != 1:
+        raise ValueError(f"require gcd(alpha, beta) = 1, got ({alpha}, {beta})")
+    return (alpha - 1) * (beta - 1) // 2
+
+
+def ceil_sum(alpha: int, beta: int) -> int:
+    """sum_{k=0}^{beta-1} ceil(alpha*k/beta) = (alpha+1)(beta-1)/2 for coprime inputs.
+
+    Differs from :func:`floor_sum` by beta - 1: every k != 0 rounds up.
+    """
+    return floor_sum(alpha, beta) + beta - 1
+
+
+def full_sum(alpha0: int, beta0: int, beta1: int, sigma: int) -> Fraction:
+    """Closed form for sum_{j=0}^{beta1} {alpha0*j/beta0}.
+
+    Requires a partner alpha1 >= 1 with alpha1*beta0 - beta1*alpha0 = sigma
+    (sigma = +-1) and 1 <= beta1 < beta0; the value is then
+    (1 - sigma + (beta1 + sigma)(beta0 - sigma)) / (2*beta0).
+
+    >>> full_sum(3, 5, 2, -1)
+    Fraction(4, 5)
+    >>> full_sum(2, 5, 2, 1)
+    Fraction(6, 5)
+    """
+    require_int("alpha0", alpha0)
+    require_int("beta0", beta0)
+    require_int("beta1", beta1)
+    require_int("sigma", sigma)
+    if sigma not in (-1, 1):
+        raise ValueError(f"sigma must be +-1, got {sigma}")
+    if not 1 <= beta1 < beta0:
+        raise ValueError(f"require 1 <= beta1 < beta0, got ({beta1}, {beta0})")
+    if gcd(alpha0, beta0) != 1:
+        raise ValueError(f"require gcd(alpha0, beta0) = 1, got ({alpha0}, {beta0})")
+    if (sigma + beta1 * alpha0) % beta0 != 0:
+        raise ValueError(
+            f"no integer alpha1 solves alpha1*{beta0} - {beta1}*{alpha0} = {sigma}"
+        )
+    alpha1 = (sigma + beta1 * alpha0) // beta0
+    if alpha1 < 1:
+        raise ValueError(
+            f"partner alpha1 = {alpha1} is not positive for "
+            f"({alpha0}, {beta0}, {beta1}, sigma={sigma})"
+        )
+    return Fraction(1 - sigma + (beta1 + sigma) * (beta0 - sigma), 2 * beta0)
 
 
 def level_by_descent(x: Fraction) -> int:

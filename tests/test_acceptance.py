@@ -15,19 +15,11 @@ from math import gcd
 from effcone import (
     DivisorSpec,
     FamilyRequest,
-    c0_middle_terms,
-    c0_upper_bound,
     coefficients,
     count_points_pick,
     count_points_rowscan,
     deficit,
-    expected_count_large,
-    expected_count_small,
-    family_supremum,
     frac_sum,
-    full_sum,
-    floor_sum,
-    ceil_sum,
     gamma_search,
     h0,
     lower_bound_small_a,
@@ -35,7 +27,6 @@ from effcone import (
     nu,
     paper_delta,
     reduce_chain,
-    reference_triangle,
     solve_family,
     standard_chain,
     step_error,
@@ -43,6 +34,18 @@ from effcone import (
 )
 from effcone.threshold import classify_surface
 from effcone.verify import aggregate_sweep, calibrate_delta, sweep
+
+from conftest import (
+    c0_middle_terms,
+    c0_upper_bound,
+    ceil_sum,
+    expected_count_large,
+    expected_count_small,
+    family_supremum,
+    floor_sum,
+    full_sum,
+    reference_triangle,
+)
 
 
 def test_criterion_01_ehrhart_exactness(pool):

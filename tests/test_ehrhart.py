@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from effcone import (
     DivisorSpec,
-    c0_middle_terms,
-    c0_upper_bound,
     classify_surface,
     coefficients,
     h0,
@@ -23,6 +21,8 @@ from effcone import (
 
 from conftest import (
     build_pool,
+    c0_middle_terms,
+    c0_upper_bound,
     fraction_c0_tail,
     fraction_coefficients,
     fraction_middle_terms,

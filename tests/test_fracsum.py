@@ -14,11 +14,8 @@ from effcone import (
     FamilyRequest,
     ReductionChain,
     calibrated_delta,
-    ceil_sum,
     deficit,
-    floor_sum,
     frac_sum,
-    full_sum,
     make_surface,
     paper_delta,
     reduce_chain,
@@ -31,7 +28,7 @@ from effcone import (
 from effcone import fracsum
 from effcone.fracsum import DELTA_POLICIES, _residue_sum, _step_error_base
 
-from conftest import forced_jump, frac_sum_direct
+from conftest import ceil_sum, floor_sum, forced_jump, frac_sum_direct, full_sum
 
 coprime_pairs = st.tuples(st.integers(1, 60), st.integers(1, 60)).filter(
     lambda ab: gcd(*ab) == 1

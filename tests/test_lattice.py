@@ -94,11 +94,12 @@ class TestFrozenCounts:
 
     def test_pick_rejects_rational(self):
         tri = triangle((0, 0), (1, 0), (Fraction(1, 2), 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"integral vertices, got \(1/2, 1\)$"):
             count_points_pick(tri)
 
     def test_pick_rejects_degenerate(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"non-degenerate triangle, got \(0, 0\), "
+                                             r"\(2, 2\), \(4, 4\)$"):
             count_points_pick(triangle((0, 0), (2, 2), (4, 4)))
 
 

@@ -17,22 +17,16 @@ from effcone import (
     RationalPoint,
     ReductionChain,
     branch_interval,
-    c0_middle_terms,
-    c0_upper_bound,
     calibrate_delta,
     classify,
     coefficients,
     deficit,
-    floor_sum,
     floor_sum_linear,
     frac_sum,
-    full_sum,
     gamma_search,
     make_surface,
-    outer_bound,
     paper_delta,
     reduce_chain,
-    reference_triangle,
     section_counts,
     standard_chain,
     step_error,
@@ -42,6 +36,15 @@ from effcone import (
 )
 from effcone.numerics import Frozen, require_int
 from effcone.verify import margin_at_multiple
+
+from conftest import (
+    c0_middle_terms,
+    c0_upper_bound,
+    floor_sum,
+    full_sum,
+    outer_bound,
+    reference_triangle,
+)
 
 
 small_or_huge = st.one_of(st.integers(-50, 50), st.integers(-10**30, 10**30))
@@ -66,7 +69,7 @@ class TestFloorSumLinear:
     @given(st.integers(1, 10**15), st.integers(1, 10**15))
     def test_full_period_closed_form(self, a, m):
         # Over a whole period the sum is the closed form (a-1)(m-1)/2 of
-        # fracsum.floor_sum, which is out of reach of a direct sum here.
+        # floor_sum in conftest, which is out of reach of a direct sum here.
         if gcd(a, m) != 1:
             return
         assert floor_sum_linear(m, m, a, 0) == floor_sum(a, m)

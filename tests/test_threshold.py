@@ -14,23 +14,27 @@ from effcone import (
     classify_surface,
     count_points_pick,
     count_points_rowscan,
-    expected_count_large,
-    expected_count_small,
-    family_supremum,
     gamma_search,
     h0,
     lower_bound_small_a,
     make_surface,
     nu,
     nu_from_h0,
-    outer_bound,
     polytope,
-    reference_triangle,
     section_counts,
 )
 from effcone.threshold import BRANCHES, _level
 
-from conftest import classify_by_fractions, contains_point, level_by_descent
+from conftest import (
+    classify_by_fractions,
+    contains_point,
+    expected_count_large,
+    expected_count_small,
+    family_supremum,
+    level_by_descent,
+    outer_bound,
+    reference_triangle,
+)
 
 
 class TestNuFromH0:
